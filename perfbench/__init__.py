@@ -1,0 +1,1 @@
+"""Reconcile benchmark: see README.md and run.py."""
