@@ -4,7 +4,8 @@ A from-scratch engine (NOT a port) with the query and data-processing
 capabilities of the reference project
 ``cometadata/reconcile-curation-in-cris-systems``, re-expressed as
 ``ray.data.Dataset`` pipelines: ``map_batches`` over zero-copy Arrow
-batches, actor pools for stateful stages, ``groupby``/``sort``/
+batches, per-worker cached state for stateful stages (actor pools
+where an operator needs them), one bucketed exchange plus ``sort``/
 ``unique`` for the wide steps, streaming execution with backpressure.
 
 Layout

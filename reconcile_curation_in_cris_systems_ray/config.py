@@ -51,53 +51,10 @@ class ClusterConfig:
 
 
 @dataclass(frozen=True)
-class ExecConfig:
-    # False (default): map stages run as task pools with per-worker
-    # cached state — Ray fuses consecutive task operators (extract +
-    # signature execute in ONE task per block, no object-store hop) and
-    # there is no actor-pool ramp-up.  Measured 2-3x faster end-to-end
-    # on this pipeline.  True: stages run as actor pools (bounded
-    # number of state copies) — the right mode when per-worker state is
-    # genuinely heavy (multi-second model load).
-    use_actor_pools: bool = False
-    # batch sizes apply in actor-pool mode; task mode uses per-block
-    # batches (batch_size=None) to preserve fusion and task parallelism
-    extract_batch_size: int = 256
-    signature_batch_size: int = 512
-    score_batch_size: int = 1024
-    # actor-pool sizes; None => autoscale (1, cluster CPUs)
-    extract_concurrency: tuple | None = None
-    signature_concurrency: tuple | None = None
-    score_concurrency: tuple | None = None
-
-
-def pool_size(configured: tuple | None) -> tuple:
-    """Actor-pool ``concurrency``: configured value or an autoscaling
-    range sized to the cluster.
-
-    The MINIMUM is a hard CPU reservation per pool.  A pipeline runs
-    up to two actor pools plus task operators (reads, shuffles)
-    concurrently, so minimums must never sum to the whole cluster —
-    min 4+4 on an 8-CPU node deadlocked the pipeline whenever a task
-    operator fed the pools.  cpus//8 keeps the measured fast ramp on
-    32 CPUs (min 4 per pool) while reserving at most 1/4 of a small
-    cluster.  Max 16 per stage: past that, actor spin-up cost beats
-    the extra parallelism on a single node.
-    """
-    if configured is not None:
-        return configured
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return (max(1, cpus // 8), max(2, min(16, cpus)))
-
-
-@dataclass(frozen=True)
 class ReconcileConfig:
     blocking: BlockingConfig = field(default_factory=BlockingConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    exec: ExecConfig = field(default_factory=ExecConfig)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReconcileConfig":
@@ -106,7 +63,7 @@ class ReconcileConfig:
         ``workflows.py:33-54``).  Unknown keys raise — config typos
         must not silently fall back to defaults."""
         sections = {"blocking": BlockingConfig, "scoring": ScoringConfig,
-                    "cluster": ClusterConfig, "exec": ExecConfig}
+                    "cluster": ClusterConfig}
         unknown = set(d) - set(sections)
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
@@ -119,9 +76,6 @@ class ReconcileConfig:
             if bad:
                 raise ValueError(
                     f"unknown keys in [{name}]: {sorted(bad)}")
-            # YAML lists -> tuples (concurrency ranges)
-            sub = {k: tuple(v) if isinstance(v, list) else v
-                   for k, v in sub.items()}
             kwargs[name] = section_cls(**sub)
         return cls(**kwargs)
 

@@ -62,8 +62,8 @@ from ..functions.similarity import stable_hash_strings
 from ..stages.blocking import emit_band_keys
 from ..stages.cluster import connected_components
 from ..stages.pairs import generate_candidate_pairs
-from ..stages.scoring import build_feature_lookup, hydrate_pairs
-from .reconcile import _extract_task, _scorer_task, _signature_task
+from ..stages.scoring import hydrate_score_pairs
+from .reconcile import NARROW_THRESHOLD, _extract_task, _signature_task
 
 
 def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
@@ -74,11 +74,6 @@ def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
             .map_batches(partial(_signature_task, blocking=cfg.blocking,
                                  scoring=cfg.scoring),
                          batch_format="pyarrow"))
-
-
-# band-row width crossover (same value as the flagship's): above this
-# many touched band rows, ship narrow 16B rows + pair-key dedup
-NARROW_THRESHOLD = 500_000
 
 
 def _build_band_key_set(band_ds):
@@ -183,12 +178,8 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
 
     # --- hydrate + score ---------------------------------------------------
     features_all = base_features.union(delta_feat)
-    prebuilt = build_feature_lookup(features_all)
-    scored = hydrate_pairs(pairs_new, features_all,
-                           est_prefilter=cfg.scoring.est_prefilter,
-                           prebuilt=prebuilt) \
-        .map_batches(partial(_scorer_task, scoring=cfg.scoring),
-                     batch_format="pyarrow")
+    scored = hydrate_score_pairs(pairs_new, features_all, cfg.scoring,
+                                 est_prefilter=cfg.scoring.est_prefilter)
 
     def to_edges(batch: pa.Table) -> pa.Table:
         m = batch.filter(batch.column("is_match"))

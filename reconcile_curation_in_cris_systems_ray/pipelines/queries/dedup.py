@@ -1799,7 +1799,7 @@ def q_novelty_score(sf_dir: str):
     distributed hash join on the bigram — vocabulary never broadcast
     (the pmi/unigram_logprob discipline)."""
     from ...stages.relational import hash_join
-    from ...stages.shuffle import bucketed_map_groups, drop_empty_blocks
+    from ...stages.shuffle import bucketed_map_groups
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1822,14 +1822,14 @@ def q_novelty_score(sf_dir: str):
 
     db = docs.map_batches(doc_bigrams, batch_format="pandas") \
         .materialize()
-    df_cells = drop_empty_blocks(bucketed_map_groups(
+    df_cells = bucketed_map_groups(
         db.map_batches(
             lambda df: df.assign(d=np.int64(1))[["bg", "d"]],
             batch_format="pandas"),
         ["bg"],
         lambda df: df.groupby("bg", sort=False, as_index=False)["d"]
         .sum(),
-        num_buckets=32).materialize())
+        num_buckets=32)
     j = hash_join(db, df_cells, on=["bg"])
 
     def collapse(df: pd.DataFrame) -> pd.DataFrame:

@@ -1316,13 +1316,10 @@ def q_rfm_segments(sf_dir: str):
 
     from ...stages.shuffle import drop_empty_blocks
 
-    # drop schema-less 0-row blocks before the acero join (the tracked
-    # empty-block class — surfaced flakily at sf0.001 when the bucketed
-    # shuffle lands an empty block on the join's left side)
-    base = drop_empty_blocks(
-        bucketed_map_groups(ev, ["user_id"], rfm,
-                            num_buckets=64).materialize())
+    base = bucketed_map_groups(ev, ["user_id"], rfm, num_buckets=64)
     ranked, n_users = global_dense_rank(base, "frequency", "user_id")
+    # drop schema-less 0-row blocks before the acero join (the tracked
+    # empty-block class: Ray strips the schema off 0-row map outputs)
     ranked = drop_empty_blocks(ranked.map_batches(
         lambda df: df.rename(columns={"id": "user_id"}),
         batch_format="pandas").materialize())

@@ -1931,9 +1931,9 @@ def q_interleave_order(sf_dir: str):
             .astype(np.int64)
         return df
 
-    ranked = drop_empty_blocks(bucketed_map_groups(
+    ranked = bucketed_map_groups(
         docs.map_batches(with_bucket, batch_format="pandas"),
-        ["qb"], rank_in_bucket, num_buckets=32).materialize())
+        ["qb"], rank_in_bucket, num_buckets=32)
 
     keyed = drop_empty_blocks(ranked.map_batches(
         lambda df: df.assign(
@@ -1971,7 +1971,7 @@ def q_png_dims(sf_dir: str):
     of doc_id (width 48+(id%7)*8, height 48+(id%5)*8), so SQL predicts
     them WITHOUT decoding while the engine must actually parse the
     real bytes — PNG rows through IHDR + inflate + unfilter, BMP rows
-    (doc_id % 4 == 1) through the DIB header/scanline parser — to
+    (``doc_id % 4 in (1, 2)``) through the DIB header/scanline parser — to
     report them: a value-hash gate on both decode paths themselves,
     not just their plumbing."""
     from ...stages.multimodal import decode_media

@@ -4,11 +4,11 @@ Composition (each stage checkpointable via
 :class:`..state.manifest.CheckpointManager`):
 
     corpus (url, warc_ts, html, text, lang)
-      -> extract        actor-pool map_batches, html -> extracted_text
-      -> features       actor-pool map_batches: normalize + MinHash sigs
+      -> extract        task map_batches, html -> extracted_text
+      -> features       task map_batches: normalize + MinHash sigs
       -> bands          explode to (band_hash, uh[, band_id, bands])
-      -> pairs          salted groupby-pairing + cross-band dedup
-      -> scored         hydrate (hash join) + duckdb fuzzy kernels
+      -> pairs          salted bucketed exchange + cross-band dedup
+      -> scored         broadcast hydrate + duckdb fuzzy kernels (fused)
       -> edges          is_match filter
       -> components     large/small-star fixpoint rounds
       -> assignments    (url, cluster_id = min url of component)
@@ -24,28 +24,14 @@ from functools import partial
 
 import pyarrow as pa
 
-from ..config import ReconcileConfig, pool_size
+from ..config import ReconcileConfig
 from ..state.manifest import CheckpointManager, fingerprint
+from ..stages import worker_cached
 from ..stages.blocking import SignatureStage, emit_band_keys
 from ..stages.cluster import assign_clusters, connected_components
 from ..stages.extract import HtmlTextExtractor
 from ..stages.pairs import generate_candidate_pairs
-from ..stages.scoring import (
-    PairScorer, build_feature_lookup, hydrate_pairs, hydrate_score_pairs,
-    score_pairs,
-)
-
-# Per-worker-process stage cache for task-mode stages: Ray reuses
-# worker processes across tasks and stages, so state built here (parser
-# tables, MinHash permutations, DuckDB connections) is constructed once
-# per worker — the same load-once semantics as an actor pool's
-# ``__init__``, but with two wins measured on this pipeline: task
-# operators FUSE (extract+signature run in one task, no inter-operator
-# object-store hop) and there is no pool ramp-up latency.  Actor pools
-# remain available via ``ExecConfig.use_actor_pools`` for genuinely
-# heavyweight state (an ML model that takes seconds to load), where
-# bounding the number of loaded copies matters more than fusion.
-_WORKER_STATE: dict = {}
+from ..stages.scoring import build_feature_lookup, hydrate_score_pairs
 
 # band-row width crossover: below this, band rows carry the full band
 # vector (min-band emission, no pair-key exchange); above it, narrow
@@ -54,26 +40,12 @@ NARROW_THRESHOLD = 500_000
 
 
 def _extract_task(batch: pa.Table) -> pa.Table:
-    st = _WORKER_STATE.get("extractor")
-    if st is None:
-        st = _WORKER_STATE["extractor"] = HtmlTextExtractor()
-    return st(batch)
+    return worker_cached("extractor", HtmlTextExtractor)(batch)
 
 
 def _signature_task(batch: pa.Table, blocking=None, scoring=None) -> pa.Table:
-    key = ("signature", blocking, scoring)
-    st = _WORKER_STATE.get(key)
-    if st is None:
-        st = _WORKER_STATE[key] = SignatureStage(blocking, scoring)
-    return st(batch)
-
-
-def _scorer_task(batch: pa.Table, scoring=None) -> pa.Table:
-    key = ("scorer", scoring)
-    st = _WORKER_STATE.get(key)
-    if st is None:
-        st = _WORKER_STATE[key] = PairScorer(scoring)
-    return st(batch)
+    return worker_cached(("signature", blocking, scoring),
+                         lambda: SignatureStage(blocking, scoring))(batch)
 
 
 def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
@@ -90,40 +62,19 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
 
     fp_ex = fingerprint(input_fingerprint, cfg_fp, "extract")
     # without a checkpoint root, extraction streams straight into the
-    # signature stage with no barrier; in task mode the two stages FUSE
+    # signature stage with no barrier and the two task stages FUSE
     # into a single map task per block
-    if cfg.exec.use_actor_pools:
-        extract_stage = lambda: corpus.map_batches(  # noqa: E731
-            HtmlTextExtractor, batch_format="pyarrow",
-            batch_size=cfg.exec.extract_batch_size,
-            concurrency=pool_size(cfg.exec.extract_concurrency))
-    else:
-        extract_stage = lambda: corpus.map_batches(  # noqa: E731
-            _extract_task, batch_format="pyarrow")
-    extracted = ckpt.run_stage("extracted", fp_ex, extract_stage,
-                               materialize=checkpoint_root is not None)
+    extracted = ckpt.run_stage(
+        "extracted", fp_ex,
+        lambda: corpus.map_batches(_extract_task, batch_format="pyarrow"),
+        materialize=checkpoint_root is not None)
 
     fp_ft = fingerprint(fp_ex, "features")
-    if cfg.exec.use_actor_pools:
-        feature_stage = lambda: extracted.map_batches(  # noqa: E731
-            SignatureStage,
-            fn_constructor_kwargs={"blocking": cfg.blocking,
-                                   "scoring": cfg.scoring},
-            batch_format="pyarrow", batch_size=cfg.exec.signature_batch_size,
-            concurrency=pool_size(cfg.exec.signature_concurrency))
-    else:
-        feature_stage = lambda: extracted.map_batches(  # noqa: E731
-            partial(_signature_task, blocking=cfg.blocking,
-                    scoring=cfg.scoring),
-            batch_format="pyarrow")
-    features = ckpt.run_stage("features", fp_ft, feature_stage)
+    features = ckpt.run_stage("features", fp_ft, lambda: extracted.map_batches(
+        partial(_signature_task, blocking=cfg.blocking, scoring=cfg.scoring),
+        batch_format="pyarrow"))
 
     fp_pr = fingerprint(fp_ft, "pairs")
-    try:
-        feat_blocks = features.num_blocks()
-    except Exception:
-        feat_blocks = None
-
     # launch the broadcast hydration lookup build (one remote task,
     # non-blocking) BEFORE the pair stage so it overlaps that stage's
     # execution; the scorer's merge blocks on the refs naturally
@@ -142,30 +93,19 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         emit_band_keys(features, cfg.blocking, include_bands=not narrow),
         cfg.blocking, cfg.scoring,
         n_rows_hint=band_rows_hint,
-        dedup_pairs=narrow, num_blocks_hint=feat_blocks))
+        dedup_pairs=narrow))
 
     fp_sc = fingerprint(fp_pr, "scored")
     # scored streams straight into edge extraction + clustering when not
-    # checkpointing (consumed exactly once; CC materializes the edges)
-    if cfg.exec.use_actor_pools:
-        scored_stage = lambda: score_pairs(  # noqa: E731
-            hydrate_pairs(pairs, features,
-                          est_prefilter=cfg.scoring.est_prefilter,
-                          prebuilt=prebuilt),
-            cfg.scoring,
-            batch_size=cfg.exec.score_batch_size,
-            concurrency=pool_size(cfg.exec.score_concurrency))
-    else:
-        # fused hydrate+score: one task stage emitting the scored
-        # schema directly — the ~2.4 KB/row hydrated intermediate
-        # (shingles/title/head per side) never crosses an operator
-        # boundary, and the est-prefilter runs before the wide gathers
-        scored_stage = lambda: hydrate_score_pairs(  # noqa: E731
-            pairs, features, cfg.scoring,
-            est_prefilter=cfg.scoring.est_prefilter,
-            prebuilt=prebuilt)
-    scored = ckpt.run_stage("scored", fp_sc, scored_stage,
-                            materialize=checkpoint_root is not None)
+    # checkpointing (consumed exactly once; CC materializes the edges).
+    # Fused hydrate+score: one task stage emitting the scored schema
+    # directly — the ~2.4 KB/row hydrated intermediate (shingles/title/
+    # head per side) never crosses an operator boundary, and the
+    # est-prefilter runs before the wide gathers
+    scored = ckpt.run_stage("scored", fp_sc, lambda: hydrate_score_pairs(
+        pairs, features, cfg.scoring,
+        est_prefilter=cfg.scoring.est_prefilter, prebuilt=prebuilt),
+        materialize=checkpoint_root is not None)
 
     def to_edges(batch: pa.Table) -> pa.Table:
         m = batch.filter(batch.column("is_match"))

@@ -1,1 +1,19 @@
 """Dataset-stage building blocks (each a map_batches / groupby composition)."""
+
+# Per-worker-process stage cache: Ray reuses worker processes across
+# tasks and stages, so state built here (parser tables, MinHash
+# permutations, DuckDB connections) is constructed once per worker —
+# the load-once semantics of an actor pool's ``__init__``, while the
+# stages stay plain task operators that Ray can fuse (extract +
+# signature run in one task per block, no inter-operator object-store
+# hop) with no pool ramp-up.
+_WORKER_STATE: dict = {}
+
+
+def worker_cached(key, build):
+    """This worker's state for ``key``, built by ``build()`` on first
+    use.  Keys must be hashable (frozen config dataclasses are)."""
+    st = _WORKER_STATE.get(key)
+    if st is None:
+        st = _WORKER_STATE[key] = build()
+    return st

@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -117,6 +119,24 @@ def cosine_threshold_pairs(ds, threshold: float, id_col: str = "vec_id",
     return out.sort(["id_a", "id_b"])
 
 
+def _hash_sample(batch: pa.Table, k: int, id_col: str,
+                 vec_col: str) -> pa.Table:
+    """Per-batch candidates for a deterministic sample: the ``k`` rows
+    with the smallest DuckDB ``hash()`` of their id (``h``) and their
+    vectors as float64 bytes (``vec``).  Empty batches give 0 rows."""
+    from ..functions.similarity import hash_strings_fast
+
+    h = hash_strings_fast(batch.column(id_col).cast(pa.string())) \
+        .view(np.int64)
+    sel = np.argpartition(h, k - 1)[:k] if len(batch) > k \
+        else np.arange(len(batch))
+    return pa.table({
+        "h": pa.array(h[sel], pa.int64()),
+        "vec": pa.array([v.tobytes() for v in
+                         _as_matrix(batch.column(vec_col))[sel]],
+                        pa.binary())})
+
+
 def build_ivf_centroids(ds, n_centroids: int = 16,
                         vec_col: str = "embedding",
                         id_col: str = "vec_id") -> np.ndarray:
@@ -126,22 +146,9 @@ def build_ivf_centroids(ds, n_centroids: int = 16,
     ``hash()`` kernel (``hash_strings_fast``) viewed as int64, so the
     whole selection — and therefore the whole IVF plan — replays
     exactly in the SQL oracle (``SQL_ANN_IVF``)."""
-    from ..functions.similarity import hash_strings_fast
-
-    def cand(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).cast(pa.string())
-        h = hash_strings_fast(ids).view(np.int64)
-        kk = min(n_centroids, len(batch))
-        sel = np.argpartition(h, kk - 1)[:kk]
-        return pa.table({
-            "h": pa.array(h[sel]),
-            "vec": pa.array([v.tobytes() for v in
-                             _as_matrix(batch.column(vec_col))[sel]],
-                            pa.binary()),
-        })
-
     rows = (ds.select_columns([id_col, vec_col])
-            .map_batches(cand, batch_format="pyarrow")
+            .map_batches(partial(_hash_sample, k=n_centroids, id_col=id_col,
+                                 vec_col=vec_col), batch_format="pyarrow")
             .sort("h").limit(n_centroids).take_all())
     mat = np.stack([np.frombuffer(r["vec"], dtype=np.float64) for r in rows])
     return _normalize(mat)
@@ -212,23 +219,11 @@ def pq_topk(ds, queries: np.ndarray, k: int = 10, m_sub: int = 8,
     encode and query are map-only over the broadcast codebooks.
     Returns (query_id, vec_id, score) with score = NEGATED ADC
     distance so the shared top-k keeps the nearest."""
-    from ..functions.similarity import hash_strings_fast
     from .relational import topk_per_group
 
-    def cand(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).cast(pa.string())
-        h = hash_strings_fast(ids).view(np.int64)
-        kk = min(train_n, len(batch))
-        sel = np.argpartition(h, kk - 1)[:kk] if len(batch) > kk \
-            else np.arange(len(batch))
-        return pa.table({
-            "h": pa.array(h[sel]),
-            "vec": pa.array([v.tobytes() for v in
-                             _as_matrix(batch.column(vec_col))[sel]],
-                            pa.binary())})
-
     rows = (ds.select_columns([id_col, vec_col])
-            .map_batches(cand, batch_format="pyarrow")
+            .map_batches(partial(_hash_sample, k=train_n, id_col=id_col,
+                                 vec_col=vec_col), batch_format="pyarrow")
             .sort("h").limit(train_n).take_all())
     train = np.stack([np.frombuffer(r["vec"], dtype=np.float64)
                       for r in rows])

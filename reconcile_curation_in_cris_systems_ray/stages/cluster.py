@@ -281,8 +281,13 @@ def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),
 
 def _star_lookup_task(*blocks):
     """Remote body: concat star-edge blocks, sort by node-url hash,
-    return (sorted hash array, row-aligned table) for broadcast."""
-    tbl = pa.concat_tables([b for b in blocks]).combine_chunks()
+    return (sorted hash array, row-aligned table) for broadcast.  0-row
+    blocks are skipped: they may carry no columns at all."""
+    good = [b.select(["u", "v"]) for b in blocks if b.num_rows]
+    if not good:
+        return np.empty(0, dtype=np.uint64), pa.table(
+            {"u": pa.array([], pa.string()), "v": pa.array([], pa.string())})
+    tbl = pa.concat_tables(good).combine_chunks()
     uh = stable_hash_strings(
         tbl.column("u").to_pandas().to_numpy(dtype=object))
     order = np.argsort(uh, kind="mergesort")

@@ -95,7 +95,7 @@ def near_dup_pairs(ds, id_col: str, text_col: str,
                              normalize).materialize()
     bands = emit_band_keys(features, blocking, include_bands=False)
     # row hint (free: features is materialized) lets the pair stage
-    # pick the materialize-once + task-shuffle plan below the cap
+    # pick the materialize-once plan below the cap
     pairs = generate_candidate_pairs(
         bands, blocking, scoring,
         n_rows_hint=features.count() * blocking.num_bands,

@@ -1,10 +1,10 @@
-"""HTML -> text extraction stage (the pipeline's stateful actor pool).
+"""HTML -> text extraction stage (the pipeline's stateful map stage).
 
 Mirrors the reference's "load once, extract per record" pattern (Flair
 model at ``query_db/analysis/entity_extraction.py:5-69``; pattern trie
 at ``openalex-fast-field-parse/src/main.rs:400-436``): the parser is
-constructed once per actor in ``__init__`` and applied per Arrow batch
-in ``__call__``.
+constructed once per worker process in ``__init__`` and applied per
+Arrow batch in ``__call__``.
 
 Extraction contract (deterministic, pinned by tests): the text of a
 page is the text content of body block elements ``h1..h6`` and ``p``
@@ -249,11 +249,12 @@ def _unescape(s: str) -> str:
 
 
 class HtmlTextExtractor:
-    """Actor-pool batch callable: html binary column -> extracted_text.
+    """Batch callable: html binary column -> extracted_text.
 
-    Use as ``ds.map_batches(HtmlTextExtractor, batch_format="pyarrow",
-    batch_size=cfg.exec.extract_batch_size,
-    concurrency=cfg.exec.extract_concurrency)``.
+    The flagship runs one instance per worker process
+    (``pipelines.reconcile._extract_task``); as an actor pool it is
+    ``ds.map_batches(HtmlTextExtractor, batch_format="pyarrow",
+    concurrency=n)``.
 
     Rows whose HTML fails to parse are quarantined in-band: the
     ``extract_error`` column is non-null and ``extracted_text`` is ''

@@ -103,16 +103,10 @@ def undirected_edges(edges, drop_self: bool = True):
 
     empty = pd.DataFrame({"lo": np.empty(0, np.int64),
                           "hi": np.empty(0, np.int64)})
-    deduped = bucketed_map_groups(
+    return bucketed_map_groups(
         edges.map_batches(canon, batch_format="pandas"),
         ["lo", "hi"], lambda df: df.drop_duplicates(ignore_index=True),
         empty_like=empty)
-    # the sort exchange leaves schema-less 0-row blocks on sparse
-    # inputs, which break Ray's native hash join downstream (the
-    # wedge-close plans); drop them by metadata before they enter any
-    # join
-    from .shuffle import drop_empty_blocks
-    return drop_empty_blocks(deduped)
 
 
 def _degree_partials(edges, nodes, node_col: str):

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 
 from ..config import BlockingConfig, ScoringConfig
-from .shuffle import bucketed_map_groups, bucketed_map_groups_tasks
+from .shuffle import bucketed_map_groups
 
 _PAIR_COLS = ["uh_a", "uh_b"]
 MAX_SIDE = 2000          # degenerate-clique guard
@@ -242,22 +243,23 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
     already unique thanks to min-band emission (see :func:`_emit`);
     ``dedup_pairs=True`` adds a belt-and-braces pair-key exchange (an
     extra all-to-all — only for callers that must be robust to
-    band-hash collisions)."""
+    band-hash collisions).  ``num_blocks_hint`` is accepted for
+    caller compatibility and unused: the exchange reads the block
+    count of its materialized input."""
     if n_rows_hint is not None and n_rows_hint <= DRIVER_MERGE_MAX_ROWS:
         # small inputs: materialize the band explode once so the
-        # hot-key scan and the pairing shuffle don't each recompute it;
-        # at web scale (hint above the cap) recomputing the narrow
-        # explode is cheaper than persisting an exploded copy.
+        # hot-key scan and the pairing exchange don't each recompute
+        # it; above the cap the hot-key scan streams over its own
+        # recomputed explode rather than hold a second exploded copy
+        # next to the one the exchange materializes.
         # Materialize ALREADY coalesced to the bucket count: the
         # hot-key scan then runs over a few fat blocks (vs one tiny
         # task per upstream block — measured 2.9s -> 0.9s at 6.4M band
-        # rows) and the pairing shuffle skips its own pre-coalesce
-        # exchange (num_blocks_hint below).
+        # rows) and the exchange splits a few fat blocks.
         from .shuffle import effective_buckets
 
         nb = effective_buckets(blocking.num_buckets)
         band_ds = band_ds.repartition(nb).materialize()
-        num_blocks_hint = nb
     hot = find_hot_keys(band_ds, blocking, n_rows_hint)
     # grouping key is band_hash ALONE (band_id is mixed into the hash;
     # narrow rows don't even carry a band_id column — 20% fewer bytes
@@ -272,33 +274,19 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
         salted = band_ds
         group_cols = ["band_hash"]
 
-    def bucket_pairs(data):
+    def bucket_pairs(data: pa.Table) -> pa.Table:
         """Vectorized across groups: a bucket holds ~1e5 tiny band
         groups, so a per-group Python loop is the bottleneck, not the
         pair math.  Groups are boundary-detected on a lexsort, then all
         groups of equal size m generate their triangle pairs in ONE
-        batched numpy expression.
-
-        Dual-format (round-4): accepts a pandas DataFrame (sort-based
-        groupby path) OR a pa.Table (task-shuffle path, Arrow
-        end-to-end — numeric columns view zero-copy into numpy and the
-        result goes back as an Arrow table, skipping both copies of
-        the former to_pandas/from_pandas round-trip on the pipeline's
-        hottest exchange)."""
-        import pyarrow as pa
-
-        is_tbl = isinstance(data, pa.Table)
-        names = set(data.schema.names) if is_tbl else set(data.columns)
-        n = data.num_rows if is_tbl else len(data)
+        batched numpy expression.  Arrow in, Arrow out: numeric
+        columns view zero-copy into numpy."""
+        names = set(data.schema.names)
+        n = data.num_rows
 
         def npcol(name, dtype=None):
-            if is_tbl:
-                c = data.column(name)
-                c = c.combine_chunks() if isinstance(c, pa.ChunkedArray) \
-                    else c
-                v = c.to_numpy(zero_copy_only=False)
-            else:
-                v = data[name].to_numpy()
+            v = data.column(name).combine_chunks() \
+                .to_numpy(zero_copy_only=False)
             if dtype is not None and v.dtype != dtype:
                 # int64<->uint64 reinterpret is a view, not a copy
                 v = v.view(dtype) \
@@ -319,8 +307,7 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
         if cross_mask.any():
             # hot-key cross-salt groups: rare; pandas group iteration
             # over just the affected subset
-            sub = (data.filter(pa.array(cross_mask)).to_pandas()
-                   if is_tbl else data[cross_mask])
+            sub = data.filter(pa.array(cross_mask)).to_pandas()
             for (_, si, _), g in sub.groupby(
                     ["band_hash", "salt_i", "salt_j"], sort=False):
                 urls = g["uh"].to_numpy().astype(np.uint64)
@@ -356,12 +343,9 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
             starts = np.append(0, np.cumsum(counts))[:-1]
             urls_s = masked(npcol("uh", np.uint64))[order]
             if has_bands:
-                bcol = (pd.Series(data.column("bands").to_pylist())
-                        if is_tbl else data["bands"])
+                bcol = pd.Series(data.column("bands").to_pylist())
                 if main_mask is not None:
-                    bcol = bcol[main_mask].reset_index(drop=True) \
-                        if not is_tbl else bcol[pd.Series(main_mask)] \
-                        .reset_index(drop=True)
+                    bcol = bcol[main_mask].reset_index(drop=True)
                 bands_s = _decode_bands(bcol)[order]
             else:
                 bands_s = None
@@ -396,95 +380,45 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
                     out_b.append(np.where(swap, a, b))
 
         if not out_a:
-            if is_tbl:
-                return pa.table({c: pa.array([], pa.uint64())
-                                 for c in _PAIR_COLS})
-            return pd.DataFrame({c: pd.Series([], dtype="uint64")
-                                 for c in _PAIR_COLS})
+            return _pair_table(np.empty(0, np.uint64),
+                               np.empty(0, np.uint64))
         a = np.concatenate(out_a).astype(np.uint64, copy=False)
         b = np.concatenate(out_b).astype(np.uint64, copy=False)
         # in-bucket dedup removes same-band/same-bucket repeats cheaply;
-        # cross-band repeats are removed by the pair-key shuffle below
-        a, b = _dedup_pair_arrays(a, b)
-        if is_tbl:
-            return pa.table({"uh_a": pa.array(a, pa.uint64()),
-                             "uh_b": pa.array(b, pa.uint64())})
-        return pd.DataFrame({"uh_a": a, "uh_b": b})
+        # cross-band repeats are removed by the pair-key exchange below
+        return _pair_table(*_dedup_pair_arrays(a, b))
 
     _empty_pairs = pd.DataFrame({c: pd.Series([], dtype="uint64")
                                  for c in _PAIR_COLS})
-    # exchange implementation: below the driver-merge cap the band rows
-    # are already materialized into ~bucket-count blocks, and the
-    # two-stage TASK shuffle (one split map + one merge reduce, Arrow
-    # end-to-end) measured ~2x faster than Ray's sort-based groupby at
-    # BOTH 4 and 16 CPUs (4.2 s vs 9.0 s / 1.8 s vs 3.6-5.0 s on 1.9M
-    # band rows — the sort's sample + range-partition rounds don't
-    # amortize on an int32 bucket domain).  Above the cap keep the
-    # sort-based operator: it pipelines and spills, which an
-    # all-refs-at-once task shuffle does not.
-    use_tasks = (n_rows_hint is not None
-                 and n_rows_hint <= DRIVER_MERGE_MAX_ROWS)
-    exchange = (bucketed_map_groups_tasks if use_tasks
-                else bucketed_map_groups)
-    if use_tasks:
-        # arrow_fn: bucket kernels consume/produce pa.Table directly
-        pairs = exchange(salted, group_cols, bucket_pairs,
-                         num_buckets=blocking.num_buckets,
-                         empty_like=_empty_pairs, arrow_fn=True)
-    else:
-        pairs = bucketed_map_groups(
-            salted, group_cols,
-            bucket_pairs, num_buckets=blocking.num_buckets,
-            num_blocks_hint=num_blocks_hint, empty_like=_empty_pairs)
-
+    pairs = bucketed_map_groups(salted, group_cols, bucket_pairs,
+                                num_buckets=blocking.num_buckets,
+                                empty_like=_empty_pairs, arrow_fn=True)
     if not dedup_pairs:
         return pairs
 
-    def dedup(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(_PAIR_COLS)
-
-    def dedup_arrow(tbl) -> "pa.Table":
-        import pyarrow as pa
-
+    def dedup(tbl: pa.Table) -> pa.Table:
         def u64(name):
-            c = tbl.column(name)
-            c = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-            v = c.to_numpy(zero_copy_only=False)
+            v = tbl.column(name).combine_chunks() \
+                .to_numpy(zero_copy_only=False)
             return v.view(np.uint64) \
                 if v.dtype.kind in "iu" and v.dtype.itemsize == 8 \
                 else v.astype(np.uint64)
 
-        a, b = _dedup_pair_arrays(u64("uh_a"), u64("uh_b"))
-        return pa.table({"uh_a": pa.array(a, pa.uint64()),
-                         "uh_b": pa.array(b, pa.uint64())})
+        return _pair_table(*_dedup_pair_arrays(u64("uh_a"), u64("uh_b")))
 
-    # global dedup of cross-band duplicates: a second shuffle, but over
-    # pair rows (~2 orders of magnitude fewer than band rows); the
-    # input already has ~bucket-count blocks, so skip the pre-coalesce.
-    # Aggregator count scales with the EXPECTED PAIR rows, not the band
-    # rows: at mid scale the pair set is small and each extra sort
-    # partition is pure per-actor overhead (the 4->16-CPU efficiency
-    # loss lived here) — ~250k pair rows per aggregator, floor 8.
-    if use_tasks:
-        # full bucket count: a task-shuffle bucket is ONE task (no
-        # aggregator actor), and the dedup output's block count is the
-        # downstream hydrate+score stage's parallelism — shrinking it
-        # would cap a 32-CPU score stage at 8 tasks
-        return exchange(pairs, _PAIR_COLS, dedup_arrow,
-                        num_buckets=blocking.num_buckets,
-                        empty_like=_empty_pairs, arrow_fn=True)
-    # sort path: aggregator count scales with the EXPECTED PAIR rows,
-    # not the band rows — at mid scale each extra sort partition is
-    # pure per-actor overhead (~250k pair rows per aggregator, floor 8)
-    dedup_buckets = blocking.num_buckets
-    if n_rows_hint is not None:
-        pairs_hint = max(1, n_rows_hint // 8)
-        dedup_buckets = min(dedup_buckets,
-                            max(8, pairs_hint // 250_000))
+    # global dedup of cross-band duplicates: a second exchange, but over
+    # pair rows (~2 orders of magnitude fewer than band rows).  Full
+    # bucket count: a bucket is ONE merge task, and the dedup output's
+    # block count is the downstream hydrate+score stage's parallelism
+    # — shrinking it would cap a 32-CPU score stage at 8 tasks
     return bucketed_map_groups(pairs, _PAIR_COLS, dedup,
-                               num_buckets=dedup_buckets,
-                               num_blocks_hint=blocking.num_buckets,
-                               empty_like=_empty_pairs)
+                               num_buckets=blocking.num_buckets,
+                               empty_like=_empty_pairs, arrow_fn=True)
+
+
+def _pair_table(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    return pa.table({"uh_a": pa.array(a, pa.uint64()),
+                     "uh_b": pa.array(b, pa.uint64())})
 
 
 def hamming_pairs(ds, id_col: str, key_col: str, max_dist: int = 2,

@@ -6,8 +6,8 @@ Reference analogue: the fuzzy post-filter UDFs applied to join results
 re-targeted to url/title/text per the north rule, vectorized:
 
 - string kernels (Jaro-Winkler, Levenshtein) run inside an in-process
-  DuckDB connection held by each scorer actor (``__init__``-once, the
-  ST3 pattern) scanning the Arrow batch zero-copy — a C++ vectorized
+  DuckDB connection held once per worker process (the ST3 pattern, via
+  ``worker_cached``) scanning the Arrow batch zero-copy — a C++ vectorized
   kernel, never a Python per-row loop;
 - exact Jaccard is computed from the precomputed uint64 shingle sets.
 
@@ -19,26 +19,37 @@ shuffle never carries text.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 
 from ..config import ScoringConfig
 from ..functions.similarity import jaccard_pairs_from_binary
+from . import worker_cached
 
 
 BROADCAST_FEATURE_ROWS = 2_000_000
 
 
+_LOOKUP_COLS = ["url", "title_norm", "text_head", "shingles", "sig"]
+
+
 def _build_lookup_task(cols, *blocks):
     """Remote body: concat feature blocks, sort by url hash, return
-    (sorted hash array, row-aligned table)."""
+    (sorted hash array, row-aligned table).  0-row blocks are skipped:
+    they may carry no columns at all."""
     from ..functions.similarity import stable_hash_strings
 
+    good = [b.select(cols) for b in blocks if b.num_rows]
+    if not good:
+        return np.empty(0, dtype=np.uint64), pa.table(
+            {c: pa.array([], pa.binary() if c in ("shingles", "sig")
+                         else pa.string()) for c in cols})
     # combine_chunks: a 300-chunk concat makes every downstream .take
     # a per-index chunk walk (measured ~10x slower merges); one
     # contiguous chunk turns them into vectorized gathers
-    tbl = pa.concat_tables(
-        [b.select(cols) for b in blocks]).combine_chunks()
+    tbl = pa.concat_tables(good).combine_chunks()
     key_hash = stable_hash_strings(
         tbl.column("url").to_pandas().to_numpy(dtype=object))
     order = np.argsort(key_hash, kind="mergesort")
@@ -59,12 +70,11 @@ def build_feature_lookup(features_ds,
     """
     import ray
 
-    cols = ["url", "title_norm", "text_head", "shingles", "sig"]
     feats = features_ds.materialize()
     if feats.count() > broadcast_threshold:
         return None
     fn = ray.remote(num_returns=2)(_build_lookup_task)
-    h_ref, t_ref = fn.remote(cols, *feats.to_arrow_refs())
+    h_ref, t_ref = fn.remote(_LOOKUP_COLS, *feats.to_arrow_refs())
     return h_ref, t_ref
 
 
@@ -87,74 +97,19 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
 
     from ..functions.similarity import stable_hash_strings
 
-    cols = ["url", "title_norm", "text_head", "shingles", "sig"]
-
     lookup = prebuilt
     if lookup is None:
         lookup = build_feature_lookup(features_ds, broadcast_threshold)
     if lookup is not None:
         # two plasma objects, both zero-copy on every ray.get: a sorted
         # uint64 key array (searchsorted lookup) and the row-aligned
-        # Arrow feature table.  Keeping `merge` a plain function lets
-        # Ray fuse it into the scorer stage (no extra hop).
+        # Arrow feature table.  A plain task function, so Ray can fuse
+        # it into a following map stage (no extra hop).
         h_ref, t_ref = lookup
-
-        def merge(batch: pa.Table, _h=h_ref, _t=t_ref) -> pa.Table:
-            h = ray.get(_h)
-            tbl = ray.get(_t)
-            n = len(batch) if len(h) else 0
-            # resolve both hash sides against the sorted lookup, keep
-            # rows where both hashes are present
-            idx = {}
-            ok = np.ones(n, dtype=bool)
-            for side in ("a", "b"):
-                uh = (batch.column(f"uh_{side}").to_numpy(
-                    zero_copy_only=False).astype(np.uint64)[:n]
-                    if n else np.empty(0, dtype=np.uint64))
-                i = (np.clip(np.searchsorted(h, uh), 0, len(h) - 1)
-                     if len(h) else np.zeros(0, dtype=np.int64))
-                idx[side] = i
-                if n:
-                    ok &= h[i] == uh
-            ia, ib = idx["a"][ok], idx["b"][ok]
-            # restore urls and re-canonicalize lexicographically (the
-            # pair stage canonicalized by hash value)
-            url_a = tbl.column("url").take(pa.array(ia)).to_pandas() \
-                .to_numpy(dtype=object)
-            url_b = tbl.column("url").take(pa.array(ib)).to_pandas() \
-                .to_numpy(dtype=object)
-            swap = url_a > url_b
-            ia2 = np.where(swap, ib, ia)
-            ib2 = np.where(swap, ia, ib)
-            out = pa.table({
-                "url_a": pa.array(np.where(swap, url_b, url_a),
-                                  pa.string()),
-                "url_b": pa.array(np.where(swap, url_a, url_b),
-                                  pa.string()),
-            })
-            from .blocking import binary_matrix
-
-            sigs = {}
-            for side, rows_idx in (("a", ia2), ("b", ib2)):
-                rows = tbl.take(pa.array(rows_idx))
-                sigs[side] = binary_matrix(rows.column("sig"))
-                out = (out.append_column(f"title_{side}",
-                                         rows.column("title_norm"))
-                          .append_column(f"head_{side}",
-                                         rows.column("text_head"))
-                          .append_column(f"shingles_{side}",
-                                         rows.column("shingles")))
-            # MinHash Jaccard estimate, attached here rather than
-            # shuffled with the band explode (bytes discipline)
-            est = ((sigs["a"] == sigs["b"]).mean(axis=1)
-                   if len(out) else np.empty(0, dtype=np.float64))
-            out = out.append_column("est_jaccard",
-                                    pa.array(est, pa.float64()))
-            if est_prefilter is not None and len(out):
-                out = out.filter(pa.array(est >= est_prefilter))
-            return out
-
-        return pairs_ds.map_batches(merge, batch_format="pyarrow")
+        return pairs_ds.map_batches(
+            partial(_gather, h_ref=h_ref, t_ref=t_ref,
+                    est_prefilter=est_prefilter),
+            batch_format="pyarrow")
 
     if num_partitions is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -165,7 +120,7 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
             t.column("url").to_pandas().to_numpy(dtype=object))
         return t.append_column("uh", pa.array(uh, pa.uint64()))
 
-    feats = features_ds.materialize().select_columns(cols).map_batches(
+    feats = features_ds.materialize().select_columns(_LOOKUP_COLS).map_batches(
         add_uh, batch_format="pyarrow")
     a = pairs_ds.join(feats, join_type="inner",
                       num_partitions=num_partitions,
@@ -224,38 +179,20 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
     return b.map_batches(add_est, batch_format="pyarrow")
 
 
-# per-worker-process scorer cache for task-mode fused scoring (same
-# load-once semantics as an actor pool __init__; ScoringConfig is a
-# frozen dataclass, so it keys the cache directly)
-_FUSED_STATE: dict = {}
-
-
-def _cached_scorer(scoring):
-    sc = _FUSED_STATE.get(scoring)
-    if sc is None:
-        sc = _FUSED_STATE[scoring] = PairScorer(scoring or ScoringConfig())
-    return sc
-
-
 def _task_score(batch: pa.Table, scoring=None) -> pa.Table:
-    return _cached_scorer(scoring)(batch)
+    scorer = worker_cached(("scorer", scoring),
+                           lambda: PairScorer(scoring or ScoringConfig()))
+    return scorer(batch)
 
 
-def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
-                         scoring=None, est_prefilter=None) -> pa.Table:
-    """Fused broadcast-hydrate + score over one candidate-pair batch.
-
-    Identical semantics to ``hydrate_pairs``'s broadcast ``merge``
-    followed by ``PairScorer``, but the wide hydrated intermediate
-    (shingles/title/head per side, ~2.4 KB/row measured on the bench
-    corpus vs ~0.15 KB/row scored) lives only in this task's heap — it
-    is never written to the object store.  The est-prefilter runs
-    BEFORE the wide gathers, so filtered pairs never gather their
-    shingle/text payloads at all.  Measured motivation: the gather +
-    intermediate materialization was the dominant cost of the
-    score+components segment (hydrate 9.9 s vs score 0.6 s + CC 0.4 s
-    on 198k pairs at 32 CPUs).
-    """
+def _gather(batch: pa.Table, h_ref=None, t_ref=None,
+            est_prefilter=None) -> pa.Table:
+    """Broadcast hydration of one candidate-pair batch: resolve both
+    url-hash sides against the (sorted-hash, row-aligned table) lookup,
+    restore urls (re-canonicalized ``url_a < url_b``), attach the
+    MinHash Jaccard estimate and gather each side's title / text head /
+    shingles.  The est-prefilter runs BEFORE the wide gathers, so
+    filtered pairs never gather their shingle/text payloads at all."""
     import ray
 
     h = ray.get(h_ref)
@@ -285,6 +222,8 @@ def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
 
     from .blocking import binary_matrix
 
+    # MinHash Jaccard estimate, attached here rather than shuffled with
+    # the band explode (bytes discipline)
     sig_a = binary_matrix(tbl.column("sig").take(pa.array(ia2)))
     sig_b = binary_matrix(tbl.column("sig").take(pa.array(ib2)))
     est = ((sig_a == sig_b).mean(axis=1)
@@ -294,7 +233,7 @@ def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
         ia2, ib2, ua, ub, est = (ia2[keep], ib2[keep], ua[keep],
                                  ub[keep], est[keep])
     iarr_a, iarr_b = pa.array(ia2), pa.array(ib2)
-    hydrated = pa.table({
+    return pa.table({
         "url_a": pa.array(ua, pa.string()),
         "url_b": pa.array(ub, pa.string()),
         "title_a": tbl.column("title_norm").take(iarr_a),
@@ -305,7 +244,22 @@ def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
         "shingles_b": tbl.column("shingles").take(iarr_b),
         "est_jaccard": pa.array(est, pa.float64()),
     })
-    return _cached_scorer(scoring)(hydrated)
+
+
+def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
+                         scoring=None, est_prefilter=None) -> pa.Table:
+    """Fused broadcast-hydrate + score over one candidate-pair batch.
+
+    :func:`_gather` followed by ``PairScorer`` in one task: the wide
+    hydrated intermediate (shingles/title/head per side, ~2.4 KB/row
+    measured on the bench corpus vs ~0.15 KB/row scored) lives only in
+    this task's heap — it is never written to the object store.
+    Measured motivation: the gather + intermediate materialization was
+    the dominant cost of the score+components segment (hydrate 9.9 s
+    vs score 0.6 s + CC 0.4 s on 198k pairs at 32 CPUs).
+    """
+    return _task_score(_gather(batch, h_ref, t_ref, est_prefilter),
+                       scoring)
 
 
 def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
@@ -318,11 +272,9 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
     schema directly — the wide hydrated intermediate never crosses an
     operator boundary.  When the feature table exceeds the broadcast
     threshold, falls back to the distributed ``hydrate_pairs`` joins
-    followed by a per-worker-cached ``PairScorer`` task stage (still no
-    actor-pool ramp; the scorer fuses onto the join output).
+    followed by a per-worker-cached ``PairScorer`` task stage (the
+    scorer fuses onto the join output).
     """
-    from functools import partial
-
     lookup = prebuilt
     if lookup is None:
         lookup = build_feature_lookup(features_ds, broadcast_threshold)
@@ -338,7 +290,8 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
 
 
 class PairScorer:
-    """Actor-pool batch callable over hydrated pairs.
+    """Batch callable over hydrated pairs (one per worker process, see
+    :func:`_task_score`).
 
     Emits ``jaccard`` (exact, shingle sets), ``jw_title``, ``jw_url``,
     ``lev_head_sim`` (1 - lev/maxlen over normalized text heads),
@@ -409,14 +362,6 @@ def _empty_scored() -> pa.Table:
         "is_match": pa.array([], pa.bool_()),
         "match_status": pa.array([], pa.string()),
     })
-
-
-def score_pairs(hydrated_ds, cfg: ScoringConfig = ScoringConfig(),
-                batch_size: int = 4096, concurrency=(1, 8)):
-    return hydrated_ds.map_batches(
-        PairScorer, fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
 
 
 class BroadcastFuzzyJoin:

@@ -296,13 +296,12 @@ def containment_sets_join(docs, id_col: str, text_col: str,
                                 for c in ("a", "b", "na")})
     cand = bucketed_map_groups(both, ["h1"], pairgen, num_buckets,
                                empty_like=pair_schema)
-    # repartition scrubs the schema-less empty blocks sparse buckets
-    # emit at tiny inputs — acero's join rejects them (the
-    # mutual_best_match discipline)
+    # cand feeds the joins as the exchange left it (no schema-less
+    # empty blocks): an all-to-all repartition inside this two-join
+    # plan stalls Ray Data for good when one cluster CPU is held
     cand = bucketed_map_groups(
         cand, ["a", "b"], lambda df: df.drop_duplicates(["a", "b"]),
-        num_buckets, empty_like=pair_schema) \
-        .repartition(rel._num_partitions())
+        num_buckets, empty_like=pair_schema)
 
     sh_a = _rename(shingles, {id_col: "a"})
     sh_b = _rename(shingles, {id_col: "b"})

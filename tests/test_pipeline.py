@@ -143,14 +143,10 @@ def test_config_from_yaml(tmp_path):
     p = tmp_path / "cfg.yaml"
     p.write_text(
         "blocking:\n  num_bands: 8\n  rows_per_band: 8\n"
-        "scoring:\n  jaccard_threshold: 0.7\n"
-        "exec:\n  use_actor_pools: true\n"
-        "  extract_concurrency: [2, 4]\n")
+        "scoring:\n  jaccard_threshold: 0.7\n")
     cfg = ReconcileConfig.from_yaml(str(p))
     assert cfg.blocking.num_bands == 8
     assert cfg.scoring.jaccard_threshold == 0.7
-    assert cfg.exec.use_actor_pools is True
-    assert cfg.exec.extract_concurrency == (2, 4)
     assert cfg.cluster.max_rounds == 30  # untouched section: defaults
 
     import pytest as _pytest
@@ -158,25 +154,9 @@ def test_config_from_yaml(tmp_path):
         ReconcileConfig.from_dict({"blocking": {"num_bandz": 3}})
     with _pytest.raises(ValueError):
         ReconcileConfig.from_dict({"blocked": {}})
-
-
-def test_actor_pool_mode_matches_task_mode(ray_session, corpus):
-    """ExecConfig.use_actor_pools=True must produce identical clusters
-    to the default fused-task mode."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.config import ExecConfig
-
-    out_t = run_reconcile(rd.from_arrow(corpus))
-    out_a = run_reconcile(
-        rd.from_arrow(corpus),
-        ReconcileConfig(exec=ExecConfig(use_actor_pools=True,
-                                        extract_concurrency=(1, 2),
-                                        signature_concurrency=(1, 2),
-                                        score_concurrency=(1, 2))))
-    a_t = {r["url"]: r["cluster_id"] for r in out_t["assignments"].take_all()}
-    a_a = {r["url"]: r["cluster_id"] for r in out_a["assignments"].take_all()}
-    assert a_t == a_a
+    # the removed execution-mode section fails loudly, not silently
+    with _pytest.raises(ValueError, match="exec"):
+        ReconcileConfig.from_dict({"exec": {"extract_batch_size": 256}})
 
 
 def test_cli_reconcile_from_parquet(ray_session, corpus, tmp_path):
@@ -235,6 +215,61 @@ def test_incremental_equals_full_run(ray_session, corpus):
     assert got == want
     # the delta actually linked into base clusters (non-vacuous)
     assert inc["metrics"]["delta_edges"] > 0
+
+
+def _with_empty_block(tbl):
+    """``tbl`` as a dataset whose first block has no rows and no
+    columns — what a map over an emptied input block yields."""
+    import ray
+    import ray.data as rd
+
+    ds = rd.from_arrow([tbl.slice(0, 0), tbl]).map_batches(
+        lambda t: t, batch_format="pyarrow").materialize()
+    assert min(t.num_rows for t in ray.get(ds.to_arrow_refs())) == 0
+    return ds
+
+
+def test_empty_blocks_through_full_and_incremental_run(ray_session, corpus):
+    """A base and a delta that each carry a 0-row, column-less block
+    must reconcile to the same assignments as the same inputs without
+    it (the lookup builders skip empty blocks)."""
+    import numpy as np
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        stable_hash_strings,
+    )
+    from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
+        run_incremental,
+    )
+
+    urls = np.asarray(corpus.column("url").to_pylist(), dtype=object)
+    is_delta = stable_hash_strings(urls) % np.uint64(5) == 0
+    base_tbl, delta_tbl = corpus.filter(~is_delta), corpus.filter(is_delta)
+
+    def run(base_ds, delta_ds):
+        base = run_reconcile(base_ds)
+        got_base = {r["url"]: r["cluster_id"]
+                    for r in base["assignments"].take_all()}
+        inc = run_incremental(base["features"], base["assignments"],
+                              delta_ds)
+        return got_base, {r["url"]: r["cluster_id"]
+                          for r in inc["assignments"].take_all()}
+
+    want = run(rd.from_arrow(base_tbl), rd.from_arrow(delta_tbl))
+    got = run(_with_empty_block(base_tbl), _with_empty_block(delta_tbl))
+    assert len(got[1]) == corpus.num_rows
+    assert got == want
+
+
+def test_empty_corpus_gives_no_assignments(ray_session, corpus):
+    """A corpus with no pages reconciles to no assignments (every
+    exchange and lookup builder sees only empty blocks) instead of
+    failing on a missing column."""
+    import ray.data as rd
+
+    out = run_reconcile(rd.from_arrow(corpus.slice(0, 0)))
+    assert out["assignments"].take_all() == []
 
 
 def test_incremental_narrow_mode_equals_full_run(ray_session, corpus,

@@ -154,6 +154,8 @@ def test_winnowing_deterministic_and_contiguity_robust(ray_session):
 
 
 def test_ivf_topk_recall_vs_bruteforce(ray_session):
+    import ray.data as rd
+
     from reconcile_curation_in_cris_systems_ray.stages.ann import (
         brute_force_topk, ivf_topk,
     )
@@ -173,6 +175,19 @@ def test_ivf_topk_recall_vs_bruteforce(ray_session):
     # probing a subset of partitions trades recall for work; the
     # seeded config must stay comfortably useful
     assert np.mean(recalls) >= 0.6, recalls
+
+    # an empty block samples no centroid candidates instead of raising
+    # (argpartition on an empty array), and leaves the index unchanged
+    from reconcile_curation_in_cris_systems_ray.stages.ann import (
+        _hash_sample, build_ivf_centroids,
+    )
+
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    assert _hash_sample(tbl.slice(0, 0), 16, "vec_id",
+                        "embedding").num_rows == 0
+    with_empty = rd.from_arrow([tbl.slice(0, 0), tbl])
+    np.testing.assert_array_equal(build_ivf_centroids(with_empty),
+                                  build_ivf_centroids(_ds(df)))
 
 
 def test_multiprobe_topk_recall_vs_bruteforce(ray_session):
@@ -268,7 +283,7 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
         ReconcileConfig,
     )
     from reconcile_curation_in_cris_systems_ray.pipelines.reconcile import (
-        NARROW_THRESHOLD, _extract_task, _scorer_task, _signature_task,
+        NARROW_THRESHOLD, _extract_task, _signature_task,
     )
     from reconcile_curation_in_cris_systems_ray.sources.corpus import (
         CorpusConfig, corpus_table,
@@ -280,7 +295,7 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
         generate_candidate_pairs,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        hydrate_pairs, hydrate_score_pairs,
+        PairScorer, hydrate_pairs, hydrate_score_pairs,
     )
 
     cfg = ReconcileConfig()
@@ -305,8 +320,8 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
         old = canon(hydrate_pairs(
             pairs, features, est_prefilter=cfg.scoring.est_prefilter,
             broadcast_threshold=threshold).map_batches(
-            partial(_scorer_task, scoring=cfg.scoring),
-            batch_format="pyarrow").to_pandas())
+            PairScorer, fn_constructor_kwargs={"cfg": cfg.scoring},
+            batch_format="pyarrow", concurrency=1).to_pandas())
         new = canon(hydrate_score_pairs(
             pairs, features, cfg.scoring,
             est_prefilter=cfg.scoring.est_prefilter,
@@ -611,14 +626,18 @@ def test_partial_groupby_agg_tree_path(ray_session, events_df):
                                   check_dtype=False)
 
 
-def test_task_shuffle_matches_sort_shuffle(ray_session):
-    """bucketed_map_groups_tasks (two-stage task shuffle) must produce
-    the same grouped results as the sort-based default, including
-    string keys and the typed empty anchor."""
+def test_bucketed_exchange_matches_pandas_groupby(ray_session):
+    """bucketed_map_groups (split task per block, merge task per
+    bucket) must equal a plain pandas groupby on the same frame — int
+    and string keys, pandas and Arrow kernels — also on the inputs
+    that broke its split/merge sides: a 0-row block without columns,
+    a pandas-format block, and shards whose timestamp columns differ
+    in unit.  With empty_like, no output block lacks the schema."""
+    import ray
     import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.stages.shuffle import (
-        bucketed_map_groups, bucketed_map_groups_tasks,
+        bucketed_map_groups,
     )
 
     rng = np.random.default_rng(9)
@@ -631,28 +650,77 @@ def test_task_shuffle_matches_sort_shuffle(ray_session):
         g = d.groupby("k", sort=False)["v"].sum()
         return pd.DataFrame({"k": g.index.to_numpy(), "sv": g.to_numpy()})
 
-    a = bucketed_map_groups(ds, ["k"], fn, 8).to_pandas() \
-        .sort_values("k").reset_index(drop=True)
-    b = bucketed_map_groups_tasks(ds, ["k"], fn, 8).to_pandas() \
-        .sort_values("k").reset_index(drop=True)
-    a["sv"] = a["sv"].round(9)
-    b["sv"] = b["sv"].round(9)
-    pd.testing.assert_frame_equal(a, b)
+    def canon(out):
+        out = out.sort_values("k").reset_index(drop=True)
+        out["sv"] = out["sv"].round(9)
+        return out
+
+    # every key lands whole in one bucket, so per-bucket sums are the
+    # global per-key sums (a split key would show up as a duplicate k)
+    want = canon(fn(df))
+    pd.testing.assert_frame_equal(
+        canon(bucketed_map_groups(ds, ["k"], fn, 8).to_pandas()), want)
+
+    def fn_arrow(t: pa.Table) -> pa.Table:
+        return t.group_by("k").aggregate([("v", "sum")]) \
+            .rename_columns(["k", "sv"]).select(["k", "sv"])
+
+    pd.testing.assert_frame_equal(
+        canon(bucketed_map_groups(ds, ["k"], fn_arrow, 8,
+                                  arrow_fn=True).to_pandas()), want)
 
     def fn2(d):
         return d.groupby("s", sort=False)["v"].count().reset_index(name="n")
 
-    a2 = bucketed_map_groups(ds, ["s"], fn2, 8).to_pandas() \
-        .groupby("s")["n"].sum()
-    b2 = bucketed_map_groups_tasks(ds, ["s"], fn2, 8).to_pandas() \
-        .groupby("s")["n"].sum()
-    assert a2.equals(b2)
+    got2 = bucketed_map_groups(ds, ["s"], fn2, 8).to_pandas() \
+        .set_index("s")["n"].sort_index()
+    assert got2.to_dict() == df.groupby("s")["v"].count().to_dict()
 
+    # a pandas-format block behind an Arrow one (to_arrow_refs hands
+    # such blocks over unconverted) and a 0-row column-less block (what
+    # a map over an emptied block yields)
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    as_pandas = rd.from_arrow(tbl.slice(5000)).map_batches(
+        lambda d: d, batch_format="pandas")
+    colless = rd.from_arrow(tbl.slice(0, 0)).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    awkward = rd.from_arrow(tbl.slice(0, 5000)) \
+        .union(as_pandas, colless).materialize()
+    blocks = ray.get(awkward.to_arrow_refs())
+    assert any(isinstance(b, pa.Table) and b.num_columns == 0
+               for b in blocks)
+    assert any(isinstance(b, pd.DataFrame) for b in blocks)
+    pd.testing.assert_frame_equal(
+        canon(bucketed_map_groups(awkward, ["k"], fn, 8).to_pandas()), want)
+
+    # shards of one column in timestamp[us] and timestamp[ns]
+    ts = rd.from_arrow([
+        pa.table({"k": pa.array([1, 2], pa.int64()),
+                  "ts": pa.array([1, 2], pa.timestamp("us"))}),
+        pa.table({"k": pa.array([1, 3], pa.int64()),
+                  "ts": pa.array([3000, 4000], pa.timestamp("ns"))})])
+
+    def first_ts(d):
+        return d.groupby("k", as_index=False)["ts"].min()
+
+    got_ts = bucketed_map_groups(ts, ["k"], first_ts, 8).to_pandas() \
+        .sort_values("k")
+    assert got_ts["k"].tolist() == [1, 2, 3]
+    assert got_ts["ts"].astype("int64").tolist() == [1000, 2000, 4000]
+
+    # empty input + empty_like: one typed 0-row block, never a
+    # schema-less one
     empty = _ds(df.iloc[0:0])
     anchor = pd.DataFrame({"k": pd.Series([], dtype="int64"),
                            "sv": pd.Series([], dtype="float64")})
-    e = bucketed_map_groups_tasks(empty, ["k"], fn, 8, empty_like=anchor)
+    e = bucketed_map_groups(empty, ["k"], fn, 8, empty_like=anchor)
     assert [f.name for f in e.schema().base_schema] == ["k", "sv"]
+    e_blocks = ray.get(e.to_arrow_refs())
+    assert e_blocks and all(b.schema.names == ["k", "sv"] for b in e_blocks)
+    # non-empty output: only non-empty blocks leave the exchange
+    out = bucketed_map_groups(ds, ["k"], fn, 8, empty_like=anchor)
+    assert all(b.num_rows and b.schema.names == ["k", "sv"]
+               for b in ray.get(out.to_arrow_refs()))
 
 
 def test_skew_join_hot_and_cold_paths(ray_session):
