@@ -5,7 +5,8 @@ Composition (each stage checkpointable via
 
     corpus (url, warc_ts, html, text, lang)
       -> extract        task map_batches, html -> extracted_text
-      -> features       task map_batches: normalize + MinHash sigs
+      -> features       task map_batches: normalize + MinHash sigs,
+                        coalesced to one block per exchange bucket
       -> bands          explode to (band_hash, uh[, band_id, bands])
       -> pairs          salted bucketed exchange + cross-band dedup
       -> scored         broadcast hydrate + duckdb fuzzy kernels (fused)
@@ -32,6 +33,7 @@ from ..stages.cluster import assign_clusters, connected_components
 from ..stages.extract import HtmlTextExtractor
 from ..stages.pairs import generate_candidate_pairs
 from ..stages.scoring import build_feature_lookup, hydrate_score_pairs
+from ..stages.shuffle import effective_buckets
 
 # band-row width crossover: below this, band rows carry the full band
 # vector (min-band emission, no pair-key exchange); above it, narrow
@@ -70,9 +72,15 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         materialize=checkpoint_root is not None)
 
     fp_ft = fingerprint(fp_ex, "features")
+    # coalesce the features once, to the exchange's bucket count: band
+    # emission, the hot-key scan, the lookup build and the assignment
+    # map then each run one task per bucket instead of one per (often
+    # tiny) input block, and the pair stage needs no repartition of its
+    # own.  The repartition fuses into the signature execution.
     features = ckpt.run_stage("features", fp_ft, lambda: extracted.map_batches(
         partial(_signature_task, blocking=cfg.blocking, scoring=cfg.scoring),
-        batch_format="pyarrow"))
+        batch_format="pyarrow").repartition(
+            effective_buckets(cfg.blocking.num_buckets)))
 
     fp_pr = fingerprint(fp_ft, "pairs")
     # launch the broadcast hydration lookup build (one remote task,

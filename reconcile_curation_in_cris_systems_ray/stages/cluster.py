@@ -188,10 +188,13 @@ def _driver_finish(edges_ds, metrics_out: dict | None = None):
 
     t0 = _time.time()
     refs = list(edges_ds.materialize().to_arrow_refs())
-    star_tbl = ray.get(ray.remote(_uf_star_task).remote(*refs))
+    # the star table stays in the object store: from_arrow_refs waits
+    # for the task (it reads the block's metadata) but never moves the
+    # table through the driver
+    star = rd.from_arrow_refs([ray.remote(_uf_star_task).remote(*refs)])
     if metrics_out is not None:
         metrics_out["uf_task_sec"] = round(_time.time() - t0, 3)
-    return rd.from_arrow(star_tbl)
+    return star
 
 
 def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),

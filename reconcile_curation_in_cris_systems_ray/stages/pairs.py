@@ -38,7 +38,7 @@ import pyarrow as pa
 import ray
 
 from ..config import BlockingConfig, ScoringConfig
-from .shuffle import bucketed_map_groups
+from .shuffle import bucketed_map_groups, effective_buckets
 
 _PAIR_COLS = ["uh_a", "uh_b"]
 MAX_SIDE = 2000          # degenerate-clique guard
@@ -252,14 +252,16 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
         # it; above the cap the hot-key scan streams over its own
         # recomputed explode rather than hold a second exploded copy
         # next to the one the exchange materializes.
-        # Materialize ALREADY coalesced to the bucket count: the
-        # hot-key scan then runs over a few fat blocks (vs one tiny
-        # task per upstream block — measured 2.9s -> 0.9s at 6.4M band
-        # rows) and the exchange splits a few fat blocks.
-        from .shuffle import effective_buckets
-
+        # At most one block per bucket: the hot-key scan then runs
+        # over a few fat blocks (vs one tiny task per upstream block —
+        # measured 2.9s -> 0.9s at 6.4M band rows) and the exchange
+        # splits a few fat blocks.  run_reconcile's features are
+        # already coalesced to the bucket count, so their band rows
+        # skip this repartition; other callers' may not be.
         nb = effective_buckets(blocking.num_buckets)
-        band_ds = band_ds.repartition(nb).materialize()
+        band_ds = band_ds.materialize()
+        if band_ds.num_blocks() > nb:
+            band_ds = band_ds.repartition(nb).materialize()
     hot = find_hot_keys(band_ds, blocking, n_rows_hint)
     # grouping key is band_hash ALONE (band_id is mixed into the hash;
     # narrow rows don't even carry a band_id column — 20% fewer bytes

@@ -17,8 +17,13 @@ NumPy groupby), so Python overhead scales with the bucket count, not
 the key cardinality (Ray's ``groupby(key).map_groups`` pays ~1 ms per
 group).  The exchange stays Arrow end-to-end up to ``bucket_fn``;
 kernels that take and return ``pa.Table`` (``arrow_fn=True``) skip the
-pandas round-trip entirely.  ``num_buckets`` is capped at the cluster
-CPU count, so bucket count scales with cores, not with keys.
+pandas round-trip entirely.
+
+Sizing: the exchange runs ``min(num_buckets, cluster CPUs)`` buckets
+(:func:`effective_buckets`), so its task count follows the cluster,
+not the key count or a constant, and its output has at most that many
+blocks.  With one bucket there is nothing to split: the single merge
+task reads the input blocks directly.
 """
 
 from __future__ import annotations
@@ -33,15 +38,22 @@ from ..functions.similarity import stable_hash_strings
 
 
 def effective_buckets(requested: int) -> int:
-    """Cap bucket count at the cluster CPU count: more buckets than
-    that only adds per-partition exchange overhead on a given cluster
-    (measured: 64 buckets on 32 cpus ran the pair sort SLOWER than 32
-    buckets on 16 cpus), while the configured ceiling still bounds
-    per-task group size at scale."""
+    """Bucket count of an exchange: ``min(requested, cluster CPUs)``,
+    at least 1.
+
+    More buckets than CPUs only add per-task overhead on a given
+    cluster (measured: 64 buckets on 32 CPUs ran the pair exchange
+    slower than 32 buckets on 16 CPUs), while the configured ceiling
+    still bounds per-task group size at scale.  There is no floor: a
+    floor above the CPU count (8 once) queues merge tasks for the same
+    few CPUs and hands that many blocks to every stage downstream,
+    each a Ray task that mostly pays scheduling overhead (on a 1-CPU
+    host an idle 8-block ``map_batches`` costs 91 ms wall against
+    37 ms for 1 block)."""
     import ray
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(8, min(requested, cpus))
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return max(1, min(requested, cpus))
 
 
 def drop_empty_blocks(ds):
@@ -74,14 +86,21 @@ def drop_empty_blocks(ds):
     return rd.from_arrow_refs(keep).materialize()
 
 
+def _as_arrow(block) -> pa.Table:
+    """An input block as Arrow: ``to_arrow_refs`` hands pandas-format
+    blocks over unconverted."""
+    if isinstance(block, pa.Table):
+        return block
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
 def _split_block(block, key_cols: list[str], nb: int):
     """Split side: one Arrow take per input block, one shard per bucket
     (no pandas round-trip on the exchange path).  A 0-row block may
     carry no columns at all, so it contributes no shards."""
-    if not isinstance(block, pa.Table):
-        from ray.data.block import BlockAccessor
-
-        block = BlockAccessor.for_block(block).to_arrow()
+    block = _as_arrow(block)
     if block.num_rows == 0:
         return (None,) * nb
     h = np.zeros(block.num_rows, dtype=np.uint64)
@@ -107,8 +126,10 @@ def _split_block(block, key_cols: list[str], nb: int):
 def _merge_bucket(bucket_fn, arrow_fn, *shards):
     """Merge side: concat one bucket's shards and run ``bucket_fn``;
     returns ``(table, num_rows)`` so the driver can drop empty outputs
-    without fetching them."""
-    tbls = [s for s in shards if s is not None and s.num_rows]
+    without fetching them.  With one bucket the shards are the input
+    blocks themselves, in any block format."""
+    tbls = [t for t in (_as_arrow(s) for s in shards if s is not None)
+            if t.num_rows]
     if not tbls:
         return pa.table({}), 0
     # permissive: shards of one column may differ in physical type
@@ -150,12 +171,16 @@ def bucketed_map_groups(ds, key_cols: list[str],
 
     nb = effective_buckets(num_buckets)
     refs = ds.materialize().to_arrow_refs()
-    split = ray.remote(_split_block).options(num_returns=nb)
-    shard_refs = [split.remote(r, key_cols, nb) for r in refs]
     merge = ray.remote(_merge_bucket).options(num_returns=2)
-    outs = [merge.remote(bucket_fn, arrow_fn,
-                         *[shards[j] for shards in shard_refs])
-            for j in range(nb)]
+    if nb == 1:
+        # one bucket holds every key: the merge reads the blocks as is
+        outs = [merge.remote(bucket_fn, arrow_fn, *refs)]
+    else:
+        split = ray.remote(_split_block).options(num_returns=nb)
+        shard_refs = [split.remote(r, key_cols, nb) for r in refs]
+        outs = [merge.remote(bucket_fn, arrow_fn,
+                             *[shards[j] for shards in shard_refs])
+                for j in range(nb)]
     counts = ray.get([n for _, n in outs])
     keep = [t for (t, _), n in zip(outs, counts) if n]
     if not keep:

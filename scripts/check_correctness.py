@@ -46,18 +46,15 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
     for c in a.columns:
         av, bv = a[c], b[c]
         if pd.api.types.is_float_dtype(av) or pd.api.types.is_float_dtype(bv):
-            # driver-gate float semantics (same as full_sweep.py's
-            # canon): round to 6 decimals before the exact compare —
-            # engine-vs-SQL reduction orders differ at the ulp level
-            av = pd.to_numeric(av, errors="coerce").astype(float).round(6)
-            bv = pd.to_numeric(bv, errors="coerce").astype(float).round(6)
-            both_nan = av.isna() & bv.isna()
-            if not (np.isclose(av.fillna(0), bv.fillna(0), rtol=0, atol=0)
-                    | both_nan).all():
-                bad = pd.Series(
-                    ~(np.isclose(av.fillna(0), bv.fillna(0),
-                                 rtol=0, atol=0) | both_nan),
-                    index=av.index).idxmax()
+            # engine-vs-SQL reduction orders differ at the ulp level:
+            # equal within an absolute 1e-6 (rounding both sides to 6
+            # decimals first would split values that straddle a
+            # rounding boundary)
+            av = pd.to_numeric(av, errors="coerce").astype(float)
+            bv = pd.to_numeric(bv, errors="coerce").astype(float)
+            ok = np.isclose(av, bv, rtol=0, atol=1e-6, equal_nan=True)
+            if not ok.all():
+                bad = av.index[np.argmin(ok)]
                 return (f"VALUES mismatch col={c} row={bad}: "
                         f"ray={av[bad]!r} sql={bv[bad]!r}")
         else:

@@ -62,6 +62,36 @@ def test_permutation_invariance(ray_session, corpus):
     assert a1 == a2
 
 
+def test_block_counts_follow_bucket_count(ray_session, corpus):
+    """A corpus in 24 small blocks is coalesced once, in the features
+    stage, to the exchange's bucket count: features, pairs and
+    assignments have at most ``effective_buckets(num_buckets)`` blocks,
+    so every stage from band emission to the assignments runs one task
+    per bucket.  The assignments equal those of a 1-block corpus."""
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.stages.shuffle import (
+        effective_buckets,
+    )
+
+    n = corpus.num_rows
+    bounds = [i * n // 24 for i in range(25)]
+    split = rd.from_arrow([corpus.slice(lo, hi - lo)
+                           for lo, hi in zip(bounds, bounds[1:])])
+    assert split.num_blocks() == 24
+    cfg = ReconcileConfig()
+    nb = effective_buckets(cfg.blocking.num_buckets)
+    out = run_reconcile(split, cfg)
+    assert out["features"].num_blocks() <= nb
+    assert out["pairs"].num_blocks() <= nb
+    assert out["assignments"].materialize().num_blocks() <= nb
+    got = {r["url"]: r["cluster_id"] for r in out["assignments"].take_all()}
+    one = run_reconcile(rd.from_arrow(corpus), cfg)
+    want = {r["url"]: r["cluster_id"] for r in one["assignments"].take_all()}
+    assert len(got) == n
+    assert got == want
+
+
 def test_checkpoint_resume_equals_single_run(ray_session, corpus, tmp_path):
     import ray.data as rd
 

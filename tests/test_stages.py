@@ -632,13 +632,18 @@ def test_bucketed_exchange_matches_pandas_groupby(ray_session):
     and string keys, pandas and Arrow kernels — also on the inputs
     that broke its split/merge sides: a 0-row block without columns,
     a pandas-format block, and shards whose timestamp columns differ
-    in unit.  With empty_like, no output block lacks the schema."""
+    in unit.  With empty_like, no output block lacks the schema.
+    Every case runs at 1 bucket (no split: the merge reads the input
+    blocks), 2 buckets and the 4-CPU cap."""
     import ray
     import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.stages.shuffle import (
-        bucketed_map_groups,
+        bucketed_map_groups, effective_buckets,
     )
+
+    # min(requested, cluster CPUs) with no floor (the session has 4)
+    assert [effective_buckets(n) for n in (1, 2, 8, 256)] == [1, 2, 4, 4]
 
     rng = np.random.default_rng(9)
     df = pd.DataFrame({"k": rng.integers(0, 500, 20_000),
@@ -655,26 +660,12 @@ def test_bucketed_exchange_matches_pandas_groupby(ray_session):
         out["sv"] = out["sv"].round(9)
         return out
 
-    # every key lands whole in one bucket, so per-bucket sums are the
-    # global per-key sums (a split key would show up as a duplicate k)
-    want = canon(fn(df))
-    pd.testing.assert_frame_equal(
-        canon(bucketed_map_groups(ds, ["k"], fn, 8).to_pandas()), want)
-
     def fn_arrow(t: pa.Table) -> pa.Table:
         return t.group_by("k").aggregate([("v", "sum")]) \
             .rename_columns(["k", "sv"]).select(["k", "sv"])
 
-    pd.testing.assert_frame_equal(
-        canon(bucketed_map_groups(ds, ["k"], fn_arrow, 8,
-                                  arrow_fn=True).to_pandas()), want)
-
     def fn2(d):
         return d.groupby("s", sort=False)["v"].count().reset_index(name="n")
-
-    got2 = bucketed_map_groups(ds, ["s"], fn2, 8).to_pandas() \
-        .set_index("s")["n"].sort_index()
-    assert got2.to_dict() == df.groupby("s")["v"].count().to_dict()
 
     # a pandas-format block behind an Arrow one (to_arrow_refs hands
     # such blocks over unconverted) and a 0-row column-less block (what
@@ -690,8 +681,6 @@ def test_bucketed_exchange_matches_pandas_groupby(ray_session):
     assert any(isinstance(b, pa.Table) and b.num_columns == 0
                for b in blocks)
     assert any(isinstance(b, pd.DataFrame) for b in blocks)
-    pd.testing.assert_frame_equal(
-        canon(bucketed_map_groups(awkward, ["k"], fn, 8).to_pandas()), want)
 
     # shards of one column in timestamp[us] and timestamp[ns]
     ts = rd.from_arrow([
@@ -703,24 +692,50 @@ def test_bucketed_exchange_matches_pandas_groupby(ray_session):
     def first_ts(d):
         return d.groupby("k", as_index=False)["ts"].min()
 
-    got_ts = bucketed_map_groups(ts, ["k"], first_ts, 8).to_pandas() \
-        .sort_values("k")
-    assert got_ts["k"].tolist() == [1, 2, 3]
-    assert got_ts["ts"].astype("int64").tolist() == [1000, 2000, 4000]
-
-    # empty input + empty_like: one typed 0-row block, never a
-    # schema-less one
     empty = _ds(df.iloc[0:0])
     anchor = pd.DataFrame({"k": pd.Series([], dtype="int64"),
                            "sv": pd.Series([], dtype="float64")})
-    e = bucketed_map_groups(empty, ["k"], fn, 8, empty_like=anchor)
-    assert [f.name for f in e.schema().base_schema] == ["k", "sv"]
-    e_blocks = ray.get(e.to_arrow_refs())
-    assert e_blocks and all(b.schema.names == ["k", "sv"] for b in e_blocks)
-    # non-empty output: only non-empty blocks leave the exchange
-    out = bucketed_map_groups(ds, ["k"], fn, 8, empty_like=anchor)
-    assert all(b.num_rows and b.schema.names == ["k", "sv"]
-               for b in ray.get(out.to_arrow_refs()))
+
+    # every key lands whole in one bucket, so per-bucket sums are the
+    # global per-key sums (a split key would show up as a duplicate k)
+    want = canon(fn(df))
+    for nb in (1, 2, 8):
+        pd.testing.assert_frame_equal(
+            canon(bucketed_map_groups(ds, ["k"], fn, nb).to_pandas()), want)
+        pd.testing.assert_frame_equal(
+            canon(bucketed_map_groups(ds, ["k"], fn_arrow, nb,
+                                      arrow_fn=True).to_pandas()), want)
+
+        got2 = bucketed_map_groups(ds, ["s"], fn2, nb).to_pandas() \
+            .set_index("s")["n"].sort_index()
+        assert got2.to_dict() == df.groupby("s")["v"].count().to_dict()
+
+        pd.testing.assert_frame_equal(
+            canon(bucketed_map_groups(awkward, ["k"], fn, nb).to_pandas()),
+            want)
+
+        got_ts = bucketed_map_groups(ts, ["k"], first_ts, nb).to_pandas() \
+            .sort_values("k")
+        assert got_ts["k"].tolist() == [1, 2, 3]
+        assert got_ts["ts"].astype("int64").tolist() == [1000, 2000, 4000]
+
+        # empty input + empty_like: one typed 0-row block, never a
+        # schema-less one — also when the only input block is the
+        # column-less 0-row one
+        for src in (empty, colless):
+            e = bucketed_map_groups(src, ["k"], fn, nb, empty_like=anchor)
+            assert [f.name for f in e.schema().base_schema] == ["k", "sv"]
+            e_blocks = ray.get(e.to_arrow_refs())
+            assert len(e_blocks) == 1
+            assert e_blocks[0].schema.names == ["k", "sv"]
+            assert e_blocks[0].num_rows == 0
+        # non-empty output: only non-empty blocks leave the exchange,
+        # at most one per bucket
+        out_blocks = ray.get(bucketed_map_groups(
+            ds, ["k"], fn, nb, empty_like=anchor).to_arrow_refs())
+        assert 1 <= len(out_blocks) <= effective_buckets(nb)
+        assert all(b.num_rows and b.schema.names == ["k", "sv"]
+                   for b in out_blocks)
 
 
 def test_skew_join_hot_and_cold_paths(ray_session):
