@@ -217,7 +217,7 @@ def run_bench() -> dict:
 
 def _phase_probe_mbs() -> float:
     """First-touch fault speed over a fresh 64 MiB anon buffer — the
-    host-phase signal (see BASELINE.md "Box-state drift ROOT CAUSE").
+    host-phase signal (see BASELINE.md "Box-state drift — root cause").
     > ~800 MB/s = healthy; < ~100 = deep degradation.  Every bench
     JSON carries it so recorded walls are interpretable."""
     import numpy as np

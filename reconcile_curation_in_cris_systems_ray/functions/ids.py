@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 
-import pandas as pd
 
 _DOI_URL_PREFIXES = [
     "https://doi.org/", "http://doi.org/", "https://dx.doi.org/",
@@ -44,11 +43,6 @@ def extract_doi(text):
     if text.startswith("10.") and "/" in text:
         return text.rstrip(".,;:")
     return None
-
-
-def extract_doi_series(s: pd.Series) -> pd.Series:
-    """Vectorized wrapper (per-row; DOI columns are short and sparse)."""
-    return s.map(extract_doi)
 
 
 _TRACKING_PARAMS = {

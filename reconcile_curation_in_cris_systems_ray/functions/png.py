@@ -111,8 +111,12 @@ def decode_png(data: bytes) -> np.ndarray:
     idat = []
     for ctype, body in _chunks(data):
         if ctype == b"IHDR":
+            if len(body) != 13:
+                raise PngError("bad IHDR length")
             width, height, depth, color_type, comp, filt, interlace = \
                 struct.unpack(">IIBBBBB", body)
+            if width == 0 or height == 0:
+                raise PngError("zero image dimension")
             if depth != 8:
                 raise PngError(f"unsupported bit depth {depth}")
             if comp != 0 or filt != 0:
@@ -144,6 +148,8 @@ def decode_png(data: bytes) -> np.ndarray:
     if color_type == 3:
         if palette is None:
             raise PngError("palette image without PLTE")
+        if img.size and int(img.max()) >= len(palette):
+            raise PngError("palette index out of range")
         return palette[img.reshape(height, width)]
     if ch == 1:
         return img.reshape(height, width)

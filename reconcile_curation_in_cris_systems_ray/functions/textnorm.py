@@ -85,9 +85,6 @@ def normalize_text(text):
     return text.strip()
 
 
-_LATIN_GATE_RE = re.compile("[\\u0000-\\u024f]")
-
-
 def normalize_text_series(s: pd.Series) -> pd.Series:
     """Vectorized :func:`normalize_text` over a pandas string Series.
 

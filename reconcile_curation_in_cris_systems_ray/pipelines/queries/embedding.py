@@ -985,8 +985,9 @@ def _kmeans_sql_prefix(k: int, iters: int) -> tuple[str, str]:
     iteration an argmin assignment using the SAME expanded
     ``x.x - 2 x.c + c.c`` distance expression and a per-dim grouped
     mean; empty clusters keep their previous centroid.  Every chained
-    CTE is MATERIALIZED (each is referenced by the next round — the
-    kcore inlining lesson).  Returns (prefix, final_centroid_cte)."""
+    CTE is MATERIALIZED (each is referenced by the next round, so an
+    inlined chain would re-evaluate every earlier round).  Returns
+    (prefix, final_centroid_cte)."""
     parts = [f"""WITH
 emb AS MATERIALIZED (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS e
                      FROM embeddings),

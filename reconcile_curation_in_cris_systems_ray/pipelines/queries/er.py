@@ -2023,7 +2023,7 @@ def q_match_auc(sf_dir: str):
     Plan: one nation co-location exchange -> per-bucket DuckDB JW
     self-join (bit-identical kernel to the oracle, BroadcastFuzzyJoin
     precedent) -> per-score (n_pos, n_neg) cells via the combiner ->
-    tie-averaged ranks from the keyless scan (mann_whitney machinery;
+    tie-averaged ranks from the keyless scan (Mann-Whitney U;
     AUC = U / (n_pos * n_neg)).  Pair work is bounded by the blocking
     group size; the rank pass is O(distinct scores)."""
     import ray.data as rd

@@ -12,16 +12,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ...config import BlockingConfig, ScoringConfig
 from ...stages import relational as rel
 from ...stages import textstats as ts
-from ...stages.ann import brute_force_topk, ivf_topk
-from ...stages.dedup import (
-    embedding_dup_pairs, exact_dedup, near_dup_pairs, simhash_dup_pairs,
-)
 from ...stages.fields import extract_fields
 from ._shared import _SCD2_SENTINEL, _rp
-
 
 
 def q_md5_fingerprint(sf_dir: str):
@@ -753,7 +747,7 @@ FROM g LEFT JOIN (SELECT bin, count(*) AS n FROM b GROUP BY 1) c
 def q_first_last(sf_dir: str):
     """first_value/last_value window functions per user over the
     (ts, event_id) total order — completes the window family next to
-    lag_lead / rank_window / percent_rank.  One hash shuffle, then a
+    rank_window / percent_rank.  One hash shuffle, then a
     vectorized groupby-transform per bucket."""
     from ...stages.temporal import first_last_window
 
@@ -1378,8 +1372,6 @@ def q_compaction_plan(sf_dir: str):
     Rows-only (bin packing is not SQL-expressible); pinned against an
     independent FFD in tests/test_compaction.py."""
     import glob as _glob
-
-    from ...stages.shuffle import drop_empty_blocks as _  # noqa: F401
 
     out_dir = os.path.join("/tmp/graft_compact",
                            sf_dir.strip("/").replace("/", "_"))

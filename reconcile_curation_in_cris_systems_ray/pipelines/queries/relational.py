@@ -1032,9 +1032,9 @@ SELECT event_id FROM r WHERE (rn - 1) % 97 = 0
 def q_ntile_window(sf_dir: str):
     """Per-user NTILE(4) quartile assignment over (ts, event_id) with
     SQL's exact remainder rule (the first n MOD k tiles get one extra
-    row — NOT the floor(rn*k/n) equal-frequency formula used by
-    global_rank's decile) — one user co-location shuffle, tile ids
-    computed vectorized from within-group rank and size."""
+    row — NOT the floor(rn*k/n) equal-frequency formula) — one user
+    co-location shuffle, tile ids computed vectorized from within-group
+    rank and size."""
     from ...stages.shuffle import bucketed_map_groups
 
     ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])

@@ -1,27 +1,16 @@
-"""Temporal / ordered-window operators: as-of, sessions, resample, streams.
+"""Windowed event queries: tumbling-hour aggregate, windowed distinct
+count and the interval stream join.
 
 Split out of the former monolithic pipelines/queries.py (round-4 task 2).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 
-from ...config import BlockingConfig, ScoringConfig
 from ...stages import relational as rel
-from ...stages import textstats as ts
-from ...stages.ann import brute_force_topk, ivf_topk
-from ...stages.dedup import (
-    embedding_dup_pairs, exact_dedup, near_dup_pairs, simhash_dup_pairs,
-)
-from ...stages.fields import extract_fields
-from ._shared import _SCD2_SENTINEL, _rp
-
+from ._shared import _rp
 
 
 def q_window_hourly(sf_dir: str):
@@ -48,1487 +37,6 @@ SQL_WINDOW_HOURLY = """
 SELECT event_type, date_trunc('hour', ts) AS hour,
        count(*) AS n, round(sum(value), 4) AS sum_value
 FROM events GROUP BY event_type, date_trunc('hour', ts)
-"""
-
-
-# --------------------------------------------------------------------------
-# Temporal / ordered-window operators (stages/temporal.py) — as-of join,
-# interval join, sessionization, rolling windows, exact group quantiles.
-# Ray Data has no native primitive for these; each is one hash shuffle
-# on the entity key + vectorized pandas over co-located groups.
-# --------------------------------------------------------------------------
-
-def q_asof_join(sf_dir: str):
-    """As-of join: for each event, the latest order (by o_orderdate) at
-    or before the event's ts for the same customer.  The right side is
-    pre-deduped to one row per (customer, date) — max price — so the
-    as-of pick is tie-free and deterministic on both engines."""
-    from ...stages.temporal import asof_join
-
-    events = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    orders = _rp(sf_dir, "orders",
-                 ["o_custkey", "o_orderdate", "o_totalprice"])
-    best = rel.priority_dedup(orders, ["o_custkey", "o_orderdate"],
-                              ["o_totalprice"], ascending=[False])
-
-    def prep(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.rename(columns={"o_custkey": "user_id",
-                                "o_totalprice": "best_price"})
-        df["matched_date"] = df["o_orderdate"]
-        return df
-
-    right = best.map_batches(prep, batch_format="pandas")
-    out = asof_join(events, right, on="user_id", left_ts="ts",
-                    right_ts="o_orderdate")
-
-    def rounded(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["best_price"] = df["best_price"].round(2)
-        return df
-
-    return out.map_batches(rounded, batch_format="pandas")
-
-
-SQL_ASOF_JOIN = """
-WITH r AS (
-  SELECT o_custkey AS user_id, o_orderdate,
-         max(o_totalprice) AS best_price
-  FROM orders GROUP BY o_custkey, o_orderdate
-)
-SELECT e.event_id, e.ts, e.user_id,
-       round(r.best_price, 2) AS best_price,
-       r.o_orderdate AS matched_date
-FROM events e ASOF JOIN r
-  ON e.user_id = r.user_id AND e.ts >= r.o_orderdate
-"""
-
-
-def q_sessionize(sf_dir: str):
-    """Gap-based sessionization (30-minute gap) per user: emits each
-    event's 1-based per-user session ordinal."""
-    from ...stages.temporal import sessionize
-
-    events = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    out = sessionize(events, key="user_id", ts_col="ts",
-                     gap=pd.Timedelta(minutes=30), tiebreak=["event_id"])
-    return out.select_columns(["event_id", "user_id", "session_id"])
-
-
-SQL_SESSIONIZE = """
-WITH o AS (
-  SELECT event_id, user_id, ts,
-         CASE WHEN lag(ts) OVER w IS NULL
-                OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-              THEN 1 ELSE 0 END AS new_s
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-)
-SELECT event_id, user_id,
-       CAST(sum(new_s) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                             ROWS UNBOUNDED PRECEDING) AS BIGINT)
-         AS session_id
-FROM o
-"""
-
-
-def q_rolling_avg(sf_dir: str):
-    """Per-user rolling mean of the last 3 event values ordered by
-    (ts, event_id) — SQL ROWS BETWEEN 2 PRECEDING AND CURRENT ROW."""
-    from ...stages.temporal import rolling_agg
-
-    events = _rp(sf_dir, "events",
-                 ["event_id", "ts", "user_id", "value"])
-    out = rolling_agg(events, key="user_id", order_cols=["ts", "event_id"],
-                      value_col="value", window=3, agg="mean",
-                      out_col="rolling_avg")
-
-    def proj(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[["event_id", "user_id", "rolling_avg"]].copy()
-        df["rolling_avg"] = df["rolling_avg"].round(4)
-        return df
-
-    return out.map_batches(proj, batch_format="pandas")
-
-
-SQL_ROLLING_AVG = """
-SELECT event_id, user_id,
-       round(avg(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                              ROWS BETWEEN 2 PRECEDING AND CURRENT ROW),
-             4) AS rolling_avg
-FROM events
-"""
-
-
-def q_lag_lead(sf_dir: str):
-    """Per-user lag/lead of event value ordered by (ts, event_id) —
-    SQL lag()/lead() window functions; edge nulls coalesced to -1.0 so
-    both engines hash identically."""
-    from ...stages.temporal import lag_lead
-
-    events = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    out = lag_lead(events, key="user_id", order_cols=["ts", "event_id"],
-                   value_col="value", lag_out="prev_value",
-                   lead_out="next_value", fill=-1.0)
-
-    def proj(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[["event_id", "user_id", "prev_value", "next_value"]].copy()
-        df["prev_value"] = df["prev_value"].round(4)
-        df["next_value"] = df["next_value"].round(4)
-        return df
-
-    return out.map_batches(proj, batch_format="pandas")
-
-
-SQL_LAG_LEAD = """
-SELECT event_id, user_id,
-       round(coalesce(lag(value) OVER w, -1.0), 4) AS prev_value,
-       round(coalesce(lead(value) OVER w, -1.0), 4) AS next_value
-FROM events
-WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-"""
-
-
-def q_hopping_window(sf_dir: str):
-    """Hopping (sliding) window aggregate: 2-hour windows advancing
-    every hour — each event lands in exactly two windows.  Map-only
-    explode (window_size/hop copies per row) into the shuffle-free
-    partial-aggregate combiner; window count is bounded by the time
-    span, never the row count."""
-    ds = _rp(sf_dir, "events", ["ts", "value"])
-
-    def explode(df: pd.DataFrame) -> pd.DataFrame:
-        h = df["ts"].dt.floor("h")
-        v = df["value"]
-        return pd.DataFrame({
-            "win_start": pd.concat([h, h - pd.Timedelta(hours=1)],
-                                   ignore_index=True),
-            "value": pd.concat([v, v], ignore_index=True),
-        })
-
-    exploded = ds.map_batches(explode, batch_format="pandas")
-    df = rel.partial_groupby_agg(exploded, ["win_start"], {
-        "n": (None, "count"),
-        "sum_value": ("value", "sum"),
-    })
-    df["sum_value"] = df["sum_value"].round(4)
-    return df
-
-
-SQL_HOPPING_WINDOW = """
-WITH w AS (SELECT date_trunc('hour', ts) AS h, value FROM events),
-x AS (
-  SELECT h AS win_start, value FROM w
-  UNION ALL
-  SELECT h - INTERVAL 1 HOUR AS win_start, value FROM w
-)
-SELECT win_start, count(*) AS n, round(sum(value), 4) AS sum_value
-FROM x GROUP BY win_start
-"""
-
-
-def q_temporal_join(sf_dir: str):
-    """Temporal join of two SCD2 histories: per user, the event_type
-    history aligned against a derived value-band ('hi'/'lo' at 50)
-    history — one row per overlapping version pair with the
-    intersection interval, computed as a boundary SWEEP (O(|A|+|B|)
-    per key) instead of a per-key cross join
-    (stages/temporal.py::temporal_join)."""
-    from ...stages.temporal import scd2_intervals, temporal_join
-
-    events = _rp(sf_dir, "events",
-                 ["event_id", "ts", "user_id", "event_type", "value"])
-    hist_a = scd2_intervals(
-        events.select_columns(["event_id", "ts", "user_id",
-                               "event_type"]),
-        key="user_id", ts_col="ts", val_col="event_type",
-        tie_col="event_id", fill_to=_SCD2_SENTINEL).map_batches(
-        lambda df: df.rename(columns={"value": "type_val"}),
-        batch_format="pandas")
-
-    def band(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(),
-            "ts": df["ts"].to_numpy(),
-            "user_id": df["user_id"].to_numpy(),
-            "band": np.where(df["value"].fillna(0.0).to_numpy() >= 50.0,
-                             "hi", "lo")})
-
-    hist_b = scd2_intervals(
-        events.map_batches(band, batch_format="pandas"),
-        key="user_id", ts_col="ts", val_col="band",
-        tie_col="event_id", fill_to=_SCD2_SENTINEL).map_batches(
-        lambda df: df.rename(columns={"value": "band_val"}),
-        batch_format="pandas")
-
-    return temporal_join(hist_a, hist_b, "user_id",
-                         "type_val", "band_val")
-
-
-SQL_TEMPORAL_JOIN = """
-WITH ea AS (
-  SELECT user_id, event_type, ts, event_id,
-         lag(event_type) OVER (PARTITION BY user_id
-             ORDER BY ts, event_id) AS pv
-  FROM events),
-ca AS (SELECT user_id, event_type, ts, event_id FROM ea
-       WHERE pv IS NULL OR event_type <> pv),
-oa AS (SELECT user_id, event_type AS type_val, ts AS valid_from,
-              coalesce(lead(ts) OVER (PARTITION BY user_id
-                           ORDER BY ts, event_id),
-                       TIMESTAMP '2100-01-01') AS valid_to
-       FROM ca),
-eb AS (
-  SELECT user_id,
-         CASE WHEN coalesce(value, 0) >= 50 THEN 'hi' ELSE 'lo' END
-             AS band, ts, event_id
-  FROM events),
-eb2 AS (SELECT user_id, band, ts, event_id,
-               lag(band) OVER (PARTITION BY user_id
-                   ORDER BY ts, event_id) AS pv
-        FROM eb),
-cb AS (SELECT user_id, band, ts, event_id FROM eb2
-       WHERE pv IS NULL OR band <> pv),
-ob AS (SELECT user_id, band AS band_val, ts AS valid_from,
-              coalesce(lead(ts) OVER (PARTITION BY user_id
-                           ORDER BY ts, event_id),
-                       TIMESTAMP '2100-01-01') AS valid_to
-       FROM cb)
-SELECT a.user_id, a.type_val, b.band_val,
-       greatest(a.valid_from, b.valid_from) AS valid_from,
-       least(a.valid_to, b.valid_to) AS valid_to
-FROM oa a JOIN ob b ON a.user_id = b.user_id
- AND a.valid_from < b.valid_to AND b.valid_from < a.valid_to
- AND greatest(a.valid_from, b.valid_from)
-     < least(a.valid_to, b.valid_to)
-"""
-
-
-def q_global_rank(sf_dir: str):
-    """Global dense rank over the (o_totalprice, o_orderkey) total
-    order plus an equal-frequency decile (floor(rn*k/N), explicit
-    formula — NOT SQL ntile()'s big-groups-first remainder rule) —
-    the distributed row_number primitive
-    (stages/relational.py::global_dense_rank: order-preserving
-    numeric ranges, driver exclusive scan over range counts, one
-    co-location shuffle; no global sort materialization)."""
-    from ...stages.relational import global_dense_rank
-
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    ranked, n = global_dense_rank(orders, "o_totalprice", "o_orderkey")
-    k = 10
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        rn = df["rn"].to_numpy(np.int64)
-        return pd.DataFrame({"o_orderkey": df["id"].to_numpy(),
-                             "rn": rn,
-                             "tile": rn * k // max(n, 1)})
-
-    return ranked.map_batches(finish, batch_format="pandas")
-
-
-SQL_GLOBAL_RANK = """
-WITH r AS (
-  SELECT o_orderkey,
-         row_number() OVER (ORDER BY o_totalprice, o_orderkey) - 1
-             AS rn
-  FROM orders),
-n AS (SELECT count(*) AS tot FROM orders)
-SELECT o_orderkey, rn, CAST((rn * 10) // tot AS BIGINT) AS tile
-FROM r CROSS JOIN n
-"""
-
-
-def q_cohort_retention(sf_dir: str):
-    """Cohort retention matrix: users bucketed by first-event month,
-    distinct active users per (cohort, month-offset) cell
-    (stages/temporal.py::cohort_retention — per-user first via one
-    co-location shuffle, hash-join cohort hydration, one dedup
-    shuffle of the triples, bounded cell counts)."""
-    from ...stages.temporal import cohort_retention
-
-    return cohort_retention(_rp(sf_dir, "events", ["user_id", "ts"]),
-                            "user_id", "ts")
-
-
-SQL_COHORT_RETENTION = """
-WITH f AS (SELECT user_id, min(ts) AS f0 FROM events GROUP BY 1),
-j AS (SELECT e.user_id,
-             CAST(EXTRACT(year FROM f.f0) * 12
-                  + EXTRACT(month FROM f.f0) AS BIGINT) AS cohort,
-             CAST(EXTRACT(year FROM e.ts) * 12
-                  + EXTRACT(month FROM e.ts) AS BIGINT) AS cm
-      FROM events e JOIN f USING (user_id)),
-d AS (SELECT DISTINCT cohort, cm - cohort AS month_offset, user_id
-      FROM j)
-SELECT cohort, month_offset, CAST(count(*) AS BIGINT) AS n_users
-FROM d GROUP BY 1, 2
-"""
-
-
-_FUNNEL_STEPS = ["view", "click", "purchase"]
-
-
-def q_funnel_steps(sf_dir: str):
-    """Ordered conversion funnel view -> click -> purchase: users per
-    completed-step count, each step strictly after the user's
-    earliest previous-step time (stages/temporal.py::funnel_steps —
-    one co-location shuffle, per-bucket vectorized rounds)."""
-    from ...stages.temporal import funnel_steps
-
-    return funnel_steps(
-        _rp(sf_dir, "events", ["user_id", "event_type", "ts"]),
-        "user_id", "event_type", "ts", _FUNNEL_STEPS)
-
-
-SQL_FUNNEL_STEPS = """
-WITH t1 AS (SELECT user_id, min(ts) AS ts1 FROM events
-            WHERE event_type = 'view' GROUP BY 1),
-t2 AS (SELECT e.user_id, min(e.ts) AS ts2
-       FROM events e JOIN t1 USING (user_id)
-       WHERE e.event_type = 'click' AND e.ts > t1.ts1 GROUP BY 1),
-t3 AS (SELECT e.user_id, min(e.ts) AS ts3
-       FROM events e JOIN t2 USING (user_id)
-       WHERE e.event_type = 'purchase' AND e.ts > t2.ts2 GROUP BY 1),
-u AS (SELECT DISTINCT user_id FROM events),
-s AS (SELECT u.user_id,
-             CASE WHEN t3.user_id IS NOT NULL THEN 3
-                  WHEN t2.user_id IS NOT NULL THEN 2
-                  WHEN t1.user_id IS NOT NULL THEN 1
-                  ELSE 0 END AS steps_completed
-      FROM u
-      LEFT JOIN t1 USING (user_id)
-      LEFT JOIN t2 USING (user_id)
-      LEFT JOIN t3 USING (user_id))
-SELECT steps_completed, CAST(count(*) AS BIGINT) AS n_users
-FROM s GROUP BY 1
-"""
-
-
-_RESAMPLE_GRID = pd.date_range("2024-01-02", periods=30, freq="D")
-
-
-def q_resample_ffill(sf_dir: str):
-    """Regular-grid resampling with forward fill: each user's value
-    series sampled at daily grid points (last observation at or
-    before the grid time) — distinct users crossed with the literal
-    grid map-side, then the tagged-union as-of join
-    (stages/temporal.py::asof_join; right side pre-deduped per
-    (user, ts) so the pick is tie-free).  Grid points before a
-    user's first event drop (inner ASOF semantics)."""
-    from ...stages.temporal import asof_join
-
-    events = _rp(sf_dir, "events", ["event_id", "ts", "user_id",
-                                    "value"])
-    users = rel.distinct(events, ["user_id"])
-
-    def cross(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["user_id"].to_numpy()
-        return pd.DataFrame({
-            "user_id": np.repeat(u, len(_RESAMPLE_GRID)),
-            "gts": np.tile(_RESAMPLE_GRID.to_numpy(), len(u))})
-
-    left = users.map_batches(cross, batch_format="pandas")
-    right = rel.priority_dedup(
-        events, ["user_id", "ts"], ["value", "event_id"],
-        ascending=[False, True]).map_batches(
-        lambda df: df[["user_id", "ts", "value"]],
-        batch_format="pandas")
-    return asof_join(left, right, on="user_id", left_ts="gts",
-                     right_ts="ts")
-
-
-SQL_RESAMPLE_FFILL = """
-WITH grid AS (
-  SELECT unnest(generate_series(TIMESTAMP '2024-01-02',
-                                TIMESTAMP '2024-01-31',
-                                INTERVAL 1 DAY)) AS gts),
-u AS (SELECT DISTINCT user_id FROM events),
-l AS (SELECT u.user_id, grid.gts FROM u CROSS JOIN grid),
-r AS (SELECT user_id, ts, max(value) AS value
-      FROM events GROUP BY user_id, ts)
-SELECT l.user_id, l.gts, e.value
-FROM l ASOF JOIN r e
-  ON e.user_id = l.user_id AND e.ts <= l.gts
-"""
-
-
-def q_transition_counts(sf_dir: str):
-    """Markov transition counts over per-user event streams:
-    corpus-wide (from_type, to_type) frequencies of consecutive
-    events ordered by (ts, event_id) — lag via the window machinery
-    (stages/temporal.py::lag_lead), then the combiner aggregate."""
-    from ...stages.temporal import lag_lead
-
-    events = _rp(sf_dir, "events", ["event_id", "ts", "user_id",
-                                    "event_type"])
-    lagged = lag_lead(events, key="user_id",
-                      order_cols=["ts", "event_id"],
-                      value_col="event_type", lag_out="from_type",
-                      lead_out=None)
-
-    def keep(df: pd.DataFrame) -> pd.DataFrame:
-        # both endpoints non-null: pandas groupby would silently drop
-        # NULL to_type groups the SQL GROUP BY keeps, so the non-null
-        # filter is applied symmetrically on both engines
-        out = df[df["from_type"].notna() & df["event_type"].notna()]
-        return out[["from_type", "event_type"]].rename(
-            columns={"event_type": "to_type"})
-
-    out = rel.partial_groupby_agg(
-        lagged.map_batches(keep, batch_format="pandas"),
-        ["from_type", "to_type"], {"n": (None, "count")})
-    return out.sort_values(["from_type", "to_type"]) \
-        .reset_index(drop=True)
-
-
-SQL_TRANSITION_COUNTS = """
-WITH o AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-             ORDER BY ts, event_id) AS pv
-  FROM events)
-SELECT pv AS from_type, event_type AS to_type,
-       CAST(count(*) AS BIGINT) AS n
-FROM o WHERE pv IS NOT NULL AND event_type IS NOT NULL
-GROUP BY 1, 2
-"""
-
-
-def q_trend_agg(sf_dir: str):
-    """Per-user OLS trend of event values against whole seconds since
-    2024-01-01 (slope/intercept via re-aggregable moments, the
-    corr_agg discipline; stages/temporal.py::trend_agg).  The
-    closed-form moment expression is written identically in the SQL
-    oracle."""
-    from ...stages.temporal import trend_agg
-
-    return trend_agg(_rp(sf_dir, "events",
-                         ["user_id", "ts", "value"]),
-                     "user_id", "ts", "value", epoch="2024-01-01")
-
-
-SQL_TREND_AGG = """
-WITH x AS (
-  SELECT user_id, value,
-         CAST(floor(epoch(ts) - epoch(TIMESTAMP '2024-01-01'))
-              AS DOUBLE) AS xs
-  FROM events),
-m AS (
-  SELECT user_id, CAST(count(*) AS DOUBLE) AS n,
-         sum(xs) AS sx, sum(value) AS sy,
-         sum(xs * value) AS sxy, sum(xs * xs) AS sxx
-  FROM x GROUP BY user_id HAVING count(*) >= 2)
-SELECT user_id,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS slope,
-       round((sy - ((n * sxy - sx * sy) / (n * sxx - sx * sx)) * sx)
-             / n, 6) AS intercept,
-       CAST(n AS BIGINT) AS n_events
-FROM m
-"""
-
-
-def q_max_concurrent(sf_dir: str):
-    """Sweep-line maximum-overlap: treat each event as an interval
-    [ts, ts + (floor(value)+1) minutes) and report the peak number of
-    simultaneously open intervals plus the first instant it is
-    reached — the keyless ``SUM(delta) OVER (ORDER BY ...)`` class
-    that PARTITION-BY windows (cume_sum et al.) cannot cover.
-
-    Distributed plan (stages/scan.py::global_scan): range-sort the
-    +1/-1 delta stream on (t, delta) — ends before starts at the same
-    instant, i.e. half-open intervals — then the Blelloch two-phase
-    scan: per-block sums (one scalar per block to the driver),
-    exclusive offsets, vectorized within-block cumsum.  The peak +
-    argmin-t finish is a per-batch partial, so the driver sees
-    O(blocks) rows end to end."""
-    from ...stages.scan import global_scan
-
-    ev = _rp(sf_dir, "events", ["ts", "value"])
-
-    def deltas(df: pd.DataFrame) -> pd.DataFrame:
-        dur = (np.floor(df["value"].to_numpy(np.float64)).astype(np.int64)
-               + 1)
-        start = df["ts"]
-        end = df["ts"] + pd.to_timedelta(dur * 60, unit="s")
-        return pd.DataFrame({
-            "t": pd.concat([start, end], ignore_index=True),
-            "delta": np.concatenate([np.ones(len(df), dtype=np.int64),
-                                     -np.ones(len(df), dtype=np.int64)])})
-
-    stream = ev.map_batches(deltas, batch_format="pandas")
-    scanned = global_scan(stream, ["t", "delta"], "delta", "c")
-
-    def peak(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):               # range sort can emit empty blocks
-            return pd.DataFrame({"max_concurrent":
-                                 pd.Series([], dtype="int64"),
-                                 "at_ts": pd.Series([], dtype=df["t"].dtype)})
-        mc = df["c"].max()
-        return pd.DataFrame({"max_concurrent": [np.int64(mc)],
-                             "at_ts": [df.loc[df["c"] == mc, "t"].min()]})
-
-    parts = scanned.map_batches(peak, batch_format="pandas").to_pandas()
-    mc = parts["max_concurrent"].max()
-    return pd.DataFrame({
-        "max_concurrent": [np.int64(mc)],
-        "at_ts": [parts.loc[parts["max_concurrent"] == mc, "at_ts"].min()]})
-
-
-SQL_MAX_CONCURRENT = """
-WITH d AS (
-  SELECT ts AS t, 1 AS delta FROM events
-  UNION ALL
-  SELECT ts + (CAST(floor(value) AS BIGINT) + 1) * INTERVAL 1 MINUTE AS t,
-         -1 AS delta
-  FROM events),
-s AS (SELECT t, delta,
-             sum(delta) OVER (ORDER BY t, delta
-                              ROWS UNBOUNDED PRECEDING) AS c
-      FROM d),
-m AS (SELECT max(c) AS mc FROM s)
-SELECT CAST(mc AS BIGINT) AS max_concurrent,
-       (SELECT min(t) FROM s WHERE c = mc) AS at_ts
-FROM m
-"""
-
-
-def q_interval_union(sf_dir: str):
-    """Total covered time of the union of event intervals — the second
-    classic sweep-line aggregate (max_concurrent's sibling): microsec
-    length of the timeline where at least one interval is open.
-
-    Uses global_scan's cross-block LEAD: after the (t, delta) range
-    sort, each row needs the NEXT timestamp in global order; the block
-    handoff ships one scalar per boundary (stages/scan.py).  Segment
-    lengths (next_t - t) where the running count is positive are then
-    summed by per-batch partials — tie runs contribute zero-length
-    segments, so the result is permutation-invariant and matches the
-    SQL window bit-for-bit."""
-    from ...stages.scan import global_scan
-
-    ev = _rp(sf_dir, "events", ["ts", "value"])
-
-    def deltas(df: pd.DataFrame) -> pd.DataFrame:
-        dur = (np.floor(df["value"].to_numpy(np.float64)).astype(np.int64)
-               + 1)
-        return pd.DataFrame({
-            "t": pd.concat([df["ts"],
-                            df["ts"] + pd.to_timedelta(dur * 60, unit="s")],
-                           ignore_index=True),
-            "delta": np.concatenate([np.ones(len(df), dtype=np.int64),
-                                     -np.ones(len(df), dtype=np.int64)])})
-
-    stream = ev.map_batches(deltas, batch_format="pandas")
-    scanned = global_scan(stream, ["t", "delta"], "delta", "c",
-                          lead_of="t", lead_col="nt")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        m = df["nt"].notna() & (df["c"] > 0)
-        covered = (df.loc[m, "nt"] - df.loc[m, "t"]) \
-            .sum().value // 1000 if m.any() else 0
-        return pd.DataFrame({"covered_us": [np.int64(covered)]})
-
-    parts = scanned.map_batches(partial, batch_format="pandas").to_pandas()
-    return pd.DataFrame({"covered_us":
-                         [np.int64(parts["covered_us"].sum())]})
-
-
-SQL_INTERVAL_UNION = """
-WITH d AS (
-  SELECT ts AS t, 1 AS delta FROM events
-  UNION ALL
-  SELECT ts + (CAST(floor(value) AS BIGINT) + 1) * INTERVAL 1 MINUTE AS t,
-         -1 AS delta
-  FROM events),
-s AS (SELECT t, delta,
-             sum(delta) OVER (ORDER BY t, delta
-                              ROWS UNBOUNDED PRECEDING) AS c,
-             lead(t) OVER (ORDER BY t, delta) AS nt
-      FROM d)
-SELECT CAST(sum(epoch_us(nt - t)) FILTER (WHERE c > 0) AS BIGINT)
-           AS covered_us
-FROM s WHERE nt IS NOT NULL
-"""
-
-
-def q_global_moving_avg(sf_dir: str):
-    """Keyless trailing 10-row moving average over the global
-    (ts, event_id) order — the halo-exchange window primitive
-    (stages/scan.py::global_rolling_mean): each block receives the 9
-    preceding values stitched from prior block tails (O(blocks x
-    window) driver metadata, never rows), then the window runs
-    vectorized per block."""
-    from ...stages.scan import global_rolling_mean
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "value"])
-    out = global_rolling_mean(ev, ["ts", "event_id"], "value", 10, "mavg")
-
-    def proj(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pcc
-
-        return pa.table({"event_id": t["event_id"],
-                         "mavg": pcc.round(t["mavg"], 6)})
-
-    return out.map_batches(proj, batch_format="pyarrow")
-
-
-SQL_GLOBAL_MOVING_AVG = """
-SELECT event_id,
-       round(avg(value) OVER (ORDER BY ts, event_id ROWS 9 PRECEDING), 6)
-           AS mavg
-FROM events
-"""
-
-
-def q_exact_kth(sf_dir: str):
-    """Exact k-th smallest value (k = floor(0.6 n)) over a DOUBLE
-    column WITHOUT a global sort — distributed selection by histogram
-    narrowing: (1) a (count, min, max) combiner pass, (2) a 4096-bin
-    histogram combiner locating the bin that holds rank k, (3) one
-    filtered pass collecting only that bin's values (expected n/4096
-    rows; a skewed bin recurses the same narrowing — not needed here,
-    noted for parity with exact_int_quantile's integer path).  Three
-    narrow passes replace the O(n log n) shuffle a sort-based rank
-    would cost."""
-    ev = _rp(sf_dir, "events", ["value"])
-
-    def stats(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
-        return pd.DataFrame({"n": [np.int64(len(v))],
-                             "lo": [v.min() if len(v) else np.inf],
-                             "hi": [v.max() if len(v) else -np.inf]})
-
-    s = ev.map_batches(stats, batch_format="pandas").to_pandas()
-    n = int(s["n"].sum())
-    lo, hi = float(s["lo"].min()), float(s["hi"].max())
-    k = int(np.floor(0.6 * n))
-    nb = 4096
-    width = (hi - lo) / nb or 1.0
-
-    def hist(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
-        idx = np.clip(((v - lo) / width).astype(np.int64), 0, nb - 1)
-        c = np.bincount(idx, minlength=nb)
-        nz = np.nonzero(c)[0]
-        return pd.DataFrame({"b": nz.astype(np.int64), "c": c[nz]})
-
-    hcounts = rel.partial_groupby_agg(
-        ev.map_batches(hist, batch_format="pandas"),
-        ["b"], {"c": ("c", "sum")}).sort_values("b")
-    cum = hcounts["c"].cumsum()
-    pos = int(np.searchsorted(cum.to_numpy(), k, side="left"))
-    b_sel = int(hcounts["b"].iloc[pos])
-    before = int(cum.iloc[pos - 1]) if pos else 0
-    r = k - before                      # rank within the selected bin
-    def in_bin(df: pd.DataFrame) -> pd.DataFrame:
-        # membership by the SAME index formula as the histogram pass —
-        # arithmetic bounds (lo + b*width) can disagree at float
-        # boundaries and desynchronize the collected set from the counts
-        v = df["value"].to_numpy(np.float64)
-        idx = np.clip(((v - lo) / width).astype(np.int64), 0, nb - 1)
-        return pd.DataFrame({"value": v[idx == b_sel]})
-
-    vals = np.sort(ev.map_batches(in_bin, batch_format="pandas")
-                   .to_pandas()["value"].to_numpy(np.float64))
-    return pd.DataFrame({"k": [np.int64(k)],
-                         "kth": [np.round(vals[r - 1], 6)]})
-
-
-SQL_EXACT_KTH = """
-WITH r AS (
-  SELECT value, row_number() OVER (ORDER BY value) AS rn FROM events)
-SELECT (SELECT CAST(floor(0.6 * count(*)) AS BIGINT) FROM events) AS k,
-       round(value, 6) AS kth
-FROM r
-WHERE rn = (SELECT CAST(floor(0.6 * count(*)) AS BIGINT) FROM events)
-"""
-
-
-def q_knn_time_join(sf_dir: str):
-    """k-nearest-in-time join (the as-of join generalized to k=3):
-    for every click, that user's 3 closest views by |Δts|, ties by
-    view id.  The distributed plan is per-user co-location + SORTED
-    NEIGHBORS: views sorted by ts once per user, each click probes
-    its insertion point and scores only the 2k surrounding candidates
-    — candidates are O(k) per probe, never the |clicks| x |views|
-    cross product the SQL oracle spells."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    k = 3
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-
-    def keep(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["event_type"],
-                                 pa.array(["click", "view"])))
-
-    empty = pd.DataFrame({"click_id": pd.Series([], dtype="int64"),
-                          "view_id": pd.Series([], dtype="int64"),
-                          "dt_us": pd.Series([], dtype="int64")})
-
-    def block(df: pd.DataFrame) -> pd.DataFrame:
-        parts = []
-        for _, g in df.groupby("user_id", sort=False):
-            cl = g[g["event_type"] == "click"]
-            vw = g[g["event_type"] == "view"].sort_values(
-                ["ts", "event_id"], kind="mergesort")
-            if not len(cl) or not len(vw):
-                continue
-            vts = vw["ts"].to_numpy(dtype="datetime64[us]") \
-                .astype(np.int64)             # µs, the oracle's epoch_us
-            vid = vw["event_id"].to_numpy(np.int64)
-            cts = cl["ts"].to_numpy(dtype="datetime64[us]") \
-                .astype(np.int64)
-            cid = cl["event_id"].to_numpy(np.int64)
-            pos = np.searchsorted(vts, cts)
-            # 2k sorted neighbors around the insertion point cover the
-            # k nearest in a sorted array
-            offs = np.arange(-k, k)
-            cand = np.clip(pos[:, None] + offs[None, :], 0, len(vw) - 1)
-            dt = np.abs(vts[cand] - cts[:, None])
-            # dedup clipped duplicates: push repeats to +inf via a
-            # first-occurrence mask per row
-            sort_keys = dt.astype(np.float64)
-            dup = np.zeros_like(sort_keys, dtype=bool)
-            for j in range(1, cand.shape[1]):
-                dup[:, j] = (cand[:, j:j + 1]
-                             == cand[:, :j]).any(axis=1)
-            sort_keys[dup] = np.inf
-            # rank by (|dt|, view_id) exactly like the SQL window
-            order = np.lexsort((vid[cand], sort_keys), axis=-1)
-            take = order[:, :k]
-            rowi = np.arange(len(cl))[:, None]
-            sel_dt = sort_keys[rowi, take]
-            ok = np.isfinite(sel_dt)
-            parts.append(pd.DataFrame({
-                "click_id": np.repeat(cid, k)[ok.ravel()],
-                "view_id": vid[cand[rowi, take]].ravel()[ok.ravel()],
-                "dt_us": dt[rowi, take].ravel()[ok.ravel()]
-                .astype(np.int64)}))
-        return pd.concat(parts, ignore_index=True) if parts else empty
-
-    return bucketed_map_groups(
-        ev.map_batches(keep, batch_format="pyarrow"),
-        ["user_id"], block, num_buckets=64, empty_like=empty)
-
-
-SQL_KNN_TIME_JOIN = """
-WITH c AS (SELECT event_id, user_id, ts FROM events
-           WHERE event_type = 'click'),
-v AS (SELECT event_id, user_id, ts FROM events
-      WHERE event_type = 'view'),
-j AS (SELECT c.event_id AS click_id, v.event_id AS view_id,
-             abs(epoch_us(v.ts - c.ts)) AS dt_us,
-             row_number() OVER (PARTITION BY c.event_id
-                                ORDER BY abs(epoch_us(v.ts - c.ts)),
-                                         v.event_id) AS rn
-      FROM c JOIN v ON v.user_id = c.user_id)
-SELECT click_id, view_id, dt_us FROM j WHERE rn <= 3
-"""
-
-
-def q_cusum_changepoint(sf_dir: str):
-    """CUSUM change-point scan: the time at which the cumulative sum
-    of (value − global mean) reaches its maximum absolute deviation —
-    the classic level-shift detector, as one keyless Blelloch scan
-    over (ts, event_id) plus two narrow partial passes (global peak,
-    then earliest row whose rounded |cusum| equals the rounded peak —
-    the same rounding the oracle applies, so the tie set matches)."""
-    from ...stages.scan import global_scan
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "value"])
-    tot = ev.map_batches(
-        lambda df: pd.DataFrame({"n": [np.int64(len(df))],
-                                 "s": [df["value"].sum()]}),
-        batch_format="pandas").to_pandas()
-    mu = float(tot["s"].sum()) / float(tot["n"].sum())
-
-    def deltas(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "t": df["ts"], "event_id": df["event_id"],
-            "d": df["value"].to_numpy(np.float64) - mu})
-
-    scanned = global_scan(ev.map_batches(deltas, batch_format="pandas"),
-                          ["t", "event_id"], "d", "cusum")
-
-    peaks = scanned.map_batches(
-        lambda df: pd.DataFrame(
-            {"p": [np.abs(df["cusum"].to_numpy()).max()]}
-            if len(df) else {"p": pd.Series([], dtype="float64")}),
-        batch_format="pandas").to_pandas()
-    peak = np.round(float(peaks["p"].max()), 4)
-
-    def at_peak(df: pd.DataFrame) -> pd.DataFrame:
-        m = np.round(np.abs(df["cusum"].to_numpy(np.float64)), 4) == peak
-        if not m.any():
-            return pd.DataFrame({"at_ts": pd.Series([], dtype=df["t"].dtype)})
-        return pd.DataFrame({"at_ts": [df.loc[m, "t"].min()]})
-
-    hits = scanned.map_batches(at_peak, batch_format="pandas").to_pandas()
-    return pd.DataFrame({"peak": [peak], "at_ts": [hits["at_ts"].min()]})
-
-
-SQL_CUSUM_CHANGEPOINT = """
-WITH m AS (SELECT avg(value) AS mu FROM events),
-s AS (SELECT event_id, ts,
-             sum(value - (SELECT mu FROM m))
-                 OVER (ORDER BY ts, event_id
-                       ROWS UNBOUNDED PRECEDING) AS cusum
-      FROM events),
-mx AS (SELECT max(abs(cusum)) AS peak FROM s)
-SELECT round((SELECT peak FROM mx), 4) AS peak,
-       min(ts) AS at_ts
-FROM s
-WHERE round(abs(cusum), 4) = round((SELECT peak FROM mx), 4)
-"""
-
-
-def q_user_active_time(sf_dir: str):
-    """Per-user union-of-intervals active time (µs) — the KEYED
-    sweep-line: interval_union's plan with the scan replaced by
-    within-group vectorized cumsum after one user co-location shuffle
-    (a user's whole delta stream fits its group by the blocking
-    contract; a pathological single key would fall back to the keyless
-    scan per key)."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def deltas(df: pd.DataFrame) -> pd.DataFrame:
-        dur = (np.floor(df["value"].to_numpy(np.float64)).astype(np.int64)
-               + 1)
-        return pd.DataFrame({
-            "user_id": np.tile(df["user_id"].to_numpy(np.int64), 2),
-            "t": pd.concat([df["ts"],
-                            df["ts"] + pd.to_timedelta(dur * 60, unit="s")],
-                           ignore_index=True),
-            "delta": np.concatenate([np.ones(len(df), dtype=np.int64),
-                                     -np.ones(len(df), dtype=np.int64)])})
-
-    empty = pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                          "active_us": pd.Series([], dtype="int64")})
-
-    def sweep(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for uid, g in df.groupby("user_id", sort=False):
-            g = g.sort_values(["t", "delta"], kind="mergesort")
-            c = g["delta"].cumsum().to_numpy()
-            t = g["t"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-            seg = (t[1:] - t[:-1])[c[:-1] > 0]
-            rows.append((uid, np.int64(seg.sum())))
-        return pd.DataFrame(rows, columns=["user_id", "active_us"]) \
-            if rows else empty
-
-    return bucketed_map_groups(
-        ev.map_batches(deltas, batch_format="pandas"),
-        ["user_id"], sweep, num_buckets=32, empty_like=empty)
-
-
-SQL_USER_ACTIVE_TIME = """
-WITH d AS (
-  SELECT user_id, ts AS t, 1 AS delta FROM events
-  UNION ALL
-  SELECT user_id,
-         ts + (CAST(floor(value) AS BIGINT) + 1) * INTERVAL 1 MINUTE,
-         -1
-  FROM events),
-s AS (SELECT user_id, t, delta,
-             sum(delta) OVER (PARTITION BY user_id ORDER BY t, delta
-                              ROWS UNBOUNDED PRECEDING) AS c,
-             lead(t) OVER (PARTITION BY user_id ORDER BY t, delta) AS nt
-      FROM d)
-SELECT user_id,
-       CAST(sum(epoch_us(nt - t)) FILTER (WHERE c > 0) AS BIGINT)
-           AS active_us
-FROM s WHERE nt IS NOT NULL GROUP BY user_id
-"""
-
-
-def q_twap_user(sf_dir: str):
-    """Per-user time-weighted average value (TWAP) — each reading
-    weighted by its holding time until the next event: one user
-    co-location shuffle, vectorized shift + weighted mean per group
-    (the telemetry/finance aggregate plain AVG misstates whenever
-    sampling is irregular)."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    empty = pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                          "twap": pd.Series([], dtype="float64")})
-
-    def block(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for uid, g in df.groupby("user_id", sort=False):
-            if len(g) < 2:
-                continue
-            g = g.sort_values(["ts", "event_id"], kind="mergesort")
-            t = g["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-            dt = (t[1:] - t[:-1]).astype(np.float64)
-            v = g["value"].to_numpy(np.float64)[:-1]
-            rows.append((uid, np.round((v * dt).sum() / dt.sum(), 6)))
-        return pd.DataFrame(rows, columns=["user_id", "twap"]) \
-            if rows else empty
-
-    return bucketed_map_groups(ev, ["user_id"], block, num_buckets=32,
-                               empty_like=empty)
-
-
-SQL_TWAP_USER = """
-WITH l AS (
-  SELECT user_id, value,
-         epoch_us(lead(ts) OVER (PARTITION BY user_id
-                                 ORDER BY ts, event_id) - ts) AS dt
-  FROM events)
-SELECT user_id, round(sum(value * dt) / sum(dt), 6) AS twap
-FROM l WHERE dt IS NOT NULL GROUP BY user_id
-"""
-
-
-def q_runs_test(sf_dir: str):
-    """Wald-Wolfowitz runs test for randomness of the above/below-
-    median value sequence in global time order — runs counted from
-    the cross-block LEAD (a run boundary is a sign transition), the
-    z statistic from the closed form.  One quantile pass + one scan +
-    narrow combiners."""
-    from ...stages.scan import global_scan
-    from ...stages.temporal import quantile_agg
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "value"])
-    med = quantile_agg(
-        ev.map_batches(lambda df: df.assign(g=np.int64(0)),
-                       batch_format="pandas"),
-        ["g"], "value", {"m": 0.5})
-    if hasattr(med, "to_pandas"):
-        med = med.to_pandas()
-    m = float(med["m"].iloc[0])
-
-    def signs(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
-        keep = v != m
-        return pd.DataFrame({
-            "t": df["ts"].to_numpy()[keep],
-            "event_id": df["event_id"].to_numpy(np.int64)[keep],
-            "sgn": (v[keep] > m).astype(np.int64)})
-
-    scanned = global_scan(ev.map_batches(signs, batch_format="pandas"),
-                          ["t", "event_id"], "sgn", "cum",
-                          lead_of="sgn", lead_col="nxt")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["sgn"].to_numpy(np.int64)
-        nx = df["nxt"].to_numpy(dtype=np.float64)  # null -> nan (last row)
-        trans = int(((~np.isnan(nx)) & (nx != s)).sum())
-        return pd.DataFrame({"trans": [np.int64(trans)],
-                             "n1": [np.int64((s == 1).sum())],
-                             "n2": [np.int64((s == 0).sum())]})
-
-    p = scanned.map_batches(partial, batch_format="pandas") \
-        .to_pandas().sum()
-    runs = float(p["trans"]) + 1.0
-    n1, n2 = float(p["n1"]), float(p["n2"])
-    mu = 2.0 * n1 * n2 / (n1 + n2) + 1
-    var = (2.0 * n1 * n2 * (2.0 * n1 * n2 - n1 - n2)
-           / ((n1 + n2) * (n1 + n2) * (n1 + n2 - 1.0)))
-    return pd.DataFrame({"runs": [np.int64(runs)],
-                         "n1": [np.int64(n1)], "n2": [np.int64(n2)],
-                         "z": [np.round((runs - mu) / np.sqrt(var), 6)]})
-
-
-SQL_RUNS_TEST = """
-WITH med AS (SELECT quantile_cont(value, 0.5) AS m FROM events),
-s AS (SELECT (value > (SELECT m FROM med)) AS pos, ts, event_id
-      FROM events WHERE value <> (SELECT m FROM med)),
-o AS (SELECT pos, lag(pos) OVER (ORDER BY ts, event_id) AS prev FROM s),
-agg AS (SELECT count(*) FILTER (WHERE prev IS NULL OR pos <> prev)
-               AS runs,
-               count(*) FILTER (WHERE pos) AS n1,
-               count(*) FILTER (WHERE NOT pos) AS n2
-        FROM o)
-SELECT runs, n1, n2,
-       round((runs - (2.0*n1*n2/(n1+n2) + 1))
-             / sqrt(2.0*n1*n2*(2.0*n1*n2 - n1 - n2)
-                    / ((n1+n2)*(n1+n2)*(n1+n2-1.0))), 6) AS z
-FROM agg
-"""
-
-
-def q_autocorr_lag1(sf_dir: str):
-    """Lag-1 autocorrelation of the value series in global time order
-    — consecutive pairs come from the cross-block LEAD (one scalar per
-    block boundary), correlation from centered two-pass moment
-    partials (house float discipline)."""
-    from ...stages.scan import global_scan
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "value"])
-    scanned = global_scan(
-        ev.map_batches(
-            lambda df: pd.DataFrame({"t": df["ts"],
-                                     "event_id": df["event_id"],
-                                     "v": df["value"]
-                                     .to_numpy(np.float64)}),
-            batch_format="pandas"),
-        ["t", "event_id"], "v", "cum", lead_of="v", lead_col="nxt")
-
-    def m1(df: pd.DataFrame) -> pd.DataFrame:
-        ok = df["nxt"].notna()
-        x = df.loc[ok, "v"].to_numpy(np.float64)
-        y = df.loc[ok, "nxt"].to_numpy(np.float64)
-        return pd.DataFrame({"n": [np.int64(len(x))],
-                             "sx": [x.sum()], "sy": [y.sum()]})
-
-    s1 = scanned.map_batches(m1, batch_format="pandas").to_pandas().sum()
-    n = float(s1["n"])
-    mx, my = float(s1["sx"]) / n, float(s1["sy"]) / n
-
-    def m2(df: pd.DataFrame) -> pd.DataFrame:
-        ok = df["nxt"].notna()
-        dx = df.loc[ok, "v"].to_numpy(np.float64) - mx
-        dy = df.loc[ok, "nxt"].to_numpy(np.float64) - my
-        return pd.DataFrame({"sxy": [(dx * dy).sum()],
-                             "sxx": [(dx * dx).sum()],
-                             "syy": [(dy * dy).sum()]})
-
-    s2 = scanned.map_batches(m2, batch_format="pandas").to_pandas().sum()
-    r1 = float(s2["sxy"]) / np.sqrt(float(s2["sxx"]) * float(s2["syy"]))
-    return pd.DataFrame({"r1": [np.round(r1, 6)]})
-
-
-SQL_AUTOCORR_LAG1 = """
-WITH s AS (SELECT value,
-                  lead(value) OVER (ORDER BY ts, event_id) AS nxt
-           FROM events)
-SELECT round(corr(value, nxt), 6) AS r1 FROM s WHERE nxt IS NOT NULL
-"""
-
-
-def q_ewma_user(sf_dir: str):
-    """Per-user exponentially-weighted moving average (α=0.3,
-    y₁ = x₁, yₜ = 0.3·xₜ + 0.7·yₜ₋₁) — final smoothed value per user.
-    A linear recurrence is inherently sequential in t, so the
-    distributed shape is: co-locate each user's rows (one bucketed
-    shuffle), then fold VECTORIZED ACROSS USERS step-by-step (step t
-    updates every user's accumulator at once; wall steps = max series
-    length per bucket, not total rows).  The DuckDB oracle folds the
-    identical float64 expression via list_reduce — pinned bit-exact
-    before round(6)."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    a, b = np.float64(0.3), np.float64(0.7)
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        x = df["value"].to_numpy(np.float64)
-        codes, uniq = pd.factorize(df["user_id"].to_numpy())
-        pos = df.groupby("user_id", sort=False).cumcount() \
-            .to_numpy(np.int64)
-        order = np.argsort(pos, kind="stable")   # step-major layout
-        pos_s, codes_s, x_s = pos[order], codes[order], x[order]
-        bounds = np.searchsorted(
-            pos_s, np.arange(int(pos_s[-1]) + 2 if len(pos_s) else 1))
-        acc = np.zeros(len(uniq))
-        for t in range(len(bounds) - 1):
-            lo, hi = bounds[t], bounds[t + 1]
-            c, v = codes_s[lo:hi], x_s[lo:hi]
-            acc[c] = v if t == 0 else a * v + b * acc[c]
-        return pd.DataFrame({"user_id": uniq,
-                             "ewma": np.round(acc, 6)})
-
-    return bucketed_map_groups(ev, ["user_id"], fold, num_buckets=64)
-
-
-SQL_EWMA_USER = """
-SELECT user_id,
-       round(list_reduce(
-           CAST(list(value ORDER BY ts, event_id) AS DOUBLE[]),
-           (acc, x) -> CAST(0.3 AS DOUBLE) * x
-                       + CAST(0.7 AS DOUBLE) * acc), 6) AS ewma
-FROM events GROUP BY user_id
-"""
-
-
-def q_decayed_counts(sf_dir: str):
-    """Exponential time-decay counts per event_type (half-life 7 days,
-    anchored at the corpus max ts) — the streaming-freshness statistic
-    behind trending/heavy-hitter-with-recency telemetry.  Decayed mass
-    ``Σ 2^((t−t_ref)/halflife)`` is ALGEBRAIC, so the whole query is
-    one scalar max pass + one (n, Σw) combiner pass; epoch arithmetic
-    runs on exact int64 microseconds in both engines (pow parity ≤ 1
-    ulp, absorbed by round-6)."""
-    ev = _rp(sf_dir, "events", ["ts", "event_type"])
-    hl_us = np.float64(604800000000.0)   # 7 days in microseconds
-
-    def max_part(df: pd.DataFrame) -> pd.DataFrame:
-        us = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        return pd.DataFrame({"m": [us.max() if len(us) else np.int64(0)]})
-
-    tref = int(ev.map_batches(max_part, batch_format="pandas")
-               .to_pandas()["m"].max())
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        us = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        w = np.power(np.float64(2.0), (us - tref) / hl_us)
-        out = pd.DataFrame({"event_type": df["event_type"].to_numpy(object),
-                            "n": np.int64(1), "w": w})
-        return out.groupby("event_type", sort=False).sum().reset_index()
-
-    g = rel.partial_groupby_agg(
-        ev.map_batches(partial, batch_format="pandas"),
-        ["event_type"], {"n": ("n", "sum"), "w": ("w", "sum")})
-    return pd.DataFrame({
-        "event_type": g["event_type"].to_numpy(object),
-        "n": g["n"].to_numpy(np.int64),
-        "decayed": np.round(g["w"].to_numpy(np.float64), 6)})
-
-
-SQL_DECAYED_COUNTS = """
-WITH tr AS (SELECT max(ts) AS m FROM events)
-SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-       round(sum(pow(2.0, (epoch_us(ts) - epoch_us(m))
-                          / 604800000000.0)), 6) AS decayed
-FROM events CROSS JOIN tr GROUP BY event_type
-"""
-
-
-def q_late_events(sf_dir: str):
-    """Streaming watermark audit: with events replayed in event_id
-    (arrival) order and the watermark = running max event-time minus a
-    10-minute allowed lateness, count per-type events arriving behind
-    the watermark and the worst lateness — the dropped-vs-kept
-    accounting every event-time streaming job publishes.  The running
-    max is the keyless two-phase scan with the (max, −inf) monoid
-    (stages/scan.py::global_running_max, O(blocks) driver state);
-    timestamps stay exact int64 microseconds (< 2⁵³, exact in the
-    scan's float64)."""
-    from ...stages.scan import global_running_max
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "event_type"])
-
-    def to_us(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(np.int64),
-            "event_type": df["event_type"].to_numpy(object),
-            "us": df["ts"].to_numpy("datetime64[us]").astype(np.int64)})
-
-    scanned = global_running_max(
-        ev.map_batches(to_us, batch_format="pandas"),
-        ["event_id"], "us", "wm")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        late_us = (df["wm"].to_numpy(np.float64)
-                   - df["us"].to_numpy(np.int64)
-                   - np.float64(600000000.0))
-        out = pd.DataFrame({
-            "event_type": df["event_type"].to_numpy(object),
-            "n": np.int64(1),
-            "n_late": (late_us > 0).astype(np.int64),
-            "max_late": np.where(late_us > 0, late_us, 0.0)})
-        return out.groupby("event_type", sort=False) \
-            .agg({"n": "sum", "n_late": "sum", "max_late": "max"}) \
-            .reset_index()
-
-    g = rel.partial_groupby_agg(
-        scanned.map_batches(partial, batch_format="pandas"),
-        ["event_type"],
-        {"n": ("n", "sum"), "n_late": ("n_late", "sum"),
-         "max_late": ("max_late", "max")})
-    return pd.DataFrame({
-        "event_type": g["event_type"].to_numpy(object),
-        "n": g["n"].to_numpy(np.int64),
-        "n_late": g["n_late"].to_numpy(np.int64),
-        "max_late_sec": np.round(
-            g["max_late"].to_numpy(np.float64) / 1e6, 6)})
-
-
-SQL_LATE_EVENTS = """
-WITH w AS (
-  SELECT event_type,
-         max(epoch_us(ts)) OVER (ORDER BY event_id
-                                 ROWS UNBOUNDED PRECEDING)
-           - epoch_us(ts) - 600000000.0 AS late_us
-  FROM events)
-SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(CASE WHEN late_us > 0 THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_late,
-       round(max(CASE WHEN late_us > 0 THEN late_us ELSE 0 END)
-             / 1e6, 6) AS max_late_sec
-FROM w GROUP BY event_type
-"""
-
-
-def q_kaplan_meier(sf_dir: str):
-    """Kaplan-Meier survival estimate of user lifetime (days between
-    first and last event), right-censoring users still active within
-    1 day of the corpus end — the retention curve with the censoring
-    handled correctly (a plain histogram over lifetimes would bias
-    long-lived users down).  Distributed shape: per-user (lifetime,
-    death) in one user co-location shuffle, then a (t: deaths, total)
-    combiner whose domain is DAY-grained lifetimes (bounded, ≤ corpus
-    span), so the at-risk suffix sum and the Π(1 − d/n) product run
-    on a tiny driver frame; ln/exp guarded identically in both
-    engines (greatest(·, 1e-300)) so a d = n terminal row yields
-    survival 0 instead of a log-of-zero error."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["user_id", "ts"])
-
-    def max_part(df: pd.DataFrame) -> pd.DataFrame:
-        us = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        return pd.DataFrame({"m": [us.max() if len(us) else np.int64(0)]})
-
-    corpus_end = int(ev.map_batches(max_part, batch_format="pandas")
-                     .to_pandas()["m"].max())
-    day_us = np.int64(86400000000)
-
-    def lifetimes(df: pd.DataFrame) -> pd.DataFrame:
-        us = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        d = pd.DataFrame({"user_id": df["user_id"].to_numpy(np.int64),
-                          "us": us})
-        g = d.groupby("user_id", sort=False)["us"] \
-            .agg(mn="min", mx="max").reset_index()
-        t = (g["mx"].to_numpy(np.int64)
-             - g["mn"].to_numpy(np.int64)) // day_us
-        death = ((corpus_end - g["mx"].to_numpy(np.int64))
-                 >= day_us).astype(np.int64)
-        out = pd.DataFrame({"t": t, "d": death, "m": np.int64(1)})
-        return out.groupby("t", sort=False).sum().reset_index()
-
-    g = rel.partial_groupby_agg(
-        bucketed_map_groups(ev, ["user_id"], lifetimes, num_buckets=64),
-        ["t"], {"d": ("d", "sum"), "m": ("m", "sum")})
-    g = g.sort_values("t").reset_index(drop=True)
-    d = g["d"].to_numpy(np.float64)
-    m = g["m"].to_numpy(np.float64)
-    n = m[::-1].cumsum()[::-1]                      # at-risk suffix sum
-    surv = np.exp(np.cumsum(np.log(np.maximum(1.0 - d / n, 1e-300))))
-    keep = d > 0
-    return pd.DataFrame({
-        "t_days": g["t"].to_numpy(np.int64)[keep],
-        "deaths": d.astype(np.int64)[keep],
-        "at_risk": n.astype(np.int64)[keep],
-        "survival": np.round(surv, 6)[keep]})
-
-
-SQL_KAPLAN_MEIER = """
-WITH mx AS (SELECT max(ts) AS m FROM events),
-u AS (SELECT user_id, min(ts) AS mn, max(ts) AS umx
-      FROM events GROUP BY 1),
-c AS (SELECT (epoch_us(umx) - epoch_us(mn)) // 86400000000 AS t,
-             CASE WHEN epoch_us(m) - epoch_us(umx) < 86400000000
-                  THEN 0 ELSE 1 END AS death
-      FROM u CROSS JOIN mx),
-g AS (SELECT t, sum(death) AS d, count(*) AS mm FROM c GROUP BY t),
-r AS (SELECT t, d,
-             sum(mm) OVER (ORDER BY t DESC
-                           ROWS UNBOUNDED PRECEDING) AS n
-      FROM g),
-s AS (SELECT t, d, n,
-             exp(sum(ln(greatest(1 - CAST(d AS DOUBLE) / n, 1e-300)))
-                 OVER (ORDER BY t ASC ROWS UNBOUNDED PRECEDING))
-                 AS surv
-      FROM r)
-SELECT CAST(t AS BIGINT) AS t_days, CAST(d AS BIGINT) AS deaths,
-       CAST(n AS BIGINT) AS at_risk, round(surv, 6) AS survival
-FROM s WHERE d > 0
-"""
-
-
-def q_seq_patterns(sf_dir: str):
-    """Frequent 2-step behavioral sequences: adjacent event-type
-    pairs in each user's (ts, event_id) order, with occurrence and
-    distinct-user support — the PrefixSpan-lite sequential-pattern
-    primitive.  One user co-location shuffle; within the bucket the
-    shift, pair and BOTH supports are vectorized partials (a user's
-    rows never split across buckets, so the distinct-user count sums
-    exactly across buckets)."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["user_id", "ts", "event_id",
-                                "event_type"])
-
-    empty = pd.DataFrame({"et_a": pd.Series([], dtype="string"),
-                          "et_b": pd.Series([], dtype="string"),
-                          "n_occur": pd.Series([], dtype="int64"),
-                          "n_users": pd.Series([], dtype="int64")})
-
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        u = df["user_id"].to_numpy(np.int64)
-        et = df["event_type"].to_numpy(object)
-        same = u[:-1] == u[1:]
-        p = pd.DataFrame({"u": u[:-1][same], "et_a": et[:-1][same],
-                          "et_b": et[1:][same]})
-        if not len(p):
-            return empty
-        g = p.groupby(["et_a", "et_b"], sort=False).agg(
-            n_occur=("u", "size"), n_users=("u", "nunique")).reset_index()
-        g["n_occur"] = g["n_occur"].astype(np.int64)
-        g["n_users"] = g["n_users"].astype(np.int64)
-        return g
-
-    cells = bucketed_map_groups(ev, ["user_id"], pairs, num_buckets=32,
-                                empty_like=empty)
-    out = rel.partial_groupby_agg(
-        cells, ["et_a", "et_b"],
-        {"n_occur": ("n_occur", "sum"), "n_users": ("n_users", "sum")})
-    out["n_occur"] = out["n_occur"].astype(np.int64)
-    out["n_users"] = out["n_users"].astype(np.int64)
-    return out
-
-
-SQL_SEQ_PATTERNS = """
-WITH s AS (SELECT user_id, event_type,
-                  lead(event_type) OVER (PARTITION BY user_id
-                                         ORDER BY ts, event_id) AS nxt
-           FROM events)
-SELECT event_type AS et_a, nxt AS et_b,
-       CAST(count(*) AS BIGINT) AS n_occur,
-       CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-FROM s WHERE nxt IS NOT NULL GROUP BY 1, 2
-"""
-
-
-def q_holt_linear(sf_dir: str):
-    """Per-user Holt double exponential smoothing (alpha=0.5,
-    beta=0.3; l1=x1, b1=0): final level and trend per user — ewma's
-    two-state sibling for trend-aware forecasting.  Same distributed
-    shape: one user co-location shuffle, then the coupled recurrence
-    folds VECTORIZED ACROSS USERS step-by-step.  The oracle folds the
-    identical float64 expressions through a DuckDB struct-state
-    list_reduce (b recomputes the new level inline — same operands,
-    same IEEE result), pinned bit-exact before round(6)."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    # literals, NOT 1-alpha/1-beta: float64(0.7) != 1.0 - float64(0.3),
-    # and the oracle embeds the literal (the ewma_user discipline)
-    al, one_m_al = np.float64(0.5), np.float64(0.5)
-    be, one_m_be = np.float64(0.3), np.float64(0.7)
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        x = df["value"].to_numpy(np.float64)
-        codes, uniq = pd.factorize(df["user_id"].to_numpy())
-        pos = df.groupby("user_id", sort=False).cumcount() \
-            .to_numpy(np.int64)
-        order = np.argsort(pos, kind="stable")
-        pos_s, codes_s, x_s = pos[order], codes[order], x[order]
-        bounds = np.searchsorted(
-            pos_s, np.arange(int(pos_s[-1]) + 2 if len(pos_s) else 1))
-        lev = np.zeros(len(uniq))
-        tr = np.zeros(len(uniq))
-        for t in range(len(bounds) - 1):
-            lo, hi = bounds[t], bounds[t + 1]
-            c, v = codes_s[lo:hi], x_s[lo:hi]
-            if t == 0:
-                lev[c] = v
-                tr[c] = 0.0
-            else:
-                lnew = al * v + one_m_al * (lev[c] + tr[c])
-                tr[c] = be * (lnew - lev[c]) + one_m_be * tr[c]
-                lev[c] = lnew
-        return pd.DataFrame({"user_id": uniq,
-                             "level": np.round(lev, 6),
-                             "trend": np.round(tr, 6)})
-
-    return bucketed_map_groups(ev, ["user_id"], fold, num_buckets=64)
-
-
-# recursive CTE rather than a struct-state list_reduce: DuckDB 1.0
-# mis-evaluates a struct lambda whose second field repeats the first
-# field's expression across reduce steps (verified: step 2 of the fold
-# returns 2.2875 for a hand-computable 3.525); each recursive step is
-# a separate execution, so the inlined repetition is safe here
-SQL_HOLT_LINEAR = """
-WITH RECURSIVE seq AS (
-  SELECT user_id, value,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-mx AS (SELECT user_id, max(rn) AS mrn FROM seq GROUP BY 1),
-f AS (
-  SELECT user_id, CAST(1 AS BIGINT) AS rn, value AS l,
-         CAST(0.0 AS DOUBLE) AS b
-  FROM seq WHERE rn = 1
-  UNION ALL
-  SELECT s.user_id, s.rn,
-         CAST(0.5 AS DOUBLE)*s.value + CAST(0.5 AS DOUBLE)*(f.l + f.b)
-             AS l,
-         CAST(0.3 AS DOUBLE)*((CAST(0.5 AS DOUBLE)*s.value
-                               + CAST(0.5 AS DOUBLE)*(f.l + f.b)) - f.l)
-           + CAST(0.7 AS DOUBLE)*f.b AS b
-  FROM f JOIN seq s ON s.user_id = f.user_id AND s.rn = f.rn + 1)
-SELECT f.user_id, round(l, 6) AS level, round(b, 6) AS trend
-FROM f JOIN mx ON mx.user_id = f.user_id WHERE rn = mrn
-"""
-
-
-def q_interarrival_stats(sf_dir: str):
-    """Per-user inter-arrival statistics — gap count, mean gap
-    (seconds) and coefficient of variation (the burstiness signal:
-    CV >> 1 = bursty, ~1 = Poisson): one user co-location shuffle,
-    then the sorted within-user diff and the (n, mean, sample-std)
-    closed forms are vectorized per bucket.  Users with a single
-    event have no gaps and drop out, matching the SQL lag semantics."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["user_id", "ts", "event_id"])
-
-    empty = pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                          "n_gaps": pd.Series([], dtype="int64"),
-                          "mean_gap": pd.Series([], dtype="float64"),
-                          "cv": pd.Series([], dtype="float64")})
-
-    def gaps(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        u = df["user_id"].to_numpy(np.int64)
-        t = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        same = u[:-1] == u[1:]
-        gu = u[1:][same]
-        gap = (t[1:][same] - t[:-1][same]).astype(np.float64) / 1e6
-        if not len(gu):
-            return empty
-        gap_us = (t[1:][same] - t[:-1][same])
-        f = pd.DataFrame({"u": gu, "gap": gap, "gap_us": gap_us})
-        g = f.groupby("u")["gap"]
-        # mean from the EXACT integer-microsecond sum: gap means land
-        # on the 1e-6 rounding lattice, and float summation order
-        # differences flipped a round(6) boundary at sf0.01 — integer
-        # sums are order-insensitive, so both engines round the same
-        # float
-        s_us = f.groupby("u")["gap_us"].sum().to_numpy(np.float64)
-        n = g.size().to_numpy(np.float64)
-        mean_s = (s_us / n) / 1e6
-        out = pd.DataFrame({
-            "user_id": g.mean().index.to_numpy(np.int64),
-            "n_gaps": g.size().to_numpy(np.int64),
-            "mean_gap": np.round(mean_s, 6),
-            "cv": np.round(g.std(ddof=1).to_numpy(np.float64)
-                           / g.mean().to_numpy(np.float64), 6)})
-        return out
-
-    return bucketed_map_groups(ev, ["user_id"], gaps, num_buckets=64,
-                               empty_like=empty)
-
-
-SQL_INTERARRIVAL_STATS = """
-WITH g AS (SELECT user_id,
-                  epoch(ts - lag(ts) OVER (PARTITION BY user_id
-                                           ORDER BY ts, event_id)) AS gap,
-                  date_diff('microsecond',
-                            lag(ts) OVER (PARTITION BY user_id
-                                          ORDER BY ts, event_id),
-                            ts) AS gap_us
-           FROM events)
-SELECT user_id, CAST(count(gap) AS BIGINT) AS n_gaps,
-       round((CAST(sum(gap_us) AS DOUBLE) / count(*)) / 1e6, 6)
-           AS mean_gap,
-       round(stddev_samp(gap) / avg(gap), 6) AS cv
-FROM g WHERE gap IS NOT NULL GROUP BY 1
 """
 
 
@@ -1575,356 +83,6 @@ SELECT date_trunc('hour', ts) AS h,
        CAST(count(DISTINCT user_id) AS BIGINT) AS n_users,
        CAST(count(*) AS BIGINT) AS n_events
 FROM events GROUP BY 1
-"""
-
-
-def q_sprt_stop(sf_dir: str):
-    """Wald sequential probability ratio test over the (ts, event_id)
-    ordered click/view stream — H1: P(click) = 0.6 vs H0: 0.4,
-    boundaries ln(0.95/0.05) — reporting the first boundary crossing
-    and the decision.  The sequential-testing operator on the scan
-    family: per-row log-likelihood deltas, one keyless Blelloch scan,
-    then a first-crossing partial (per-batch earliest crossing row,
-    driver min over O(blocks) candidates)."""
-    from ...stages.scan import global_scan
-
-    ev = _rp(sf_dir, "events", ["ts", "event_id", "event_type"])
-    la = float(np.log(0.6 / 0.4))
-    lb = float(np.log(0.4 / 0.6))
-    ua = float(np.log(0.95 / 0.05))
-    ub = float(np.log(0.05 / 0.95))
-
-    def deltas(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(["click", "view"])]
-        return pd.DataFrame({
-            "ts": df["ts"], "event_id": df["event_id"],
-            "d": np.where(df["event_type"].eq("click"), la, lb)})
-
-    scanned = global_scan(ev.map_batches(deltas, batch_format="pandas"),
-                          ["ts", "event_id"], "d", "llr")
-
-    def first_cross(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "ts": pd.Series([], dtype="datetime64[us]"),
-                "event_id": pd.Series([], dtype="int64"),
-                "llr": pd.Series([], dtype="float64")})
-        llr = df["llr"].to_numpy(np.float64)
-        m = (llr >= ua) | (llr <= ub)
-        if not m.any():
-            return pd.DataFrame({
-                "ts": pd.Series([], dtype="datetime64[us]"),
-                "event_id": pd.Series([], dtype="int64"),
-                "llr": pd.Series([], dtype="float64")})
-        sub = df[m].sort_values(["ts", "event_id"]).head(1)
-        return sub[["ts", "event_id", "llr"]]
-
-    cand = scanned.map_batches(first_cross, batch_format="pandas") \
-        .to_pandas()
-    if not len(cand):
-        return pd.DataFrame({"stop_ts": pd.Series([],
-                                                  dtype="datetime64[us]"),
-                             "llr": pd.Series([], dtype="float64"),
-                             "decision": pd.Series([], dtype="string")})
-    first = cand.sort_values(["ts", "event_id"]).head(1)
-    llr = float(first["llr"].iloc[0])
-    return pd.DataFrame({
-        "stop_ts": first["ts"].to_numpy("datetime64[us]"),
-        "llr": [np.round(llr, 6)],
-        "decision": ["accept_h1" if llr >= ua else "accept_h0"]})
-
-
-SQL_SPRT_STOP = """
-WITH s AS (
-  SELECT ts, event_id,
-         sum(CASE WHEN event_type = 'click' THEN ln(0.6 / 0.4)
-                  ELSE ln(0.4 / 0.6) END)
-           OVER (ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS llr
-  FROM events WHERE event_type IN ('click', 'view'))
-SELECT ts AS stop_ts, round(llr, 6) AS llr,
-       CASE WHEN llr >= ln(0.95 / 0.05) THEN 'accept_h1'
-            ELSE 'accept_h0' END AS decision
-FROM s WHERE llr >= ln(0.95 / 0.05) OR llr <= ln(0.05 / 0.95)
-ORDER BY ts, event_id LIMIT 1
-"""
-
-
-def q_rolling_zscore(sf_dir: str):
-    """Rolling z-score anomalies over the global (ts, event_id) order
-    — events whose value sits more than 3 sample standard deviations
-    from their trailing 20-row window: ONE halo exchange computes the
-    window count/sum/sum-of-squares (stages/scan.py::
-    global_rolling_stats), then the z expression is identical text in
-    both engines.  Full windows only (n = 20), matching the SQL
-    predicate."""
-    from ...stages.scan import global_rolling_stats
-
-    ev = _rp(sf_dir, "events", ["ts", "event_id", "value"])
-    st = global_rolling_stats(ev, ["ts", "event_id"], "value", 20, "w")
-
-    def anomalies(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["w_n"].to_numpy(np.float64)
-        x = df["value"].to_numpy(np.float64)
-        sx = df["w_sum"].to_numpy(np.float64)
-        sx2 = df["w_sum2"].to_numpy(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = (x - sx / n) / np.sqrt(
-                (sx2 - n * (sx / n) * (sx / n)) / (n - 1))
-        keep = (df["w_n"].to_numpy(np.int64) == 20) & (np.abs(z) > 3.0)
-        out = pd.DataFrame({"ts": df["ts"][keep],
-                            "event_id": df["event_id"][keep],
-                            "z": np.round(z[keep], 4)})
-        return out
-
-    return st.map_batches(anomalies, batch_format="pandas")
-
-
-SQL_ROLLING_ZSCORE = """
-WITH s AS (
-  SELECT ts, event_id, value,
-         count(*) OVER w AS n, sum(value) OVER w AS sx,
-         sum(value * value) OVER w AS sx2
-  FROM events
-  WINDOW w AS (ORDER BY ts, event_id ROWS 19 PRECEDING))
-SELECT ts, event_id, round(z, 4) AS z FROM (
-  SELECT ts, event_id, n,
-         (value - sx / n)
-           / sqrt((sx2 - n * (sx / n) * (sx / n)) / (n - 1)) AS z
-  FROM s)
-WHERE n = 20 AND abs(z) > 3.0
-"""
-
-
-def q_burst_viterbi(sf_dir: str):
-    """Kleinberg-style two-state burst detection per user: exact
-    Viterbi over each user's inter-arrival gaps (state 0 = base rate
-    lambda0 = 1/mean_gap, state 1 = burst rate 3*lambda0; exponential
-    emissions, transition penalty gamma = 1.0 entering the burst
-    state), reporting the number of bursty steps on the optimal path.
-    The DP recurrence folds VECTORIZED ACROSS USERS (the ewma/holt
-    step-major layout) with backpointers kept per bucket for the
-    backtrack.  ORACLED (round-5, upgraded from rows-only): the
-    forward DP runs as a recursive CTE over the step index (one row
-    per active user per step, carrying both state costs and the step's
-    backpointers), the backtrack as a second recursive CTE walking the
-    accumulated backpointer rows from each user's final argmin state
-    down to step 0; gap/rate/emission arithmetic is the same IEEE
-    double expression on both sides.  Additionally pinned against a
-    per-user sequential reference in tests/test_burst.py."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["user_id", "ts", "event_id"])
-
-    empty = pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                          "n_steps": pd.Series([], dtype="int64"),
-                          "n_burst": pd.Series([], dtype="int64")})
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        u = df["user_id"].to_numpy(np.int64)
-        t = df["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        same = u[:-1] == u[1:]
-        gu = u[1:][same]
-        gap = (t[1:][same] - t[:-1][same]).astype(np.float64) / 1e6
-        if not len(gu):
-            return empty
-        codes, uniq = pd.factorize(gu)
-        nuser = len(uniq)
-        # per-user base rate from its own mean gap
-        sums = np.bincount(codes, weights=gap, minlength=nuser)
-        cnts = np.bincount(codes, minlength=nuser)
-        lam0 = cnts / sums                      # 1 / mean_gap
-        lam1 = 3.0 * lam0
-        gamma = 1.0
-        pos = pd.Series(gu).groupby(gu).cumcount().to_numpy(np.int64)
-        order = np.argsort(pos, kind="stable")
-        pos_s, codes_s, gap_s = pos[order], codes[order], gap[order]
-        tmax = int(pos_s[-1]) + 1
-        bounds = np.searchsorted(pos_s, np.arange(tmax + 1))
-        big = np.float64(1e18)
-        c0 = np.zeros(nuser)
-        c1 = np.full(nuser, big)
-        bp0 = np.zeros((tmax, nuser), np.int8)
-        bp1 = np.zeros((tmax, nuser), np.int8)
-        n_steps = np.zeros(nuser, np.int64)
-        for step in range(tmax):
-            lo_, hi_ = bounds[step], bounds[step + 1]
-            c = codes_s[lo_:hi_]
-            g = gap_s[lo_:hi_]
-            e0 = -np.log(lam0[c]) + lam0[c] * g
-            e1 = -np.log(lam1[c]) + lam1[c] * g
-            s0_from0 = c0[c]
-            s0_from1 = c1[c]
-            pick0 = (s0_from1 < s0_from0).astype(np.int8)
-            new0 = np.minimum(s0_from0, s0_from1) + e0
-            s1_from0 = c0[c] + gamma
-            s1_from1 = c1[c]
-            pick1 = (s1_from1 < s1_from0).astype(np.int8)
-            new1 = np.minimum(s1_from0, s1_from1) + e1
-            bp0[step, c] = pick0
-            bp1[step, c] = pick1
-            c0[c] = new0
-            c1[c] = new1
-            n_steps[c] += 1
-        # backtrack per user
-        n_burst = np.zeros(nuser, np.int64)
-        state = (c1 < c0).astype(np.int8)
-        for step in range(tmax - 1, -1, -1):
-            lo_, hi_ = bounds[step], bounds[step + 1]
-            c = codes_s[lo_:hi_]
-            st = state[c]
-            n_burst[c] += st
-            prev = np.where(st == 1, bp1[step, c], bp0[step, c])
-            state[c] = prev
-        return pd.DataFrame({"user_id": uniq.astype(np.int64),
-                             "n_steps": n_steps,
-                             "n_burst": n_burst})
-
-    return bucketed_map_groups(ev, ["user_id"], fold, num_buckets=64,
-                               empty_like=empty)
-
-
-SQL_BURST_VITERBI = r"""
-WITH RECURSIVE
-o AS (SELECT user_id, ts, event_id,
-             row_number() OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id) AS rn
-      FROM events),
-gp AS (SELECT a.user_id, a.rn - 1 AS pos,
-              (epoch_us(b.ts) - epoch_us(a.ts)) / 1000000.0 AS gap
-       FROM o a JOIN o b ON b.user_id = a.user_id AND b.rn = a.rn + 1),
-lam AS (SELECT user_id, count(*) / sum(gap) AS lam0 FROM gp GROUP BY 1),
-fwd AS (
-  SELECT user_id, -1 AS t, CAST(0.0 AS DOUBLE) AS c0, CAST(1e18 AS DOUBLE) AS c1,
-         CAST(NULL AS TINYINT) AS pick0, CAST(NULL AS TINYINT) AS pick1
-  FROM (SELECT DISTINCT user_id FROM gp)
-  UNION ALL
-  SELECT f.user_id, f.t + 1,
-         least(f.c0, f.c1) + (-ln(l.lam0) + l.lam0 * g.gap),
-         least(f.c0 + 1.0, f.c1)
-             + (-ln(3.0 * l.lam0) + 3.0 * l.lam0 * g.gap),
-         CAST(CASE WHEN f.c1 < f.c0 THEN 1 ELSE 0 END AS TINYINT),
-         CAST(CASE WHEN f.c1 < f.c0 + 1.0 THEN 1 ELSE 0 END AS TINYINT)
-  FROM fwd f
-  JOIN gp g ON g.user_id = f.user_id AND g.pos = f.t + 1
-  JOIN lam l ON l.user_id = f.user_id
-),
-fwdm AS MATERIALIZED (SELECT * FROM fwd),
-mx AS (SELECT user_id, max(t) AS mt FROM fwdm GROUP BY 1),
-bwd AS (
-  SELECT f.user_id, f.t,
-         CAST(CASE WHEN f.c1 < f.c0 THEN 1 ELSE 0 END AS TINYINT) AS st,
-         CAST(0 AS BIGINT) AS nb
-  FROM fwdm f JOIN mx ON mx.user_id = f.user_id AND mx.mt = f.t
-  UNION ALL
-  SELECT b.user_id, b.t - 1,
-         CASE WHEN b.st = 1 THEN f.pick1 ELSE f.pick0 END,
-         b.nb + b.st
-  FROM bwd b JOIN fwdm f ON f.user_id = b.user_id AND f.t = b.t
-  WHERE b.t >= 0
-)
-SELECT CAST(b.user_id AS BIGINT) AS user_id,
-       CAST(mx.mt + 1 AS BIGINT) AS n_steps,
-       CAST(b.nb AS BIGINT) AS n_burst
-FROM bwd b JOIN mx ON mx.user_id = b.user_id
-WHERE b.t = -1
-"""
-
-
-def q_resample_interp(sf_dir: str):
-    """Per-user hourly grid resampling with LINEAR interpolation —
-    resample_ffill's two-sided sibling (gap values interpolate between
-    the surrounding observations instead of repeating the left one;
-    grid points outside the observed span are dropped).  One user
-    co-location shuffle; within the bucket the grid, the neighbor
-    search (searchsorted) and the interpolation are vectorized."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-    hour_us = np.int64(3600000000)
-
-    empty = pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                          "h": pd.Series([], dtype="datetime64[us]"),
-                          "v": pd.Series([], dtype="float64")})
-
-    def interp(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        outs = []
-        for u, g in df.groupby("user_id", sort=False):
-            t = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
-            # one observation per timestamp: keep the LAST (ts,
-            # event_id) — matches the SQL dedup rule
-            _, last_idx = np.unique(t[::-1], return_index=True)
-            keep = len(t) - 1 - last_idx
-            keep.sort()
-            t = t[keep]
-            v = g["value"].to_numpy(np.float64)[keep]
-            if len(t) < 2:
-                continue
-            h0 = -(-t[0] // hour_us)          # ceil to grid
-            h1 = t[-1] // hour_us             # floor to grid
-            if h1 < h0:
-                continue
-            grid = np.arange(h0, h1 + 1, dtype=np.int64) * hour_us
-            j = np.searchsorted(t, grid, side="right") - 1
-            j = np.clip(j, 0, len(t) - 2)
-            t0, t1 = t[j], t[j + 1]
-            v0, v1 = v[j], v[j + 1]
-            frac = (grid - t0).astype(np.float64) \
-                / (t1 - t0).astype(np.float64)
-            vi = v0 + frac * (v1 - v0)
-            exact = np.isin(grid, t)
-            # exact grid hits take the observation itself (frac math
-            # equals it, but keep the identity explicit)
-            outs.append(pd.DataFrame({
-                "user_id": np.full(len(grid), u, np.int64),
-                "h": grid.astype("datetime64[us]"),
-                "v": np.round(np.where(exact, v[
-                    np.searchsorted(t, grid).clip(0, len(t) - 1)], vi),
-                    6)}))
-        return pd.concat(outs, ignore_index=True) if outs else empty
-
-    return bucketed_map_groups(ev, ["user_id"], interp, num_buckets=32,
-                               empty_like=empty)
-
-
-SQL_RESAMPLE_INTERP = """
-WITH obs AS (
-  SELECT user_id, ts, value FROM (
-    SELECT user_id, ts, value,
-           row_number() OVER (PARTITION BY user_id, ts
-                              ORDER BY event_id DESC) AS rn
-    FROM events) WHERE rn = 1),
-span AS (SELECT user_id,
-                CAST(ceil(epoch_us(min(ts)) / 3600000000.0) AS BIGINT)
-                    AS h0,
-                epoch_us(max(ts)) // 3600000000 AS h1
-         FROM obs GROUP BY 1 HAVING count(*) >= 2),
-grid AS (SELECT s.user_id,
-                make_timestamp(g.h * 3600000000) AS h,
-                g.h * 3600000000 AS hus
-         FROM span s, LATERAL (
-           SELECT unnest(generate_series(s.h0, s.h1)) AS h) g
-         WHERE s.h1 >= s.h0),
-nb AS (
-  SELECT g.user_id, g.h, g.hus,
-         (SELECT max(o.ts) FROM obs o
-          WHERE o.user_id = g.user_id AND epoch_us(o.ts) <= g.hus) AS tl,
-         (SELECT min(o.ts) FROM obs o
-          WHERE o.user_id = g.user_id AND epoch_us(o.ts) > g.hus) AS tr
-  FROM grid g)
-SELECT nb.user_id, nb.h,
-       round(CASE
-         WHEN epoch_us(nb.tl) = nb.hus THEN ol.value
-         ELSE ol.value + (nb.hus - epoch_us(nb.tl))
-              / CAST(epoch_us(nb.tr) - epoch_us(nb.tl) AS DOUBLE)
-              * (orr.value - ol.value)
-       END, 6) AS v
-FROM nb
-JOIN obs ol ON ol.user_id = nb.user_id AND ol.ts = nb.tl
-LEFT JOIN obs orr ON orr.user_id = nb.user_id AND orr.ts = nb.tr
 """
 
 
@@ -1986,119 +144,3 @@ FROM events c JOIN events v
 """
 
 
-_ALLEN_LABELS = ["equals", "before", "after", "meets", "met_by",
-                 "overlaps", "overlapped_by", "starts", "started_by",
-                 "during", "contains", "finishes", "finished_by"]
-
-
-def q_allen_relations(sf_dir: str):
-    """Allen interval-algebra census (Allen 1983): classify every
-    same-10-minute-bucket, same-type event-interval pair into the 13 interval
-    relations and count per (event_type, relation) — the temporal-join
-    primitive underlying overlap joins, containment checks and
-    scheduling-conflict detection.  Intervals are
-    [ts, ts + floor(value * 1e6) us] in EXACT integer microseconds
-    (both engines), pairs co-locate on the (event_type, start-bucket)
-    key in one bucketed shuffle, classification is one vectorized
-    np.select ladder (mirrored CASE-for-CASE in the oracle so even
-    degenerate zero-length intervals label identically), counts merge
-    via the combiner."""
-    from ...stages.relational import partial_groupby_agg
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["event_id", "event_type", "ts", "value"])
-
-    def prep(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["ts"].astype("datetime64[us]").astype(np.int64).to_numpy()
-        dur = np.floor(df["value"].to_numpy(np.float64) * 1e6) \
-            .astype(np.int64)
-        return pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(np.int64),
-            "event_type": df["event_type"].to_numpy(object),
-            "s": t, "e": t + dur,
-            "minute": t // 600_000_000})
-
-    rows = ev.map_batches(prep, batch_format="pandas")
-
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
-        parts = []
-        for (et, _), g in df.groupby(["event_type", "minute"],
-                                     sort=False):
-            m = len(g)
-            if m < 2:
-                continue
-            g = g.sort_values("event_id", kind="mergesort")
-            s = g["s"].to_numpy()
-            e = g["e"].to_numpy()
-            ia, ib = np.triu_indices(m, k=1)
-            s1, e1, s2, e2 = s[ia], e[ia], s[ib], e[ib]
-            rel = np.select(
-                [
-                    (s1 == s2) & (e1 == e2),
-                    e1 < s2,
-                    e2 < s1,
-                    e1 == s2,
-                    e2 == s1,
-                    (s1 < s2) & (s2 < e1) & (e1 < e2),
-                    (s2 < s1) & (s1 < e2) & (e2 < e1),
-                    (s1 == s2) & (e1 < e2),
-                    (s1 == s2) & (e2 < e1),
-                    (s2 < s1) & (e1 < e2),
-                    (s1 < s2) & (e2 < e1),
-                    (e1 == e2) & (s2 < s1),
-                    (e1 == e2) & (s1 < s2),
-                ],
-                _ALLEN_LABELS, default="other")
-            c = pd.Series(rel).value_counts(sort=False)
-            parts.append(pd.DataFrame({
-                "event_type": et, "relation": c.index.to_numpy(object),
-                "n": c.to_numpy(np.int64)}))
-        if not parts:
-            return pd.DataFrame({
-                "event_type": pd.Series([], dtype="string"),
-                "relation": pd.Series([], dtype="string"),
-                "n": pd.Series([], dtype="int64")})
-        return pd.concat(parts, ignore_index=True)
-
-    per_bucket = bucketed_map_groups(
-        rows, ["event_type", "minute"], classify, num_buckets=32,
-        empty_like=pd.DataFrame({
-            "event_type": pd.Series([], dtype="string"),
-            "relation": pd.Series([], dtype="string"),
-            "n": pd.Series([], dtype="int64")}))
-    out = partial_groupby_agg(per_bucket, ["event_type", "relation"],
-                              {"n": ("n", "sum")})
-    out["n"] = out["n"].astype(np.int64)
-    return out
-
-
-SQL_ALLEN_RELATIONS = """
-WITH iv AS (
-  SELECT event_id, event_type, epoch_us(ts) AS s,
-         epoch_us(ts) + CAST(floor(value * 1e6) AS BIGINT) AS e,
-         epoch_us(ts) // 600000000 AS minute
-  FROM events),
-p AS (
-  SELECT a.event_type,
-         CASE
-           WHEN a.s = b.s AND a.e = b.e THEN 'equals'
-           WHEN a.e < b.s THEN 'before'
-           WHEN b.e < a.s THEN 'after'
-           WHEN a.e = b.s THEN 'meets'
-           WHEN b.e = a.s THEN 'met_by'
-           WHEN a.s < b.s AND b.s < a.e AND a.e < b.e THEN 'overlaps'
-           WHEN b.s < a.s AND a.s < b.e AND b.e < a.e
-             THEN 'overlapped_by'
-           WHEN a.s = b.s AND a.e < b.e THEN 'starts'
-           WHEN a.s = b.s AND b.e < a.e THEN 'started_by'
-           WHEN b.s < a.s AND a.e < b.e THEN 'during'
-           WHEN a.s < b.s AND b.e < a.e THEN 'contains'
-           WHEN a.e = b.e AND b.s < a.s THEN 'finishes'
-           WHEN a.e = b.e AND a.s < b.s THEN 'finished_by'
-           ELSE 'other' END AS relation
-  FROM iv a JOIN iv b
-    ON b.event_type = a.event_type AND b.minute = a.minute
-   AND b.event_id > a.event_id)
-SELECT event_type, relation, CAST(count(*) AS BIGINT) AS n
-FROM p GROUP BY 1, 2
-"""

@@ -29,12 +29,6 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-MEDIA_SCHEMA = pa.schema([
-    ("media_id", pa.string()),
-    ("kind", pa.string()),           # image | audio | video
-    ("payload", pa.binary()),
-    ("mime", pa.string()),
-])
 
 FEATURE_DIM = 32
 
@@ -325,10 +319,12 @@ class PhashStage:
         if len(batch) == 0:
             return pa.table({"media_id": pa.array([], pa.string()),
                              "phash": pa.array([], pa.string())})
-        # per-row quarantine, same discipline as MediaDecodeStage: one
-        # undecodable payload drops that ROW from the pair candidate
-        # set, never the batch/actor (NotImplementedError still
-        # propagates — the strict-backend marker is a config error)
+        # per-row quarantine: one undecodable payload drops that ROW
+        # from the pair candidate set, never the batch/actor.  Malformed
+        # media raise ValueError (the PNG codec's PngError subclasses
+        # it and wraps zlib errors; the BMP codec raises it directly);
+        # anything else — NotImplementedError from the strict backend
+        # included — is a bug or a config error and propagates
         ids, fields = [], []
         for mid, p in zip(batch.column("media_id").to_pylist(),
                           batch.column("payload").to_pylist()):
@@ -337,9 +333,7 @@ class PhashStage:
                     raise ValueError("null payload")
                 fields.append(self._pixels(p))
                 ids.append(mid)
-            except NotImplementedError:
-                raise
-            except Exception:
+            except ValueError:
                 continue
         if not ids:
             return pa.table({"media_id": pa.array([], pa.string()),

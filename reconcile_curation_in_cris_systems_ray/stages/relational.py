@@ -243,17 +243,6 @@ def _typed_empty(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def broadcast_semi_join(ds, keys: set | frozenset, on: str):
-    """Keep rows whose ``on`` value IS in the broadcast key set.
-    Same empty-result caveat as :func:`broadcast_anti_join`."""
-    ref = ray.put(frozenset(keys))
-
-    def flt(df: pd.DataFrame) -> pd.DataFrame:
-        return _typed_empty(df[df[on].isin(ray.get(ref))])
-
-    return ds.map_batches(flt, batch_format="pandas")
-
-
 def distinct(ds, cols: Sequence[str] | None = None, num_buckets: int = 64):
     """Multi-column DISTINCT (reference D2/D4) as bucketed dedup."""
     cols = list(cols) if cols else ds.schema().names

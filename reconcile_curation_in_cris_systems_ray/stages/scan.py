@@ -87,98 +87,6 @@ def global_scan(ds, order_cols: list[str], value_col: str, out_col: str,
     return rd.from_arrow_refs(out_refs)
 
 
-def global_rolling_mean(ds, order_cols: list[str], value_col: str,
-                        window: int, out_col: str):
-    """Keyless trailing-window mean in global ``order_cols`` order
-    (SQL ``avg(x) OVER (ORDER BY ... ROWS window-1 PRECEDING)``) — the
-    third keyless-window primitive next to the scan and the lead.
-
-    The cross-block dependency is a HALO EXCHANGE: each block needs
-    the (window-1) rows that precede it.  One metadata pass gathers
-    every block's value tail (<= window-1 scalars per block, O(blocks
-    x window) driver state, never rows); each block's halo is stitched
-    from as many preceding tails as needed (short blocks may
-    contribute fewer than window-1 rows), then the rolling mean runs
-    vectorized over [halo + block] and the halo rows are dropped."""
-    import ray
-    import ray.data as rd
-
-    mat = ds.sort(order_cols).materialize()
-    refs = mat.to_arrow_refs()
-    h = window - 1
-
-    @ray.remote
-    def tail(tbl: pa.Table):
-        v = tbl[value_col].to_numpy(zero_copy_only=False)
-        return v[-h:] if h else v[:0]
-
-    tails = ray.get([tail.remote(r) for r in refs])
-
-    halos = []
-    for i in range(len(refs)):
-        parts, need = [], h
-        j = i - 1
-        while need > 0 and j >= 0:
-            t = tails[j]
-            take = t[-need:]
-            parts.append(take)
-            need -= len(take)
-            j -= 1
-        halos.append(np.concatenate(parts[::-1]) if parts
-                     else np.array([], dtype=np.float64))
-
-    @ray.remote
-    def roll(tbl: pa.Table, halo):
-        import pandas as pd
-
-        v = tbl[value_col].to_numpy(zero_copy_only=False)
-        s = pd.Series(np.concatenate([halo, v.astype(np.float64)]))
-        m = s.rolling(window, min_periods=1).mean() \
-            .to_numpy()[len(halo):]
-        return tbl.append_column(out_col, pa.array(m))
-
-    out_refs = [roll.remote(r, hl) for r, hl in zip(refs, halos)]
-    return rd.from_arrow_refs(out_refs)
-
-
-def global_running_max(ds, order_cols: list[str], value_col: str,
-                       out_col: str):
-    """Keyless running MAX in global ``order_cols`` order (SQL
-    ``max(x) OVER (ORDER BY ... ROWS UNBOUNDED PRECEDING)``) — the
-    same two-phase scan as :func:`global_scan` with (max, -inf) as the
-    monoid instead of (+, 0): per-block maxes to the driver
-    (O(blocks)), exclusive prefix-max over them, per-block cummax
-    seeded with the offset.  The watermark primitive for streaming
-    late-event accounting."""
-    import ray
-    import ray.data as rd
-
-    mat = ds.sort(order_cols).materialize()
-    refs = mat.to_arrow_refs()
-
-    @ray.remote
-    def block_max(tbl: pa.Table):
-        import pyarrow.compute as pc
-
-        m = pc.max(tbl[value_col]).as_py()
-        return -np.inf if m is None else float(m)
-
-    maxes = np.array(ray.get([block_max.remote(r) for r in refs]))
-    offsets = np.concatenate([[-np.inf],
-                              np.maximum.accumulate(maxes)[:-1]])
-
-    @ray.remote
-    def with_prefix(tbl: pa.Table, off):
-        v = tbl[value_col].to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        run = np.maximum.accumulate(np.maximum(v, off)) \
-            if len(v) else v
-        return tbl.append_column(out_col, pa.array(run))
-
-    out_refs = [with_prefix.remote(r, o) for r, o in zip(refs, offsets)]
-    return rd.from_arrow_refs(out_refs)
-
-
 def strict_inversions(values: "np.ndarray") -> int:
     """Number of index pairs i < j with ``values[i] > values[j]``
     (STRICT — ties are not inversions), counted by a bottom-up merge
@@ -223,55 +131,3 @@ def strict_inversions(values: "np.ndarray") -> int:
     return total
 
 
-def global_rolling_stats(ds, order_cols: list[str], value_col: str,
-                         window: int, prefix: str = "w"):
-    """Keyless trailing-window count/sum/sum-of-squares in one halo
-    pass (the global_rolling_mean machinery generalized): appends
-    ``{prefix}_n``, ``{prefix}_sum``, ``{prefix}_sum2`` so callers can
-    close any moment-derived window statistic (rolling z-score,
-    rolling CV) from a single exchange."""
-    import ray
-    import ray.data as rd
-
-    mat = ds.sort(order_cols).materialize()
-    refs = mat.to_arrow_refs()
-    h = window - 1
-
-    @ray.remote
-    def tail(tbl: pa.Table):
-        v = tbl[value_col].to_numpy(zero_copy_only=False)
-        return v[-h:] if h else v[:0]
-
-    tails = ray.get([tail.remote(r) for r in refs])
-    halos = []
-    for i in range(len(refs)):
-        parts, need = [], h
-        j = i - 1
-        while need > 0 and j >= 0:
-            t = tails[j]
-            take = t[-need:]
-            parts.append(take)
-            need -= len(take)
-            j -= 1
-        halos.append(np.concatenate(parts[::-1]) if parts
-                     else np.array([], dtype=np.float64))
-
-    @ray.remote
-    def roll(tbl: pa.Table, halo):
-        import pandas as pd
-
-        v = tbl[value_col].to_numpy(zero_copy_only=False)
-        s = pd.Series(np.concatenate([halo, v.astype(np.float64)]))
-        n = s.rolling(window, min_periods=1).count() \
-            .to_numpy()[len(halo):]
-        sx = s.rolling(window, min_periods=1).sum() \
-            .to_numpy()[len(halo):]
-        sx2 = (s * s).rolling(window, min_periods=1).sum() \
-            .to_numpy()[len(halo):]
-        tbl = tbl.append_column(f"{prefix}_n",
-                                pa.array(n.astype(np.int64)))
-        tbl = tbl.append_column(f"{prefix}_sum", pa.array(sx))
-        return tbl.append_column(f"{prefix}_sum2", pa.array(sx2))
-
-    out_refs = [roll.remote(r, hl) for r, hl in zip(refs, halos)]
-    return rd.from_arrow_refs(out_refs)

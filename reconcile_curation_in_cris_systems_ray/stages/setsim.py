@@ -45,8 +45,6 @@ from ..functions.similarity import hash_strings_fast, stable_hash_strings
 from . import relational as rel
 from .shuffle import bucketed_map_groups
 
-_D_EMPTY = {"h1": "uint64", "h2": "uint64"}
-
 
 def _shingle_frame(df: pd.DataFrame, id_col: str, text_col: str,
                    n: int) -> pd.DataFrame:

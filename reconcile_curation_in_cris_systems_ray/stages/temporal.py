@@ -1,5 +1,6 @@
-"""Temporal / ordered-window operators: as-of join, interval (range)
-join, sessionization, rolling-window aggregates, exact group quantiles.
+"""Temporal / ordered-window operators: interval (range) join,
+partitioned window functions (first/last, cumulative, row number,
+ntile), exact group quantiles and SCD2 validity intervals.
 
 Ray Data has no native primitive for any of these (and the reference
 engine is batch-only — SURVEY §2.10), but a web-scale event/curation
@@ -9,14 +10,14 @@ contract: hash-partition on the entity key (ONE all-to-all via
 key-groups inside each bucket — never a Python call per key, never a
 global sort, never a driver-side materialization.
 
-Two-large-side ordered joins (as-of, interval) use the tagged-union
-pattern: pad both sides to a common schema with typed nulls plus a
-``__side`` marker, union, and shuffle ONCE on the join key so each
-bucket holds both sides of every key it owns.  This is the same
-exchange count as a hash join, and the interval join bounds
-replication by time-binning (an interval is copied only to the bins it
-overlaps), so a long interval costs O(span/bin) copies — the
-documented partitioning assumption is that span/bin stays small.
+The two-large-side interval join uses the tagged-union pattern: pad
+both sides to a common schema with typed nulls plus a ``__side``
+marker, union, and shuffle ONCE on the join key so each bucket holds
+both sides of every key it owns.  This is the same exchange count as a
+hash join, and the join bounds replication by time-binning (an
+interval is copied only to the bins it overlaps), so a long interval
+costs O(span/bin) copies — the documented partitioning assumption is
+that span/bin stays small.
 """
 
 from __future__ import annotations
@@ -73,40 +74,6 @@ def _pad_union(left, right, on: str, left_ts: str, right_ts: str):
                if (pa.types.is_integer(t) or pa.types.is_boolean(t))
                and c in (*lpay, *rpay)}
     return unioned, lpay, rpay, restore
-
-
-def asof_join(left, right, on: str, left_ts: str, right_ts: str,
-              num_buckets: int = 64):
-    """Inner as-of join: for each left row, the single right row with
-    the greatest ``right_ts <= left_ts`` for the same ``on`` key
-    (DuckDB ``ASOF JOIN`` / pandas ``merge_asof`` backward semantics);
-    left rows with no earlier right row are dropped.
-
-    Right-side ties on (key, ts) resolve deterministically to the row
-    with the greatest payload tuple (stable sort by ts then payload,
-    ``merge_asof`` keeps the last) — pre-dedupe the right side per
-    (key, ts) when a specific tie rule is required.
-    """
-    unioned, lpay, rpay, restore = _pad_union(left, right, on, left_ts,
-                                              right_ts)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        ldf = df.loc[df[_SIDE] == 1, [on, left_ts, *lpay]]
-        rdf = df.loc[df[_SIDE] == 0, [on, left_ts, *rpay]]
-        if len(ldf) and len(rdf):
-            ldf = ldf.sort_values(left_ts, kind="mergesort")
-            rdf = rdf.sort_values([left_ts, *rpay], kind="mergesort")
-            out = pd.merge_asof(ldf, rdf, on=left_ts, by=on,
-                                direction="backward")
-            out = out.dropna(subset=[rpay[0]])
-        else:
-            out = df.head(0)[[on, left_ts, *lpay, *rpay]]
-        for c, want in restore.items():
-            if out[c].dtype != want:
-                out[c] = out[c].astype(want)
-        return out
-
-    return bucketed_map_groups(unioned, [on], bucket_fn, num_buckets)
 
 
 def interval_join(left, right, on: str, left_ts: str, start_col: str,
@@ -171,99 +138,6 @@ def interval_join(left, right, on: str, left_ts: str, start_col: str,
 
     return bucketed_map_groups(expanded, [on, _BIN], bucket_fn,
                                num_buckets)
-
-
-def sessionize(ds, key: str, ts_col: str, gap: pd.Timedelta,
-               tiebreak: Sequence[str] = (), num_buckets: int = 64):
-    """Gap-based sessionization: rows of one key ordered by
-    (ts, tiebreak) belong to the same session while consecutive gaps
-    are <= ``gap``; emits the input rows plus a 1-based per-key
-    ``session_id``.  One shuffle on the key; sessions never span keys,
-    so per-bucket vectorized cumsum is exact.
-    """
-    tiebreak = list(tiebreak)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            out["session_id"] = pd.Series([], dtype="int64")
-            return out
-        df = df.sort_values([key, ts_col, *tiebreak], kind="mergesort")
-        new_key = df[key].ne(df[key].shift())
-        gap_over = df[ts_col].diff() > gap
-        new_sess = (new_key | gap_over).to_numpy()
-        sess = np.cumsum(new_sess)
-        # renumber per key: subtract the session counter at key start
-        base = np.where(new_key.to_numpy(), sess - 1, 0)
-        base = np.maximum.accumulate(base)
-        out = df.copy()
-        out["session_id"] = (sess - base).astype(np.int64)
-        return out
-
-    return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
-
-
-def rolling_agg(ds, key: str, order_cols: Sequence[str], value_col: str,
-                window: int, agg: str = "mean",
-                out_col: str = "rolling", num_buckets: int = 64):
-    """Per-key rolling-window aggregate over the last ``window`` rows
-    ordered by ``order_cols`` (SQL ``agg(value) OVER (PARTITION BY key
-    ORDER BY ... ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW)``),
-    ``min_periods=1``.  Cython-vectorized ``groupby(...).rolling`` per
-    bucket."""
-    order_cols = list(order_cols)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            out[out_col] = pd.Series([], dtype="float64")
-            return out
-        df = df.sort_values([key, *order_cols], kind="mergesort")
-        rolled = getattr(
-            df.groupby(key, sort=False)[value_col]
-              .rolling(window, min_periods=1), agg)()
-        out = df.copy()
-        out[out_col] = rolled.reset_index(level=0, drop=True)
-        return out
-
-    return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
-
-
-def lag_lead(ds, key: str, order_cols: Sequence[str], value_col: str,
-             lag_out: str | None = "prev", lead_out: str | None = "next",
-             fill=None, num_buckets: int = 64):
-    """Per-key lag/lead (SQL ``lag(value) OVER (PARTITION BY key ORDER
-    BY ...)`` and ``lead(...)``): each row gains the previous and next
-    value within its key's order.  Same partitioning contract as the
-    other window ops — ONE hash shuffle on the key, then a vectorized
-    ``groupby(...).shift`` per bucket; group edges never cross buckets
-    so shift nulls are exact.  ``fill`` (optional) coalesces the edge
-    nulls to a sentinel, matching a SQL ``COALESCE``.
-    """
-    order_cols = list(order_cols)
-    # pass None for lag_out/lead_out to skip that shift entirely (a
-    # lag-only caller shouldn't pay for the lead column)
-    shifts = [(lag_out, 1), (lead_out, -1)]
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            for name, _ in shifts:
-                if name is not None:
-                    out[name] = pd.Series([], dtype="float64")
-            return out
-        df = df.sort_values([key, *order_cols], kind="mergesort")
-        g = df.groupby(key, sort=False)[value_col]
-        out = df.copy()
-        for name, step in shifts:
-            if name is None:
-                continue
-            out[name] = g.shift(step)
-            if fill is not None:
-                out[name] = out[name].fillna(fill)
-        return out
-
-    return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
 
 
 def first_last_window(ds, key: str, order_cols: Sequence[str],
@@ -464,256 +338,3 @@ def scd2_intervals(ds, key: str, ts_col: str, val_col: str,
     return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
 
 
-def temporal_join(a, b, key: str, val_a: str, val_b: str,
-                  from_col: str = "valid_from", to_col: str = "valid_to",
-                  num_buckets: int = 64):
-    """Temporal (interval-overlap) join of two validity-interval tables
-    on ``key``: one output row per overlapping version pair, carrying
-    both values and the INTERSECTION interval — the step that
-    reconciles two SCD2 attribute histories into combined validity
-    spans (SQL: join on key + ``a.from < b.to AND b.from < a.to``,
-    interval = ``[greatest(from), least(to))``, empty intersections
-    excluded).
-
-    Contract: each side's intervals are disjoint per key (what
-    :func:`scd2_intervals` emits).  Under it the join is computed as a
-    BOUNDARY SWEEP, not a cross join: per key, the union of endpoints
-    cuts the timeline into segments, and each segment covered by both
-    sides is exactly one overlapping pair's intersection — O(|A|+|B|)
-    work and output per key where the naive per-key cross join is
-    O(|A|x|B|).  One co-location shuffle of the tagged union."""
-    from .shuffle import bucketed_map_groups
-
-    def tag(ds, side: int, val: str):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({key: df[key].to_numpy(),
-                                 "__frm": df[from_col].to_numpy(),
-                                 "__to": df[to_col].to_numpy(),
-                                 "__val": df[val].to_numpy(dtype=object),
-                                 "__side": np.int8(side)})
-        return ds.map_batches(f, batch_format="pandas")
-
-    both = tag(a, 0, val_a).union(tag(b, 1, val_b))
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        def empty_out() -> pd.DataFrame:
-            # dtype-propagating empty (scd2's iloc[:0] form): a
-            # hardcoded-dtype empty would emit mixed-schema blocks for
-            # non-timestamp intervals or non-int keys
-            if set(df.columns) >= {key, "__frm", "__to", "__val"}:
-                return pd.DataFrame({key: df[key].iloc[:0],
-                                     val_a: df["__val"].iloc[:0],
-                                     val_b: df["__val"].iloc[:0],
-                                     from_col: df["__frm"].iloc[:0],
-                                     to_col: df["__to"].iloc[:0]})
-            return pd.DataFrame({key: pd.Series([], dtype="int64"),
-                                 val_a: pd.Series([], dtype="string"),
-                                 val_b: pd.Series([], dtype="string"),
-                                 from_col: pd.Series(
-                                     [], dtype="datetime64[us]"),
-                                 to_col: pd.Series(
-                                     [], dtype="datetime64[us]")})
-
-        outs = []
-        for k, g in df.groupby(key, sort=False):
-            ga = g[g["__side"] == 0].sort_values(["__frm", "__to"],
-                                                 kind="mergesort")
-            gb = g[g["__side"] == 1].sort_values(["__frm", "__to"],
-                                                 kind="mergesort")
-            if len(ga) == 0 or len(gb) == 0:
-                continue
-            aF, aT = ga["__frm"].to_numpy(), ga["__to"].to_numpy()
-            bF, bT = gb["__frm"].to_numpy(), gb["__to"].to_numpy()
-            pts = np.unique(np.concatenate([aF, aT, bF, bT]))
-            if len(pts) < 2:
-                continue
-            s, e = pts[:-1], pts[1:]
-            ia = np.searchsorted(aF, s, side="right") - 1
-            ib = np.searchsorted(bF, s, side="right") - 1
-            cov = (ia >= 0) & (ib >= 0)
-            cov[cov] &= (aT[ia[cov]] > s[cov]) & (bT[ib[cov]] > s[cov])
-            if not cov.any():
-                continue
-            outs.append(pd.DataFrame({
-                key: np.repeat(k, int(cov.sum())),
-                val_a: ga["__val"].to_numpy()[ia[cov]],
-                val_b: gb["__val"].to_numpy()[ib[cov]],
-                from_col: s[cov],
-                to_col: e[cov]}))
-        if not outs:
-            return empty_out()
-        return pd.concat(outs, ignore_index=True)
-
-    return bucketed_map_groups(both, [key], bucket_fn, num_buckets)
-
-
-def cohort_retention(events, user_col: str, ts_col: str,
-                     num_buckets: int = 64):
-    """Cohort retention: users grouped by the month of their FIRST
-    event; for every (cohort, month-offset) cell, how many distinct
-    cohort members were active that many months later — the classic
-    engagement/retention matrix.
-
-    Plan: per-user first-event month via one co-location shuffle of
-    the narrow (user, ts) projection (min is computed per bucket, so
-    no driver-side user table); a distributed hash join hydrates each
-    event with its user's cohort; then ONE more bucketed shuffle
-    deduplicates (cohort, offset, user) triples and the bounded
-    per-cell counts combine driver-side.  Months ride as ``year*12 +
-    month`` integers — exact arithmetic, no date-formatting parity
-    hazards."""
-    from .relational import hash_join, partial_groupby_agg
-
-    def derive(df: pd.DataFrame) -> pd.DataFrame:
-        di = pd.DatetimeIndex(df[ts_col])
-        return pd.DataFrame({
-            user_col: df[user_col].to_numpy(),
-            "__ym": (di.year * 12 + di.month).to_numpy(np.int64)})
-
-    # consumed twice (firsts pipeline + the hash join) — materialize
-    # so the read + datetime conversion run once
-    narrow = events.map_batches(derive,
-                                batch_format="pandas").materialize()
-
-    def first_ym(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(user_col, sort=False, as_index=False)["__ym"] \
-            .min()
-        return g.rename(columns={"__ym": "cohort"})
-
-    from .relational import _num_partitions
-
-    # repartition scrubs the schema-less empty blocks sparse buckets
-    # emit at tiny inputs (acero's join rejects them), and right-sizes
-    # the join input — the mutual_best_match discipline
-    firsts = bucketed_map_groups(narrow, [user_col], first_ym,
-                                 num_buckets=num_buckets) \
-        .repartition(_num_partitions())
-
-    j = hash_join(narrow, firsts, on=[user_col])
-
-    def cells(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            "cohort": df["cohort"].to_numpy(np.int64),
-            "month_offset": (df["__ym"].to_numpy(np.int64)
-                             - df["cohort"].to_numpy(np.int64)),
-            user_col: df[user_col].to_numpy()})
-        return out.drop_duplicates(ignore_index=True)
-
-    trips = bucketed_map_groups(
-        j.map_batches(cells, batch_format="pandas"),
-        ["cohort", "month_offset", user_col],
-        lambda df: df.drop_duplicates(ignore_index=True),
-        num_buckets=num_buckets)
-    out = partial_groupby_agg(
-        trips.map_batches(
-            lambda df: df.groupby(["cohort", "month_offset"], sort=False)
-            .size().rename("n_users").reset_index(),
-            batch_format="pandas"),
-        ["cohort", "month_offset"], {"n_users": ("n_users", "sum")})
-    return out.sort_values(["cohort", "month_offset"]) \
-        .reset_index(drop=True)
-
-
-def funnel_steps(events, user_col: str, type_col: str, ts_col: str,
-                 steps: Sequence[str], num_buckets: int = 64):
-    """Ordered funnel analysis: for each user, how many of the given
-    step types occur in strict timestamp order (step k+1 must happen
-    strictly after the user's EARLIEST qualifying step k); returns
-    (steps_completed, n_users) — the conversion report.
-
-    One co-location shuffle on the user key, then per-bucket
-    vectorized rounds: for each step, a groupby-min over that step's
-    events later than the user's previous-step time.  Rounds =
-    len(steps) (tiny); no per-user Python loop."""
-    from .relational import partial_groupby_agg
-
-    steps = list(steps)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        users = pd.DataFrame(
-            {user_col: df[user_col].drop_duplicates().to_numpy()})
-        if len(users) == 0:
-            return pd.DataFrame({"steps_completed": pd.Series(
-                [], dtype="int64"), "n": pd.Series([], dtype="int64")})
-        # sentinel matches the ts column's tz-awareness — a naive
-        # Timestamp.min against a tz-aware column raises TypeError
-        sentinel = pd.Timestamp.min + pd.Timedelta(days=1)
-        ts_dtype = df[ts_col].dtype
-        if isinstance(ts_dtype, pd.DatetimeTZDtype):
-            sentinel = sentinel.tz_localize(ts_dtype.tz)
-        prev = pd.Series(sentinel, index=users[user_col].to_numpy())
-        done = pd.Series(0, index=prev.index)
-        for i, step in enumerate(steps):
-            # only users that completed step i are eligible for i+1 —
-            # otherwise a user skipping a middle step could still
-            # "convert" on a later one
-            elig = done.index[done.to_numpy() == i]
-            ev = df[(df[type_col] == step)
-                    & df[user_col].isin(elig)]
-            if len(ev) == 0:
-                break
-            ok = ev[ts_col] > ev[user_col].map(prev)
-            ev = ev[ok]
-            if len(ev) == 0:
-                break
-            t = ev.groupby(user_col, sort=False)[ts_col].min()
-            prev = prev.where(~prev.index.isin(t.index),
-                              t.reindex(prev.index))
-            done = done.where(~done.index.isin(t.index), i + 1)
-        g = done.value_counts()
-        return pd.DataFrame({"steps_completed": g.index.to_numpy(
-            np.int64), "n": g.to_numpy(np.int64)})
-
-    parts = bucketed_map_groups(
-        events.map_batches(
-            lambda df: df[[user_col, type_col, ts_col]],
-            batch_format="pandas"),
-        [user_col], bucket_fn, num_buckets)
-    out = partial_groupby_agg(parts, ["steps_completed"],
-                              {"n_users": ("n", "sum")})
-    return out.sort_values("steps_completed").reset_index(drop=True)
-
-
-def trend_agg(ds, key: str, ts_col: str, val_col: str,
-              epoch: str = "2024-01-01"):
-    """Per-key OLS trend: slope and intercept of ``val`` against
-    whole seconds since a LITERAL epoch — the drift detector for
-    per-entity metrics (the corr_agg sibling, same re-aggregable
-    moment discipline: per-batch (n, Σx, Σy, Σxy, Σx²) partials, the
-    shuffle-free combiner, closed form on the bounded result).
-    The literal epoch shift keeps x small enough that the integer
-    moments stay exact in float64 (the catastrophic-cancellation
-    guard the round-2 advice demanded of corr); the closed-form
-    expression is written identically in the SQL oracle.  Keys with
-    fewer than 2 observations are dropped (undefined slope)."""
-    from .relational import partial_groupby_agg
-
-    e0 = pd.Timestamp(epoch)
-
-    def moments(df: pd.DataFrame) -> pd.DataFrame:
-        # Timedelta floor-division is unit-independent (asi8 returns
-        # ns for ns-backed indexes but us for us-backed ones)
-        x = ((df[ts_col] - e0) // pd.Timedelta(seconds=1)) \
-            .to_numpy(np.float64)
-        y = df[val_col].to_numpy(np.float64)
-        t = pd.DataFrame({key: df[key].to_numpy(), "n": 1.0, "sx": x,
-                          "sy": y, "sxy": x * y, "sxx": x * x})
-        return t.groupby(key, sort=False, as_index=False).sum()
-
-    m = partial_groupby_agg(
-        ds.map_batches(moments, batch_format="pandas"), [key],
-        {"n": ("n", "sum"), "sx": ("sx", "sum"), "sy": ("sy", "sum"),
-         "sxy": ("sxy", "sum"), "sxx": ("sxx", "sum")})
-    m = m[m["n"] >= 2].reset_index(drop=True)
-    n = m["n"].to_numpy(np.float64)
-    sx = m["sx"].to_numpy(np.float64)
-    sy = m["sy"].to_numpy(np.float64)
-    sxy = m["sxy"].to_numpy(np.float64)
-    sxx = m["sxx"].to_numpy(np.float64)
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    intercept = (sy - slope * sx) / n
-    return pd.DataFrame({key: m[key].to_numpy(),
-                         "slope": np.round(slope, 6),
-                         "intercept": np.round(intercept, 6),
-                         "n_events": n.astype(np.int64)}) \
-        .sort_values(key).reset_index(drop=True)

@@ -127,6 +127,9 @@ def test_png_decode_rgb_average_paeth_and_palette():
 
 
 def test_png_decode_rejects_malformed():
+    import struct
+    import zlib
+
     import pytest
 
     from reconcile_curation_in_cris_systems_ray.functions.png import (
@@ -143,6 +146,28 @@ def test_png_decode_rejects_malformed():
     bad[-20] ^= 0xFF
     with pytest.raises(PngError):
         decode_png(bytes(bad))
+
+    # header and palette faults that would otherwise surface as
+    # struct.error / IndexError deeper in the decode
+    def chunk(t, d):
+        return (struct.pack(">I", len(d)) + t + d
+                + struct.pack(">I", zlib.crc32(t + d)))
+
+    sig = good[:8]
+    idat = chunk(b"IDAT", zlib.compress(b"\x00\x05\x05" * 2))
+    iend = chunk(b"IEND", b"")
+    short_ihdr = chunk(b"IHDR", struct.pack(">IIBBBB", 2, 2, 8, 3, 0, 0))
+    zero_width = chunk(b"IHDR", struct.pack(">IIBBBBB", 0, 2, 8, 0, 0, 0, 0))
+    palette = chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 3, 0, 0, 0))
+    one_color = chunk(b"PLTE", bytes([1, 2, 3]))  # pixels index entry 5
+    for data, msg in [(sig + short_ihdr + idat + iend, "IHDR length"),
+                      (sig + zero_width
+                       + chunk(b"IDAT", zlib.compress(b"\x00\x00")) + iend,
+                       "zero image"),
+                      (sig + palette + one_color + idat + iend,
+                       "palette index")]:
+        with pytest.raises(PngError, match=msg):
+            decode_png(data)
 
 
 def test_media_decode_png_backend_real_dims(ray_session):
@@ -322,6 +347,9 @@ def test_phash_stage_quarantines_bad_payload_rows(ray_session):
     same per-row discipline as the decode stage."""
     import ray.data as rd
 
+    from reconcile_curation_in_cris_systems_ray.functions.bmp import (
+        encode_bmp_rgb24,
+    )
     from reconcile_curation_in_cris_systems_ray.functions.png import (
         encode_png_gray,
     )
@@ -331,15 +359,54 @@ def test_phash_stage_quarantines_bad_payload_rows(ray_session):
 
     img = (np.random.default_rng(1).random((40, 40)) * 255) \
         .astype(np.uint8)
+    png = encode_png_gray(img)
+    bmp = encode_bmp_rgb24(img)
+    # the first IDAT body byte (after signature, IHDR chunk and the
+    # IDAT length/type) at 41 is the zlib header
+    bad_zlib = png[:41] + b"\xff\xff\xff\xff" + png[45:]
     rows = [
         {"media_id": "ok", "kind": "image",
-         "payload": encode_png_gray(img), "mime": "image/png"},
+         "payload": png, "mime": "image/png"},
         {"media_id": "bad", "kind": "image",
          "payload": b"GIF87a....", "mime": "image/gif"},
         {"media_id": "null", "kind": "image",
          "payload": None, "mime": "image/png"},
+        {"media_id": "short_png", "kind": "image",
+         "payload": png[: len(png) // 2], "mime": "image/png"},
+        {"media_id": "short_bmp", "kind": "image",
+         "payload": bmp[: len(bmp) // 2], "mime": "image/bmp"},
+        {"media_id": "bad_zlib", "kind": "image",
+         "payload": bad_zlib, "mime": "image/png"},
     ]
     out = phash_media(rd.from_pandas(pd.DataFrame(rows)),
                       backend="image").to_pandas()
     assert list(out["media_id"]) == ["ok"]
     assert len(out["phash"].iloc[0]) == 16
+
+
+def test_phash_stage_propagates_non_media_errors():
+    """Only malformed media (ValueError) are quarantined: an error of
+    any other type in the pixel path is a bug and must surface rather
+    than silently drop the row."""
+    import pyarrow as pa
+    import pytest
+
+    from reconcile_curation_in_cris_systems_ray.functions import png
+    from reconcile_curation_in_cris_systems_ray.stages.multimodal import (
+        PhashStage,
+    )
+
+    class BrokenGray:
+        decode_png = staticmethod(png.decode_png)
+        resize_mean = staticmethod(png.resize_mean)
+
+        @staticmethod
+        def to_gray_f64(img):
+            raise TypeError("bug in the pixel path")
+
+    stage = PhashStage(backend="png")
+    stage._png = BrokenGray
+    payload = png.encode_png_gray(np.zeros((8, 8), np.uint8))
+    batch = pa.table({"media_id": ["a"], "payload": [payload]})
+    with pytest.raises(TypeError, match="bug in the pixel path"):
+        stage(batch)

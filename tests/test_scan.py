@@ -47,18 +47,3 @@ def test_global_scan_lead(ray_session, frame):
     np.testing.assert_array_equal(
         out["k_next"].to_numpy(dtype=np.float64)[:-1],
         lead.to_numpy(dtype=np.float64)[:-1])
-
-
-@pytest.mark.parametrize("window", [1, 3, 10, 50])
-def test_global_rolling_mean(ray_session, frame, window):
-    from reconcile_curation_in_cris_systems_ray.stages.scan import (
-        global_rolling_mean,
-    )
-
-    out = global_rolling_mean(_ds(frame, 29), ["k"], "v", window,
-                              "m").to_pandas() \
-        .sort_values("k").reset_index(drop=True)
-    want = (frame.sort_values("k").reset_index(drop=True)["v"]
-            .rolling(window, min_periods=1).mean())
-    np.testing.assert_allclose(out["m"].to_numpy(), want.to_numpy(),
-                               atol=1e-12)

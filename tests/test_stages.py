@@ -1036,49 +1036,6 @@ def test_standardize_values_folds_typos(ray_session):
     assert out["std_jw"].iloc[1] == 1.0
 
 
-def test_temporal_join_matches_crossjoin_reference(ray_session):
-    """Boundary sweep == cross-join-with-overlap-filter on disjoint
-    per-key intervals, including gaps, aligned endpoints, and keys
-    present on only one side."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.temporal import (
-        temporal_join)
-
-    def iv(rows):
-        return pd.DataFrame(rows, columns=["k", "av", "valid_from",
-                                           "valid_to"])
-
-    a = pd.DataFrame({
-        "k": [1, 1, 1, 2, 3],
-        "av": ["x", "y", "z", "p", "q"],
-        "valid_from": [0, 10, 30, 0, 0],
-        "valid_to": [10, 20, 40, 50, 5],   # gap 20-30 on k=1
-    })
-    b = pd.DataFrame({
-        "k": [1, 1, 2, 4],
-        "bv": ["m", "n", "r", "s"],
-        "valid_from": [5, 15, 10, 0],
-        "valid_to": [15, 35, 20, 9],
-    })
-    got = temporal_join(rd.from_pandas(a).repartition(2),
-                        rd.from_pandas(b).repartition(2),
-                        "k", "av", "bv", num_buckets=4).to_pandas()
-    got = got.sort_values(["k", "valid_from", "av", "bv"]) \
-        .reset_index(drop=True)
-    # brute-force reference
-    m = a.merge(b, on="k", suffixes=("_a", "_b"))
-    m = m[(m["valid_from_a"] < m["valid_to_b"])
-          & (m["valid_from_b"] < m["valid_to_a"])]
-    m["valid_from"] = m[["valid_from_a", "valid_from_b"]].max(axis=1)
-    m["valid_to"] = m[["valid_to_a", "valid_to_b"]].min(axis=1)
-    m = m[m["valid_from"] < m["valid_to"]]
-    exp = m[["k", "av", "bv", "valid_from", "valid_to"]] \
-        .sort_values(["k", "valid_from", "av", "bv"]) \
-        .reset_index(drop=True)
-    assert (got.values.tolist() == exp.values.tolist()), (got, exp)
-
-
 def test_rare_collapse_threshold(ray_session):
     import ray.data as rd
 
@@ -1373,52 +1330,6 @@ def test_table_diff_classification(ray_session):
     assert got == {2: "removed", 4: "changed", 5: "changed", 6: "added"}
 
 
-def test_cohort_retention_hand_case(ray_session):
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.temporal import (
-        cohort_retention)
-
-    ts = pd.to_datetime(["2024-01-05", "2024-02-10", "2024-03-01",
-                         "2024-02-02", "2024-02-20", "2024-04-01"])
-    df = pd.DataFrame({"u": [1, 1, 1, 2, 2, 2], "ts": ts})
-    out = cohort_retention(rd.from_pandas(df).repartition(2), "u", "ts")
-    cells = {(r.cohort, r.month_offset): r.n_users
-             for r in out.itertuples()}
-    jan = 2024 * 12 + 1
-    feb = 2024 * 12 + 2
-    assert cells == {(jan, 0): 1, (jan, 1): 1, (jan, 2): 1,
-                     (feb, 0): 1, (feb, 2): 1}
-
-
-def test_funnel_steps_strict_order_and_skips(ray_session):
-    """A later-step event BEFORE the earlier step must not count, and
-    skipping a middle step blocks later conversion."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.temporal import (
-        funnel_steps)
-
-    ts = pd.to_datetime
-    df = pd.DataFrame({
-        # u1: view->click->purchase in order -> 3
-        # u2: click before view -> only view counts -> 1
-        # u3: view then purchase (no click) -> 1
-        # u4: no qualifying steps -> 0
-        "u": [1, 1, 1, 2, 2, 3, 3, 4],
-        "t": ["view", "click", "purchase",
-              "click", "view", "view", "purchase", "other"],
-        "ts": ts(["2024-01-01", "2024-01-02", "2024-01-03",
-                  "2024-01-01", "2024-01-02", "2024-01-01",
-                  "2024-01-02", "2024-01-01"]),
-    })
-    out = funnel_steps(rd.from_pandas(df).repartition(2), "u", "t",
-                       "ts", ["view", "click", "purchase"],
-                       num_buckets=4)
-    got = dict(zip(out["steps_completed"], out["n_users"]))
-    assert got == {0: 1, 1: 2, 3: 1}
-
-
 def test_value_histogram_bins(ray_session):
     import ray.data as rd
 
@@ -1488,20 +1399,6 @@ def test_value_histogram_inexact_width_clamps_to_last_bin(ray_session):
     assert got[9] == 1 and got[10] == 1
 
 
-def test_funnel_steps_tz_aware(ray_session):
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.temporal import (
-        funnel_steps)
-
-    ts = pd.to_datetime(["2024-01-01", "2024-01-02"]).tz_localize("UTC")
-    df = pd.DataFrame({"u": [1, 1], "t": ["view", "click"], "ts": ts})
-    out = funnel_steps(rd.from_pandas(df), "u", "t", "ts",
-                       ["view", "click", "purchase"], num_buckets=2)
-    got = dict(zip(out["steps_completed"], out["n_users"]))
-    assert got == {2: 1}
-
-
 def test_hamming_pairs_matches_bruteforce(ray_session):
     """Segment blocking + verify vs an all-pairs reference, with
     mixed lengths (never pair) and duplicates (distance 0)."""
@@ -1526,31 +1423,6 @@ def test_hamming_pairs_matches_bruteforce(ray_session):
             if d <= 2:
                 exp[(a, b)] = d
     assert got_pairs == exp
-
-
-def test_trend_agg_matches_lstsq(ray_session):
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.temporal import (
-        trend_agg)
-
-    rng = np.random.default_rng(9)
-    base = pd.Timestamp("2024-01-01")
-    secs = rng.integers(0, 10**6, 200)
-    df = pd.DataFrame({
-        "k": rng.integers(0, 5, 200),
-        "ts": base + pd.to_timedelta(secs, unit="s"),
-        "v": secs * 1e-5 + rng.normal(0, 1, 200).round(3),
-    })
-    out = trend_agg(rd.from_pandas(df).repartition(3), "k", "ts", "v") \
-        .set_index("k")
-    for k, g in df.groupby("k"):
-        x = secs[df["k"] == k].astype(float)
-        A = np.vstack([x, np.ones(len(x))]).T
-        slope, intercept = np.linalg.lstsq(A, g["v"].to_numpy(),
-                                           rcond=None)[0]
-        assert abs(out.loc[k, "slope"] - slope) < 1e-6
-        assert abs(out.loc[k, "intercept"] - intercept) < 1e-3
 
 
 def test_monge_elkan_token_alignment(ray_session):

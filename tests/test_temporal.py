@@ -23,41 +23,6 @@ def temporal(ray_session):
     return temporal
 
 
-def test_asof_backward_and_exact_match(temporal):
-    left = pd.DataFrame({
-        "k": [1, 1, 1, 2],
-        "ts": pd.to_datetime(
-            ["2020-01-05", "2020-01-10", "2020-01-02", "2020-01-05"]),
-        "ev": [10, 11, 12, 13],
-    })
-    right = pd.DataFrame({
-        "k": [1, 1, 2],
-        "rts": pd.to_datetime(["2020-01-03", "2020-01-10", "2020-01-06"]),
-        "val": [100, 200, 300],
-    })
-    out = temporal.asof_join(_ds(left), _ds(right), on="k",
-                             left_ts="ts", right_ts="rts").to_pandas()
-    got = dict(zip(out["ev"], out["val"]))
-    # ev=10 at 01-05 -> right 01-03; ev=11 at 01-10 -> exact match 01-10;
-    # ev=12 at 01-02 has no earlier right row -> dropped (inner);
-    # ev=13 key 2 at 01-05 precedes the only right row -> dropped
-    assert got == {10: 100, 11: 200}
-    assert out["val"].dtype == np.int64
-
-
-def test_asof_tie_takes_greatest_payload(temporal):
-    left = pd.DataFrame({"k": [1], "ts": pd.to_datetime(["2020-06-01"]),
-                         "ev": [1]})
-    right = pd.DataFrame({
-        "k": [1, 1],
-        "rts": pd.to_datetime(["2020-05-01", "2020-05-01"]),
-        "val": [7, 9],
-    })
-    out = temporal.asof_join(_ds(left), _ds(right), on="k",
-                             left_ts="ts", right_ts="rts").to_pandas()
-    assert out["val"].tolist() == [9]
-
-
 def test_interval_join_spanning_bins(temporal):
     # interval longer than the bin width must still catch points in
     # every covered bin exactly once
@@ -82,37 +47,6 @@ def test_interval_join_spanning_bins(temporal):
     assert (out["rid"] == 42).all() and out["rid"].dtype == np.int64
 
 
-def test_sessionize_gap_boundary(temporal):
-    base = pd.Timestamp("2021-01-01")
-    df = pd.DataFrame({
-        "u": [1, 1, 1, 2, 1],
-        "ts": [base, base + pd.Timedelta(minutes=30),       # <= gap: same
-               base + pd.Timedelta(minutes=61),             # > gap: new
-               base, base + pd.Timedelta(minutes=200)],
-        "eid": [1, 2, 3, 4, 5],
-    })
-    out = temporal.sessionize(_ds(df), key="u", ts_col="ts",
-                              gap=pd.Timedelta(minutes=30),
-                              tiebreak=["eid"]).to_pandas()
-    got = dict(zip(out["eid"], out["session_id"]))
-    assert got == {1: 1, 2: 1, 3: 2, 4: 1, 5: 3}
-
-
-def test_rolling_mean_min_periods(temporal):
-    df = pd.DataFrame({
-        "u": [1, 1, 1, 1, 2],
-        "ts": pd.to_datetime(["2021-01-0%d" % d for d in (1, 2, 3, 4, 1)]),
-        "eid": [1, 2, 3, 4, 5],
-        "v": [1.0, 3.0, 5.0, 7.0, 10.0],
-    })
-    out = temporal.rolling_agg(_ds(df), key="u",
-                               order_cols=["ts", "eid"], value_col="v",
-                               window=3, agg="mean",
-                               out_col="r").to_pandas()
-    got = dict(zip(out["eid"], out["r"]))
-    assert got == {1: 1.0, 2: 2.0, 3: 3.0, 4: 5.0, 5: 10.0}
-
-
 def test_quantile_matches_numpy_linear(temporal):
     rng = np.random.default_rng(7)
     df = pd.DataFrame({
@@ -126,24 +60,6 @@ def test_quantile_matches_numpy_linear(temporal):
         row = out[out["g"] == g].iloc[0]
         assert row["p50"] == pytest.approx(np.quantile(sub, 0.5))
         assert row["p90"] == pytest.approx(np.quantile(sub, 0.9))
-
-
-def test_lag_lead_group_edges_and_fill(temporal):
-    df = pd.DataFrame({
-        "k": [1, 1, 1, 2, 2],
-        "ts": pd.to_datetime(["2020-01-01", "2020-01-02", "2020-01-03",
-                              "2020-01-01", "2020-01-02"]),
-        "eid": [1, 2, 3, 4, 5],
-        "v": [10.0, 20.0, 30.0, 40.0, 50.0],
-    })
-    out = temporal.lag_lead(_ds(df), key="k", order_cols=["ts", "eid"],
-                            value_col="v", lag_out="p", lead_out="n",
-                            fill=-1.0).to_pandas()
-    got = {r.eid: (r.p, r.n) for r in out.itertuples()}
-    # group edges take the fill, interior rows see their neighbors,
-    # and key 2's rows never see key 1's values
-    assert got == {1: (-1.0, 20.0), 2: (10.0, 30.0), 3: (20.0, -1.0),
-                   4: (-1.0, 50.0), 5: (40.0, -1.0)}
 
 
 def test_cumulative_sum_per_key_order(temporal):
