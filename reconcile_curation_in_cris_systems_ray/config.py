@@ -35,9 +35,10 @@ class ScoringConfig:
     est_prefilter: float = 0.35         # MinHash-estimate prefilter before verify
     name_threshold: float = 0.85        # reference query_db/constants.py:21
     entity_threshold: int = 85          # reference query_db/constants.py:22
-    # Levenshtein window on normalized text: O(len^2) per pair, so the
-    # window is the scorer's cost knob (64 chars ~= 16x cheaper than 256
-    # with near-identical discrimination on page heads)
+    # Levenshtein window on normalized text: a head of at most 64 bytes
+    # is one machine word in the scorer's bit-parallel kernel (O(len)
+    # word operations per pair); longer heads (multi-byte text) fall back
+    # to DuckDB's O(len^2) DP
     text_head_chars: int = 64
 
 

@@ -232,7 +232,9 @@ def packed_u64_column(col, dtype=np.uint64) -> tuple[np.ndarray, np.ndarray]:
             col = col.combine_chunks()
     if len(col) == 0:
         return (np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))
-    off_dtype = np.int64 if pa.types.is_large_binary(col.type) else np.int32
+    large = (pa.types.is_large_binary(col.type)
+             or pa.types.is_large_string(col.type))
+    off_dtype = np.int64 if large else np.int32
     offs = np.frombuffer(col.buffers()[1], dtype=off_dtype)[
         col.offset: col.offset + len(col) + 1].astype(np.int64)
     data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
@@ -596,6 +598,95 @@ def damerau_leq1(a, b) -> np.ndarray:
         t = ls - 1 - cand
         out[gap] = np.where(p + t >= ls, 1, 2)
     return out
+
+
+# rows per kernel chunk: the per-step (rows x 64) byte compare stays at
+# 256 KiB, L2-resident like the MinHash chunk above, while each of the
+# ~20 word operations per step still runs over thousands of rows
+_LEV_CHUNK = 4096
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _utf8_rows(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(windows, starts, lens)`` of an Arrow string column:
+    ``windows[starts[i]]`` is a 64-byte view beginning at row i's UTF-8
+    bytes (zero padded past the data's end) and ``lens[i]`` its byte
+    length; NULL reads as empty."""
+    data, lens = packed_u64_column(col, np.uint8)
+    starts = np.zeros(lens.size, dtype=np.int64)
+    np.cumsum(lens[:-1], out=starts[1:])
+    data = np.concatenate([data, np.zeros(64, dtype=np.uint8)])
+    return np.lib.stride_tricks.sliding_window_view(data, 64), starts, lens
+
+
+def levenshtein_words(col_a, col_b) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise byte-level Levenshtein distance of two Arrow string
+    columns, bit-parallel with one 64-bit word per pattern.
+
+    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global
+    edit-distance form (2003): side a is the pattern, one bit per byte;
+    each byte of side b advances every row's DP column by ~20 word
+    operations, vectorized across rows.  The UTF-8 bytes are read from
+    the Arrow offset/data buffers (no Python strings), so the distance
+    counts bytes exactly as DuckDB's ``levenshtein`` does.  NULL reads
+    as the empty string.
+
+    Returns ``(dist, slow)``: int64 distances, and a mask of the rows
+    with a side longer than 64 bytes, which the kernel does not handle
+    (their ``dist`` is -1).
+    """
+    win_a, start_a, len_a = _utf8_rows(col_a)
+    win_b, start_b, len_b = _utf8_rows(col_b)
+    slow = (len_a > 64) | (len_b > 64)
+    dist = np.full(len(len_a), -1, dtype=np.int64)
+    fast = np.flatnonzero(~slow)
+    one = np.uint64(1)
+    for lo in range(0, fast.size, _LEV_CHUNK):
+        rows = fast[lo:lo + _LEV_CHUNK]
+        la, lb = len_a[rows], len_b[rows]
+        # bytes past a row's length are never read: the pattern mask
+        # drops them from side a, and a row stops scoring past side b
+        A = win_a[start_a[rows]]
+        B = win_b[start_b[rows]]
+        mask = np.where(la >= 64, _ALL_ONES,
+                        (one << np.minimum(la, 63).astype(np.uint64)) - one)
+        # the high bit of the last DP row decides each step's delta
+        shift = np.maximum(la - 1, 0).astype(np.uint64)
+        pv = mask.copy()
+        mv = np.zeros(rows.size, dtype=np.uint64)
+        score = la.astype(np.uint64)
+        lb_min = int(lb.min())
+        for j in range(int(lb.max())):
+            eq = np.packbits(A == B[:, j:j + 1], axis=1,
+                             bitorder="little").view(np.uint64)[:, 0]
+            eq &= mask
+            xv = eq | mv
+            xh = eq & pv
+            xh += pv
+            xh ^= pv
+            xh |= eq
+            ph = xh | pv
+            np.invert(ph, out=ph)
+            ph |= mv
+            mh = pv & xh
+            up = (ph >> shift) & one
+            down = (mh >> shift) & one
+            if j >= lb_min:
+                # a row freezes once its side b is consumed
+                live = j < lb
+                up *= live
+                down *= live
+            score += up
+            score -= down
+            ph <<= one
+            ph |= one
+            mh <<= one
+            pv = xv | ph
+            np.invert(pv, out=pv)
+            pv |= mh
+            mv = ph & xv
+        dist[rows] = np.where(la == 0, lb, score.view(np.int64))
+    return dist, slow
 
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)

@@ -5,10 +5,15 @@ Reference analogue: the fuzzy post-filter UDFs applied to join results
 11-59``, used in the linkage join ``repository.py:112-142``) — here
 re-targeted to url/title/text per the north rule, vectorized:
 
-- string kernels (Jaro-Winkler, Levenshtein) run inside an in-process
-  DuckDB connection held once per worker process (the ST3 pattern, via
-  ``worker_cached``) scanning the Arrow batch zero-copy — a C++ vectorized
-  kernel, never a Python per-row loop;
+- Jaro-Winkler runs inside an in-process DuckDB connection held once
+  per worker process (the ST3 pattern, via ``worker_cached``) scanning
+  the Arrow batch zero-copy — a C++ vectorized kernel, never a Python
+  per-row loop;
+- the text-head Levenshtein is a bit-parallel numpy kernel
+  (``levenshtein_words``: one 64-bit word per head, ~20 word operations
+  per byte, vectorized across pairs); the rare heads over 64 bytes
+  (multi-byte text) keep DuckDB's ``levenshtein`` DP, and every score is
+  bit-identical to the all-DuckDB expression;
 - exact Jaccard is computed from the precomputed uint64 shingle sets.
 
 Feature hydration: candidate pairs carry only urls + MinHash estimate;
@@ -23,9 +28,12 @@ from functools import partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import ScoringConfig
-from ..functions.similarity import jaccard_pairs_from_binary
+from ..functions.similarity import (
+    jaccard_pairs_from_binary, levenshtein_words,
+)
 from . import worker_cached
 
 
@@ -142,8 +150,6 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
             # url_a < url_b — both join strategies must produce the
             # identical pair orientation (determinism across the
             # broadcast/distributed crossover)
-            import pyarrow.compute as pc
-
             swap = pc.greater(batch.column("url_a"), batch.column("url_b"))
             if pc.any(swap).as_py():
                 cols = {}
@@ -172,7 +178,7 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
         out = batch.drop_columns(drop).append_column(
             "est_jaccard", pa.array(est, pa.float64()))
         if est_prefilter is not None and len(out):
-            out = out.filter(pa.compute.greater_equal(
+            out = out.filter(pc.greater_equal(
                 out.column("est_jaccard"), pa.scalar(est_prefilter)))
         return out
 
@@ -211,14 +217,12 @@ def _gather(batch: pa.Table, h_ref=None, t_ref=None,
             ok &= h[i] == uh
     ia, ib = idx["a"][ok], idx["b"][ok]
     urls = tbl.column("url")
-    url_a = urls.take(pa.array(ia)).to_pandas().to_numpy(dtype=object)
-    url_b = urls.take(pa.array(ib)).to_pandas().to_numpy(dtype=object)
-    # re-canonicalize lexicographically (the pair stage ordered by hash)
-    swap = url_a > url_b
+    # re-canonicalize lexicographically (the pair stage ordered by
+    # hash); Arrow compares UTF-8 bytes, which order as codepoints do
+    swap = pc.greater(urls.take(pa.array(ia)),
+                      urls.take(pa.array(ib))).to_numpy()
     ia2 = np.where(swap, ib, ia)
     ib2 = np.where(swap, ia, ib)
-    ua = np.where(swap, url_b, url_a)
-    ub = np.where(swap, url_a, url_b)
 
     from .blocking import binary_matrix
 
@@ -230,12 +234,11 @@ def _gather(batch: pa.Table, h_ref=None, t_ref=None,
            if len(ia2) else np.empty(0, dtype=np.float64))
     if est_prefilter is not None and len(ia2):
         keep = est >= est_prefilter
-        ia2, ib2, ua, ub, est = (ia2[keep], ib2[keep], ua[keep],
-                                 ub[keep], est[keep])
+        ia2, ib2, est = ia2[keep], ib2[keep], est[keep]
     iarr_a, iarr_b = pa.array(ia2), pa.array(ib2)
     return pa.table({
-        "url_a": pa.array(ua, pa.string()),
-        "url_b": pa.array(ub, pa.string()),
+        "url_a": urls.take(iarr_a),
+        "url_b": urls.take(iarr_b),
         "title_a": tbl.column("title_norm").take(iarr_a),
         "title_b": tbl.column("title_norm").take(iarr_b),
         "head_a": tbl.column("text_head").take(iarr_a),
@@ -289,6 +292,11 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
     return pairs_ds.map_batches(fn, batch_format="pyarrow")
 
 
+# ``match_status`` by code: 0 no match, 1 is_match, 2 jaccard >= 0.9
+_MATCH_STATUS = pa.array(["no_match", "text_match", "near_exact"],
+                         pa.string())
+
+
 class PairScorer:
     """Batch callable over hydrated pairs (one per worker process, see
     :func:`_task_score`).
@@ -318,25 +326,34 @@ class PairScorer:
                                         batch.column("shingles_b"),
                                         dtype=np.uint32)
 
+        lev, slow = head_sim_words(batch.column("head_a"),
+                                   batch.column("head_b"))
         view = batch.select(["url_a", "url_b", "title_a", "title_b",
-                             "head_a", "head_b"])
+                             "head_a", "head_b"]).append_column(
+            "slow", pa.array(slow))
         self.con.register("pairs_batch", view)
+        # heads over 64 bytes (multi-byte text) keep DuckDB's DP: CASE
+        # runs it only on the rows selected by ``slow``
         scored = self.con.execute(
             """
             SELECT
               jaro_winkler_similarity(coalesce(title_a,''), coalesce(title_b,'')) AS jw_title,
               jaro_winkler_similarity(url_a, url_b) AS jw_url,
-              1.0 - levenshtein(coalesce(head_a,''), coalesce(head_b,''))
-                    / greatest(length(coalesce(head_a,'')),
-                               length(coalesce(head_b,'')), 1) AS lev_head_sim
+              CASE WHEN slow THEN
+                1.0 - levenshtein(coalesce(head_a,''), coalesce(head_b,''))
+                      / greatest(length(coalesce(head_a,'')),
+                                 length(coalesce(head_b,'')), 1)
+              END AS lev_slow
             FROM pairs_batch
             """).arrow()
         self.con.unregister("pairs_batch")
+        if slow.any():
+            lev = np.where(slow, scored.column("lev_slow").to_numpy(
+                zero_copy_only=False), lev)
 
         thresh = self.cfg.jaccard_threshold
         is_match = jac >= thresh
-        status = np.where(jac >= 0.9, "near_exact",
-                          np.where(is_match, "text_match", "no_match"))
+        status = np.where(jac >= 0.9, 2, is_match.astype(np.int8))
         return pa.table({
             "url_a": batch.column("url_a"),
             "url_b": batch.column("url_b"),
@@ -344,10 +361,31 @@ class PairScorer:
             "jaccard": pa.array(jac),
             "jw_title": scored.column("jw_title"),
             "jw_url": scored.column("jw_url"),
-            "lev_head_sim": scored.column("lev_head_sim"),
+            "lev_head_sim": pa.array(lev),
             "is_match": pa.array(is_match),
-            "match_status": pa.array(status.tolist(), pa.string()),
+            "match_status": _MATCH_STATUS.take(pa.array(status)),
         })
+
+
+def head_sim_words(head_a, head_b) -> tuple[np.ndarray, np.ndarray]:
+    """``lev_head_sim`` of the rows whose heads fit one 64-bit word.
+
+    Returns ``(sim, slow)``: ``sim`` is bit-identical to DuckDB's
+    ``1.0 - levenshtein(a, b) / greatest(length(a), length(b), 1)``
+    (NULL read as '') on every row outside ``slow``, the mask of rows
+    with a head over 64 bytes that the caller scores in DuckDB.
+    DuckDB's ``levenshtein`` counts bytes but ``length`` counts
+    codepoints; the ratio mixes them the same way, in float64."""
+    dist, slow = levenshtein_words(head_a, head_b)
+    chars = np.maximum(np.maximum(_utf8_chars(head_a),
+                                  _utf8_chars(head_b)), 1)
+    return 1.0 - dist / chars, slow
+
+
+def _utf8_chars(col) -> np.ndarray:
+    """Codepoint length per row (NULL reads as 0), as int64."""
+    return pc.fill_null(pc.utf8_length(col), 0).to_numpy(
+        zero_copy_only=False).astype(np.int64)
 
 
 def _empty_scored() -> pa.Table:

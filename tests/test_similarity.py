@@ -214,3 +214,97 @@ def test_charset_jaccard_duckdb_parity_fuzz():
     ma, mb = charset_masks(df["a"]), charset_masks(df["b"])
     got = popcount_rows(ma & mb) / np.maximum(popcount_rows(ma | mb), 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=0)
+
+
+def test_levenshtein_words_duckdb_parity_fuzz():
+    """Bit-parallel head Levenshtein + the scorer's float formula ==
+    DuckDB ``1.0 - levenshtein(a, b) / greatest(length(a), length(b),
+    1)`` bit for bit (NULL read as '').  Covers random small-alphabet
+    ASCII pairs of 0-64 bytes, the 64/65-byte boundary on each side,
+    empty and NULL heads, multi-byte heads of <= 64 bytes (kernel path)
+    and of > 64 bytes, which the kernel leaves to DuckDB (``slow``)."""
+    import random
+
+    import duckdb
+    import pyarrow as pa
+
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        levenshtein_words,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+        head_sim_words,
+    )
+
+    rng = random.Random(5)
+
+    def word(alpha, n):
+        return "".join(rng.choice(alpha) for _ in range(n))
+
+    def mutate(s, alpha):
+        t = list(s)
+        for _ in range(rng.randint(0, 6)):
+            op = rng.randint(0, 2)
+            if op == 0 and t:
+                t[rng.randrange(len(t))] = rng.choice(alpha)
+            elif op == 1:
+                t.insert(rng.randint(0, len(t)), rng.choice(alpha))
+            elif t:
+                del t[rng.randrange(len(t))]
+        return "".join(t)
+
+    pairs = []
+    for _ in range(3000):
+        pairs.append((word("acgt", rng.randint(0, 64)),
+                      word("acgt", rng.randint(0, 64))))
+        s = word("acgt", rng.randint(0, 64))
+        pairs.append((s, mutate(s, "acgt")[:64]))
+    for la in (63, 64, 65):
+        for lb in (0, 1, 63, 64, 65):
+            for _ in range(20):
+                s = word("ab", la)
+                pairs.append((s, (mutate(s, "ab") + word("ab", lb))[:lb]))
+                pairs.append((word("ab", lb), word("ab", la)))
+    pairs += [("", ""), ("", "abc"), ("abc", ""), (None, "abc"),
+              ("abc", None), (None, None), (None, ""), ("x" * 64, None)]
+    multi = "aé北😀"   # 1-, 2-, 3- and 4-byte UTF-8
+    for n in list(range(0, 30)) + [40, 50, 64]:
+        for _ in range(10):
+            s = word(multi, n)
+            pairs.append((s, mutate(s, multi)))
+    a = pa.array([p[0] for p in pairs], pa.string())
+    b = pa.array([p[1] for p in pairs], pa.string())
+    nbytes = np.array([[len((s or "").encode()) for s in p] for p in pairs])
+    nchars = np.array([[len(s or "") for s in p] for p in pairs])
+    want_slow = (nbytes > 64).any(axis=1)
+    assert 0 < want_slow.sum() < len(pairs)
+    # multi-byte rows on the kernel path
+    assert ((nbytes > nchars).any(axis=1) & ~want_slow).sum() > 100
+
+    con = duckdb.connect()
+    heads = pa.table({"head_a": a, "head_b": b})
+    want = con.execute("""
+        SELECT levenshtein(coalesce(head_a,''), coalesce(head_b,'')) AS d,
+               1.0 - levenshtein(coalesce(head_a,''), coalesce(head_b,''))
+                     / greatest(length(coalesce(head_a,'')),
+                                length(coalesce(head_b,'')), 1) AS sim
+        FROM heads""").fetchnumpy()
+
+    dist, slow = levenshtein_words(a, b)
+    np.testing.assert_array_equal(slow, want_slow)
+    np.testing.assert_array_equal(dist[~slow], want["d"][~slow])
+    assert (dist[slow] == -1).all()
+    sim, slow2 = head_sim_words(a, b)
+    np.testing.assert_array_equal(slow2, want_slow)
+    np.testing.assert_array_equal(sim[~slow].view(np.int64),
+                                  want["sim"][~slow].view(np.int64))
+
+    # chunked, large_string and sliced Arrow inputs read the same bytes
+    chunked_a = pa.chunked_array([a.slice(0, 7), a.slice(7)])
+    d2, s2 = levenshtein_words(chunked_a, b.cast(pa.large_string()))
+    np.testing.assert_array_equal(d2, dist)
+    np.testing.assert_array_equal(s2, slow)
+    d3, s3 = levenshtein_words(a.slice(100, 50), b.slice(100, 50))
+    np.testing.assert_array_equal(d3, dist[100:150])
+    empty = pa.array([], pa.string())
+    d4, s4 = levenshtein_words(empty, empty)
+    assert d4.shape == (0,) and s4.shape == (0,)

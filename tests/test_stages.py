@@ -271,22 +271,18 @@ def test_hydrate_pairs_broadcast_and_distributed_agree(ray_session):
     pd.testing.assert_frame_equal(bcast, dist)
 
 
-def test_fused_hydrate_score_matches_two_step(ray_session):
-    """hydrate_score_pairs (fused single-stage) must be bit-identical
-    to hydrate_pairs -> PairScorer on a real small corpus, in BOTH the
-    broadcast and the distributed-fallback regimes."""
+def _features_and_pairs(corpus_cfg, cfg):
+    """Materialized (features, candidate pairs) of the flagship's first
+    stages over the synthetic corpus ``corpus_cfg``."""
     from functools import partial
 
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.config import (
-        ReconcileConfig,
-    )
     from reconcile_curation_in_cris_systems_ray.pipelines.reconcile import (
         NARROW_THRESHOLD, _extract_task, _signature_task,
     )
     from reconcile_curation_in_cris_systems_ray.sources.corpus import (
-        CorpusConfig, corpus_table,
+        corpus_table,
     )
     from reconcile_curation_in_cris_systems_ray.stages.blocking import (
         emit_band_keys,
@@ -294,12 +290,8 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
     from reconcile_curation_in_cris_systems_ray.stages.pairs import (
         generate_candidate_pairs,
     )
-    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        PairScorer, hydrate_pairs, hydrate_score_pairs,
-    )
 
-    cfg = ReconcileConfig()
-    tbl = corpus_table(CorpusConfig(n_families=120))
+    tbl = corpus_table(corpus_cfg)
     corpus = rd.from_arrow(tbl.select(["url", "warc_ts", "html", "lang"]))
     features = corpus.map_batches(
         _extract_task, batch_format="pyarrow").map_batches(
@@ -311,6 +303,25 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
         emit_band_keys(features, cfg.blocking, include_bands=not narrow),
         cfg.blocking, cfg.scoring, n_rows_hint=band_rows,
         dedup_pairs=narrow).materialize()
+    return features, pairs
+
+
+def test_fused_hydrate_score_matches_two_step(ray_session):
+    """hydrate_score_pairs (fused single-stage) must be bit-identical
+    to hydrate_pairs -> PairScorer on a real small corpus, in BOTH the
+    broadcast and the distributed-fallback regimes."""
+    from reconcile_curation_in_cris_systems_ray.config import (
+        ReconcileConfig,
+    )
+    from reconcile_curation_in_cris_systems_ray.sources.corpus import (
+        CorpusConfig,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+        PairScorer, hydrate_pairs, hydrate_score_pairs,
+    )
+
+    cfg = ReconcileConfig()
+    features, pairs = _features_and_pairs(CorpusConfig(n_families=120), cfg)
 
     def canon(df):
         return (df.sort_values(["url_a", "url_b"])
@@ -328,6 +339,99 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
             broadcast_threshold=threshold).to_pandas())
         assert list(old.columns) == list(new.columns)
         pd.testing.assert_frame_equal(old, new)
+
+
+# The all-SQL pair scorer: Jaro-Winkler AND the head Levenshtein in
+# DuckDB for every row.  PairScorer must reproduce it bit for bit.
+_SQL_SCORER = """
+    SELECT
+      jaro_winkler_similarity(coalesce(title_a,''), coalesce(title_b,'')) AS jw_title,
+      jaro_winkler_similarity(url_a, url_b) AS jw_url,
+      1.0 - levenshtein(coalesce(head_a,''), coalesce(head_b,''))
+            / greatest(length(coalesce(head_a,'')),
+                       length(coalesce(head_b,'')), 1) AS lev_head_sim
+    FROM pairs_batch
+"""
+
+
+def _sql_scored(batch: pa.Table, cfg) -> pa.Table:
+    import duckdb
+
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        jaccard_pairs_from_binary,
+    )
+
+    jac = jaccard_pairs_from_binary(batch.column("shingles_a"),
+                                    batch.column("shingles_b"),
+                                    dtype=np.uint32)
+    con = duckdb.connect()
+    con.execute("PRAGMA threads=1")
+    con.register("pairs_batch", batch.select(
+        ["url_a", "url_b", "title_a", "title_b", "head_a", "head_b"]))
+    scored = con.execute(_SQL_SCORER).arrow()
+    is_match = jac >= cfg.jaccard_threshold
+    status = np.where(jac >= 0.9, "near_exact",
+                      np.where(is_match, "text_match", "no_match"))
+    return pa.table({
+        "url_a": batch.column("url_a"),
+        "url_b": batch.column("url_b"),
+        "est_jaccard": batch.column("est_jaccard"),
+        "jaccard": pa.array(jac),
+        "jw_title": scored.column("jw_title"),
+        "jw_url": scored.column("jw_url"),
+        "lev_head_sim": scored.column("lev_head_sim"),
+        "is_match": pa.array(is_match),
+        "match_status": pa.array(status.tolist(), pa.string()),
+    })
+
+
+def test_pair_scorer_matches_sql_scorer(ray_session):
+    """PairScorer (bit-parallel head Levenshtein, DuckDB only for heads
+    over 64 bytes) equals the all-SQL scorer on the pipeline gate
+    corpus's hydrated candidate pairs, every column bit for bit: on the
+    whole set, on a batch where every row falls back to DuckDB, on one
+    where none does, and on a 0-row batch."""
+    import pyarrow.compute as pc
+    import ray
+
+    from reconcile_curation_in_cris_systems_ray.config import (
+        ReconcileConfig,
+    )
+    from reconcile_curation_in_cris_systems_ray.sources.corpus import (
+        CorpusConfig,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+        PairScorer, hydrate_pairs,
+    )
+
+    cfg = ReconcileConfig()
+    # the corpus of the pipeline's F1 gate (tests/test_pipeline.py)
+    features, pairs = _features_and_pairs(
+        CorpusConfig(n_families=40, giant_family_variants=24), cfg)
+    hydrated = pa.concat_tables([
+        t for t in ray.get(list(hydrate_pairs(
+            pairs, features,
+            est_prefilter=cfg.scoring.est_prefilter).to_arrow_refs()))
+        if t.num_rows])
+    hydrated = hydrated.sort_by([("url_a", "ascending"),
+                                 ("url_b", "ascending")])
+    long_head = pc.or_(
+        pc.greater(pc.binary_length(pc.fill_null(hydrated["head_a"], "")), 64),
+        pc.greater(pc.binary_length(pc.fill_null(hydrated["head_b"], "")), 64))
+    batches = {
+        "all": hydrated,
+        "all_fall_back": hydrated.filter(long_head),
+        "none_fall_back": hydrated.filter(pc.invert(long_head)),
+        "empty": hydrated.slice(0, 0),
+    }
+    assert batches["all_fall_back"].num_rows > 0
+    assert batches["none_fall_back"].num_rows > 0
+    scorer = PairScorer(cfg.scoring)
+    for name, batch in batches.items():
+        got = scorer(batch)
+        want = _sql_scored(batch, cfg.scoring)
+        assert got.schema == want.schema, name
+        assert got.equals(want), name
 
 
 def test_lang_id_stage_vectorized(ray_session):
