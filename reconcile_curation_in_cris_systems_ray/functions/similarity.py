@@ -214,22 +214,31 @@ def batch_shingle_sets(texts, k_tokens: int = 3,
     return out
 
 
+def _one_array(col):
+    """``col`` as one Arrow Array: a 1-chunk ChunkedArray yields its
+    chunk as is (``combine_chunks`` would copy it), several chunks are
+    concatenated."""
+    import pyarrow as pa
+
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
+
+
 def packed_u64_column(col, dtype=np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """Zero-copy ``(values, lengths)`` view of an Arrow binary column
     holding packed unsigned-int sets (one ``arr.tobytes()`` blob per
     row, ``dtype`` elements).  Avoids ``to_pylist`` + per-row
     ``np.frombuffer`` in hot scoring stages: the concatenated payload
-    is viewed in place from the Arrow data buffer."""
+    is viewed in place from the Arrow data buffer (a multi-chunk or
+    null-holding column is first copied into one array)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     dtype = np.dtype(dtype)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = _one_array(col)
     if col.null_count:
         col = pc.fill_null(col, b"")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
     if len(col) == 0:
         return (np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))
     large = (pa.types.is_large_binary(col.type)
@@ -238,57 +247,126 @@ def packed_u64_column(col, dtype=np.uint64) -> tuple[np.ndarray, np.ndarray]:
     offs = np.frombuffer(col.buffers()[1], dtype=off_dtype)[
         col.offset: col.offset + len(col) + 1].astype(np.int64)
     data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
-    vals = np.ascontiguousarray(data[offs[0]:offs[-1]]).view(dtype)
+    vals = data[offs[0]:offs[-1]].view(dtype)
     lens = (np.diff(offs) // dtype.itemsize).astype(np.int64)
     return vals, lens
 
 
-def pairwise_jaccard_packed(vals_a: np.ndarray, lens_a: np.ndarray,
-                            vals_b: np.ndarray, lens_b: np.ndarray) -> np.ndarray:
-    """Exact Jaccard for n pairs of packed sorted-unique uint64 sets.
+# exact-Jaccard probe table: 2^16 slots keyed by a token's low 16 bits
+# (256 KiB of uint32, 512 KiB of uint64: L2-resident), and the most
+# tokens (side-b partners plus side-a sets) gathered at once
+_SLOT_BITS = 16
+_GATHER_TOKENS = 1 << 18
 
-    Identical output to calling :func:`jaccard_from_sets` per pair
-    (pinned by tests).  Per-pair binary search of the smaller side into
-    the larger (both already sorted-unique): each step touches only the
-    two cache-resident sets.  A batch-global lexsort over (pair, value)
-    tags was tried and REJECTED: it allocates multi-MB temporaries per
-    task, and under 32-way task concurrency those allocations saturate
-    the shared memory bus (measured 17x slower single-task and a 4.5x
-    flagship wall regression at sf0.1 — same pathology as the MinHash
-    chunking note above).
-    """
-    n = lens_a.size
-    out = np.empty(n, dtype=np.float64)
-    if n == 0:
-        return out
-    off_a = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens_a, out=off_a[1:])
-    off_b = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens_b, out=off_b[1:])
-    for i in range(n):
-        a = vals_a[off_a[i]:off_a[i + 1]]
-        b = vals_b[off_b[i]:off_b[i + 1]]
-        if a.size == 0 or b.size == 0:
-            # either side empty -> 0.0 by fiat (content-free pages must
-            # not cluster on similarity they don't have)
-            out[i] = 0.0
-            continue
-        if a.size > b.size:
-            a, b = b, a
-        pos = np.searchsorted(b, a)
-        pos[pos == b.size] = b.size - 1
-        inter = int(np.count_nonzero(b[pos] == a))
-        out[i] = inter / (a.size + b.size - inter)
-    return out
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    offs = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=offs[1:])
+    return offs
 
 
 def jaccard_pairs_from_binary(col_a, col_b, dtype=np.uint64) -> np.ndarray:
-    """Exact Jaccard per row for two Arrow binary columns of packed
-    shingle-token sets (the hot path of pair scoring / near-dup
-    verify)."""
-    va, la = packed_u64_column(col_a, dtype)
-    vb, lb = packed_u64_column(col_b, dtype)
-    return pairwise_jaccard_packed(va, la, vb, lb)
+    """Exact Jaccard per row of two Arrow binary columns of packed
+    sorted-unique token sets (``dtype`` elements): the hot path of pair
+    scoring, near-dup verify and n-gram Jaccard.
+
+    Bit-identical to :func:`jaccard_from_sets` per row (pinned by
+    tests), NULL reading as the empty set; either side empty scores
+    0.0.  Candidate pairs repeat their side-a set many times (a hot
+    block's ~20k pairs hold ~700 distinct sets), so the kernel works
+    per side-a set rather than per pair, build/probe style:
+
+    - rows are grouped by their side-a payload (``dictionary_encode``:
+      equal bytes are an equal set) and ordered by group;
+    - side b is gathered in group order with Arrow ``take``, in slices
+      of at most ``_GATHER_TOKENS`` tokens, so the temporaries stay a
+      few MB whatever the batch size (a batch-global lexsort over
+      (pair, value) tags was measured 17x slower under 32-way task
+      concurrency: its multi-MB allocations saturate the memory bus);
+    - each group scatters its set into a 2^16-slot table keyed by the
+      low 16 bits and probes all its partners' tokens with one gather
+      and compare.  An empty slot s holds s + 1, whose low bits are not
+      s, so it never matches.  The set's tokens that lost their slot to
+      a collision are probed with one ``searchsorted``;
+    - per-row hit counts come from one ``np.add.reduceat`` per slice.
+    """
+    import pyarrow.compute as pc
+
+    dtype = np.dtype(dtype)
+    col_a, col_b = _one_array(col_a), _one_array(col_b)
+    n = len(col_a)
+    if col_a.null_count:
+        col_a = pc.fill_null(col_a, b"")
+    enc = pc.dictionary_encode(col_a)
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    set_vals, set_lens = packed_u64_column(enc.dictionary, dtype)
+    set_offs = _offsets(set_lens)
+    _, lb = packed_u64_column(col_b, dtype)
+    la = set_lens[codes]
+
+    order = np.argsort(codes, kind="stable")
+    codes_ord = codes[order]
+    # a slice's tokens: its rows' side b, plus each group's set once
+    first = np.ones(n, dtype=bool)
+    first[1:] = codes_ord[1:] != codes_ord[:-1]
+    tok_end = np.cumsum(lb[order] + np.where(first, la[order], 0))
+    inter_ord = np.zeros(n, dtype=np.int64)
+    mask = dtype.type((1 << _SLOT_BITS) - 1)
+    empty = np.arange(1, (1 << _SLOT_BITS) + 1, dtype=dtype)
+    table = empty.copy()
+    contested = np.zeros(1 << _SLOT_BITS, dtype=bool)
+    s0 = 0
+    while s0 < n:
+        base = tok_end[s0 - 1] if s0 else 0
+        s1 = max(s0 + 1, int(np.searchsorted(tok_end, base + _GATHER_TOKENS,
+                                             side="right")))
+        vb, lens = packed_u64_column(col_b.take(order[s0:s1]), dtype)
+        offs_b = _offsets(lens)
+        # sorted codes: the slice holds every group from c[0] to c[-1]
+        c = codes_ord[s0:s1] - codes_ord[s0]
+        g0, g1 = int(codes_ord[s0]), int(codes_ord[s1 - 1]) + 1
+        va = set_vals[set_offs[g0]:set_offs[g1]]
+        offs_a = (set_offs[g0:g1 + 1] - set_offs[g0]).tolist()
+        slot_a = (va & mask).astype(np.intp)
+        slot_b = (vb & mask).astype(np.intp)
+        hit = np.zeros(vb.size, dtype=bool)
+        runs = np.flatnonzero(c[1:] != c[:-1]) + 1
+        ob = offs_b.tolist()
+        for g, u0, u1 in zip(c[np.concatenate(([0], runs))].tolist(),
+                             [0] + runs.tolist(), runs.tolist() + [s1 - s0]):
+            a0, a1, b0, b1 = offs_a[g], offs_a[g + 1], ob[u0], ob[u1]
+            if a0 == a1 or b0 == b1:
+                continue
+            a, sa = va[a0:a1], slot_a[a0:a1]
+            b, sb = vb[b0:b1], slot_b[b0:b1]
+            table[sa] = a
+            lost = table[sa] != a
+            np.equal(table[sb], b, out=hit[b0:b1])
+            if lost.any():
+                # only partner tokens on a contested slot can match a
+                # lost token (searchsorted is slow on unsorted keys)
+                lost_slots = sa[lost]
+                contested[lost_slots] = True
+                cand = np.flatnonzero(contested[sb])
+                contested[lost_slots] = False
+                lost_a, bc = a[lost], b[cand]
+                pos = np.searchsorted(lost_a, bc)
+                np.minimum(pos, lost_a.size - 1, out=pos)
+                hit[b0 + cand] |= lost_a[pos] == bc
+            table[sa] = empty[sa]
+        # reduceat over the non-empty rows only: each segment then runs
+        # to the next non-empty row's start, or to the slice's end
+        nz = np.flatnonzero(lens)
+        if nz.size:
+            inter_ord[s0 + nz] = np.add.reduceat(hit.view(np.uint8),
+                                                 offs_b[nz], dtype=np.int64)
+        s0 = s1
+
+    inter = np.empty(n, dtype=np.int64)
+    inter[order] = inter_ord
+    out = np.zeros(n, dtype=np.float64)
+    np.divide(inter, la + lb - inter, out=out, where=(la > 0) & (lb > 0))
+    return out
 
 
 def partial_lev_distance(pattern: str, text: str) -> int:

@@ -14,7 +14,9 @@ re-targeted to url/title/text per the north rule, vectorized:
   per byte, vectorized across pairs); the rare heads over 64 bytes
   (multi-byte text) keep DuckDB's ``levenshtein`` DP, and every score is
   bit-identical to the all-DuckDB expression;
-- exact Jaccard is computed from the precomputed uint64 shingle sets.
+- exact Jaccard is computed from the precomputed shingle sets (sorted
+  uint32 tokens) by a build/probe kernel (``jaccard_pairs_from_binary``)
+  that hashes each distinct side-a set once and probes all its partners.
 
 Feature hydration: candidate pairs carry only urls + MinHash estimate;
 features (title/text head/shingles) are joined back per side with
@@ -46,7 +48,8 @@ _LOOKUP_COLS = ["url", "title_norm", "text_head", "shingles", "sig"]
 def _build_lookup_task(cols, *blocks):
     """Remote body: concat feature blocks, sort by url hash, return
     (sorted hash array, row-aligned table).  0-row blocks are skipped:
-    they may carry no columns at all."""
+    they may carry no columns at all.  Raises ``ValueError`` when two
+    different urls share a hash."""
     from ..functions.similarity import stable_hash_strings
 
     good = [b.select(cols) for b in blocks if b.num_rows]
@@ -61,8 +64,21 @@ def _build_lookup_task(cols, *blocks):
     key_hash = stable_hash_strings(
         tbl.column("url").to_pandas().to_numpy(dtype=object))
     order = np.argsort(key_hash, kind="mergesort")
-    return (np.ascontiguousarray(key_hash[order]),
-            tbl.take(pa.array(order)).combine_chunks())
+    key_hash = key_hash[order]
+    tbl = tbl.take(pa.array(order)).combine_chunks()
+    # two different urls on one 64-bit hash would silently share a
+    # lookup row; a url listed twice keeps its first row
+    same = np.flatnonzero(key_hash[1:] == key_hash[:-1])
+    if same.size:
+        urls = tbl.column("url")
+        left, right = urls.take(pa.array(same)), urls.take(pa.array(same + 1))
+        clash = pc.not_equal(left, right)
+        if pc.any(clash).as_py():
+            i = pc.index(clash, True).as_py()
+            raise ValueError(f"url hash collision: {left[i].as_py()!r} and "
+                             f"{right[i].as_py()!r} share hash "
+                             f"{int(key_hash[same[i]]):#x}")
+    return key_hash, tbl
 
 
 def build_feature_lookup(features_ds,

@@ -147,6 +147,146 @@ def test_pairwise_jaccard_packed_nulls():
     np.testing.assert_allclose(got, [1.0, 0.0])
 
 
+def test_packed_u64_column_single_chunk_is_zero_copy():
+    """A 1-chunk column is viewed in place; values are unchanged for
+    1-chunk, multi-chunk, sliced and large_binary inputs."""
+    import pyarrow as pa
+
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        packed_u64_column,
+    )
+
+    rng = np.random.default_rng(3)
+    sets = [np.unique(rng.integers(0, 2**32, k).astype(np.uint32))
+            for k in rng.integers(0, 30, 40)]
+    arr = pa.array([s.tobytes() for s in sets], pa.binary())
+    want_lens = np.array([s.size for s in sets])
+
+    one = pa.chunked_array([arr])
+    vals, _ = packed_u64_column(one, np.uint32)
+    assert np.shares_memory(
+        vals, np.frombuffer(one.chunk(0).buffers()[2], dtype=np.uint8))
+    cases = {
+        "one_chunk": (one, slice(None)),
+        "array": (arr, slice(None)),
+        "multi_chunk": (pa.chunked_array([arr.slice(0, 7), arr.slice(7, 0),
+                                          arr.slice(7)]), slice(None)),
+        "sliced": (arr.slice(5, 20), slice(5, 25)),
+        "sliced_one_chunk": (pa.chunked_array([arr.slice(5, 20)]),
+                             slice(5, 25)),
+        "large_binary": (pa.chunked_array([arr.cast(pa.large_binary())]),
+                         slice(None)),
+    }
+    for name, (col, rows) in cases.items():
+        vals, lens = packed_u64_column(col, np.uint32)
+        np.testing.assert_array_equal(lens, want_lens[rows], err_msg=name)
+        want = (np.concatenate(sets[rows]) if sets[rows]
+                else np.empty(0, np.uint32))
+        np.testing.assert_array_equal(vals, want, err_msg=name)
+
+
+def _grouped_jaccard_cases(rng, dtype):
+    """(sets_a, sets_b) rows in which side-a sets repeat in groups of 1
+    to ~200 partners, with forced low-16-bit slot collisions, one large
+    (~5,000-token) set and empty sets on either side."""
+    hi = 2**32 if dtype == np.uint32 else 2**63
+
+    def rand(k):
+        return rng.integers(0, hi, k, dtype=np.uint64).astype(dtype)
+
+    def colliding(k, slots):
+        # k tokens spread over few slots: most lose their table slot
+        lo = rng.choice(slots, k)
+        return ((rand(k) >> dtype(16)) << dtype(16)) | lo.astype(dtype)
+
+    slots = rng.integers(0, 1 << 16, 8)
+    bases = [
+        np.unique(rand(int(rng.integers(1, 400)))) for _ in range(30)
+    ] + [
+        np.unique(np.concatenate([rand(100), colliding(60, slots)]))
+        for _ in range(10)
+    ] + [np.unique(rand(5000)), np.empty(0, dtype)]
+    sets_a, sets_b = [], []
+    prev = bases[-1]
+    for a in bases:
+        for _ in range(int(rng.choice([1, 2, 3, 17, 200]))):
+            keep = a[rng.random(a.size) < rng.random()]
+            # tokens of the previous group's set (a stale probe table
+            # would match them) and tokens below 2^16, 0 included (an
+            # empty slot's filler must never match them)
+            extra = np.concatenate([rand(int(rng.integers(0, 60))),
+                                    colliding(int(rng.integers(0, 20)),
+                                              slots),
+                                    prev[:int(rng.integers(0, 30))],
+                                    rng.integers(0, 1 << 16, 3).astype(dtype),
+                                    np.zeros(1, dtype)])
+            b = (np.empty(0, dtype) if rng.random() < 0.03
+                 else np.unique(np.concatenate([keep, extra])))
+            sets_a.append(a)
+            sets_b.append(b)
+        prev = a
+    return sets_a, sets_b
+
+
+def test_grouped_jaccard_fuzz_bit_identical(monkeypatch):
+    """The grouped build/probe Jaccard kernel equals jaccard_from_sets
+    bit for bit, grouped or shuffled, across slot collisions, large and
+    empty sets, NULLs, both token widths, every Arrow input layout, and
+    side-b gathers split into many small slices."""
+    import pyarrow as pa
+
+    from reconcile_curation_in_cris_systems_ray.functions import similarity
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        jaccard_pairs_from_binary,
+    )
+
+    rng = np.random.default_rng(2024)
+    for dtype in (np.uint32, np.uint64):
+        sets_a, sets_b = _grouped_jaccard_cases(rng, dtype)
+        want = np.array([jaccard_from_sets(a, b)
+                         for a, b in zip(sets_a, sets_b)])
+        assert (want > 0).sum() > len(want) // 2
+        perm = rng.permutation(len(sets_a))
+        for name, rows in (("grouped", np.arange(len(sets_a))),
+                           ("shuffled", perm)):
+            col_a = pa.array([sets_a[i].tobytes() for i in rows], pa.binary())
+            col_b = pa.array([sets_b[i].tobytes() for i in rows], pa.binary())
+            w = want[rows]
+            layouts = {
+                "array": (col_a, col_b, w),
+                "one_chunk": (pa.chunked_array([col_a]),
+                              pa.chunked_array([col_b]), w),
+                "multi_chunk": (pa.chunked_array([col_a[:100], col_a[100:]]),
+                                pa.chunked_array([col_b[:333], col_b[333:]]),
+                                w),
+                "sliced": (col_a.slice(50, 400), col_b.slice(50, 400),
+                           w[50:450]),
+                "large_binary": (col_a.cast(pa.large_binary()),
+                                 col_b.cast(pa.large_binary()), w),
+                "empty": (col_a.slice(0, 0), col_b.slice(0, 0), w[:0]),
+            }
+            for layout, (ca, cb, expect) in layouts.items():
+                got = jaccard_pairs_from_binary(ca, cb, dtype=dtype)
+                assert got.dtype == np.float64
+                assert got.tobytes() == expect.tobytes(), (dtype, name,
+                                                           layout)
+        # a gather budget far below one group's partners splits groups
+        # across slices
+        monkeypatch.setattr(similarity, "_GATHER_TOKENS", 1000)
+        col_a = pa.array([sets_a[i].tobytes() for i in perm], pa.binary())
+        col_b = pa.array([sets_b[i].tobytes() for i in perm], pa.binary())
+        got = jaccard_pairs_from_binary(col_a, col_b, dtype=dtype)
+        assert got.tobytes() == want[perm].tobytes(), (dtype, "small slices")
+        monkeypatch.undo()
+
+    # NULL reads as the empty set, on either side
+    s = np.array([1, 2, 3], dtype=np.uint32).tobytes()
+    got = jaccard_pairs_from_binary(pa.array([s, None, None, s], pa.binary()),
+                                    pa.array([None, s, None, s], pa.binary()),
+                                    dtype=np.uint32)
+    assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
 def test_damerau_leq1_duckdb_parity_fuzz():
     """Closed-form capped DL kernel == DuckDB damerau_levenshtein
     (capped at 2) over randomized mutation pairs covering every branch:

@@ -358,12 +358,16 @@ def _sql_scored(batch: pa.Table, cfg) -> pa.Table:
     import duckdb
 
     from reconcile_curation_in_cris_systems_ray.functions.similarity import (
-        jaccard_pairs_from_binary,
+        jaccard_from_sets,
     )
 
-    jac = jaccard_pairs_from_binary(batch.column("shingles_a"),
-                                    batch.column("shingles_b"),
-                                    dtype=np.uint32)
+    # per pair, independent of the batch kernel under test
+    jac = np.array([
+        jaccard_from_sets(np.frombuffer(a or b"", np.uint32),
+                          np.frombuffer(b or b"", np.uint32))
+        for a, b in zip(batch.column("shingles_a").to_pylist(),
+                        batch.column("shingles_b").to_pylist())],
+        dtype=np.float64)
     con = duckdb.connect()
     con.execute("PRAGMA threads=1")
     con.register("pairs_batch", batch.select(
@@ -387,10 +391,12 @@ def _sql_scored(batch: pa.Table, cfg) -> pa.Table:
 
 def test_pair_scorer_matches_sql_scorer(ray_session):
     """PairScorer (bit-parallel head Levenshtein, DuckDB only for heads
-    over 64 bytes) equals the all-SQL scorer on the pipeline gate
-    corpus's hydrated candidate pairs, every column bit for bit: on the
-    whole set, on a batch where every row falls back to DuckDB, on one
-    where none does, and on a 0-row batch."""
+    over 64 bytes) equals the all-SQL scorer, with exact Jaccard per
+    pair, on the pipeline gate corpus's hydrated candidate pairs, every
+    column bit for bit: on the whole set, on the set with its rows
+    shuffled (side-a sets not contiguous), on a batch where every row
+    falls back to DuckDB, on one where none does, and on a 0-row
+    batch."""
     import pyarrow.compute as pc
     import ray
 
@@ -418,8 +424,11 @@ def test_pair_scorer_matches_sql_scorer(ray_session):
     long_head = pc.or_(
         pc.greater(pc.binary_length(pc.fill_null(hydrated["head_a"], "")), 64),
         pc.greater(pc.binary_length(pc.fill_null(hydrated["head_b"], "")), 64))
+    shuffled = hydrated.take(pa.array(
+        np.random.default_rng(7).permutation(hydrated.num_rows)))
     batches = {
         "all": hydrated,
+        "shuffled": shuffled,
         "all_fall_back": hydrated.filter(long_head),
         "none_fall_back": hydrated.filter(pc.invert(long_head)),
         "empty": hydrated.slice(0, 0),
@@ -432,6 +441,46 @@ def test_pair_scorer_matches_sql_scorer(ray_session):
         want = _sql_scored(batch, cfg.scoring)
         assert got.schema == want.schema, name
         assert got.equals(want), name
+
+
+def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
+    """Two different urls on one 64-bit hash raise instead of sharing a
+    lookup row; a url listed twice keeps its first row, as before."""
+    from reconcile_curation_in_cris_systems_ray.functions import similarity
+    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+        _LOOKUP_COLS, _build_lookup_task,
+    )
+
+    def block(urls, head="head"):
+        n = len(urls)
+        return pa.table({
+            "url": pa.array(urls, pa.string()),
+            "title_norm": pa.array(["t"] * n, pa.string()),
+            "text_head": pa.array([head] * n, pa.string()),
+            "shingles": pa.array([b""] * n, pa.binary()),
+            "sig": pa.array([b"\0\0\0\0"] * n, pa.binary()),
+        })
+
+    real_hash = similarity.stable_hash_strings
+
+    def colliding_hash(values):
+        h = real_hash(values)
+        h[np.asarray(values, dtype=object) == "u/clash"] = real_hash(
+            ["u/one"])[0]
+        return h
+
+    h, tbl = _build_lookup_task(_LOOKUP_COLS,
+                                block(["u/one", "u/two"], "first"),
+                                block(["u/one", "u/three"], "second"))
+    assert len(h) == 4 and (h[1:] >= h[:-1]).all()
+    i = int(np.searchsorted(h, real_hash(["u/one"])[0]))
+    assert tbl.column("url")[i].as_py() == "u/one"
+    assert tbl.column("text_head")[i].as_py() == "first"
+
+    monkeypatch.setattr(similarity, "stable_hash_strings", colliding_hash)
+    with pytest.raises(ValueError, match="u/clash"):
+        _build_lookup_task(_LOOKUP_COLS, block(["u/one", "u/two"]),
+                           block(["u/clash"]))
 
 
 def test_lang_id_stage_vectorized(ray_session):
