@@ -36,6 +36,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _input_fingerprint(path: str) -> str:
+    """Checkpoint identity of the Parquet input: each file's path
+    relative to ``path``, byte size and footer (row count and
+    row-group statistics).  An input rewritten in place thus starts
+    the pipeline over instead of resuming the old data's stages.
+    Like the Parquet reader, skips names starting with ``.`` or ``_``."""
+    import os
+
+    import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
+
+    from .state.manifest import fingerprint
+
+    fs, root = pafs.FileSystem.from_uri(
+        path if "://" in path else os.path.abspath(path))
+    info = fs.get_file_info(root)
+    if info.is_file:
+        files = {info.base_name: info}
+    else:
+        files = {}
+        for f in fs.get_file_info(pafs.FileSelector(root, recursive=True)):
+            rel = f.path[len(root):].lstrip("/")
+            if f.is_file and not any(s.startswith((".", "_"))
+                                     for s in rel.split("/")):
+                files[rel] = f
+    return fingerprint(*[
+        (rel, f.size, pq.read_metadata(f.path, filesystem=fs).to_dict())
+        for rel, f in sorted(files.items())])
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     import ray
@@ -59,7 +89,7 @@ def main(argv=None) -> int:
     out = run_reconcile(corpus, cfg,
                         checkpoint_root=args.checkpoint_root,
                         resume=not args.no_resume,
-                        input_fingerprint=args.input)
+                        input_fingerprint=_input_fingerprint(args.input))
     out["assignments"].write_parquet(args.output)
     print(json.dumps(out["metrics"], default=str))
     return 0

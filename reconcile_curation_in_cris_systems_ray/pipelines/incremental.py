@@ -105,7 +105,8 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     read back from its per-stage Parquet checkpoints).  Returns
     ``{"assignments": Dataset, "delta_features": Dataset, "metrics": dict}``
     where assignments covers base + delta urls with full-run-equivalent
-    cluster ids.
+    cluster ids.  Raises ``ValueError`` naming a delta url that is
+    already in ``base_assignments``.
     """
     t0 = time.time()
     metrics: dict = {}
@@ -240,14 +241,29 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
         b for b in old_nodes.materialize().to_arrow_refs()])
 
     def involved_only(df: pd.DataFrame) -> pd.DataFrame:
-        inv = ray.get(inv_h_ref)
         urls = df["url"].to_numpy(dtype=object)
-        return df[_in_sorted(inv, stable_hash_strings(urls))]
+        uh = stable_hash_strings(urls)
+        # this pass sees every base url, so it also flags delta urls
+        # already in the base (each would get two assignment rows)
+        again = _in_sorted(ray.get(new_uh), uh)
+        keep = _in_sorted(ray.get(inv_h_ref), uh) | again
+        return df[keep].assign(again=again[keep])
 
-    touched_asgn = base_assignments.map_batches(
-        involved_only, batch_format="pandas")
-    old_h, old_v = _lookup_task.remote(
-        "url", "cluster_id", *touched_asgn.materialize().to_arrow_refs())
+    def _first_again(*blocks):
+        for b in blocks:
+            if b.num_rows:
+                hit = b.filter(b.column("again"))
+                if hit.num_rows:
+                    return hit.column("url")[0].as_py()
+        return None
+
+    touched_refs = base_assignments.map_batches(
+        involved_only, batch_format="pandas").materialize().to_arrow_refs()
+    # one bare task over the small touched set, not a Ray Data execution
+    again_url = ray.get(ray.remote(_first_again).remote(*touched_refs))
+    if again_url is not None:
+        raise ValueError(f"delta url already in the base: {again_url!r}")
+    old_h, old_v = _lookup_task.remote("url", "cluster_id", *touched_refs)
 
     def contract(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -9,18 +9,8 @@ import os
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 
-from ...config import BlockingConfig, ScoringConfig
 from ...stages import relational as rel
-from ...stages import textstats as ts
-from ...stages.ann import brute_force_topk, ivf_topk
-from ...stages.dedup import (
-    embedding_dup_pairs, exact_dedup, near_dup_pairs, simhash_dup_pairs,
-)
-from ...stages.fields import extract_fields
-
 
 
 def _rp(sf_dir: str, table: str, columns=None):

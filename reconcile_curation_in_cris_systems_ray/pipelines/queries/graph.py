@@ -5,23 +5,12 @@ Split out of the former monolithic pipelines/queries.py (round-4 task 2).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ...config import BlockingConfig, ScoringConfig
 from ...stages import relational as rel
-from ...stages import textstats as ts
-from ...stages.ann import brute_force_topk, ivf_topk
-from ...stages.dedup import (
-    embedding_dup_pairs, exact_dedup, near_dup_pairs, simhash_dup_pairs,
-)
-from ...stages.fields import extract_fields
 from ._shared import _SQL_EDGES_CTE, _link_graph_inputs, _rp
-
 
 
 def q_graph_degree(sf_dir: str):

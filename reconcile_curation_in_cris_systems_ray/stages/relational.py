@@ -535,33 +535,6 @@ def grouping_sets_agg(ds, sets: Sequence[Sequence[str]],
     return pd.concat(levels, ignore_index=True)
 
 
-def group_mode(ds, keys: Sequence[str], val_col: str,
-               out_col: str = "mode_val") -> pd.DataFrame:
-    """Per-group MODE (most frequent value, ties -> smallest value):
-    the classic two-level plan — per-batch exact (keys, value) counts
-    collapse inside ``map_batches`` (combiner; the only thing that
-    ever moves is the bounded keys x distinct-values partial table,
-    never the row stream), then a deterministic argmax-(count, -value)
-    on the merged cells.  Matches SQL
-    ``row_number() OVER (PARTITION BY keys ORDER BY count(*) DESC,
-    value)`` = 1, which is how the oracle spells it (DuckDB's
-    ``mode()`` leaves ties unspecified — this formulation pins them).
-    """
-    keys = list(keys)
-    cells = partial_groupby_agg(
-        ds.map_batches(
-            lambda df: (df.groupby(keys + [val_col], sort=False)
-                        .size().reset_index(name="cnt")),
-            batch_format="pandas"),
-        keys + [val_col], {"cnt": ("cnt", "sum")})
-    cells = cells.sort_values(keys + ["cnt", val_col],
-                              ascending=[True] * len(keys) + [False, True],
-                              kind="mergesort")
-    best = cells.drop_duplicates(keys)[keys + [val_col, "cnt"]]
-    return (best.rename(columns={val_col: out_col, "cnt": "mode_n"})
-            .reset_index(drop=True))
-
-
 def pivot_wide(ds, key: str, pivot_col: str, categories: Sequence[str],
                prefix: str = "n_", num_buckets: int = 64):
     """Long -> wide PIVOT (count per category): one output row per
@@ -634,8 +607,7 @@ def golden_record(ds, key: str, rules: dict[str, tuple[str, ...]],
     is also expressible as a re-aggregable (key, value, count)
     combiner when a single mode column dominates the payload; the
     co-located form keeps all policies in one exchange, the same
-    contract as ``quantile_agg``/``outlier_filter`` (complete groups
-    per bucket)."""
+    contract as ``quantile_agg`` (complete groups per bucket)."""
     from .shuffle import bucketed_map_groups
 
     need = {key}
@@ -827,34 +799,6 @@ def group_entropy(ds, key: str, col: str, num_buckets: int = 64):
         return g
 
     return bucketed_map_groups(parts, [key], ent, num_buckets)
-
-
-def impute_group_median(ds, key: str, col: str,
-                        out_col: str | None = None,
-                        num_buckets: int = 64):
-    """Null imputation with the per-group median — the robust-center
-    fill used before numeric scoring/model features (a group's typical
-    value stands in for its gaps; the global-median fallback for
-    all-null groups is the caller's policy and deliberately NOT
-    applied here, matching SQL ``coalesce(v, median(v) OVER ...)``
-    semantics where an all-null group stays null).
-
-    One co-location shuffle on the key (the quantile_agg contract:
-    complete groups per bucket), vectorized ``groupby().transform``
-    per bucket.  Adds ``out_col`` (default ``col + '_imputed'``,
-    round-6 float parity) and a ``was_null`` flag."""
-    from .shuffle import bucketed_map_groups
-
-    out_name = out_col or f"{col}_imputed"
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        med = df.groupby(key, sort=False)[col].transform("median")
-        out["was_null"] = df[col].isna()
-        out[out_name] = df[col].fillna(med).round(6)
-        return out
-
-    return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
 
 
 def global_dense_rank(ds, order_col: str, tie_col: str,

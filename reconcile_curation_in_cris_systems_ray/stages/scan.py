@@ -85,49 +85,3 @@ def global_scan(ds, order_cols: list[str], value_col: str, out_col: str,
     out_refs = [with_prefix.remote(r, o, h)
                 for r, o, h in zip(refs, offsets, next_heads)]
     return rd.from_arrow_refs(out_refs)
-
-
-def strict_inversions(values: "np.ndarray") -> int:
-    """Number of index pairs i < j with ``values[i] > values[j]``
-    (STRICT — ties are not inversions), counted by a bottom-up merge
-    in O(n log^2 n) NUMPY ops with no per-element Python loop: the
-    array is rank-compressed, padded to a power of two with a
-    max-rank sentinel (sentinels live in the tail, so they never sit
-    left of a real element at any merge level), and each level
-    processes ALL segment pairs at once — keys ``rank*2 + is_right``
-    make a row-wise ``np.sort`` of the merged halves place left-half
-    elements before right-half elements on rank ties, so for every
-    right element the count of STRICTLY greater left elements is
-    ``w - (left elements seen so far)``, a cumsum.
-
-    This is the distributed Kendall-tau workhorse: each co-located
-    group pays one call, and the call is pure vectorized kernel work.
-    """
-    n = len(values)
-    if n < 2:
-        return 0
-    # rank-compress to int64 (float/timestamp safe, ties preserved)
-    ranks = np.unique(values, return_inverse=True)[1].astype(np.int64)
-    p = 1 << int(np.ceil(np.log2(n)))
-    sentinel = ranks.max() + 1
-    arr = np.full(p, sentinel, dtype=np.int64)
-    arr[:n] = ranks
-    total = 0
-    width = 1
-    while width < p:
-        m = p // (2 * width)
-        a = arr.reshape(m, 2 * width)
-        # keys: rank*2 + flag; flag 0 = left half, 1 = right half
-        flags = np.zeros((m, 2 * width), dtype=np.int64)
-        flags[:, width:] = 1
-        keys = a * 2 + flags
-        keys.sort(axis=1)
-        fl = keys & 1                       # 1 where right-half element
-        cum_left = np.cumsum(1 - fl, axis=1)
-        # right element at merged pos: strictly-greater lefts = width - cum_left
-        total += int(((width - cum_left) * fl).sum())
-        arr = (keys >> 1).ravel()
-        width *= 2
-    return total
-
-

@@ -18,10 +18,12 @@ re-targeted to url/title/text per the north rule, vectorized:
   uint32 tokens) by a build/probe kernel (``jaccard_pairs_from_binary``)
   that hashes each distinct side-a set once and probes all its partners.
 
-Feature hydration: candidate pairs carry only urls + MinHash estimate;
-features (title/text head/shingles) are joined back per side with
-``Dataset.join`` (hash-partitioned equi-join) so the wide band-explode
-shuffle never carries text.
+Feature hydration: candidate pairs carry only urls + MinHash estimate,
+so the wide band-explode shuffle never carries text.  Each pair side
+looks its features (title/text head/shingles) up in one broadcast
+table sorted by url hash, inside the scoring task; only above
+``BROADCAST_FEATURE_ROWS`` feature rows are they joined back per side
+with ``Dataset.join`` (hash-partitioned equi-join) instead.
 """
 
 from __future__ import annotations

@@ -1039,73 +1039,6 @@ def bigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
             "nll": pd.Series([], dtype="float64")}))
 
 
-def js_divergence(ds, id_col: str = "doc_id", text_col: str = "text",
-                  num_buckets: int = 64):
-    """Jensen-Shannon divergence (bits) between the token distributions
-    of two corpus halves (``id % 2``) — the distribution-drift gate a
-    curation pipeline runs between crawls/sources before mixing them.
-
-    Plan: one combiner pass + one bucketed shuffle builds per-term
-    (count_A, count_B) cells; the two corpus totals are scalar
-    reductions; each bucket then reduces its terms' JS contributions
-    ``Σ 0.5·p·log2(p/m) + 0.5·q·log2(q/m)`` (zero-count sides
-    contribute 0) to ONE partial row — driver state is O(buckets).
-    The identical float expression is mirrored in the SQL oracle.
-    """
-    from .shuffle import bucketed_map_groups
-
-    docs = ds.select_columns([id_col, text_col])
-
-    def cnt_partial(df: pd.DataFrame) -> pd.DataFrame:
-        side = (df[id_col].to_numpy() % 2).astype(np.int64)
-        toks = _ws_tokens(df[text_col]).reset_index(drop=True)
-        ex = toks.explode().dropna()
-        if len(ex) == 0:
-            return pd.DataFrame({"term": pd.Series([], dtype="string"),
-                                 "ca": pd.Series([], dtype="int64"),
-                                 "cb": pd.Series([], dtype="int64")})
-        t = pd.DataFrame({"term": ex.to_numpy(),
-                          "s": side[ex.index.to_numpy()]})
-        g = t.groupby("term", sort=False)["s"] \
-            .agg(n="size", odd="sum").reset_index()
-        return pd.DataFrame({
-            "term": g["term"].astype("string"),
-            "ca": (g["n"] - g["odd"]).astype("int64"),
-            "cb": g["odd"].astype("int64")})
-
-    def cnt_sum(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("term", sort=False)[["ca", "cb"]].sum()
-        return g.reset_index()
-
-    cells = bucketed_map_groups(
-        docs.map_batches(cnt_partial, batch_format="pandas"),
-        ["term"], cnt_sum, num_buckets,
-        empty_like=pd.DataFrame({"term": pd.Series([], dtype="string"),
-                                 "ca": pd.Series([], dtype="int64"),
-                                 "cb": pd.Series([], dtype="int64")})
-    ).materialize()
-    na = float(cells.sum("ca") or 0)
-    nb = float(cells.sum("cb") or 0)
-
-    def bucket_js(df: pd.DataFrame) -> pd.DataFrame:
-        p = df["ca"].to_numpy(np.float64) / na
-        q = df["cb"].to_numpy(np.float64) / nb
-        m = (p + q) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            part = (np.where(p > 0, 0.5 * p * np.log2(
-                        np.where(p > 0, p, 1.0) / m), 0.0)
-                    + np.where(q > 0, 0.5 * q * np.log2(
-                        np.where(q > 0, q, 1.0) / m), 0.0))
-        return pd.DataFrame({"js": [part.sum()],
-                             "n_terms": [np.int64(len(df))]})
-
-    parts = cells.map_batches(bucket_js, batch_format="pandas") \
-        .to_pandas()
-    return pd.DataFrame({
-        "js_bits": [np.round(parts["js"].to_numpy(np.float64).sum(), 6)],
-        "n_terms": [np.int64(parts["n_terms"].sum())]})
-
-
 def llr_collocations(ds, text_col: str = "text", min_count: int = 5,
                      k: int = 20, num_buckets: int = 32):
     """Top-k bigram collocations by Dunning's log-likelihood ratio

@@ -189,9 +189,13 @@ def test_config_from_yaml(tmp_path):
         ReconcileConfig.from_dict({"exec": {"extract_batch_size": 256}})
 
 
-def test_cli_reconcile_from_parquet(ray_session, corpus, tmp_path):
+def test_cli_reconcile_from_parquet(ray_session, corpus, tmp_path, capsys):
     """CLI path: corpus Parquet in -> (url, cluster_id) Parquet out,
-    identical clusters to the in-memory pipeline."""
+    identical clusters to the in-memory pipeline.  An input rewritten
+    in place under the same checkpoint root starts over: its stages
+    are not resumed from the old data."""
+    import json
+
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -199,13 +203,25 @@ def test_cli_reconcile_from_parquet(ray_session, corpus, tmp_path):
 
     src = tmp_path / "corpus"
     src.mkdir()
-    pq.write_table(corpus.drop_columns(["text", "cluster_id"]),
-                   src / "part-0.parquet")
-    dst = tmp_path / "assignments"
-    rc = main(["reconcile", "--input", str(src), "--output", str(dst)])
-    assert rc == 0
-    back = rd.read_parquet(str(dst))
-    a_cli = {r["url"]: r["cluster_id"] for r in back.take_all()}
+    pages = corpus.drop_columns(["text", "cluster_id"])
+    ckpt = str(tmp_path / "ckpt")
+
+    def run(tbl, dst):
+        pq.write_table(tbl, src / "part-0.parquet")
+        capsys.readouterr()
+        rc = main(["reconcile", "--input", str(src), "--output", str(dst),
+                   "--checkpoint-root", ckpt])
+        assert rc == 0
+        metrics = json.loads(capsys.readouterr().out.strip()
+                             .splitlines()[-1])
+        back = rd.read_parquet(str(dst))
+        return metrics, {r["url"]: r["cluster_id"] for r in back.take_all()}
+
+    run(pages.slice(0, pages.num_rows // 2), tmp_path / "first")
+    metrics, a_cli = run(pages, tmp_path / "assignments")
+    stages = {s["stage"]: s for s in metrics["stages"]}
+    assert not stages["extracted"]["resumed"]
+    assert sorted(a_cli) == sorted(pages.column("url").to_pylist())
     out = run_reconcile(rd.from_arrow(corpus))
     a_mem = {r["url"]: r["cluster_id"] for r in out["assignments"].take_all()}
     assert a_cli == a_mem
@@ -245,6 +261,25 @@ def test_incremental_equals_full_run(ray_session, corpus):
     assert got == want
     # the delta actually linked into base clusters (non-vacuous)
     assert inc["metrics"]["delta_edges"] > 0
+
+
+def test_incremental_rejects_delta_url_already_in_base(ray_session, corpus):
+    """Re-sending base pages as a delta must fail loudly, naming a
+    repeated url, instead of returning two assignment rows per url."""
+    import re
+
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
+        run_incremental,
+    )
+
+    base = run_reconcile(rd.from_arrow(corpus))
+    resent = corpus.slice(0, 5)
+    repeated = "|".join(map(re.escape, resent.column("url").to_pylist()))
+    with pytest.raises(ValueError, match=repeated):
+        run_incremental(base["features"], base["assignments"],
+                        rd.from_arrow(resent))
 
 
 def _with_empty_block(tbl):

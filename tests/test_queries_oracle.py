@@ -54,10 +54,6 @@ PINNED = [
     "katz_centrality",
     "qgram_block",
     "review_queue",
-    "theil_sen",
-    "mann_kendall",
-    "cliffs_delta",
-    "hodges_lehmann",
     "collective_er",
     "png_dims",
     "yannakakis_join",
@@ -67,9 +63,7 @@ PINNED = [
     "approx_distinct",
     "approx_distinct_group",
     "kcore",
-    "huber_location",
     "novelty_score",
-    "woe_iv",
     "token_budget_sample",
     "interleave_order",
     "t_closeness",
@@ -78,26 +72,19 @@ PINNED = [
     "stream_join",
     "geo_nearest",
     "xml_ingest",
-    "trimmed_mean",
     "l_diversity",
     "random_walks",
-    "basket_pairs",
     "skew_report",
     "window_distinct",
-    "wasserstein_1d",
-    "simpson_diversity",
     "llr_collocations",
     "tree_rollup",
     "dq_audit",
-    "theil_index",
     "map_at_k",
     "rbo_rankings",
     "merge_upsert",
     "fixed_width_ingest",
     "geo_join",
     "match_auc",
-    "mutual_info",
-    "jarque_bera",
     "adjusted_rand",
     "count_distinct",
     "entity_extract",
@@ -141,47 +128,28 @@ PINNED = [
     "kmv_overlap",
     "zorder_sort",
     "fingerprint_cluster",
-    "mad_agg",
     "chi2_terms",
-    "assoc_rules",
     "band_join",
-    "ols_residuals",
-    "moments_agg",
     "union_by_name",
-    "spearman_agg",
-    "winsorize",
     "group_lcp",
-    "welch_t",
-    "ks_test",
-    "gini_value",
     "modularity_score",
     "zipf_slope",
-    "cond_entropy",
     "systematic_sample",
     "clustering_coeff",
     "assortativity",
     "reciprocity",
     "dup_rate_by_source",
-    "mann_whitney",
-    "kruskal_wallis",
-    "chisq_independence",
     "match_transitivity",
     "cohens_kappa",
     "damerau_join",
     "char_jaccard_pairs",
     "adamic_adar",
-    "benford_digits",
-    "anova_f",
     "ntile_window",
     "id_islands",
-    "levene_bf",
-    "js_divergence",
     "dynamic_blocking",
     "bigram_lm",
     "join_size",
     "truth_discovery",
-    "rfm_segments",
-    "cramers_v",
     "blocking_sweep",
     "rendezvous_stability",
     "weighted_jaccard",
@@ -190,9 +158,7 @@ PINNED = [
     "pruned_scan",
     "k_anonymity",
     "quota_sample",
-    "psi_drift",
     "delta_agg_refresh",
-    "hill_tail",
     "naive_bayes",
     "sssp_hops",
     "cdc_chunks",
@@ -204,7 +170,6 @@ PINNED = [
     "centroid_agg",
     "skew_join",
     "percent_rank",
-    "outlier_filter",
     "chunk_dedup",
     "boilerplate",
     "setsim_join",
@@ -232,7 +197,6 @@ PINNED = [
     "rare_collapse",
     "group_entropy",
     "edge_support",
-    "impute_median",
     "pmi_bigrams",
     "hits_scores",
     "profile_table",
@@ -260,13 +224,11 @@ PINNED = [
     "bcubed",
     "ppr",
     "grouping_sets",
-    "mode_agg",
     "first_last",
     "bfs_levels",
     "ppl_bucket",
     "rrf_fusion",
     "gh_means",
-    "kendall_tau",
     "jaccard_links",
     "bloom_pruned_scan",
     # empty-at-sf0.001 regression (Ray drops 0-row dataset schemas;
@@ -365,6 +327,13 @@ dup_spans embedding_dups media_decode near_dup_docs near_dup_keep
 nearest_dup phash_dups png_dims ppl_bucket semdedup setsim_join
 tfidf_cosine_pairs
 """.split()
+# the statistics queries that stay: the sketches, ER score calibration
+# and the lang-ID classifiers
+STATS_KEEP_QUERIES = """
+approx_distinct approx_distinct_group cms_counts heavy_hitters
+isotonic_calibration kmv_overlap logreg_train naive_bayes quantile_sketch
+quantile_sketch_group score_calibration
+""".split()
 
 
 def test_registry_keeps_record_linkage_scope():
@@ -375,11 +344,15 @@ def test_registry_keeps_record_linkage_scope():
 
     assert len(SURVEY_S2_QUERIES) == 38
     assert len(CURATION_FAMILY_QUERIES) == 17
+    assert len(STATS_KEEP_QUERIES) == 11
     assert len(BENCH_QUERIES) == 20
     keep = (set(SURVEY_S2_QUERIES) | set(CURATION_FAMILY_QUERIES)
-            | set(BENCH_QUERIES))
+            | set(STATS_KEEP_QUERIES) | set(BENCH_QUERIES))
     assert sorted(keep - set(QUERIES)) == []
     assert sorted(set(SURVEY_S2_QUERIES) - set(ORACLES)) == []
+    # the approximate quantile sketches are the only rows-only ones
+    assert sorted(set(STATS_KEEP_QUERIES) - set(ORACLES)) == [
+        "quantile_sketch", "quantile_sketch_group"]
 
 
 @pytest.mark.parametrize("name", PINNED)

@@ -1240,27 +1240,6 @@ def test_edge_support_hand_graph(ray_session):
                    (1, 2): 1, (1, 3): 1, (8, 9): 0}
 
 
-def test_impute_group_median_hand_case(ray_session):
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.relational import (
-        impute_group_median)
-
-    df = pd.DataFrame({
-        "k": [1, 1, 1, 1, 2, 2],
-        "v": [10.0, np.nan, 20.0, 40.0, np.nan, np.nan],
-    })
-    out = impute_group_median(rd.from_pandas(df).repartition(3),
-                              "k", "v", num_buckets=4).to_pandas()
-    out = out.sort_values(["k", "v"], na_position="last") \
-        .reset_index(drop=True)
-    k1 = out[out["k"] == 1]["v_imputed"].tolist()
-    assert sorted(k1) == [10.0, 20.0, 20.0, 40.0]  # median(10,20,40)=20
-    # all-null group stays null (caller's global-fallback policy)
-    assert out[out["k"] == 2]["v_imputed"].isna().all()
-    assert out["was_null"].sum() == 3
-
-
 def test_new_er_ops_tolerate_empty_input(ray_session):
     """Every round-3 ER/curation stage must survive a fully-empty
     (typed, zero-row) input — the judge-flagged empty-block class."""
@@ -1273,8 +1252,7 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
     from reconcile_curation_in_cris_systems_ray.stages.metrics import (
         blocking_quality)
     from reconcile_curation_in_cris_systems_ray.stages.relational import (
-        golden_record, group_entropy, impute_group_median,
-        mutual_best_match, rare_collapse)
+        golden_record, group_entropy, mutual_best_match, rare_collapse)
     from reconcile_curation_in_cris_systems_ray.stages.temporal import (
         scd2_intervals)
 
@@ -1290,9 +1268,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
         "ts": pd.Series([], dtype="int64"),
         "v": pd.Series([], dtype="string"),
         "tie": pd.Series([], dtype="int64")}))
-    num = rd.from_pandas(pd.DataFrame({
-        "k": pd.Series([], dtype="int64"),
-        "v": pd.Series([], dtype="float64")}))
     edges = rd.from_pandas(pd.DataFrame({
         "src": pd.Series([], dtype="int64"),
         "dst": pd.Series([], dtype="int64")}))
@@ -1305,7 +1280,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
                              num_buckets=4).count() == 0
     assert rare_collapse(kv, "v", 0.1).count() == 0
     assert group_entropy(kv, "k", "v", num_buckets=4).count() == 0
-    assert impute_group_median(num, "k", "v", num_buckets=4).count() == 0
     assert scd2_intervals(ev, "k", "ts", "v", "tie",
                           num_buckets=4).count() == 0
     assert edge_support(edges).count() == 0
@@ -1704,27 +1678,6 @@ def test_ktruss_matches_peeling_reference(ray_session):
     got5 = ktruss(rd.from_pandas(er).repartition(3), k=5).to_pandas()
     assert set(zip(got5["lo"], got5["hi"])) <= set(zip(got["lo"],
                                                        got["hi"]))
-
-
-def test_strict_inversions_matches_bruteforce():
-    """The vectorized merge inversion counter (Kendall workhorse) vs
-    the O(n^2) definition, including heavy ties and the power-of-two
-    padding boundaries."""
-    import itertools
-
-    from reconcile_curation_in_cris_systems_ray.stages.scan import (
-        strict_inversions,
-    )
-
-    rng = np.random.default_rng(23)
-    for n in [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 100]:
-        v = rng.integers(0, max(2, n // 3 + 1), n).astype(float)
-        want = sum(1 for i, j in itertools.combinations(range(n), 2)
-                   if v[i] > v[j])
-        assert strict_inversions(v) == want, n
-    v = rng.normal(size=2048)
-    iu, ju = np.triu_indices(len(v), 1)
-    assert strict_inversions(v) == int((v[iu] > v[ju]).sum())
 
 
 def test_bloom_pruned_scan_prunes_files(ray_session, tmp_path):
