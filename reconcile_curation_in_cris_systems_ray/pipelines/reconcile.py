@@ -20,10 +20,13 @@ discovery -> combine), re-expressed Ray-Data-first.
 
 from __future__ import annotations
 
+import importlib.metadata
 import time
 from functools import partial
 
+import pandas as pd
 import pyarrow as pa
+import ray
 
 from ..config import ReconcileConfig
 from ..state.manifest import CheckpointManager, fingerprint
@@ -50,13 +53,38 @@ def _signature_task(batch: pa.Table, blocking=None, scoring=None) -> pa.Table:
                          lambda: SignatureStage(blocking, scoring))(batch)
 
 
+def _library_versions() -> dict[str, str]:
+    """Versions of the libraries that shape stage outputs: url hashes
+    come from pandas ``hash_array``; shingle hashes, Jaro-Winkler and
+    long-head Levenshtein scores from DuckDB; the Arrow kernels from
+    pyarrow; Ray writes and reads the checkpoints.  Read per run, so a
+    resume after an upgrade recomputes every stage instead of reusing
+    stale ones.  DuckDB runs only in the workers: its version comes from
+    the installed package's metadata, as importing it here would add
+    ~24 MB to the driver."""
+    return {"ray": ray.__version__, "pyarrow": pa.__version__,
+            "pandas": pd.__version__,
+            "duckdb": importlib.metadata.version("duckdb")}
+
+
 def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
                   checkpoint_root: str | None = None, resume: bool = True,
-                  input_fingerprint: str = "corpus") -> dict:
-    """Run the full reconcile pipeline; returns stage datasets + metrics."""
+                  input_fingerprint: str | None = None) -> dict:
+    """Run the full reconcile pipeline; returns stage datasets + metrics.
+
+    A checkpointed run (``checkpoint_root`` set) must name its input
+    with ``input_fingerprint``: stages resume by fingerprint, so a
+    shared default would resume one input's stages for another.
+    """
+    if checkpoint_root is not None and input_fingerprint is None:
+        raise ValueError(
+            "run_reconcile: checkpoint_root needs an input_fingerprint "
+            "that identifies the input, or a resume could reuse the "
+            "stages of a different input")
     t_start = time.time()
     ckpt = CheckpointManager(checkpoint_root, resume=resume)
-    cfg_fp = fingerprint(cfg)
+    versions = _library_versions()
+    cfg_fp = fingerprint(cfg, versions)
 
     base_cols = [c for c in ("url", "warc_ts", "html", "lang")
                  if c in corpus_ds.schema().names]
@@ -142,7 +170,7 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     assignments = ckpt.run_stage("assignments", fp_as, lambda: assign_clusters(
         features, star, num_buckets=cfg.cluster.num_buckets))
 
-    ckpt.write_lineage()
+    ckpt.write_lineage(versions)
     metrics = {
         "stages": ckpt.lineage,
         "total_wall_sec": round(time.time() - t_start, 3),

@@ -20,7 +20,6 @@ import pyarrow as pa
 
 from ..config import BlockingConfig, ScoringConfig
 from ..functions.similarity import MinHasher, batch_shingle_sets
-from ..functions.textnorm import normalize_text_series
 
 
 class SignatureStage:

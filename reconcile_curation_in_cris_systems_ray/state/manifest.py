@@ -12,7 +12,9 @@ mid-pipeline.  Semantics:
 - ``<root>/<stage>/manifest.json`` records the stage name, the input
   fingerprint (hash of upstream fingerprints + config), row count and
   wall time; a resume run with a matching fingerprint skips the stage
-  and re-reads the Parquet; a mismatched fingerprint recomputes.
+  and re-reads the Parquet; a mismatched fingerprint recomputes;
+- ``<root>/lineage.json`` lists every stage of the run, with the
+  library versions that its fingerprints include.
 """
 
 from __future__ import annotations
@@ -129,7 +131,10 @@ class CheckpointManager:
         })
         return ds
 
-    def write_lineage(self):
+    def write_lineage(self, library_versions: dict[str, str]):
+        """Write ``lineage.json``: the library versions the run's
+        fingerprints include, then one entry per stage."""
         if self.root:
             with open(os.path.join(self.root, "lineage.json"), "w") as f:
-                json.dump(self.lineage, f, indent=2)
+                json.dump({"library_versions": library_versions,
+                           "stages": self.lineage}, f, indent=2)

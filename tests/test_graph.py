@@ -1,5 +1,5 @@
-"""Link-graph operators: degree stats, PageRank (both hydration paths),
-href extraction."""
+"""Link-graph operators: PageRank (both hydration paths), triangle
+count, KwikCluster pivot and label propagation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pandas as pd
 import pytest
 
 from reconcile_curation_in_cris_systems_ray.stages.graph import (
-    degree_stats, derive_link_edges, extract_links, pagerank,
+    derive_link_edges, pagerank,
 )
 
 
@@ -57,22 +57,6 @@ def test_edge_fixture_deterministic_and_simple(ray_session):
     assert (vc.to_numpy() <= (vc.index.to_numpy() % 4)).all()
 
 
-def test_degree_stats_matches_reference(ray_session):
-    n = 120
-    docs = _docs_ds(n)
-    edges = derive_link_edges(docs, n_nodes=n)
-    got = degree_stats(edges, _nodes(docs)).to_pandas().sort_values(
-        "node").reset_index(drop=True)
-    e = _edges_df(docs, n)
-    exp_out = np.zeros(n, np.int64)
-    exp_in = np.zeros(n, np.int64)
-    np.add.at(exp_out, e["src"].to_numpy(), 1)
-    np.add.at(exp_in, e["dst"].to_numpy(), 1)
-    assert len(got) == n  # isolated nodes present
-    assert (got["out_degree"].to_numpy() == exp_out).all()
-    assert (got["in_degree"].to_numpy() == exp_in).all()
-
-
 def test_pagerank_matches_numpy_reference(ray_session):
     n = 150
     docs = _docs_ds(n)
@@ -99,27 +83,6 @@ def test_pagerank_distributed_equals_broadcast(ray_session):
     assert (b["node"].to_numpy() == d["node"].to_numpy()).all()
     np.testing.assert_allclose(b["pr"].to_numpy(), d["pr"].to_numpy(),
                                rtol=0, atol=1e-12)
-
-
-def test_extract_links(ray_session):
-    import ray.data as rd
-
-    html = [
-        '<a href="https://a.example/x">x</a> <a HREF=\'/rel\'>r</a>',
-        "<p>no links</p>",
-        '<link href="style.css"><a href="https://b.example">b</a>',
-    ]
-    ds = rd.from_pandas(pd.DataFrame(
-        {"url": ["u1", "u2", "u3"], "html": html}))
-    got = extract_links(ds).to_pandas()
-    exp = pd.DataFrame({
-        "src": ["u1", "u1", "u3", "u3"],
-        "href": ["https://a.example/x", "/rel", "style.css",
-                 "https://b.example"],
-    })
-    pd.testing.assert_frame_equal(
-        got.sort_values(["src", "href"]).reset_index(drop=True).astype(str),
-        exp.sort_values(["src", "href"]).reset_index(drop=True).astype(str))
 
 
 def test_triangle_count_matches_brute_force(ray_session):
@@ -201,11 +164,7 @@ def test_graph_ops_on_edgeless_graph(ray_session):
     edges = rd.from_pandas(pd.DataFrame(
         {"src": np.empty(0, np.int64), "dst": np.empty(0, np.int64)}))
     nodes = rd.from_pandas(pd.DataFrame({"node": np.arange(3)}))
-    d = degree_stats(edges, nodes).to_pandas()
-    assert len(d) == 3 and (d["out_degree"] == 0).all()
-    p = pagerank(rd.from_pandas(pd.DataFrame(
-        {"src": np.empty(0, np.int64), "dst": np.empty(0, np.int64)})),
-        nodes, n_nodes=3, n_iter=3).to_pandas()
+    p = pagerank(edges, nodes, n_nodes=3, n_iter=3).to_pandas()
     np.testing.assert_allclose(p["pr"].to_numpy(), 1 / 3, atol=1e-12)
     assert triangle_count(rd.from_pandas(pd.DataFrame(
         {"src": np.empty(0, np.int64),
@@ -322,40 +281,3 @@ def test_label_propagation_equals_reference(ray_session):
     assert got_map == want
     sizes = got.groupby("label").size()
     assert sizes.max() > 1
-
-
-def _bfs_reference(edges: pd.DataFrame, n: int, seed_mod: int,
-                   max_hops: int) -> dict[int, int]:
-    """Single-node frontier BFS, identical semantics."""
-    adj: dict[int, list[int]] = {}
-    for s, d in zip(edges["src"].astype(int), edges["dst"].astype(int)):
-        adj.setdefault(s, []).append(d)
-    lvl = {v: 0 for v in range(n) if v % seed_mod == 0}
-    frontier = set(lvl)
-    for hop in range(1, max_hops + 1):
-        nxt = set()
-        for v in frontier:
-            for w in adj.get(v, ()):
-                if w not in lvl:
-                    lvl[w] = hop
-                    nxt.add(w)
-        frontier = nxt
-    return {v: lvl.get(v, -1) for v in range(n)}
-
-
-def test_bfs_levels_equals_reference(ray_session):
-    from reconcile_curation_in_cris_systems_ray.stages.graph import (
-        bfs_levels, derive_link_edges,
-    )
-
-    n = 400
-    docs = _docs_ds(n)
-    edges_df = _edges_df(docs, n)
-    got = bfs_levels(derive_link_edges(docs, n_nodes=n), _nodes(docs),
-                     seed_mod=29, max_hops=4)
-    want = _bfs_reference(edges_df, n, seed_mod=29, max_hops=4)
-    got_map = dict(zip(got["node"].astype(int), got["lvl"].astype(int)))
-    assert got_map == want
-    lv = got["lvl"].to_numpy()
-    # multi-hop structure actually exercised
-    assert (lv == 0).sum() >= 10 and (lv >= 2).any() and (lv == -1).any()

@@ -108,6 +108,50 @@ def test_checkpoint_resume_equals_single_run(ray_session, corpus, tmp_path):
     assert len(resumed) >= 4
 
 
+def test_checkpointed_run_requires_input_fingerprint(ray_session, corpus,
+                                                      tmp_path):
+    """Stages resume by fingerprint, so a checkpointed run that does not
+    name its input must fail before it writes anything."""
+    import os
+
+    import ray.data as rd
+
+    root = str(tmp_path / "ckpt")
+    with pytest.raises(ValueError, match="input_fingerprint"):
+        run_reconcile(rd.from_arrow(corpus), checkpoint_root=root)
+    assert not os.path.exists(root)
+
+
+def test_library_upgrade_recomputes_every_stage(ray_session, corpus,
+                                                tmp_path, monkeypatch):
+    """A DuckDB upgrade changes the fuzzy scores, so checkpoints written
+    under the old version must not be resumed; lineage.json names the
+    versions the run was fingerprinted with."""
+    import importlib.metadata
+    import json
+
+    import ray.data as rd
+
+    root = str(tmp_path / "ckpt")
+    run_reconcile(rd.from_arrow(corpus), checkpoint_root=root,
+                  input_fingerprint="corpus-v1")
+    installed = importlib.metadata.version
+    monkeypatch.setattr(
+        importlib.metadata, "version",
+        lambda dist: "0.0.0-upgraded" if dist == "duckdb"
+        else installed(dist))
+    out = run_reconcile(rd.from_arrow(corpus), checkpoint_root=root,
+                        input_fingerprint="corpus-v1")
+    stages = out["metrics"]["stages"]
+    assert len(stages) >= 5
+    assert [s["stage"] for s in stages if s.get("resumed")] == []
+    with open(f"{root}/lineage.json") as f:
+        lineage = json.load(f)
+    assert lineage["library_versions"]["duckdb"] == "0.0.0-upgraded"
+    assert set(lineage["library_versions"]) == {
+        "ray", "pyarrow", "pandas", "duckdb"}
+
+
 def test_salting_preserves_pair_set(ray_session, corpus):
     """Aggressively-salted hot keys must produce the identical candidate
     pair set as the unsalted groupby (FIXTURES §5.3)."""

@@ -27,11 +27,8 @@ PINNED = [
     "gale_shapley",
     "greedy_match",
     "r_swoosh",
-    "ktruss",
-    "pseudo_diameter",
     "isotonic_calibration",
     "cc_pivot",
-    "scc_labels",
     "optimal_assignment",
     "coverage_sample",
     "canopy_cluster",
@@ -51,7 +48,6 @@ PINNED = [
     "logreg_train",
     "bpe_train",
     # round-4 new oracled operators
-    "katz_centrality",
     "qgram_block",
     "review_queue",
     "collective_er",
@@ -62,7 +58,6 @@ PINNED = [
     "fs_em",
     "approx_distinct",
     "approx_distinct_group",
-    "kcore",
     "novelty_score",
     "token_budget_sample",
     "interleave_order",
@@ -73,11 +68,9 @@ PINNED = [
     "geo_nearest",
     "xml_ingest",
     "l_diversity",
-    "random_walks",
     "skew_report",
     "window_distinct",
     "llr_collocations",
-    "tree_rollup",
     "dq_audit",
     "map_at_k",
     "rbo_rankings",
@@ -132,20 +125,14 @@ PINNED = [
     "band_join",
     "union_by_name",
     "group_lcp",
-    "modularity_score",
     "zipf_slope",
     "systematic_sample",
-    "clustering_coeff",
-    "assortativity",
-    "reciprocity",
     "dup_rate_by_source",
     "match_transitivity",
     "cohens_kappa",
     "damerau_join",
     "char_jaccard_pairs",
-    "adamic_adar",
     "ntile_window",
-    "id_islands",
     "dynamic_blocking",
     "bigram_lm",
     "join_size",
@@ -160,7 +147,6 @@ PINNED = [
     "quota_sample",
     "delta_agg_refresh",
     "naive_bayes",
-    "sssp_hops",
     "cdc_chunks",
     "pii_redact",
     "decontaminate",
@@ -176,7 +162,6 @@ PINNED = [
     "unigram_logprob",
     "mixture_resample",
     "warc_ingest",
-    "graph_degree",
     "pagerank",
     "connected_components",
     "orc_roundtrip",
@@ -184,7 +169,6 @@ PINNED = [
     "fs_score",
     "cluster_metrics",
     "soundex_block",
-    "triangle_count",
     "dataset_split",
     "weighted_sample",
     "snm_pairs",
@@ -196,9 +180,7 @@ PINNED = [
     "snm_multipass",
     "rare_collapse",
     "group_entropy",
-    "edge_support",
     "pmi_bigrams",
-    "hits_scores",
     "profile_table",
     "vocab_stats",
     "source_overlap",
@@ -222,14 +204,11 @@ PINNED = [
     "burst_dedup",
     "tfidf_cosine_pairs",
     "bcubed",
-    "ppr",
     "grouping_sets",
     "first_last",
-    "bfs_levels",
     "ppl_bucket",
     "rrf_fusion",
     "gh_means",
-    "jaccard_links",
     "bloom_pruned_scan",
     # empty-at-sf0.001 regression (Ray drops 0-row dataset schemas;
     # the query carries a typed-empty fallback)
@@ -334,6 +313,11 @@ approx_distinct approx_distinct_group cms_counts heavy_hitters
 isotonic_calibration kmv_overlap logreg_train naive_bayes quantile_sketch
 quantile_sketch_group score_calibration
 """.split()
+# the link-graph queries that stay: connected components (the engine's
+# cluster assembly), KwikCluster pivot, label propagation and PageRank
+GRAPH_KEEP_QUERIES = """
+cc_pivot connected_components label_prop pagerank
+""".split()
 
 
 def test_registry_keeps_record_linkage_scope():
@@ -345,11 +329,14 @@ def test_registry_keeps_record_linkage_scope():
     assert len(SURVEY_S2_QUERIES) == 38
     assert len(CURATION_FAMILY_QUERIES) == 17
     assert len(STATS_KEEP_QUERIES) == 11
+    assert len(GRAPH_KEEP_QUERIES) == 4
     assert len(BENCH_QUERIES) == 20
     keep = (set(SURVEY_S2_QUERIES) | set(CURATION_FAMILY_QUERIES)
-            | set(STATS_KEEP_QUERIES) | set(BENCH_QUERIES))
+            | set(STATS_KEEP_QUERIES) | set(GRAPH_KEEP_QUERIES)
+            | set(BENCH_QUERIES))
     assert sorted(keep - set(QUERIES)) == []
     assert sorted(set(SURVEY_S2_QUERIES) - set(ORACLES)) == []
+    assert sorted(set(GRAPH_KEEP_QUERIES) - set(ORACLES)) == []
     # the approximate quantile sketches are the only rows-only ones
     assert sorted(set(STATS_KEEP_QUERIES) - set(ORACLES)) == [
         "quantile_sketch", "quantile_sketch_group"]

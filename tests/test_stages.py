@@ -1222,24 +1222,6 @@ def test_group_entropy_known_values(ray_session):
     assert list(out["n_events"]) == [4, 3, 1]
 
 
-def test_edge_support_hand_graph(ray_session):
-    """K4 minus edge (2,3): edge (0,1) sits in 2 triangles, the four
-    others in 1 each; an isolated pendant edge has support 0."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.graph import (
-        edge_support)
-
-    e = pd.DataFrame({
-        "src": [0, 0, 0, 1, 1, 8],
-        "dst": [1, 2, 3, 2, 3, 9],
-    })
-    out = edge_support(rd.from_pandas(e).repartition(2)).to_pandas()
-    sup = {(r.lo, r.hi): r.support for r in out.itertuples()}
-    assert sup == {(0, 1): 2, (0, 2): 1, (0, 3): 1,
-                   (1, 2): 1, (1, 3): 1, (8, 9): 0}
-
-
 def test_new_er_ops_tolerate_empty_input(ray_session):
     """Every round-3 ER/curation stage must survive a fully-empty
     (typed, zero-row) input — the judge-flagged empty-block class."""
@@ -1247,8 +1229,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
 
     from reconcile_curation_in_cris_systems_ray.stages.blocking import (
         sorted_neighborhood_pairs)
-    from reconcile_curation_in_cris_systems_ray.stages.graph import (
-        edge_support)
     from reconcile_curation_in_cris_systems_ray.stages.metrics import (
         blocking_quality)
     from reconcile_curation_in_cris_systems_ray.stages.relational import (
@@ -1268,9 +1248,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
         "ts": pd.Series([], dtype="int64"),
         "v": pd.Series([], dtype="string"),
         "tie": pd.Series([], dtype="int64")}))
-    edges = rd.from_pandas(pd.DataFrame({
-        "src": pd.Series([], dtype="int64"),
-        "dst": pd.Series([], dtype="int64")}))
 
     assert sorted_neighborhood_pairs(kv, "v", "k", window=3,
                                      num_buckets=4).count() == 0
@@ -1282,7 +1259,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
     assert group_entropy(kv, "k", "v", num_buckets=4).count() == 0
     assert scd2_intervals(ev, "k", "ts", "v", "tie",
                           num_buckets=4).count() == 0
-    assert edge_support(edges).count() == 0
     bq = blocking_quality(kv, "v", "k")
     assert int(bq["n_records"].iloc[0]) == 0
     assert float(bq["reduction_ratio"].iloc[0]) == 1.0
@@ -1341,48 +1317,6 @@ def test_golden_record_latest_keeps_null(ray_session):
                         {"v_latest": ("latest", "v", "ts", "tie")},
                         num_buckets=2).to_pandas()
     assert out["v_latest"].isna().iloc[0]
-
-
-def test_hits_matches_numpy_reference(ray_session):
-    """Distributed HITS vs a single-node numpy power iteration with
-    identical semantics (h=1 start, 3 iterations, end max-norm)."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.graph import hits
-
-    rng = np.random.default_rng(5)
-    n = 40
-    e = pd.DataFrame({"src": rng.integers(0, n, 120),
-                      "dst": rng.integers(0, n, 120)})
-    e = e[e["src"] != e["dst"]].drop_duplicates(ignore_index=True)
-    nodes = pd.DataFrame({"node": np.arange(n, dtype=np.int64)})
-    got = hits(rd.from_pandas(e).repartition(3),
-               rd.from_pandas(nodes), n_iter=3).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    A = np.zeros((n, n))
-    A[e["src"].to_numpy(), e["dst"].to_numpy()] = 1.0
-    h = np.ones(n)
-    for _ in range(3):
-        a = A.T @ h
-        h = A @ a
-    hub = h / h.max() if h.max() > 0 else h
-    auth = a / a.max() if a.max() > 0 else a
-    np.testing.assert_allclose(got["hub"].to_numpy(), np.round(hub, 6),
-                               atol=2e-6)
-    np.testing.assert_allclose(got["authority"].to_numpy(),
-                               np.round(auth, 6), atol=2e-6)
-
-
-def test_hits_edgeless_graph(ray_session):
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.graph import hits
-
-    e = pd.DataFrame({"src": pd.Series([], dtype="int64"),
-                      "dst": pd.Series([], dtype="int64")})
-    nodes = pd.DataFrame({"node": np.arange(5, dtype=np.int64)})
-    out = hits(rd.from_pandas(e), rd.from_pandas(nodes)).to_pandas()
-    assert (out["hub"] == 0).all() and (out["authority"] == 0).all()
 
 
 def test_profile_columns_with_nulls(ray_session):
@@ -1602,82 +1536,6 @@ def test_hamming_pairs_constant_prefix_recursion(ray_session):
             if d <= 2:
                 exp[(a, b)] = d
     assert got_pairs == exp
-
-
-def test_kcore_matches_peeling_reference(ray_session):
-    """Distributed peeling vs a single-node reference, including the
-    cascade case (removing a leaf drops its neighbor below k)."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.graph import kcore
-
-    # triangle 0-1-2 (2-core) + chain 2-3-4 (peels away in cascade)
-    e = pd.DataFrame({"src": [0, 1, 2, 2, 3],
-                      "dst": [1, 2, 0, 3, 4]})
-    out = kcore(rd.from_pandas(e).repartition(2), k=2)
-    assert list(out["node"]) == [0, 1, 2]
-    assert list(out["degree"]) == [2, 2, 2]
-
-    rng = np.random.default_rng(4)
-    er = pd.DataFrame({"src": rng.integers(0, 60, 150),
-                       "dst": rng.integers(0, 60, 150)})
-    got = kcore(rd.from_pandas(er).repartition(3), k=3)
-    # single-node reference peeling
-    edges = {tuple(sorted((a, b))) for a, b in
-             zip(er["src"], er["dst"]) if a != b}
-    while True:
-        deg = {}
-        for a, b in edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        drop = {n for n, d in deg.items() if d < 3}
-        if not drop:
-            break
-        edges = {(a, b) for a, b in edges
-                 if a not in drop and b not in drop}
-    want = sorted(deg) if edges else []
-    assert list(got["node"]) == want
-
-
-def test_ktruss_matches_peeling_reference(ray_session):
-    """Distributed k-truss support peeling vs a single-node reference,
-    including the cascade case (a dropped edge un-supports another)."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.graph import ktruss
-
-    # two triangles sharing edge 1-2, plus a pendant triangle chain:
-    # 3-truss keeps exactly the triangle edges that survive mutually
-    e = pd.DataFrame({"src": [0, 1, 2, 1, 2, 3, 4, 4],
-                      "dst": [1, 2, 0, 3, 3, 4, 5, 0]})
-    out = ktruss(rd.from_pandas(e).repartition(2), k=3).to_pandas() \
-        .sort_values(["lo", "hi"]).reset_index(drop=True)
-    want = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
-    assert set(zip(out["lo"], out["hi"])) == want
-
-    def ref_ktruss(df, k):
-        edges = {tuple(sorted((a, b))) for a, b in
-                 zip(df["src"], df["dst"]) if a != b}
-        while True:
-            adj = {}
-            for a, b in edges:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-            drop = {(a, b) for a, b in edges
-                    if len(adj[a] & adj[b]) < k - 2}
-            if not drop:
-                return edges
-            edges -= drop
-
-    rng = np.random.default_rng(11)
-    er = pd.DataFrame({"src": rng.integers(0, 40, 220),
-                       "dst": rng.integers(0, 40, 220)})
-    got = ktruss(rd.from_pandas(er).repartition(3), k=4).to_pandas()
-    assert set(zip(got["lo"], got["hi"])) == ref_ktruss(er, 4)
-    # monotonicity: higher k is a subset
-    got5 = ktruss(rd.from_pandas(er).repartition(3), k=5).to_pandas()
-    assert set(zip(got5["lo"], got5["hi"])) <= set(zip(got["lo"],
-                                                       got["hi"]))
 
 
 def test_bloom_pruned_scan_prunes_files(ray_session, tmp_path):
