@@ -1,8 +1,7 @@
 """Engine configuration.
 
 One small config dataclass per concern (the reference's YAML config +
-constants.py collapse into these; see ``query_db/constants.py:19-22``
-for the thresholds carried over).
+constants.py collapse into these).
 """
 
 from __future__ import annotations
@@ -33,13 +32,6 @@ class BlockingConfig:
 class ScoringConfig:
     jaccard_threshold: float = 0.5      # match decision (exact shingle Jaccard)
     est_prefilter: float = 0.35         # MinHash-estimate prefilter before verify
-    name_threshold: float = 0.85        # reference query_db/constants.py:21
-    entity_threshold: int = 85          # reference query_db/constants.py:22
-    # Levenshtein window on normalized text: a head of at most 64 bytes
-    # is one machine word in the scorer's bit-parallel kernel (O(len)
-    # word operations per pair); longer heads (multi-byte text) fall back
-    # to DuckDB's O(len^2) DP
-    text_head_chars: int = 64
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,7 @@ def canonicalize_url(url) -> str | None:
 
 
 def url_tokens(url: str) -> list[str]:
-    """Tokens of a canonical URL (host labels + path segments + params),
-    used by the Jaro-Winkler url/title scorer."""
+    """Tokens of a canonical URL (host labels + path segments + params)."""
     if not url:
         return []
     u = _SCHEME_RE.sub("", url)

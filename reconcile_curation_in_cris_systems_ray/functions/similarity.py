@@ -267,48 +267,80 @@ def _offsets(lens: np.ndarray) -> np.ndarray:
 
 def jaccard_pairs_from_binary(col_a, col_b, dtype=np.uint64) -> np.ndarray:
     """Exact Jaccard per row of two Arrow binary columns of packed
-    sorted-unique token sets (``dtype`` elements): the hot path of pair
-    scoring, near-dup verify and n-gram Jaccard.
+    sorted-unique token sets (``dtype`` elements), NULL reading as the
+    empty set: near-dup verify, n-gram Jaccard and the distributed
+    scoring path.
 
-    Bit-identical to :func:`jaccard_from_sets` per row (pinned by
-    tests), NULL reading as the empty set; either side empty scores
-    0.0.  Candidate pairs repeat their side-a set many times (a hot
-    block's ~20k pairs hold ~700 distinct sets), so the kernel works
-    per side-a set rather than per pair, build/probe style:
-
-    - rows are grouped by their side-a payload (``dictionary_encode``:
-      equal bytes are an equal set) and ordered by group;
-    - side b is gathered in group order with Arrow ``take``, in slices
-      of at most ``_GATHER_TOKENS`` tokens, so the temporaries stay a
-      few MB whatever the batch size (a batch-global lexsort over
-      (pair, value) tags was measured 17x slower under 32-way task
-      concurrency: its multi-MB allocations saturate the memory bus);
-    - each group scatters its set into a 2^16-slot table keyed by the
-      low 16 bits and probes all its partners' tokens with one gather
-      and compare.  An empty slot s holds s + 1, whose low bits are not
-      s, so it never matches.  The set's tokens that lost their slot to
-      a collision are probed with one ``searchsorted``;
-    - per-row hit counts come from one ``np.add.reduceat`` per slice.
+    A thin wrapper over :func:`jaccard_pairs_by_index`: side a is
+    dictionary-encoded (equal bytes are an equal set, so each distinct
+    side-a set forms one probe group), side b is packed after the
+    dictionary, and each row becomes a pair of indices into the one
+    buffer.  Bit-identical to :func:`jaccard_from_sets` per row (pinned
+    by tests).
     """
     import pyarrow.compute as pc
 
-    dtype = np.dtype(dtype)
-    col_a, col_b = _one_array(col_a), _one_array(col_b)
-    n = len(col_a)
+    col_a = _one_array(col_a)
     if col_a.null_count:
         col_a = pc.fill_null(col_a, b"")
     enc = pc.dictionary_encode(col_a)
     codes = enc.indices.to_numpy(zero_copy_only=False)
     set_vals, set_lens = packed_u64_column(enc.dictionary, dtype)
-    set_offs = _offsets(set_lens)
-    _, lb = packed_u64_column(col_b, dtype)
-    la = set_lens[codes]
+    vb, lb = packed_u64_column(col_b, dtype)
+    n_sets = set_lens.size
+    return jaccard_pairs_by_index(
+        np.concatenate([set_vals, vb]), np.concatenate([set_lens, lb]),
+        codes, np.arange(n_sets, n_sets + lb.size, dtype=np.int64))
 
-    order = np.argsort(codes, kind="stable")
-    codes_ord = codes[order]
-    # a slice's tokens: its rows' side b, plus each group's set once
+
+def _gather_sets(vals: np.ndarray, offs: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sets of ``rows`` packed back to back, with their offsets."""
+    lens = offs[rows + 1] - offs[rows]
+    out_offs = _offsets(lens)
+    idx = np.repeat(offs[rows] - out_offs[:-1], lens)
+    idx += np.arange(out_offs[-1], dtype=np.int64)
+    return vals[idx], out_offs
+
+
+def jaccard_pairs_by_index(vals: np.ndarray, lens: np.ndarray,
+                           ia, ib) -> np.ndarray:
+    """Exact Jaccard of the set pairs ``(ia[k], ib[k])``, indices into
+    one packed column of sorted-unique token sets (``vals``/``lens`` as
+    :func:`packed_u64_column` returns them: the flagship scorer passes
+    the broadcast feature table's zero-copy view).  Either side empty
+    scores 0.0.
+
+    Candidate pairs repeat their side-a set many times (a hot block's
+    ~20k pairs hold ~700 distinct sets), so the kernel works per side-a
+    set rather than per pair, build/probe style:
+
+    - pairs are grouped by ``ia`` (a stable argsort of the integers);
+    - the side-b sets and each group's side-a set are gathered by
+      offset from ``vals``, in slices of at most ``_GATHER_TOKENS``
+      tokens, so the temporaries stay a few MB whatever the batch size
+      (a batch-global lexsort over (pair, value) tags was measured 17x
+      slower under 32-way task concurrency: its multi-MB allocations
+      saturate the memory bus);
+    - each group scatters its set into a 2^16-slot table keyed by the
+      low 16 bits and probes all its partners' tokens with one gather
+      and compare.  An empty slot s holds s + 1, whose low bits are not
+      s, so it never matches.  The set's tokens that lost their slot to
+      a collision are probed with one ``searchsorted``;
+    - per-pair hit counts come from one ``np.add.reduceat`` per slice.
+    """
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    n = ia.size
+    dtype = vals.dtype
+    offs = _offsets(lens)
+    la, lb = lens[ia], lens[ib]
+
+    order = np.argsort(ia, kind="stable")
+    ia_ord, ib_ord = ia[order], ib[order]
+    # a slice's tokens: its pairs' side b, plus each group's set once
     first = np.ones(n, dtype=bool)
-    first[1:] = codes_ord[1:] != codes_ord[:-1]
+    first[1:] = ia_ord[1:] != ia_ord[:-1]
     tok_end = np.cumsum(lb[order] + np.where(first, la[order], 0))
     inter_ord = np.zeros(n, dtype=np.int64)
     mask = dtype.type((1 << _SLOT_BITS) - 1)
@@ -320,21 +352,19 @@ def jaccard_pairs_from_binary(col_a, col_b, dtype=np.uint64) -> np.ndarray:
         base = tok_end[s0 - 1] if s0 else 0
         s1 = max(s0 + 1, int(np.searchsorted(tok_end, base + _GATHER_TOKENS,
                                              side="right")))
-        vb, lens = packed_u64_column(col_b.take(order[s0:s1]), dtype)
-        offs_b = _offsets(lens)
-        # sorted codes: the slice holds every group from c[0] to c[-1]
-        c = codes_ord[s0:s1] - codes_ord[s0]
-        g0, g1 = int(codes_ord[s0]), int(codes_ord[s1 - 1]) + 1
-        va = set_vals[set_offs[g0]:set_offs[g1]]
-        offs_a = (set_offs[g0:g1 + 1] - set_offs[g0]).tolist()
+        vb, offs_b = _gather_sets(vals, offs, ib_ord[s0:s1])
+        # a group split across slices resumes at the slice's start
+        starts = np.flatnonzero(first[s0:s1])
+        if not first[s0]:
+            starts = np.concatenate(([0], starts))
+        va, offs_a = _gather_sets(vals, offs, ia_ord[s0:s1][starts])
         slot_a = (va & mask).astype(np.intp)
         slot_b = (vb & mask).astype(np.intp)
         hit = np.zeros(vb.size, dtype=bool)
-        runs = np.flatnonzero(c[1:] != c[:-1]) + 1
-        ob = offs_b.tolist()
-        for g, u0, u1 in zip(c[np.concatenate(([0], runs))].tolist(),
-                             [0] + runs.tolist(), runs.tolist() + [s1 - s0]):
-            a0, a1, b0, b1 = offs_a[g], offs_a[g + 1], ob[u0], ob[u1]
+        oa, ob = offs_a.tolist(), offs_b.tolist()
+        for g, u0, u1 in zip(range(starts.size), starts.tolist(),
+                             starts[1:].tolist() + [s1 - s0]):
+            a0, a1, b0, b1 = oa[g], oa[g + 1], ob[u0], ob[u1]
             if a0 == a1 or b0 == b1:
                 continue
             a, sa = va[a0:a1], slot_a[a0:a1]
@@ -354,9 +384,9 @@ def jaccard_pairs_from_binary(col_a, col_b, dtype=np.uint64) -> np.ndarray:
                 np.minimum(pos, lost_a.size - 1, out=pos)
                 hit[b0 + cand] |= lost_a[pos] == bc
             table[sa] = empty[sa]
-        # reduceat over the non-empty rows only: each segment then runs
-        # to the next non-empty row's start, or to the slice's end
-        nz = np.flatnonzero(lens)
+        # reduceat over the non-empty pairs only: each segment then runs
+        # to the next non-empty pair's start, or to the slice's end
+        nz = np.flatnonzero(np.diff(offs_b))
         if nz.size:
             inter_ord[s0 + nz] = np.add.reduceat(hit.view(np.uint8),
                                                  offs_b[nz], dtype=np.int64)
@@ -676,95 +706,6 @@ def damerau_leq1(a, b) -> np.ndarray:
         t = ls - 1 - cand
         out[gap] = np.where(p + t >= ls, 1, 2)
     return out
-
-
-# rows per kernel chunk: the per-step (rows x 64) byte compare stays at
-# 256 KiB, L2-resident like the MinHash chunk above, while each of the
-# ~20 word operations per step still runs over thousands of rows
-_LEV_CHUNK = 4096
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _utf8_rows(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(windows, starts, lens)`` of an Arrow string column:
-    ``windows[starts[i]]`` is a 64-byte view beginning at row i's UTF-8
-    bytes (zero padded past the data's end) and ``lens[i]`` its byte
-    length; NULL reads as empty."""
-    data, lens = packed_u64_column(col, np.uint8)
-    starts = np.zeros(lens.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=starts[1:])
-    data = np.concatenate([data, np.zeros(64, dtype=np.uint8)])
-    return np.lib.stride_tricks.sliding_window_view(data, 64), starts, lens
-
-
-def levenshtein_words(col_a, col_b) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise byte-level Levenshtein distance of two Arrow string
-    columns, bit-parallel with one 64-bit word per pattern.
-
-    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global
-    edit-distance form (2003): side a is the pattern, one bit per byte;
-    each byte of side b advances every row's DP column by ~20 word
-    operations, vectorized across rows.  The UTF-8 bytes are read from
-    the Arrow offset/data buffers (no Python strings), so the distance
-    counts bytes exactly as DuckDB's ``levenshtein`` does.  NULL reads
-    as the empty string.
-
-    Returns ``(dist, slow)``: int64 distances, and a mask of the rows
-    with a side longer than 64 bytes, which the kernel does not handle
-    (their ``dist`` is -1).
-    """
-    win_a, start_a, len_a = _utf8_rows(col_a)
-    win_b, start_b, len_b = _utf8_rows(col_b)
-    slow = (len_a > 64) | (len_b > 64)
-    dist = np.full(len(len_a), -1, dtype=np.int64)
-    fast = np.flatnonzero(~slow)
-    one = np.uint64(1)
-    for lo in range(0, fast.size, _LEV_CHUNK):
-        rows = fast[lo:lo + _LEV_CHUNK]
-        la, lb = len_a[rows], len_b[rows]
-        # bytes past a row's length are never read: the pattern mask
-        # drops them from side a, and a row stops scoring past side b
-        A = win_a[start_a[rows]]
-        B = win_b[start_b[rows]]
-        mask = np.where(la >= 64, _ALL_ONES,
-                        (one << np.minimum(la, 63).astype(np.uint64)) - one)
-        # the high bit of the last DP row decides each step's delta
-        shift = np.maximum(la - 1, 0).astype(np.uint64)
-        pv = mask.copy()
-        mv = np.zeros(rows.size, dtype=np.uint64)
-        score = la.astype(np.uint64)
-        lb_min = int(lb.min())
-        for j in range(int(lb.max())):
-            eq = np.packbits(A == B[:, j:j + 1], axis=1,
-                             bitorder="little").view(np.uint64)[:, 0]
-            eq &= mask
-            xv = eq | mv
-            xh = eq & pv
-            xh += pv
-            xh ^= pv
-            xh |= eq
-            ph = xh | pv
-            np.invert(ph, out=ph)
-            ph |= mv
-            mh = pv & xh
-            up = (ph >> shift) & one
-            down = (mh >> shift) & one
-            if j >= lb_min:
-                # a row freezes once its side b is consumed
-                live = j < lb
-                up *= live
-                down *= live
-            score += up
-            score -= down
-            ph <<= one
-            ph |= one
-            mh <<= one
-            pv = xv | ph
-            np.invert(pv, out=pv)
-            pv |= mh
-            mv = ph & xv
-        dist[rows] = np.where(la == 0, lb, score.view(np.int64))
-    return dist, slow
 
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)

@@ -9,7 +9,7 @@ Composition (each stage checkpointable via
                         coalesced to one block per exchange bucket
       -> bands          explode to (band_hash, uh[, band_id, bands])
       -> pairs          salted bucketed exchange + cross-band dedup
-      -> scored         broadcast hydrate + duckdb fuzzy kernels (fused)
+      -> scored         exact Jaccard by index into the broadcast features
       -> edges          is_match filter
       -> components     large/small-star fixpoint rounds
       -> assignments    (url, cluster_id = min url of component)
@@ -55,8 +55,8 @@ def _signature_task(batch: pa.Table, blocking=None, scoring=None) -> pa.Table:
 
 def _library_versions() -> dict[str, str]:
     """Versions of the libraries that shape stage outputs: url hashes
-    come from pandas ``hash_array``; shingle hashes, Jaro-Winkler and
-    long-head Levenshtein scores from DuckDB; the Arrow kernels from
+    come from pandas ``hash_array``; shingle hashes from DuckDB's
+    ``hash()``; the Arrow kernels from
     pyarrow; Ray writes and reads the checkpoints.  Read per run, so a
     resume after an upgrade recomputes every stage instead of reusing
     stale ones.  DuckDB runs only in the workers: its version comes from
@@ -134,10 +134,9 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     fp_sc = fingerprint(fp_pr, "scored")
     # scored streams straight into edge extraction + clustering when not
     # checkpointing (consumed exactly once; CC materializes the edges).
-    # Fused hydrate+score: one task stage emitting the scored schema
-    # directly — the ~2.4 KB/row hydrated intermediate (shingles/title/
-    # head per side) never crosses an operator boundary, and the
-    # est-prefilter runs before the wide gathers
+    # Fused hydrate+score: one task stage resolves each pair to row
+    # indices of the broadcast features and emits the scored schema
+    # directly; no pair copies its shingle sets
     scored = ckpt.run_stage("scored", fp_sc, lambda: hydrate_score_pairs(
         pairs, features, cfg.scoring,
         est_prefilter=cfg.scoring.est_prefilter, prebuilt=prebuilt),

@@ -6,10 +6,9 @@ generalized to MinHash-LSH banded keys per the north rule.  Exact-key
 blocking (F5 semantics) is also provided for reference parity.
 
 Shuffle discipline: the band-emission stage explodes 1 doc ->
-``num_bands`` rows but carries only ``(band_id, band_hash, url, sig)``
-— the MinHash signature (num_perm * 8 bytes), never the text.  Full
-features (title, text head, shingle sets) stay in the un-exploded
-features table and are joined back only for surviving candidate pairs.
+``num_bands`` rows but carries only url hashes and band hashes, never
+the text.  The shingle sets stay in the un-exploded features table and
+are read by the scorer only for surviving candidate pairs.
 """
 
 from __future__ import annotations
@@ -19,20 +18,22 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import BlockingConfig, ScoringConfig
-from ..functions.similarity import MinHasher, batch_shingle_sets
+from ..functions.similarity import (
+    MinHasher, _one_array, batch_shingle_sets,
+)
 
 
 class SignatureStage:
     """Actor-pool batch callable: extracted text -> per-doc features.
 
-    Output columns: ``url``, ``title_norm`` (normalized first line),
-    ``text_head`` (first ``text_head_chars`` of normalized text),
-    ``n_shingles``, ``shingles`` (binary: sorted unique uint32 hash
-    tokens), ``sig`` (binary: num_perm uint32 MinHash tokens,
-    little-endian — binary rather than list<...> so the column stays a
-    plain object dtype through pandas block conversions instead of
-    Ray's tensor extension, whose metadata breaks ``Table.to_pandas``
-    in workers).
+    Output columns: ``url``, ``n_shingles``, ``shingles`` (binary:
+    sorted unique uint32 hash tokens of the normalized text, one
+    newline-flattened pass), ``sig`` (binary: num_perm uint32 MinHash
+    tokens, little-endian — binary rather than list<...> so the column
+    stays a plain object dtype through pandas block conversions instead
+    of Ray's tensor extension, whose metadata breaks ``Table.to_pandas``
+    in workers).  ``scoring`` is accepted beside ``blocking`` so that
+    callers pass the engine config pair; no feature depends on it.
 
     Storage dtype: hashing/MinHash run in uint64, but the STORED
     shingle and signature values are truncated to uint32 equality
@@ -44,10 +45,9 @@ class SignatureStage:
     """
 
     def __init__(self, blocking: BlockingConfig = BlockingConfig(),
-                 scoring: ScoringConfig = ScoringConfig(),
+                 scoring: ScoringConfig | None = None,
                  text_col: str = "extracted_text"):
         self.cfg = blocking
-        self.head_chars = scoring.text_head_chars
         self.text_col = text_col
         self.hasher = MinHasher(blocking.num_bands, blocking.rows_per_band,
                                 blocking.minhash_seed)
@@ -57,20 +57,15 @@ class SignatureStage:
 
         from ..functions.textnorm import normalize_text_array
 
-        # Arrow-native text path (round-4): newline flatten, first-line
-        # title, normalization and head slice all run as C++ kernels —
-        # no per-row Python string objects for the corpus-sized columns
-        # (this stage touches every byte of the corpus; it was the
-        # scaling bench's largest single wall).  Output bit-identical
-        # to the former pandas path (pinned in test_stages.py).
+        # Arrow-native text path: newline flatten and normalization run
+        # as C++ kernels — no per-row Python string objects for the
+        # corpus-sized column (this stage touches every byte of the
+        # corpus)
         ta = batch.column(self.text_col)
         if isinstance(ta, pa.ChunkedArray):
             ta = ta.combine_chunks()
         flat = pc.replace_substring(ta, pattern="\n", replacement=" ")
         norm_arr = pc.fill_null(normalize_text_array(flat), "")
-        title_raw = pc.list_element(
-            pc.split_pattern(pc.fill_null(ta, ""), "\n", max_splits=1), 0)
-        titles_arr = pc.fill_null(normalize_text_array(title_raw), "")
         shingle_sets = batch_shingle_sets(norm_arr, self.cfg.shingle_k)
         sigs = self.hasher.signatures(shingle_sets)
         sets32 = [np.unique(s.astype(np.uint32)) for s in shingle_sets]
@@ -78,9 +73,6 @@ class SignatureStage:
         n_sh = np.array([s.size for s in sets32], dtype=np.int64)
         return pa.table({
             "url": batch.column("url"),
-            "title_norm": titles_arr,
-            "text_head": pc.utf8_slice_codeunits(norm_arr, 0,
-                                                 self.head_chars),
             "n_shingles": pa.array(n_sh),
             # binary (uint32 little-endian bytes) — not list<...> — so the
             # column survives Arrow acero hash joins as a payload field
@@ -101,11 +93,11 @@ class SignatureStage:
 def binary_matrix(col, dtype=np.uint32) -> np.ndarray:
     """(n, k) matrix from a binary column of fixed-length payloads.
 
-    Zero-copy view of the Arrow data buffer when the column is
-    fixed_size_binary (the writer's format); falls back to the
+    Zero-copy view of the Arrow data buffer when the column is one
+    chunk of fixed_size_binary (the writer's format); falls back to the
     Python-bytes join for variable binary (older checkpoints/parquet).
     """
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = _one_array(col)
     n = len(arr)
     if n == 0:
         return np.empty((0, 1), dtype=dtype)
@@ -149,12 +141,25 @@ def emit_band_keys(features_ds, cfg: BlockingConfig = BlockingConfig(),
       the two docs' band hashes agree, so no pair-key exchange is
       needed.  The signature itself (for the Jaccard estimate) never
       travels with band rows; it is attached during pair hydration
-      from the broadcast feature table."""
+      from the broadcast feature table.
+
+    Docs with no shingles emit no rows: they all carry the same
+    all-max sentinel signature, so they would share every band key and
+    form one quadratic candidate clique whose pairs all score 0.  They
+    keep their singleton cluster at assignment."""
+    import pyarrow.compute as pc
+
     from ..functions.similarity import stable_hash_strings
 
     hasher = MinHasher(cfg.num_bands, cfg.rows_per_band, cfg.minhash_seed)
 
     def explode(batch: pa.Table) -> pa.Table:
+        if batch.num_rows:
+            keep = pc.fill_null(pc.binary_length(batch.column("shingles")),
+                                0).to_numpy(zero_copy_only=False) > 0
+            batch = batch.select(["url", "sig"])
+            if not keep.all():
+                batch = batch.filter(pa.array(keep))
         n = len(batch)
         if n == 0:
             cols = {"band_hash": pa.array([], pa.int64()),
@@ -187,7 +192,7 @@ def emit_band_keys(features_ds, cfg: BlockingConfig = BlockingConfig(),
                 [None, pa.py_buffer(bands_buf)])
         return pa.table(cols)
 
-    return features_ds.select_columns(["url", "sig"]).map_batches(
+    return features_ds.select_columns(["url", "sig", "shingles"]).map_batches(
         explode, batch_format="pyarrow")
 
 

@@ -5,8 +5,8 @@ scale-path designs the north rule adds:
 
 - :func:`exact_dedup` — hash-partition by content, keep min id.
 - :func:`near_dup_pairs` — MinHash + banded LSH blocking -> salted
-  within-key pairing -> exact shingle-Jaccard verify (reuses the
-  flagship blocking/pair stages by mapping (id, text) onto the
+  within-key pairing -> exact shingle-Jaccard verify (the flagship's
+  blocking, pair and scoring stages, by mapping (id, text) onto the
   pipeline's (url, text) column contract).
 - :func:`simhash_dup_pairs` — 64-bit SimHash, 4x16-bit band blocking
   (guarantees recall for Hamming distance <= 3), Hamming verify.
@@ -89,7 +89,7 @@ def near_dup_pairs(ds, id_col: str, text_col: str,
     """
     from .blocking import emit_band_keys
     from .pairs import generate_candidate_pairs
-    from .scoring import hydrate_pairs
+    from .scoring import hydrate_score_pairs
 
     features = _doc_features(ds, id_col, text_col, blocking,
                              normalize).materialize()
@@ -101,32 +101,16 @@ def near_dup_pairs(ds, id_col: str, text_col: str,
         n_rows_hint=features.count() * blocking.num_bands,
         dedup_pairs=True)
 
-    feats_join = features.map_batches(
-        lambda t: pa.table({"url": t.column("url"),
-                            "title_norm": pa.nulls(len(t), pa.string()),
-                            "text_head": pa.nulls(len(t), pa.string()),
-                            "shingles": t.column("shingles"),
-                            "sig": t.column("sig")}),
-        batch_format="pyarrow")
-    hydrated = hydrate_pairs(pairs, feats_join,
-                             est_prefilter=scoring.est_prefilter)
+    scored = hydrate_score_pairs(pairs, features, scoring,
+                                 est_prefilter=scoring.est_prefilter)
 
-    thresh = scoring.jaccard_threshold
+    def matches(batch: pa.Table) -> pa.Table:
+        m = batch.filter(batch.column("is_match"))
+        return pa.table({"id_a": m.column("url_a"), "id_b": m.column("url_b"),
+                         "est_jaccard": m.column("est_jaccard"),
+                         "jaccard": m.column("jaccard")})
 
-    def verify(batch: pa.Table) -> pa.Table:
-        jac = jaccard_pairs_from_binary(batch.column("shingles_a"),
-                                        batch.column("shingles_b"),
-                                        dtype=np.uint32)
-        out = pa.table({
-            "id_a": batch.column("url_a"),
-            "id_b": batch.column("url_b"),
-            "est_jaccard": batch.column("est_jaccard"),
-            "jaccard": pa.array(jac),
-        })
-        return out.filter(pa.compute.greater_equal(out.column("jaccard"),
-                                                   pa.scalar(thresh)))
-
-    return hydrated.map_batches(verify, batch_format="pyarrow")
+    return scored.map_batches(matches, batch_format="pyarrow")
 
 
 def dedup_keep_list(ds, id_col: str, text_col: str, **kwargs):
@@ -309,7 +293,7 @@ def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
     below ``broadcast_threshold`` docs from a broadcast sorted-hash
     lookup (``ray.put`` once, zero-copy per task), above it via two
     hash-partitioned ``Dataset.join``s (the same crossover the
-    flagship's ``scoring.hydrate_pairs`` makes) — and computes exact
+    flagship's ``scoring.hydrate_score_pairs`` makes) — and computes exact
     Jaccard with the vectorized packed-pair kernel.  Both strategies
     produce identical pairs (pinned by tests).
 

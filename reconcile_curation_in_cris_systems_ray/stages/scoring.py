@@ -1,29 +1,22 @@
-"""Pairwise scoring: exact shingle-Jaccard + Jaro-Winkler + Levenshtein.
+"""Pairwise scoring: exact shingle Jaccard decides a match.
 
-Reference analogue: the fuzzy post-filter UDFs applied to join results
-(``are_names_similar_udf`` / ``partial_ratio_udf``, ``query_db/udf.py:
-11-59``, used in the linkage join ``repository.py:112-142``) — here
-re-targeted to url/title/text per the north rule, vectorized:
+Reference analogue: the fuzzy post-filter applied to join results
+(``query_db/udf.py:11-59``, used in the linkage join
+``repository.py:112-142``), re-targeted to page text per the north
+rule.  A pair matches when the exact Jaccard of its two shingle sets
+(sorted uint32 tokens) reaches ``ScoringConfig.jaccard_threshold``; the
+scored schema is ``url_a, url_b, est_jaccard, jaccard, is_match`` and no
+other score is computed.
 
-- Jaro-Winkler runs inside an in-process DuckDB connection held once
-  per worker process (the ST3 pattern, via ``worker_cached``) scanning
-  the Arrow batch zero-copy — a C++ vectorized kernel, never a Python
-  per-row loop;
-- the text-head Levenshtein is a bit-parallel numpy kernel
-  (``levenshtein_words``: one 64-bit word per head, ~20 word operations
-  per byte, vectorized across pairs); the rare heads over 64 bytes
-  (multi-byte text) keep DuckDB's ``levenshtein`` DP, and every score is
-  bit-identical to the all-DuckDB expression;
-- exact Jaccard is computed from the precomputed shingle sets (sorted
-  uint32 tokens) by a build/probe kernel (``jaccard_pairs_from_binary``)
-  that hashes each distinct side-a set once and probes all its partners.
-
-Feature hydration: candidate pairs carry only urls + MinHash estimate,
-so the wide band-explode shuffle never carries text.  Each pair side
-looks its features (title/text head/shingles) up in one broadcast
-table sorted by url hash, inside the scoring task; only above
-``BROADCAST_FEATURE_ROWS`` feature rows are they joined back per side
-with ``Dataset.join`` (hash-partitioned equi-join) instead.
+Feature hydration: candidate pairs carry only url hashes, so the wide
+band-explode shuffle never carries text.  Each scoring task resolves
+both pair sides to row indices of one broadcast feature table sorted by
+url hash, attaches the MinHash estimate, and computes exact Jaccard by
+index over the table's packed shingle buffer
+(``jaccard_pairs_by_index``): no pair copies its shingle sets.  Only
+above ``BROADCAST_FEATURE_ROWS`` feature rows are the features joined
+back per side with ``Dataset.join`` (hash-partitioned equi-join)
+instead, and scored with ``jaccard_pairs_from_binary``.
 """
 
 from __future__ import annotations
@@ -36,15 +29,14 @@ import pyarrow.compute as pc
 
 from ..config import ScoringConfig
 from ..functions.similarity import (
-    jaccard_pairs_from_binary, levenshtein_words,
+    jaccard_pairs_by_index, jaccard_pairs_from_binary, packed_u64_column,
 )
-from . import worker_cached
 
 
 BROADCAST_FEATURE_ROWS = 2_000_000
 
 
-_LOOKUP_COLS = ["url", "title_norm", "text_head", "shingles", "sig"]
+_LOOKUP_COLS = ["url", "shingles", "sig"]
 
 
 def _build_lookup_task(cols, *blocks):
@@ -86,7 +78,7 @@ def _build_lookup_task(cols, *blocks):
 def build_feature_lookup(features_ds,
                          broadcast_threshold: int = BROADCAST_FEATURE_ROWS):
     """Start building the broadcast (sorted-hash, row-aligned table)
-    lookup for pair hydration; returns ``(h_ref, t_ref)`` object refs
+    lookup for pair scoring; returns ``(h_ref, t_ref)`` object refs
     or None when the feature table is too large to broadcast.
 
     NON-BLOCKING: the build runs as one remote task (block refs are
@@ -105,37 +97,19 @@ def build_feature_lookup(features_ds,
 
 
 def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
-                  broadcast_threshold: int = BROADCAST_FEATURE_ROWS,
-                  est_prefilter: float | None = None,
-                  prebuilt=None):
-    """Join (url_a, url_b, est_jaccard) with per-side features.
-
-    Adaptive join strategy (the Spark auto-broadcast idea): when the
-    feature table is small enough to live in the object store
-    (< ``broadcast_threshold`` rows), ship it ONCE via ``ray.put`` and
-    hydrate both sides in a single map_batches pass — zero shuffles.
-    Otherwise fall back to two hash-partitioned ``Dataset.join``s
-    (``num_partitions`` defaults to half the cluster CPUs; each join
-    partition is an aggregator actor and oversubscribing CPUs
-    deadlocks a small cluster).
+                  est_prefilter: float | None = None):
+    """Join (uh_a, uh_b) candidate pairs with both sides' features by
+    two hash-partitioned ``Dataset.join``s: the scoring path for
+    feature tables above ``BROADCAST_FEATURE_ROWS``.  Emits ``url_a``,
+    ``url_b`` (``url_a < url_b``, the broadcast path's orientation),
+    ``shingles_a``, ``shingles_b`` and ``est_jaccard``.
+    ``num_partitions`` defaults to half the cluster CPUs: each join
+    partition is an aggregator actor, and oversubscribing CPUs
+    deadlocks a small cluster.
     """
     import ray
 
     from ..functions.similarity import stable_hash_strings
-
-    lookup = prebuilt
-    if lookup is None:
-        lookup = build_feature_lookup(features_ds, broadcast_threshold)
-    if lookup is not None:
-        # two plasma objects, both zero-copy on every ray.get: a sorted
-        # uint64 key array (searchsorted lookup) and the row-aligned
-        # Arrow feature table.  A plain task function, so Ray can fuse
-        # it into a following map stage (no extra hop).
-        h_ref, t_ref = lookup
-        return pairs_ds.map_batches(
-            partial(_gather, h_ref=h_ref, t_ref=t_ref,
-                    est_prefilter=est_prefilter),
-            batch_format="pyarrow")
 
     if num_partitions is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -151,13 +125,11 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
     a = pairs_ds.join(feats, join_type="inner",
                       num_partitions=num_partitions,
                       on=("uh_a",), right_on=("uh",))
-    a = a.rename_columns({"title_norm": "title_a", "text_head": "head_a",
-                          "shingles": "shingles_a", "sig": "sig_a",
+    a = a.rename_columns({"shingles": "shingles_a", "sig": "sig_a",
                           "url": "url_a"})
     b = a.join(feats, join_type="inner", num_partitions=num_partitions,
                on=("uh_b",), right_on=("uh",))
-    b = b.rename_columns({"title_norm": "title_b", "text_head": "head_b",
-                          "shingles": "shingles_b", "sig": "sig_b",
+    b = b.rename_columns({"shingles": "shingles_b", "sig": "sig_b",
                           "url": "url_b"})
 
     def add_est(batch: pa.Table) -> pa.Table:
@@ -203,21 +175,20 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
     return b.map_batches(add_est, batch_format="pyarrow")
 
 
-def _task_score(batch: pa.Table, scoring=None) -> pa.Table:
-    scorer = worker_cached(("scorer", scoring),
-                           lambda: PairScorer(scoring or ScoringConfig()))
-    return scorer(batch)
+def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
+                         scoring=None, est_prefilter=None) -> pa.Table:
+    """Broadcast hydrate + score of one candidate-pair batch.
 
-
-def _gather(batch: pa.Table, h_ref=None, t_ref=None,
-            est_prefilter=None) -> pa.Table:
-    """Broadcast hydration of one candidate-pair batch: resolve both
-    url-hash sides against the (sorted-hash, row-aligned table) lookup,
-    restore urls (re-canonicalized ``url_a < url_b``), attach the
-    MinHash Jaccard estimate and gather each side's title / text head /
-    shingles.  The est-prefilter runs BEFORE the wide gathers, so
-    filtered pairs never gather their shingle/text payloads at all."""
+    Resolves both url-hash sides to row indices ``ia``, ``ib`` of the
+    (sorted-hash, row-aligned table) lookup, orients each pair
+    ``url_a < url_b``, attaches the MinHash Jaccard estimate and drops
+    pairs under ``est_prefilter``; exact Jaccard then runs by index over
+    the lookup's packed shingle buffer, viewed in place.  Only the two
+    url columns are gathered per pair.
+    """
     import ray
+
+    from .blocking import binary_matrix
 
     h = ray.get(h_ref)
     tbl = ray.get(t_ref)
@@ -234,53 +205,25 @@ def _gather(batch: pa.Table, h_ref=None, t_ref=None,
         if n:
             ok &= h[i] == uh
     ia, ib = idx["a"][ok], idx["b"][ok]
+    if not len(ia):
+        return _empty_scored()
     urls = tbl.column("url")
     # re-canonicalize lexicographically (the pair stage ordered by
     # hash); Arrow compares UTF-8 bytes, which order as codepoints do
     swap = pc.greater(urls.take(pa.array(ia)),
                       urls.take(pa.array(ib))).to_numpy()
-    ia2 = np.where(swap, ib, ia)
-    ib2 = np.where(swap, ia, ib)
-
-    from .blocking import binary_matrix
-
+    ia, ib = np.where(swap, ib, ia), np.where(swap, ia, ib)
     # MinHash Jaccard estimate, attached here rather than shuffled with
     # the band explode (bytes discipline)
-    sig_a = binary_matrix(tbl.column("sig").take(pa.array(ia2)))
-    sig_b = binary_matrix(tbl.column("sig").take(pa.array(ib2)))
-    est = ((sig_a == sig_b).mean(axis=1)
-           if len(ia2) else np.empty(0, dtype=np.float64))
-    if est_prefilter is not None and len(ia2):
+    sig = binary_matrix(tbl.column("sig"))
+    est = (sig[ia] == sig[ib]).mean(axis=1)
+    if est_prefilter is not None:
         keep = est >= est_prefilter
-        ia2, ib2, est = ia2[keep], ib2[keep], est[keep]
-    iarr_a, iarr_b = pa.array(ia2), pa.array(ib2)
-    return pa.table({
-        "url_a": urls.take(iarr_a),
-        "url_b": urls.take(iarr_b),
-        "title_a": tbl.column("title_norm").take(iarr_a),
-        "title_b": tbl.column("title_norm").take(iarr_b),
-        "head_a": tbl.column("text_head").take(iarr_a),
-        "head_b": tbl.column("text_head").take(iarr_b),
-        "shingles_a": tbl.column("shingles").take(iarr_a),
-        "shingles_b": tbl.column("shingles").take(iarr_b),
-        "est_jaccard": pa.array(est, pa.float64()),
-    })
-
-
-def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
-                         scoring=None, est_prefilter=None) -> pa.Table:
-    """Fused broadcast-hydrate + score over one candidate-pair batch.
-
-    :func:`_gather` followed by ``PairScorer`` in one task: the wide
-    hydrated intermediate (shingles/title/head per side, ~2.4 KB/row
-    measured on the bench corpus vs ~0.15 KB/row scored) lives only in
-    this task's heap — it is never written to the object store.
-    Measured motivation: the gather + intermediate materialization was
-    the dominant cost of the score+components segment (hydrate 9.9 s
-    vs score 0.6 s + CC 0.4 s on 198k pairs at 32 CPUs).
-    """
-    return _task_score(_gather(batch, h_ref, t_ref, est_prefilter),
-                       scoring)
+        ia, ib, est = ia[keep], ib[keep], est[keep]
+    vals, lens = packed_u64_column(tbl.column("shingles"), np.uint32)
+    jac = jaccard_pairs_by_index(vals, lens, ia, ib)
+    return _scored(urls.take(pa.array(ia)), urls.take(pa.array(ib)), est,
+                   jac, scoring or ScoringConfig())
 
 
 def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
@@ -289,12 +232,11 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
     """Hydrate candidate pairs and score them in ONE fused map_batches.
 
     Broadcast path: resolves both pair sides against the shared
-    (sorted-hash, row-aligned-table) lookup and emits the final scored
-    schema directly — the wide hydrated intermediate never crosses an
-    operator boundary.  When the feature table exceeds the broadcast
-    threshold, falls back to the distributed ``hydrate_pairs`` joins
-    followed by a per-worker-cached ``PairScorer`` task stage (the
-    scorer fuses onto the join output).
+    (sorted-hash, row-aligned-table) lookup and emits the scored schema
+    directly (:func:`_fused_hydrate_score`).  When the feature table
+    exceeds the broadcast threshold, falls back to the distributed
+    ``hydrate_pairs`` joins followed by a ``PairScorer`` task stage
+    (the scorer fuses onto the join output).
     """
     lookup = prebuilt
     if lookup is None:
@@ -302,7 +244,7 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
     if lookup is None:
         hyd = hydrate_pairs(pairs_ds, features_ds,
                             est_prefilter=est_prefilter)
-        return hyd.map_batches(partial(_task_score, scoring=scoring),
+        return hyd.map_batches(PairScorer(scoring or ScoringConfig()),
                                batch_format="pyarrow")
     h_ref, t_ref = lookup
     fn = partial(_fused_hydrate_score, h_ref=h_ref, t_ref=t_ref,
@@ -310,100 +252,33 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
     return pairs_ds.map_batches(fn, batch_format="pyarrow")
 
 
-# ``match_status`` by code: 0 no match, 1 is_match, 2 jaccard >= 0.9
-_MATCH_STATUS = pa.array(["no_match", "text_match", "near_exact"],
-                         pa.string())
-
-
 class PairScorer:
-    """Batch callable over hydrated pairs (one per worker process, see
-    :func:`_task_score`).
-
-    Emits ``jaccard`` (exact, shingle sets), ``jw_title``, ``jw_url``,
-    ``lev_head_sim`` (1 - lev/maxlen over normalized text heads),
-    ``is_match`` (jaccard >= threshold) and ``match_status``
-    (M14-analogue classification).
-    """
+    """Batch callable over joined pairs (``url_a``, ``url_b``,
+    ``shingles_a``, ``shingles_b``, ``est_jaccard``): exact Jaccard and
+    the match flag, the scored schema of the broadcast path."""
 
     def __init__(self, cfg: ScoringConfig = ScoringConfig()):
-        import duckdb
-
         self.cfg = cfg
-        self.con = duckdb.connect()
-        # one DuckDB thread per scorer worker: each Ray task owns one
-        # CPU, and letting every task's DuckDB spawn a full thread pool
-        # oversubscribes the node ~32x at the scoring stage (the
-        # reference pins the same pragma, query_db/db.py:13)
-        self.con.execute("PRAGMA threads=1")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return _empty_scored()
         jac = jaccard_pairs_from_binary(batch.column("shingles_a"),
                                         batch.column("shingles_b"),
                                         dtype=np.uint32)
-
-        lev, slow = head_sim_words(batch.column("head_a"),
-                                   batch.column("head_b"))
-        view = batch.select(["url_a", "url_b", "title_a", "title_b",
-                             "head_a", "head_b"]).append_column(
-            "slow", pa.array(slow))
-        self.con.register("pairs_batch", view)
-        # heads over 64 bytes (multi-byte text) keep DuckDB's DP: CASE
-        # runs it only on the rows selected by ``slow``
-        scored = self.con.execute(
-            """
-            SELECT
-              jaro_winkler_similarity(coalesce(title_a,''), coalesce(title_b,'')) AS jw_title,
-              jaro_winkler_similarity(url_a, url_b) AS jw_url,
-              CASE WHEN slow THEN
-                1.0 - levenshtein(coalesce(head_a,''), coalesce(head_b,''))
-                      / greatest(length(coalesce(head_a,'')),
-                                 length(coalesce(head_b,'')), 1)
-              END AS lev_slow
-            FROM pairs_batch
-            """).arrow()
-        self.con.unregister("pairs_batch")
-        if slow.any():
-            lev = np.where(slow, scored.column("lev_slow").to_numpy(
-                zero_copy_only=False), lev)
-
-        thresh = self.cfg.jaccard_threshold
-        is_match = jac >= thresh
-        status = np.where(jac >= 0.9, 2, is_match.astype(np.int8))
-        return pa.table({
-            "url_a": batch.column("url_a"),
-            "url_b": batch.column("url_b"),
-            "est_jaccard": batch.column("est_jaccard"),
-            "jaccard": pa.array(jac),
-            "jw_title": scored.column("jw_title"),
-            "jw_url": scored.column("jw_url"),
-            "lev_head_sim": pa.array(lev),
-            "is_match": pa.array(is_match),
-            "match_status": _MATCH_STATUS.take(pa.array(status)),
-        })
+        return _scored(batch.column("url_a"), batch.column("url_b"),
+                       batch.column("est_jaccard"), jac, self.cfg)
 
 
-def head_sim_words(head_a, head_b) -> tuple[np.ndarray, np.ndarray]:
-    """``lev_head_sim`` of the rows whose heads fit one 64-bit word.
-
-    Returns ``(sim, slow)``: ``sim`` is bit-identical to DuckDB's
-    ``1.0 - levenshtein(a, b) / greatest(length(a), length(b), 1)``
-    (NULL read as '') on every row outside ``slow``, the mask of rows
-    with a head over 64 bytes that the caller scores in DuckDB.
-    DuckDB's ``levenshtein`` counts bytes but ``length`` counts
-    codepoints; the ratio mixes them the same way, in float64."""
-    dist, slow = levenshtein_words(head_a, head_b)
-    chars = np.maximum(np.maximum(_utf8_chars(head_a),
-                                  _utf8_chars(head_b)), 1)
-    return 1.0 - dist / chars, slow
-
-
-def _utf8_chars(col) -> np.ndarray:
-    """Codepoint length per row (NULL reads as 0), as int64."""
-    return pc.fill_null(pc.utf8_length(col), 0).to_numpy(
-        zero_copy_only=False).astype(np.int64)
+def _scored(url_a, url_b, est, jac: np.ndarray,
+            cfg: ScoringConfig) -> pa.Table:
+    return pa.table({
+        "url_a": url_a,
+        "url_b": url_b,
+        "est_jaccard": est,
+        "jaccard": jac,
+        "is_match": jac >= cfg.jaccard_threshold,
+    })
 
 
 def _empty_scored() -> pa.Table:
@@ -412,11 +287,7 @@ def _empty_scored() -> pa.Table:
         "url_b": pa.array([], pa.string()),
         "est_jaccard": pa.array([], pa.float64()),
         "jaccard": pa.array([], pa.float64()),
-        "jw_title": pa.array([], pa.float64()),
-        "jw_url": pa.array([], pa.float64()),
-        "lev_head_sim": pa.array([], pa.float64()),
         "is_match": pa.array([], pa.bool_()),
-        "match_status": pa.array([], pa.string()),
     })
 
 

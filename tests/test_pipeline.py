@@ -371,6 +371,67 @@ def test_empty_blocks_through_full_and_incremental_run(ray_session, corpus):
     assert got == want
 
 
+def _blank_pages(n: int, prefix: str):
+    """``n`` corpus rows whose html has an empty body: their text yields
+    no shingles, so they all get the same sentinel MinHash signature."""
+    import numpy as np
+    import pyarrow as pa
+
+    from reconcile_curation_in_cris_systems_ray.sources.corpus import (
+        CORPUS_SCHEMA,
+    )
+
+    return pa.table({
+        "url": [f"https://blank.example/{prefix}/{i:05d}" for i in range(n)],
+        "warc_ts": np.full(n, np.datetime64("2024-03-01", "us")),
+        "html": [b"<html><body></body></html>"] * n,
+        "text": [""] * n,
+        "lang": ["en"] * n,
+        "cluster_id": np.arange(n, dtype=np.int64) + 10**9,
+    }, schema=CORPUS_SCHEMA)
+
+
+def test_shingle_less_pages_emit_no_candidate_pairs(ray_session, corpus):
+    """2,500 pages with no shingles share every band key; they must not
+    become a 3M-pair candidate clique.  Added to the gate corpus, they
+    leave ``candidate_pairs`` and the corpus's assignments unchanged and
+    each gets its own singleton cluster; as an incremental delta they
+    touch no band and link nothing."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
+        run_incremental,
+    )
+
+    def assigned(ds):
+        rows = ds.take_all()
+        got = {r["url"]: r["cluster_id"] for r in rows}
+        assert len(got) == len(rows)  # every url assigned once
+        return got
+
+    blank = _blank_pages(2500, "base")
+    alone = run_reconcile(rd.from_arrow(corpus))
+    want = assigned(alone["assignments"])
+    mixed = run_reconcile(rd.from_arrow(pa.concat_tables([corpus, blank])))
+    assert (mixed["metrics"]["candidate_pairs"]
+            == alone["metrics"]["candidate_pairs"])
+    got = assigned(mixed["assignments"])
+    assert len(got) == corpus.num_rows + blank.num_rows
+    assert {u: got[u] for u in want} == want
+    assert all(got[u] == u for u in blank.column("url").to_pylist())
+
+    delta = _blank_pages(2500, "delta")
+    inc = run_incremental(alone["features"], alone["assignments"],
+                          rd.from_arrow(delta))
+    assert inc["metrics"]["touched_bands"] == 0
+    assert inc["metrics"]["delta_edges"] == 0
+    got = assigned(inc["assignments"])
+    assert len(got) == corpus.num_rows + delta.num_rows
+    assert {u: got[u] for u in want} == want
+    assert all(got[u] == u for u in delta.column("url").to_pylist())
+
+
 def test_empty_corpus_gives_no_assignments(ray_session, corpus):
     """A corpus with no pages reconciles to no assignments (every
     exchange and lookup builder sees only empty blocks) instead of

@@ -232,7 +232,9 @@ def test_grouped_jaccard_fuzz_bit_identical(monkeypatch):
     """The grouped build/probe Jaccard kernel equals jaccard_from_sets
     bit for bit, grouped or shuffled, across slot collisions, large and
     empty sets, NULLs, both token widths, every Arrow input layout, and
-    side-b gathers split into many small slices."""
+    side-b gathers split into many small slices: through the binary
+    wrapper and through the indexed kernel (repeated and shuffled
+    side-a indices into one packed column)."""
     import pyarrow as pa
 
     from reconcile_curation_in_cris_systems_ray.functions import similarity
@@ -277,6 +279,37 @@ def test_grouped_jaccard_fuzz_bit_identical(monkeypatch):
         col_b = pa.array([sets_b[i].tobytes() for i in perm], pa.binary())
         got = jaccard_pairs_from_binary(col_a, col_b, dtype=dtype)
         assert got.tobytes() == want[perm].tobytes(), (dtype, "small slices")
+        monkeypatch.undo()
+
+        # the indexed kernel over one packed column holding each
+        # distinct side-a set once and every side-b set; extra pairs
+        # pick any two sets of the column, a set with itself included
+        ids = {}
+        ia = np.array([ids.setdefault(a.tobytes(), len(ids))
+                       for a in sets_a])
+        pool = [np.frombuffer(x, dtype) for x in ids] + sets_b
+        vals, lens = similarity.packed_u64_column(
+            pa.array([x.tobytes() for x in pool], pa.binary()), dtype)
+        ib = len(ids) + np.arange(len(sets_b))
+        extra_a = rng.integers(0, len(pool), 300)
+        extra_b = rng.integers(0, len(pool), 300)
+        extra_b[:20] = extra_a[:20]
+        ia, ib = np.concatenate([ia, extra_a]), np.concatenate([ib, extra_b])
+        want_ix = np.array([jaccard_from_sets(pool[i], pool[j])
+                            for i, j in zip(ia, ib)])
+        assert want_ix[-300:-280].max() == 1.0
+        perm = rng.permutation(ia.size)
+        for name, rows in (("grouped", np.arange(ia.size)),
+                           ("shuffled", perm), ("empty", perm[:0])):
+            got = similarity.jaccard_pairs_by_index(vals, lens, ia[rows],
+                                                    ib[rows])
+            assert got.dtype == np.float64
+            assert got.tobytes() == want_ix[rows].tobytes(), (dtype, name)
+        monkeypatch.setattr(similarity, "_GATHER_TOKENS", 1000)
+        got = similarity.jaccard_pairs_by_index(vals, lens, ia[perm],
+                                                ib[perm])
+        assert got.tobytes() == want_ix[perm].tobytes(), (dtype,
+                                                          "indexed slices")
         monkeypatch.undo()
 
     # NULL reads as the empty set, on either side
@@ -354,97 +387,3 @@ def test_charset_jaccard_duckdb_parity_fuzz():
     ma, mb = charset_masks(df["a"]), charset_masks(df["b"])
     got = popcount_rows(ma & mb) / np.maximum(popcount_rows(ma | mb), 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=0)
-
-
-def test_levenshtein_words_duckdb_parity_fuzz():
-    """Bit-parallel head Levenshtein + the scorer's float formula ==
-    DuckDB ``1.0 - levenshtein(a, b) / greatest(length(a), length(b),
-    1)`` bit for bit (NULL read as '').  Covers random small-alphabet
-    ASCII pairs of 0-64 bytes, the 64/65-byte boundary on each side,
-    empty and NULL heads, multi-byte heads of <= 64 bytes (kernel path)
-    and of > 64 bytes, which the kernel leaves to DuckDB (``slow``)."""
-    import random
-
-    import duckdb
-    import pyarrow as pa
-
-    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
-        levenshtein_words,
-    )
-    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        head_sim_words,
-    )
-
-    rng = random.Random(5)
-
-    def word(alpha, n):
-        return "".join(rng.choice(alpha) for _ in range(n))
-
-    def mutate(s, alpha):
-        t = list(s)
-        for _ in range(rng.randint(0, 6)):
-            op = rng.randint(0, 2)
-            if op == 0 and t:
-                t[rng.randrange(len(t))] = rng.choice(alpha)
-            elif op == 1:
-                t.insert(rng.randint(0, len(t)), rng.choice(alpha))
-            elif t:
-                del t[rng.randrange(len(t))]
-        return "".join(t)
-
-    pairs = []
-    for _ in range(3000):
-        pairs.append((word("acgt", rng.randint(0, 64)),
-                      word("acgt", rng.randint(0, 64))))
-        s = word("acgt", rng.randint(0, 64))
-        pairs.append((s, mutate(s, "acgt")[:64]))
-    for la in (63, 64, 65):
-        for lb in (0, 1, 63, 64, 65):
-            for _ in range(20):
-                s = word("ab", la)
-                pairs.append((s, (mutate(s, "ab") + word("ab", lb))[:lb]))
-                pairs.append((word("ab", lb), word("ab", la)))
-    pairs += [("", ""), ("", "abc"), ("abc", ""), (None, "abc"),
-              ("abc", None), (None, None), (None, ""), ("x" * 64, None)]
-    multi = "aé北😀"   # 1-, 2-, 3- and 4-byte UTF-8
-    for n in list(range(0, 30)) + [40, 50, 64]:
-        for _ in range(10):
-            s = word(multi, n)
-            pairs.append((s, mutate(s, multi)))
-    a = pa.array([p[0] for p in pairs], pa.string())
-    b = pa.array([p[1] for p in pairs], pa.string())
-    nbytes = np.array([[len((s or "").encode()) for s in p] for p in pairs])
-    nchars = np.array([[len(s or "") for s in p] for p in pairs])
-    want_slow = (nbytes > 64).any(axis=1)
-    assert 0 < want_slow.sum() < len(pairs)
-    # multi-byte rows on the kernel path
-    assert ((nbytes > nchars).any(axis=1) & ~want_slow).sum() > 100
-
-    con = duckdb.connect()
-    heads = pa.table({"head_a": a, "head_b": b})
-    want = con.execute("""
-        SELECT levenshtein(coalesce(head_a,''), coalesce(head_b,'')) AS d,
-               1.0 - levenshtein(coalesce(head_a,''), coalesce(head_b,''))
-                     / greatest(length(coalesce(head_a,'')),
-                                length(coalesce(head_b,'')), 1) AS sim
-        FROM heads""").fetchnumpy()
-
-    dist, slow = levenshtein_words(a, b)
-    np.testing.assert_array_equal(slow, want_slow)
-    np.testing.assert_array_equal(dist[~slow], want["d"][~slow])
-    assert (dist[slow] == -1).all()
-    sim, slow2 = head_sim_words(a, b)
-    np.testing.assert_array_equal(slow2, want_slow)
-    np.testing.assert_array_equal(sim[~slow].view(np.int64),
-                                  want["sim"][~slow].view(np.int64))
-
-    # chunked, large_string and sliced Arrow inputs read the same bytes
-    chunked_a = pa.chunked_array([a.slice(0, 7), a.slice(7)])
-    d2, s2 = levenshtein_words(chunked_a, b.cast(pa.large_string()))
-    np.testing.assert_array_equal(d2, dist)
-    np.testing.assert_array_equal(s2, slow)
-    d3, s3 = levenshtein_words(a.slice(100, 50), b.slice(100, 50))
-    np.testing.assert_array_equal(d3, dist[100:150])
-    empty = pa.array([], pa.string())
-    d4, s4 = levenshtein_words(empty, empty)
-    assert d4.shape == (0,) and s4.shape == (0,)

@@ -223,15 +223,16 @@ def test_multiprobe_topk_recall_vs_bruteforce(ray_session):
 
 def test_hydrate_pairs_broadcast_and_distributed_agree(ray_session):
     """The broadcast and distributed-join hydration strategies must
-    produce identical pair orientation (url_a < url_b) and features —
-    the crossover at the broadcast threshold cannot change results."""
+    produce identical pair orientation (url_a < url_b) and scored
+    columns — the crossover at the broadcast threshold cannot change
+    results."""
     import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.functions.similarity import (
         stable_hash_strings,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        hydrate_pairs,
+        hydrate_score_pairs,
     )
 
     rng = np.random.default_rng(7)
@@ -239,10 +240,8 @@ def test_hydrate_pairs_broadcast_and_distributed_agree(ray_session):
     sigs = [rng.integers(0, 2**60, 8).astype(np.uint64) for _ in urls]
     feats = pa.table({
         "url": pa.array(urls, pa.string()),
-        "title_norm": pa.array([f"title {i}" for i in range(30)]),
-        "text_head": pa.array([f"head {i}" for i in range(30)]),
         "shingles": pa.array(
-            [np.unique(rng.integers(0, 99, 20).astype(np.uint64)).tobytes()
+            [np.unique(rng.integers(0, 99, 20).astype(np.uint32)).tobytes()
              for _ in urls], pa.binary()),
         "sig": pa.array([s.tobytes() for s in sigs], pa.binary()),
     })
@@ -257,15 +256,20 @@ def test_hydrate_pairs_broadcast_and_distributed_agree(ray_session):
     })
 
     def run(threshold):
-        out = hydrate_pairs(rd.from_arrow(pairs), rd.from_arrow(feats),
-                            broadcast_threshold=threshold).to_pandas()
-        cols = ["url_a", "url_b", "title_a", "title_b", "head_a",
-                "head_b", "est_jaccard"]
+        out = hydrate_score_pairs(rd.from_arrow(pairs), rd.from_arrow(feats),
+                                  broadcast_threshold=threshold).to_pandas()
+        cols = ["url_a", "url_b", "est_jaccard", "jaccard", "is_match"]
         return (out[cols].sort_values(["url_a", "url_b"])
                 .drop_duplicates().reset_index(drop=True))
 
     bcast = run(10**6)
     dist = run(0)
+    assert len(bcast) > 0
+    # the hash order of uh_a/uh_b disagrees with the url order on some
+    # pairs, so both paths must actually re-orient
+    url_of = dict(zip(uh.tolist(), urls))
+    assert any(url_of[a] > url_of[b] for a, b in zip(
+        pairs.column("uh_a").to_pylist(), pairs.column("uh_b").to_pylist()))
     assert (bcast["url_a"] < bcast["url_b"]).all()
     assert (dist["url_a"] < dist["url_b"]).all()
     pd.testing.assert_frame_equal(bcast, dist)
@@ -307,9 +311,12 @@ def _features_and_pairs(corpus_cfg, cfg):
 
 
 def test_fused_hydrate_score_matches_two_step(ray_session):
-    """hydrate_score_pairs (fused single-stage) must be bit-identical
-    to hydrate_pairs -> PairScorer on a real small corpus, in BOTH the
-    broadcast and the distributed-fallback regimes."""
+    """The fused broadcast path (row indices into the broadcast feature
+    table, Jaccard by index over its packed shingles) equals the
+    distributed fallback (two ``Dataset.join``s, then ``PairScorer``)
+    bit for bit on a real small corpus, with every pair oriented
+    ``url_a < url_b`` on both sides of the crossover, for fixed- and
+    variable-width signature columns."""
     from reconcile_curation_in_cris_systems_ray.config import (
         ReconcileConfig,
     )
@@ -327,120 +334,92 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
         return (df.sort_values(["url_a", "url_b"])
                 .reset_index(drop=True))
 
-    for threshold in (10**6, 0):  # broadcast regime, distributed regime
-        old = canon(hydrate_pairs(
-            pairs, features, est_prefilter=cfg.scoring.est_prefilter,
-            broadcast_threshold=threshold).map_batches(
-            PairScorer, fn_constructor_kwargs={"cfg": cfg.scoring},
-            batch_format="pyarrow", concurrency=1).to_pandas())
-        new = canon(hydrate_score_pairs(
-            pairs, features, cfg.scoring,
+    def variable_sig(t: pa.Table) -> pa.Table:
+        return t.set_column(t.schema.get_field_index("sig"), "sig",
+                            t.column("sig").cast(pa.binary()))
+
+    # fixed-width signatures (the writer's format) and variable-width
+    # ones (older checkpoints) score the same
+    runs = []
+    for feats in (features,
+                  features.map_batches(variable_sig, batch_format="pyarrow")):
+        fused = canon(hydrate_score_pairs(
+            pairs, feats, cfg.scoring,
             est_prefilter=cfg.scoring.est_prefilter,
-            broadcast_threshold=threshold).to_pandas())
-        assert list(old.columns) == list(new.columns)
-        pd.testing.assert_frame_equal(old, new)
+            broadcast_threshold=10**6).to_pandas())
+        two_step = canon(hydrate_pairs(
+            pairs, feats, est_prefilter=cfg.scoring.est_prefilter).map_batches(
+            PairScorer(cfg.scoring), batch_format="pyarrow").to_pandas())
+        assert len(fused) > 0
+        assert fused["is_match"].any() and not fused["is_match"].all()
+        assert (fused["url_a"] < fused["url_b"]).all()
+        assert (two_step["url_a"] < two_step["url_b"]).all()
+        pd.testing.assert_frame_equal(fused, two_step)
+        runs.append(fused)
+    pd.testing.assert_frame_equal(runs[0], runs[1])
 
 
-# The all-SQL pair scorer: Jaro-Winkler AND the head Levenshtein in
-# DuckDB for every row.  PairScorer must reproduce it bit for bit.
-_SQL_SCORER = """
-    SELECT
-      jaro_winkler_similarity(coalesce(title_a,''), coalesce(title_b,'')) AS jw_title,
-      jaro_winkler_similarity(url_a, url_b) AS jw_url,
-      1.0 - levenshtein(coalesce(head_a,''), coalesce(head_b,''))
-            / greatest(length(coalesce(head_a,'')),
-                       length(coalesce(head_b,'')), 1) AS lev_head_sim
-    FROM pairs_batch
-"""
+_SCORED_SCHEMA = pa.schema([
+    ("url_a", pa.string()), ("url_b", pa.string()),
+    ("est_jaccard", pa.float64()), ("jaccard", pa.float64()),
+    ("is_match", pa.bool_()),
+])
 
 
-def _sql_scored(batch: pa.Table, cfg) -> pa.Table:
-    import duckdb
-
-    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
-        jaccard_from_sets,
-    )
-
-    # per pair, independent of the batch kernel under test
-    jac = np.array([
-        jaccard_from_sets(np.frombuffer(a or b"", np.uint32),
-                          np.frombuffer(b or b"", np.uint32))
-        for a, b in zip(batch.column("shingles_a").to_pylist(),
-                        batch.column("shingles_b").to_pylist())],
-        dtype=np.float64)
-    con = duckdb.connect()
-    con.execute("PRAGMA threads=1")
-    con.register("pairs_batch", batch.select(
-        ["url_a", "url_b", "title_a", "title_b", "head_a", "head_b"]))
-    scored = con.execute(_SQL_SCORER).arrow()
-    is_match = jac >= cfg.jaccard_threshold
-    status = np.where(jac >= 0.9, "near_exact",
-                      np.where(is_match, "text_match", "no_match"))
-    return pa.table({
-        "url_a": batch.column("url_a"),
-        "url_b": batch.column("url_b"),
-        "est_jaccard": batch.column("est_jaccard"),
-        "jaccard": pa.array(jac),
-        "jw_title": scored.column("jw_title"),
-        "jw_url": scored.column("jw_url"),
-        "lev_head_sim": scored.column("lev_head_sim"),
-        "is_match": pa.array(is_match),
-        "match_status": pa.array(status.tolist(), pa.string()),
-    })
-
-
-def test_pair_scorer_matches_sql_scorer(ray_session):
-    """PairScorer (bit-parallel head Levenshtein, DuckDB only for heads
-    over 64 bytes) equals the all-SQL scorer, with exact Jaccard per
-    pair, on the pipeline gate corpus's hydrated candidate pairs, every
-    column bit for bit: on the whole set, on the set with its rows
-    shuffled (side-a sets not contiguous), on a batch where every row
-    falls back to DuckDB, on one where none does, and on a 0-row
-    batch."""
-    import pyarrow.compute as pc
+def _block_schemas(ds) -> set:
     import ray
+
+    return {t.schema for t in ray.get(ds.to_arrow_refs()) if t.num_rows}
+
+
+def test_scored_schema_is_exactly_five_columns(ray_session, monkeypatch):
+    """The scorer emits url_a, url_b, est_jaccard, jaccard and is_match
+    and nothing else: on the broadcast path, on the distributed path
+    (``broadcast_threshold=0``) and inside ``run_incremental``."""
+    import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.config import (
         ReconcileConfig,
     )
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        stable_hash_strings,
+    )
+    from reconcile_curation_in_cris_systems_ray.pipelines import incremental
+    from reconcile_curation_in_cris_systems_ray.pipelines.reconcile import (
+        run_reconcile,
+    )
     from reconcile_curation_in_cris_systems_ray.sources.corpus import (
-        CorpusConfig,
+        CorpusConfig, corpus_table,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        PairScorer, hydrate_pairs,
+        hydrate_score_pairs,
     )
 
     cfg = ReconcileConfig()
-    # the corpus of the pipeline's F1 gate (tests/test_pipeline.py)
-    features, pairs = _features_and_pairs(
-        CorpusConfig(n_families=40, giant_family_variants=24), cfg)
-    hydrated = pa.concat_tables([
-        t for t in ray.get(list(hydrate_pairs(
-            pairs, features,
-            est_prefilter=cfg.scoring.est_prefilter).to_arrow_refs()))
-        if t.num_rows])
-    hydrated = hydrated.sort_by([("url_a", "ascending"),
-                                 ("url_b", "ascending")])
-    long_head = pc.or_(
-        pc.greater(pc.binary_length(pc.fill_null(hydrated["head_a"], "")), 64),
-        pc.greater(pc.binary_length(pc.fill_null(hydrated["head_b"], "")), 64))
-    shuffled = hydrated.take(pa.array(
-        np.random.default_rng(7).permutation(hydrated.num_rows)))
-    batches = {
-        "all": hydrated,
-        "shuffled": shuffled,
-        "all_fall_back": hydrated.filter(long_head),
-        "none_fall_back": hydrated.filter(pc.invert(long_head)),
-        "empty": hydrated.slice(0, 0),
-    }
-    assert batches["all_fall_back"].num_rows > 0
-    assert batches["none_fall_back"].num_rows > 0
-    scorer = PairScorer(cfg.scoring)
-    for name, batch in batches.items():
-        got = scorer(batch)
-        want = _sql_scored(batch, cfg.scoring)
-        assert got.schema == want.schema, name
-        assert got.equals(want), name
+    corpus_cfg = CorpusConfig(n_families=30)
+    features, pairs = _features_and_pairs(corpus_cfg, cfg)
+    for threshold in (10**6, 0):
+        scored = hydrate_score_pairs(pairs, features, cfg.scoring,
+                                     est_prefilter=cfg.scoring.est_prefilter,
+                                     broadcast_threshold=threshold)
+        assert _block_schemas(scored) == {_SCORED_SCHEMA}, threshold
+
+    seen = []
+    real = incremental.hydrate_score_pairs
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs).materialize()
+        seen.append(_block_schemas(out))
+        return out
+
+    monkeypatch.setattr(incremental, "hydrate_score_pairs", spy)
+    tbl = corpus_table(corpus_cfg)
+    urls = np.asarray(tbl.column("url").to_pylist(), dtype=object)
+    is_delta = stable_hash_strings(urls) % np.uint64(5) == 0
+    base = run_reconcile(rd.from_arrow(tbl.filter(~is_delta)))
+    incremental.run_incremental(base["features"], base["assignments"],
+                                rd.from_arrow(tbl.filter(is_delta)))
+    assert seen == [{_SCORED_SCHEMA}]
 
 
 def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
@@ -451,13 +430,11 @@ def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
         _LOOKUP_COLS, _build_lookup_task,
     )
 
-    def block(urls, head="head"):
+    def block(urls, shingles=b""):
         n = len(urls)
         return pa.table({
             "url": pa.array(urls, pa.string()),
-            "title_norm": pa.array(["t"] * n, pa.string()),
-            "text_head": pa.array([head] * n, pa.string()),
-            "shingles": pa.array([b""] * n, pa.binary()),
+            "shingles": pa.array([shingles] * n, pa.binary()),
             "sig": pa.array([b"\0\0\0\0"] * n, pa.binary()),
         })
 
@@ -470,12 +447,12 @@ def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
         return h
 
     h, tbl = _build_lookup_task(_LOOKUP_COLS,
-                                block(["u/one", "u/two"], "first"),
-                                block(["u/one", "u/three"], "second"))
+                                block(["u/one", "u/two"], b"\1\0\0\0"),
+                                block(["u/one", "u/three"], b"\2\0\0\0"))
     assert len(h) == 4 and (h[1:] >= h[:-1]).all()
     i = int(np.searchsorted(h, real_hash(["u/one"])[0]))
     assert tbl.column("url")[i].as_py() == "u/one"
-    assert tbl.column("text_head")[i].as_py() == "first"
+    assert tbl.column("shingles")[i].as_py() == b"\1\0\0\0"
 
     monkeypatch.setattr(similarity, "stable_hash_strings", colliding_hash)
     with pytest.raises(ValueError, match="u/clash"):
