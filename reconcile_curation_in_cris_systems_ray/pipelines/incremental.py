@@ -35,11 +35,9 @@ tests/test_pipeline.py (same clustering, pairwise-identical).
 
 Scale notes: the only full passes over base data are streaming
 map_batches (band re-emission, assignment relabel) — no base-sized
-shuffle, no driver materialization of base data.  Round-4: the driver
-no longer holds ANY Python set/dict of urls, edges or labels — every
-membership/label structure is a (sorted url-hash, aligned values)
-broadcast lookup built in one remote task from the owning dataset's
-blocks (the ``build_feature_lookup`` pattern); the driver holds only
+shuffle, no driver materialization of base data.  Every membership set
+and label map is a broadcast lookup (:mod:`..stages.lookup`) built in
+one remote task from the owning dataset's blocks; the driver holds only
 object refs.  Broadcast object sizes stay bounded by the DELTA (its
 url hashes, touched band keys, touched-component labels); for deltas
 too large to broadcast, swap the membership lookups for the Bloom
@@ -58,9 +56,9 @@ import pyarrow as pa
 import ray
 
 from ..config import ReconcileConfig
-from ..functions.similarity import stable_hash_strings
 from ..stages.blocking import emit_band_keys
 from ..stages.cluster import connected_components
+from ..stages.lookup import broadcast_lookup, key_hash, probe
 from ..stages.pairs import generate_candidate_pairs
 from ..stages.scoring import hydrate_score_pairs
 from .reconcile import NARROW_THRESHOLD, _extract_task, _signature_task
@@ -74,26 +72,6 @@ def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
             .map_batches(partial(_signature_task, blocking=cfg.blocking,
                                  scoring=cfg.scoring),
                          batch_format="pyarrow"))
-
-
-def _build_band_key_set(band_ds):
-    """Sorted distinct band_hash array of the DELTA (band_hash alone
-    identifies a band group — the band index is mixed in), built in ONE
-    remote task from the delta's own materialized blocks.  Round-5: the
-    last driver DataFrame landing in this module is gone; the driver
-    holds only (object ref, count ref) — the same pattern as
-    ``_build_str_lookup`` below."""
-    def build(*blocks):
-        good = [b.select(["band_hash"]) for b in blocks if b.num_rows]
-        if not good:
-            return np.empty(0, dtype=np.int64), 0
-        arr = pa.concat_tables(good).column("band_hash") \
-            .to_numpy(zero_copy_only=False)
-        u = np.unique(arr)  # sorted — searchsorted-ready
-        return np.ascontiguousarray(u, dtype=np.int64), int(len(u))
-
-    return ray.remote(num_returns=2)(build).remote(
-        *band_ds.to_arrow_refs())
 
 
 def run_incremental(base_features, base_assignments, delta_corpus_ds,
@@ -124,19 +102,17 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     narrow = touched_hint >= NARROW_THRESHOLD
     delta_bands = emit_band_keys(delta_feat, cfg.blocking,
                                  include_bands=not narrow).materialize()
-    keys_ref, n_keys_ref = _build_band_key_set(delta_bands)
+    # the distinct delta band keys (band_hash alone identifies a band
+    # group: the band index is mixed in)
+    keys_ref, _, n_keys_ref = broadcast_lookup(delta_bands.to_arrow_refs(),
+                                               "band_hash")
     metrics["touched_bands"] = ray.get(n_keys_ref)
 
     def touched_only(batch: pa.Table) -> pa.Table:
-        # vectorized semi-join against the broadcast SORTED delta key
-        # array (searchsorted membership); Arrow filter end-to-end —
-        # no pandas round-trip
-        keys = ray.get(keys_ref)
-        if not len(keys) or not batch.num_rows:
-            return batch.slice(0, 0)
-        bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-        i = np.clip(np.searchsorted(keys, bh), 0, len(keys) - 1)
-        return batch.filter(pa.array(keys[i] == bh))
+        if not batch.num_rows:
+            return batch
+        _, found = probe(ray.get(keys_ref), batch.column("band_hash"))
+        return batch.filter(pa.array(found))
 
     base_touched = emit_band_keys(base_features, cfg.blocking,
                                   include_bands=not narrow) \
@@ -148,34 +124,14 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
         n_rows_hint=touched_hint, dedup_pairs=narrow)
 
     # --- keep only pairs with >= 1 NEW endpoint --------------------------
-    # delta url-hash membership as a SORTED ARRAY built in one remote
-    # task from the delta's own blocks (round-4: no take_all of delta
-    # urls to the driver; the driver holds only the object ref)
-    def _build_uh(*blocks):
-        good = [b.select(["url"]) for b in blocks
-                if "url" in b.schema.names and b.num_rows]
-        if not good:
-            return np.empty(0, dtype=np.uint64)
-        urls = pa.concat_tables(good).column("url") \
-            .to_numpy(zero_copy_only=False).astype(object, copy=False)
-        return np.sort(stable_hash_strings(urls))
+    new_ref = broadcast_lookup(delta_feat.to_arrow_refs(), "url")[0]
 
-    new_uh = ray.remote(_build_uh).remote(*delta_feat.to_arrow_refs())
+    def has_new(batch: pa.Table) -> pa.Table:
+        s = ray.get(new_ref)
+        return batch.filter(pa.array(probe(s, batch.column("uh_a"))[1]
+                                     | probe(s, batch.column("uh_b"))[1]))
 
-    def _in_sorted(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        if not len(sorted_arr):
-            return np.zeros(len(vals), dtype=bool)
-        i = np.clip(np.searchsorted(sorted_arr, vals), 0,
-                    len(sorted_arr) - 1)
-        return sorted_arr[i] == vals
-
-    def has_new(df: pd.DataFrame) -> pd.DataFrame:
-        s = ray.get(new_uh)
-        a = df["uh_a"].to_numpy(np.uint64)
-        b = df["uh_b"].to_numpy(np.uint64)
-        return df[_in_sorted(s, a) | _in_sorted(s, b)]
-
-    pairs_new = pairs.map_batches(has_new, batch_format="pandas")
+    pairs_new = pairs.map_batches(has_new, batch_format="pyarrow")
 
     # --- hydrate + score ---------------------------------------------------
     features_all = base_features.union(delta_feat)
@@ -191,40 +147,13 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     metrics["delta_edges"] = edges.count()
 
     # --- contract old endpoints to their cluster ids ----------------------
-    # Round-4: the former driver dicts (old_map / label_map) are now
-    # (sorted url-hash, aligned value) broadcast lookups built in ONE
-    # remote task each from the datasets' own blocks — the driver holds
-    # only object refs; no driver structure proportional to touched
-    # components remains.  All maps are url-hash keyed (64-bit; a
-    # collision costs one wrong relabel within the touched set —
-    # negligible, same bound the flagship's pair hydration documents).
-    def _build_str_lookup(key_col, val_col, *blocks):
-        good = [b.select([key_col, val_col]) for b in blocks
-                if key_col in b.schema.names and b.num_rows]
-        if not good:
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=object))
-        tbl = pa.concat_tables(good).combine_chunks()
-        kh = stable_hash_strings(
-            tbl.column(key_col).to_numpy(zero_copy_only=False)
-            .astype(object, copy=False))
-        order = np.argsort(kh, kind="mergesort")
-        vals = tbl.column(val_col).to_numpy(zero_copy_only=False) \
-            .astype(object, copy=False)
-        return np.ascontiguousarray(kh[order]), vals[order]
-
-    _lookup_task = ray.remote(num_returns=2)(_build_str_lookup)
-
-    def _apply_lookup(h_ref, v_ref, urls: np.ndarray) -> np.ndarray:
-        """urls -> mapped value where present, else identity."""
-        h = ray.get(h_ref)
-        v = ray.get(v_ref)
+    def _relabel(h_ref, t_ref, urls: np.ndarray) -> np.ndarray:
+        """urls -> their label in the lookup where present, else
+        identity."""
+        i, found = probe(ray.get(h_ref), urls)
         out = urls.copy()
-        if len(h) and len(urls):
-            uh = stable_hash_strings(urls)
-            i = np.clip(np.searchsorted(h, uh), 0, len(h) - 1)
-            ok = h[i] == uh
-            out[ok] = v[i[ok]]
+        out[found] = ray.get(t_ref).column(0).take(
+            pa.array(i[found])).to_numpy(zero_copy_only=False)
         return out
 
     # old endpoints of delta edges (endpoint not in the delta url set),
@@ -232,21 +161,19 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     def old_eps(df: pd.DataFrame) -> pd.DataFrame:
         urls = pd.concat([df["u"], df["v"]], ignore_index=True) \
             .to_numpy(dtype=object)
-        s = ray.get(new_uh)
-        old = urls[~_in_sorted(s, stable_hash_strings(urls))]
+        old = urls[~probe(ray.get(new_ref), urls)[1]]
         return pd.DataFrame({"url": pd.unique(old)})
 
     old_nodes = edges.map_batches(old_eps, batch_format="pandas")
-    inv_h_ref = ray.remote(_build_uh).remote(*[
-        b for b in old_nodes.materialize().to_arrow_refs()])
+    inv_ref = broadcast_lookup(old_nodes.materialize().to_arrow_refs(),
+                               "url")[0]
 
     def involved_only(df: pd.DataFrame) -> pd.DataFrame:
-        urls = df["url"].to_numpy(dtype=object)
-        uh = stable_hash_strings(urls)
+        uh = key_hash(df["url"].to_numpy(dtype=object))
         # this pass sees every base url, so it also flags delta urls
         # already in the base (each would get two assignment rows)
-        again = _in_sorted(ray.get(new_uh), uh)
-        keep = _in_sorted(ray.get(inv_h_ref), uh) | again
+        again = probe(ray.get(new_ref), uh)[1]
+        keep = probe(ray.get(inv_ref), uh)[1] | again
         return df[keep].assign(again=again[keep])
 
     def _first_again(*blocks):
@@ -263,14 +190,12 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     again_url = ray.get(ray.remote(_first_again).remote(*touched_refs))
     if again_url is not None:
         raise ValueError(f"delta url already in the base: {again_url!r}")
-    old_h, old_v = _lookup_task.remote("url", "cluster_id", *touched_refs)
+    old_h, old_t, _ = broadcast_lookup(touched_refs, "url", ["cluster_id"])
 
     def contract(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "u": _apply_lookup(old_h, old_v,
-                               df["u"].to_numpy(dtype=object)),
-            "v": _apply_lookup(old_h, old_v,
-                               df["v"].to_numpy(dtype=object))})
+            "u": _relabel(old_h, old_t, df["u"].to_numpy(dtype=object)),
+            "v": _relabel(old_h, old_t, df["v"].to_numpy(dtype=object))})
 
     contracted_edges = edges.map_batches(contract, batch_format="pandas")
     star = connected_components(contracted_edges, cfg.cluster) \
@@ -280,14 +205,13 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     # --- relabel old clusters + label new urls -----------------------------
     # star nodes are exactly {old cluster ids, new urls}; base cluster
     # ids never equal new urls (urls are unique across base and delta),
-    # so the full star label lookup is equivalent to the old
-    # restricted-to-old-cluster-ids dict
-    lab_h, lab_v = _lookup_task.remote("u", "v", *star.to_arrow_refs())
+    # so one label lookup over every star node serves both
+    lab_h, lab_t, _ = broadcast_lookup(star.to_arrow_refs(), "u", ["v"])
 
     def relabel(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()
-        out["cluster_id"] = _apply_lookup(
-            lab_h, lab_v, df["cluster_id"].to_numpy(dtype=object))
+        out["cluster_id"] = _relabel(
+            lab_h, lab_t, df["cluster_id"].to_numpy(dtype=object))
         return out
 
     old_updated = base_assignments.map_batches(relabel,
@@ -297,7 +221,7 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
         urls = df["url"].to_numpy(dtype=object)
         return pd.DataFrame({
             "url": urls,
-            "cluster_id": _apply_lookup(lab_h, lab_v, urls),
+            "cluster_id": _relabel(lab_h, lab_t, urls),
         })
 
     new_assign = delta_feat.select_columns(["url"]).map_batches(

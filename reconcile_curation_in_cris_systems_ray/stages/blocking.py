@@ -131,9 +131,8 @@ def emit_band_keys(features_ds, cfg: BlockingConfig = BlockingConfig(),
     - ``uh`` is the doc's 64-bit url hash (``stable_hash_strings``,
       the same hash the pair-hydration broadcast lookup is keyed by) —
       8B instead of a ~60B url string; urls are restored at hydration.
-      Collision risk is the birthday bound on 64 bits (~3% chance of a
-      single colliding PAIR existing at 10^12 docs, and a collision
-      costs one wrong candidate pair that scoring then rejects).
+      Two urls on one hash make that lookup raise (the collision
+      policy of :mod:`.lookup`).
     - ``bands`` is the doc's FULL band-hash vector (num_bands x uint64
       fixed-size binary, 128B at defaults) — 4x narrower than the
       MinHash signature but enough for the pair stage's shuffle-free

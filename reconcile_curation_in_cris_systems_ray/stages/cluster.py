@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 
 from ..config import ClusterConfig
 from ..functions.similarity import stable_hash_strings
+from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
 from .shuffle import bucketed_map_groups
 
 logger = logging.getLogger(__name__)
@@ -213,7 +214,7 @@ def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),
     each contraction round shrinks edges toward (#nodes - #components)
     so multi-billion-edge inputs still converge distributed.
 
-    Checkpointed resume (round-4): pass a
+    Checkpointed resume: pass a
     :class:`..state.manifest.CheckpointManager` (with a root) plus
     ``fp_base`` and EVERY contraction round becomes a resumable stage
     (``cc_round_<i>`` Parquet + manifest, fingerprint chained off the
@@ -282,30 +283,15 @@ def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),
     return edges
 
 
-def _star_lookup_task(*blocks):
-    """Remote body: concat star-edge blocks, sort by node-url hash,
-    return (sorted hash array, row-aligned table) for broadcast.  0-row
-    blocks are skipped: they may carry no columns at all."""
-    good = [b.select(["u", "v"]) for b in blocks if b.num_rows]
-    if not good:
-        return np.empty(0, dtype=np.uint64), pa.table(
-            {"u": pa.array([], pa.string()), "v": pa.array([], pa.string())})
-    tbl = pa.concat_tables(good).combine_chunks()
-    uh = stable_hash_strings(
-        tbl.column("u").to_pandas().to_numpy(dtype=object))
-    order = np.argsort(uh, kind="mergesort")
-    return (np.ascontiguousarray(uh[order]),
-            tbl.take(pa.array(order)).combine_chunks())
-
-
 def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256,
-                    broadcast_threshold: int = 2_000_000):
+                    broadcast_threshold: int = BROADCAST_ROWS):
     """All urls + star edges -> (url, cluster_id) with singleton=self.
 
     Star edges already map each non-root node to its component min, so
-    when that map is small it is broadcast once (``ray.put``) and
-    applied in a shuffle-free ``map_batches`` over the url stream.
-    Past ``broadcast_threshold`` edges it falls back to
+    when that map is small it is built once as a broadcast lookup keyed
+    by node url (:func:`.lookup.broadcast_lookup`) and applied in a
+    shuffle-free ``map_batches`` over the url stream.  Past
+    ``broadcast_threshold`` edges it falls back to
     ``groupby(url).min(label)`` over the union of self-labels and star
     labels; deterministic (min) rather than order-dependent FIRST
     (reference A2 divergence, documented in SURVEY §2.5).  Both paths
@@ -316,38 +302,19 @@ def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256,
 
     star_edges_ds = star_edges_ds.materialize()
     if star_edges_ds.count() <= broadcast_threshold:
-        # broadcast as (sorted uint64 hash, row-aligned Arrow table):
-        # both deserialize zero-copy on every ray.get, unlike a Python
-        # dict whose unpickle cost is paid per TASK (measured ~3s of
-        # aggregate dict-decode on a 700-block url stream); lookup is a
-        # vectorized searchsorted + equality verify.  The build (concat
-        # + hash + sort) runs as one remote task, not on the driver —
-        # same rationale as _uf_star_task.
-        h_ref, t_ref = ray.remote(num_returns=2)(_star_lookup_task).remote(
-            *star_edges_ds.to_arrow_refs())
+        h_ref, t_ref, _ = broadcast_lookup(star_edges_ds.to_arrow_refs(),
+                                           "u", ["v"])
 
-        def apply_map(batch: pa.Table, _h=h_ref, _t=t_ref) -> pa.Table:
-            h = ray.get(_h)
-            star = ray.get(_t)
-            urls_arr = batch.column("url").combine_chunks().cast(pa.string())
-            urls = urls_arr.to_pandas().to_numpy(dtype=object)
-            cluster = urls.copy()  # default: singleton = self
-            if len(h) and len(urls):
-                qh = stable_hash_strings(urls)
-                idx = np.clip(np.searchsorted(h, qh), 0, len(h) - 1)
-                cand = idx[h[idx] == qh]
-                pos = np.flatnonzero(h[idx] == qh)
-                if pos.size:
-                    u_match = star.column("u").take(pa.array(cand)) \
-                        .to_pandas().to_numpy(dtype=object)
-                    ok = u_match == urls[pos]
-                    v_match = star.column("v").take(pa.array(cand[ok])) \
-                        .to_pandas().to_numpy(dtype=object)
-                    cluster[pos[ok]] = v_match
-            return pa.table({
-                "url": urls_arr,
-                "cluster_id": pa.array(cluster, pa.string()),
-            })
+        def apply_map(batch: pa.Table) -> pa.Table:
+            urls = batch.column("url").combine_chunks().cast(pa.string())
+            i, found = probe(ray.get(h_ref), urls)
+            cluster = urls  # default: singleton = self
+            if found.any():
+                label = ray.get(t_ref).column("v").take(pa.array(i[found]))
+                cluster = pc.replace_with_mask(
+                    urls, pa.array(found),
+                    label.combine_chunks().cast(pa.string()))
+            return pa.table({"url": urls, "cluster_id": cluster})
 
         return urls_ds.select_columns(["url"]).map_batches(
             apply_map, batch_format="pyarrow")

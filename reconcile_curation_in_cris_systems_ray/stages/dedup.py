@@ -29,6 +29,7 @@ from ..functions.similarity import (
     jaccard_pairs_from_binary, simhash64, stable_hash_strings,
 )
 from ..functions.textnorm import normalize_text_series
+from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
 from .shuffle import bucketed_map_groups
 
 
@@ -278,7 +279,7 @@ def embedding_dup_pairs(ds, id_col: str, vec_col: str,
 def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
                         n: int = 1, threshold: float = 0.5,
                         num_buckets: int = 64, rows_hint: int | None = None,
-                        broadcast_threshold: int = 2_000_000):
+                        broadcast_threshold: int = BROADCAST_ROWS):
     """Token n-gram Jaccard near-dup pairs within an exact blocking key.
 
     Routed through the SALTED candidate-pair generator
@@ -286,16 +287,15 @@ def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
     cap is split into salt triangle groups (pair set identical to the
     plain groupby — pinned by tests), and degenerate groups above
     ``MAX_SIDE`` fall back to star+chain pairing (bounded, documented
-    recall cap).  The round-1 version ran an unsalted O(m^2) Python
-    loop per block — a scale-killer on skewed keys.
+    recall cap).
 
     Verification hydrates the (id, token-set) features adaptively —
-    below ``broadcast_threshold`` docs from a broadcast sorted-hash
-    lookup (``ray.put`` once, zero-copy per task), above it via two
-    hash-partitioned ``Dataset.join``s (the same crossover the
-    flagship's ``scoring.hydrate_score_pairs`` makes) — and computes exact
-    Jaccard with the vectorized packed-pair kernel.  Both strategies
-    produce identical pairs (pinned by tests).
+    up to ``broadcast_threshold`` docs from a broadcast lookup keyed by
+    the id's string hash (:func:`.lookup.broadcast_lookup`), above it
+    via two hash-partitioned ``Dataset.join``s (the same crossover the
+    flagship's ``scoring.hydrate_score_pairs`` makes) — and computes
+    exact Jaccard with the vectorized packed-pair kernel.  Both
+    strategies produce identical pairs (pinned by tests).
 
     Returns (id_a, id_b, jac) for within-block pairs with token
     n-gram-set Jaccard >= ``threshold``; pair order = ascending id.
@@ -318,14 +318,14 @@ def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
             h = np.unique(_rolling_combine(stable_hash_strings(toks), n))
             sets.append(h.tobytes())
         ids = batch.column(id_col)
-        uh = stable_hash_strings(
-            np.array([str(v) for v in ids.to_pylist()], dtype=object))
+        keys = np.array([str(v) for v in ids.to_pylist()], dtype=object)
         bh = stable_hash_strings(
             batch.column(block_col).cast(pa.string()).to_pandas()
             .fillna("").to_numpy(dtype=object)).view(np.int64)
         return pa.table({
             "id": ids,
-            "uh": pa.array(uh, pa.uint64()),
+            "key": pa.array(keys, pa.string()),
+            "uh": pa.array(stable_hash_strings(keys), pa.uint64()),
             "band_hash": pa.array(bh, pa.int64()),
             "toks": pa.array(sets, pa.binary()),
         })
@@ -357,35 +357,23 @@ def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
                        "jac": pa.array([], pa.float64())})
 
     if prepped.count() <= broadcast_threshold:
-        # broadcast hydration: sorted uh + row-aligned (id, toks)
-        tbl = pa.concat_tables(
-            ray.get(list(prepped.to_arrow_refs()))).combine_chunks()
-        uh_all = tbl.column("uh").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        order = np.argsort(uh_all, kind="mergesort")
-        h_ref = ray.put(np.ascontiguousarray(uh_all[order]))
-        t_ref = ray.put(
-            tbl.select(["id", "toks"]).take(pa.array(order))
-            .combine_chunks())
+        h_ref, t_ref, _ = broadcast_lookup(prepped.to_arrow_refs(), "key",
+                                           ["id", "toks"])
 
-        def verify(batch: pa.Table, _h=h_ref, _t=t_ref) -> pa.Table:
-            if len(batch) == 0:
+        def verify(batch: pa.Table) -> pa.Table:
+            if not batch.num_rows:
                 return _EMPTY
-            h = ray.get(_h)
-            look = ray.get(_t)
-            idx = {}
-            for side in ("a", "b"):
-                q = batch.column(f"uh_{side}").to_numpy(
-                    zero_copy_only=False).astype(np.uint64)
-                i = np.clip(np.searchsorted(h, q), 0, len(h) - 1)
-                idx[side] = pa.array(i)
-            return _finish(
-                look.column("id").take(idx["a"]).to_numpy(
-                    zero_copy_only=False),
-                look.column("id").take(idx["b"]).to_numpy(
-                    zero_copy_only=False),
-                look.column("toks").take(idx["a"]),
-                look.column("toks").take(idx["b"]))
+            h = ray.get(h_ref)
+            ia, found_a = probe(h, batch.column("uh_a"))
+            ib, found_b = probe(h, batch.column("uh_b"))
+            ok = found_a & found_b
+            ia, ib = pa.array(ia[ok]), pa.array(ib[ok])
+            look = ray.get(t_ref)
+            ids = look.column("id")
+            return _finish(ids.take(ia).to_numpy(zero_copy_only=False),
+                           ids.take(ib).to_numpy(zero_copy_only=False),
+                           look.column("toks").take(ia),
+                           look.column("toks").take(ib))
 
         return pairs.map_batches(verify, batch_format="pyarrow")
 

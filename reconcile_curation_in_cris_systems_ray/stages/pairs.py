@@ -239,11 +239,13 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
     pairs ``(url_a, url_b)`` with ``url_a < url_b``.
 
     Returns ``(uh_a, uh_b)`` uint64 url-hash pairs, ``uh_a < uh_b``;
-    pair hydration maps hashes back to urls and features.  Pairs are
-    already unique thanks to min-band emission (see :func:`_emit`);
-    ``dedup_pairs=True`` adds a belt-and-braces pair-key exchange (an
-    extra all-to-all — only for callers that must be robust to
-    band-hash collisions).  ``num_blocks_hint`` is accepted for
+    pair hydration maps hashes back to urls and features.  With wide
+    band rows (a ``bands`` column) pairs are already unique thanks to
+    min-band emission (see :func:`_emit`).  Narrow band rows (no
+    ``bands`` column) emit a pair once per band key the two docs share,
+    so with more than one band per doc they REQUIRE
+    ``dedup_pairs=True``: the pair-key exchange (an extra all-to-all)
+    that keeps one row per pair.  ``num_blocks_hint`` is accepted for
     caller compatibility and unused: the exchange reads the block
     count of its materialized input."""
     if n_rows_hint is not None and n_rows_hint <= DRIVER_MERGE_MAX_ROWS:

@@ -14,7 +14,7 @@ both pair sides to row indices of one broadcast feature table sorted by
 url hash, attaches the MinHash estimate, and computes exact Jaccard by
 index over the table's packed shingle buffer
 (``jaccard_pairs_by_index``): no pair copies its shingle sets.  Only
-above ``BROADCAST_FEATURE_ROWS`` feature rows are the features joined
+above ``lookup.BROADCAST_ROWS`` feature rows are the features joined
 back per side with ``Dataset.join`` (hash-partitioned equi-join)
 instead, and scored with ``jaccard_pairs_from_binary``.
 """
@@ -31,76 +31,33 @@ from ..config import ScoringConfig
 from ..functions.similarity import (
     jaccard_pairs_by_index, jaccard_pairs_from_binary, packed_u64_column,
 )
-
-
-BROADCAST_FEATURE_ROWS = 2_000_000
+from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
 
 
 _LOOKUP_COLS = ["url", "shingles", "sig"]
 
 
-def _build_lookup_task(cols, *blocks):
-    """Remote body: concat feature blocks, sort by url hash, return
-    (sorted hash array, row-aligned table).  0-row blocks are skipped:
-    they may carry no columns at all.  Raises ``ValueError`` when two
-    different urls share a hash."""
-    from ..functions.similarity import stable_hash_strings
-
-    good = [b.select(cols) for b in blocks if b.num_rows]
-    if not good:
-        return np.empty(0, dtype=np.uint64), pa.table(
-            {c: pa.array([], pa.binary() if c in ("shingles", "sig")
-                         else pa.string()) for c in cols})
-    # combine_chunks: a 300-chunk concat makes every downstream .take
-    # a per-index chunk walk (measured ~10x slower merges); one
-    # contiguous chunk turns them into vectorized gathers
-    tbl = pa.concat_tables(good).combine_chunks()
-    key_hash = stable_hash_strings(
-        tbl.column("url").to_pandas().to_numpy(dtype=object))
-    order = np.argsort(key_hash, kind="mergesort")
-    key_hash = key_hash[order]
-    tbl = tbl.take(pa.array(order)).combine_chunks()
-    # two different urls on one 64-bit hash would silently share a
-    # lookup row; a url listed twice keeps its first row
-    same = np.flatnonzero(key_hash[1:] == key_hash[:-1])
-    if same.size:
-        urls = tbl.column("url")
-        left, right = urls.take(pa.array(same)), urls.take(pa.array(same + 1))
-        clash = pc.not_equal(left, right)
-        if pc.any(clash).as_py():
-            i = pc.index(clash, True).as_py()
-            raise ValueError(f"url hash collision: {left[i].as_py()!r} and "
-                             f"{right[i].as_py()!r} share hash "
-                             f"{int(key_hash[same[i]]):#x}")
-    return key_hash, tbl
-
-
 def build_feature_lookup(features_ds,
-                         broadcast_threshold: int = BROADCAST_FEATURE_ROWS):
-    """Start building the broadcast (sorted-hash, row-aligned table)
-    lookup for pair scoring; returns ``(h_ref, t_ref)`` object refs
-    or None when the feature table is too large to broadcast.
+                         broadcast_threshold: int = BROADCAST_ROWS):
+    """Start building the broadcast feature lookup for pair scoring
+    (:func:`.lookup.broadcast_lookup` keyed by url hash, carrying
+    ``url, shingles, sig``); returns its object refs, or None when the
+    feature table is too large to broadcast.
 
-    NON-BLOCKING: the build runs as one remote task (block refs are
-    resolved zero-copy on the worker), so the driver can launch it
-    before the candidate-pair stage and the build overlaps that
-    stage's execution; consumers block on the refs naturally.
+    NON-BLOCKING: the driver can launch it before the candidate-pair
+    stage, so the build overlaps that stage's execution.
     """
-    import ray
-
     feats = features_ds.materialize()
     if feats.count() > broadcast_threshold:
         return None
-    fn = ray.remote(num_returns=2)(_build_lookup_task)
-    h_ref, t_ref = fn.remote(_LOOKUP_COLS, *feats.to_arrow_refs())
-    return h_ref, t_ref
+    return broadcast_lookup(feats.to_arrow_refs(), "url", _LOOKUP_COLS)
 
 
 def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
                   est_prefilter: float | None = None):
     """Join (uh_a, uh_b) candidate pairs with both sides' features by
     two hash-partitioned ``Dataset.join``s: the scoring path for
-    feature tables above ``BROADCAST_FEATURE_ROWS``.  Emits ``url_a``,
+    feature tables above ``lookup.BROADCAST_ROWS``.  Emits ``url_a``,
     ``url_b`` (``url_a < url_b``, the broadcast path's orientation),
     ``shingles_a``, ``shingles_b`` and ``est_jaccard``.
     ``num_partitions`` defaults to half the cluster CPUs: each join
@@ -175,38 +132,32 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
     return b.map_batches(add_est, batch_format="pyarrow")
 
 
-def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
-                         scoring=None, est_prefilter=None) -> pa.Table:
+def _fused_hydrate_score(batch: pa.Table, lookup=None, scoring=None,
+                         est_prefilter=None) -> pa.Table:
     """Broadcast hydrate + score of one candidate-pair batch.
 
     Resolves both url-hash sides to row indices ``ia``, ``ib`` of the
-    (sorted-hash, row-aligned table) lookup, orients each pair
-    ``url_a < url_b``, attaches the MinHash Jaccard estimate and drops
-    pairs under ``est_prefilter``; exact Jaccard then runs by index over
-    the lookup's packed shingle buffer, viewed in place.  Only the two
-    url columns are gathered per pair.
+    feature lookup, orients each pair ``url_a < url_b``, attaches the
+    MinHash Jaccard estimate and drops pairs under ``est_prefilter``;
+    exact Jaccard then runs by index over the lookup's packed shingle
+    buffer, viewed in place.  Only the two url columns are gathered per
+    pair.
     """
     import ray
 
     from .blocking import binary_matrix
 
+    if not batch.num_rows:
+        return _empty_scored()
+    h_ref, t_ref, _ = lookup
     h = ray.get(h_ref)
-    tbl = ray.get(t_ref)
-    n = len(batch) if len(h) else 0
-    idx = {}
-    ok = np.ones(n, dtype=bool)
-    for side in ("a", "b"):
-        uh = (batch.column(f"uh_{side}").to_numpy(
-            zero_copy_only=False).astype(np.uint64)[:n]
-            if n else np.empty(0, dtype=np.uint64))
-        i = (np.clip(np.searchsorted(h, uh), 0, len(h) - 1)
-             if len(h) else np.zeros(0, dtype=np.int64))
-        idx[side] = i
-        if n:
-            ok &= h[i] == uh
-    ia, ib = idx["a"][ok], idx["b"][ok]
+    ia, found_a = probe(h, batch.column("uh_a"))
+    ib, found_b = probe(h, batch.column("uh_b"))
+    ok = found_a & found_b
+    ia, ib = ia[ok], ib[ok]
     if not len(ia):
         return _empty_scored()
+    tbl = ray.get(t_ref)
     urls = tbl.column("url")
     # re-canonicalize lexicographically (the pair stage ordered by
     # hash); Arrow compares UTF-8 bytes, which order as codepoints do
@@ -228,12 +179,12 @@ def _fused_hydrate_score(batch: pa.Table, h_ref=None, t_ref=None,
 
 def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
                         est_prefilter: float | None = None, prebuilt=None,
-                        broadcast_threshold: int = BROADCAST_FEATURE_ROWS):
+                        broadcast_threshold: int = BROADCAST_ROWS):
     """Hydrate candidate pairs and score them in ONE fused map_batches.
 
     Broadcast path: resolves both pair sides against the shared
-    (sorted-hash, row-aligned-table) lookup and emits the scored schema
-    directly (:func:`_fused_hydrate_score`).  When the feature table
+    feature lookup (``prebuilt``, or built here) and emits the scored
+    schema directly (:func:`_fused_hydrate_score`).  When the feature table
     exceeds the broadcast threshold, falls back to the distributed
     ``hydrate_pairs`` joins followed by a ``PairScorer`` task stage
     (the scorer fuses onto the join output).
@@ -246,9 +197,8 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
                             est_prefilter=est_prefilter)
         return hyd.map_batches(PairScorer(scoring or ScoringConfig()),
                                batch_format="pyarrow")
-    h_ref, t_ref = lookup
-    fn = partial(_fused_hydrate_score, h_ref=h_ref, t_ref=t_ref,
-                 scoring=scoring, est_prefilter=est_prefilter)
+    fn = partial(_fused_hydrate_score, lookup=lookup, scoring=scoring,
+                 est_prefilter=est_prefilter)
     return pairs_ds.map_batches(fn, batch_format="pyarrow")
 
 

@@ -442,6 +442,40 @@ def test_empty_corpus_gives_no_assignments(ray_session, corpus):
     assert out["assignments"].take_all() == []
 
 
+def test_single_page_corpus_and_delta(ray_session, corpus):
+    """One page: a 1-page corpus reconciles to one singleton assignment,
+    and a 1-page delta links to what a full run over base + delta
+    assigns (its new-url lookup holds one row)."""
+    import numpy as np
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
+        run_incremental,
+    )
+
+    urls = corpus.column("url").to_pylist()
+    out = run_reconcile(rd.from_arrow(corpus.slice(0, 1)))
+    assert out["assignments"].take_all() == [
+        {"url": urls[0], "cluster_id": urls[0]}]
+
+    # the delta page has family members in the base, so it must link
+    fam = corpus.column("cluster_id").to_numpy()
+    row = int(np.flatnonzero(np.bincount(fam)[fam] > 1)[0])
+    is_delta = np.arange(corpus.num_rows) == row
+    base = run_reconcile(rd.from_arrow(corpus.filter(~is_delta)))
+    inc = run_incremental(base["features"], base["assignments"],
+                          rd.from_arrow(corpus.filter(is_delta)))
+    assert inc["metrics"]["delta_rows"] == 1
+    assert inc["metrics"]["delta_edges"] > 0
+    got = {r["url"]: r["cluster_id"]
+           for r in inc["assignments"].take_all()}
+    full = run_reconcile(rd.from_arrow(corpus))
+    want = {r["url"]: r["cluster_id"]
+            for r in full["assignments"].take_all()}
+    assert len(got) == corpus.num_rows
+    assert got == want
+
+
 def test_incremental_narrow_mode_equals_full_run(ray_session, corpus,
                                                  monkeypatch):
     """Force the NARROW incremental path (16B band_hash-only rows +

@@ -1,10 +1,14 @@
-"""Dead-import gate for the engine package.
+"""Dead-import gate for the engine package, and the lookup gate.
 
 Pruning a query family relies on grep ("which queries still reach this
 helper?"); a module-level import that nothing uses makes that answer
 wrong.  Every subpackage is checked, so a stage helper deleted with its
 last query cannot leave a stale import behind either.  ``__init__.py``
 files are exempt: their imports are the package's re-export surface.
+
+The lookup gate keeps each url-keyed join on the one broadcast lookup
+(``stages/lookup.py``): the modules below may not probe a sorted key
+array with a ``searchsorted`` of their own.
 """
 
 from __future__ import annotations
@@ -20,6 +24,14 @@ ENGINE_DIR = pathlib.Path(engine.__file__).parent
 # the package itself and each subpackage, as paths relative to it
 SUBPACKAGES = sorted(p.parent.relative_to(ENGINE_DIR).as_posix()
                      for p in ENGINE_DIR.rglob("__init__.py"))
+# (module, function): url-keyed joins that probe through stages/lookup.py;
+# a function name limits the gate to that function's body
+LOOKUP_PROBERS = [
+    ("stages/scoring.py", None),
+    ("stages/cluster.py", None),
+    ("pipelines/incremental.py", None),
+    ("stages/dedup.py", "ngram_jaccard_pairs"),
+]
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
@@ -49,3 +61,18 @@ def test_modules_have_no_unused_imports(subpackage):
                      if p.name != "__init__.py")
     unused = [u for p in modules for u in _unused_imports(p)]
     assert unused == [], unused
+
+
+def _searchsorted_calls(path: pathlib.Path, function: str | None) -> list:
+    tree = ast.parse(path.read_text())
+    if function is not None:
+        tree = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.name == function)
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and "searchsorted" in (getattr(n.func, "attr", None),
+                                   getattr(n.func, "id", None))]
+
+
+@pytest.mark.parametrize("module,function", LOOKUP_PROBERS)
+def test_url_keyed_joins_probe_through_the_lookup_module(module, function):
+    assert _searchsorted_calls(ENGINE_DIR / module, function) == []

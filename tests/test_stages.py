@@ -424,10 +424,13 @@ def test_scored_schema_is_exactly_five_columns(ray_session, monkeypatch):
 
 def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
     """Two different urls on one 64-bit hash raise instead of sharing a
-    lookup row; a url listed twice keeps its first row, as before."""
+    feature lookup row; a url listed twice keeps its first row."""
     from reconcile_curation_in_cris_systems_ray.functions import similarity
+    from reconcile_curation_in_cris_systems_ray.stages.lookup import (
+        build_sorted_lookup, probe,
+    )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        _LOOKUP_COLS, _build_lookup_task,
+        _LOOKUP_COLS,
     )
 
     def block(urls, shingles=b""):
@@ -446,18 +449,20 @@ def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
             ["u/one"])[0]
         return h
 
-    h, tbl = _build_lookup_task(_LOOKUP_COLS,
-                                block(["u/one", "u/two"], b"\1\0\0\0"),
-                                block(["u/one", "u/three"], b"\2\0\0\0"))
-    assert len(h) == 4 and (h[1:] >= h[:-1]).all()
-    i = int(np.searchsorted(h, real_hash(["u/one"])[0]))
-    assert tbl.column("url")[i].as_py() == "u/one"
-    assert tbl.column("shingles")[i].as_py() == b"\1\0\0\0"
+    h, tbl, n = build_sorted_lookup("url", _LOOKUP_COLS,
+                                    block(["u/one", "u/two"], b"\1\0\0\0"),
+                                    block(["u/one", "u/three"], b"\2\0\0\0"))
+    assert n == len(h) == tbl.num_rows == 3 and (h[1:] > h[:-1]).all()
+    assert tbl.column_names == _LOOKUP_COLS
+    i, found = probe(h, np.array(["u/one"], dtype=object))
+    assert found.all()
+    assert tbl.column("url")[int(i[0])].as_py() == "u/one"
+    assert tbl.column("shingles")[int(i[0])].as_py() == b"\1\0\0\0"
 
     monkeypatch.setattr(similarity, "stable_hash_strings", colliding_hash)
     with pytest.raises(ValueError, match="u/clash"):
-        _build_lookup_task(_LOOKUP_COLS, block(["u/one", "u/two"]),
-                           block(["u/clash"]))
+        build_sorted_lookup("url", _LOOKUP_COLS, block(["u/one", "u/two"]),
+                            block(["u/clash"]))
 
 
 def test_lang_id_stage_vectorized(ray_session):
