@@ -139,18 +139,33 @@ def shingle_hash_set_text(text: str, k_tokens: int = 3,
 
 def batch_shingle_sets(texts, k_tokens: int = 3,
                        k_chars: int = 5) -> list[np.ndarray]:
-    """Shingle sets for a whole batch, fully vectorized:
+    """Sorted unique uint64 shingle set of each text: the stream of
+    :func:`batch_shingle_stream`, split per doc.  Identical output to
+    calling :func:`shingle_hash_set_text` per doc (that function
+    delegates here).  Serves SimHash and the tests; the signature stage
+    reads the stream itself."""
+    vals, lens = batch_shingle_stream(texts, k_tokens, k_chars)
+    return [np.unique(v) for v in np.split(vals, np.cumsum(lens)[:-1])]
+
+
+def batch_shingle_stream(texts, k_tokens: int = 3, k_chars: int = 5
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Every doc's shingle hashes, back to back: ``(vals uint64, lens
+    int64)``, one length per doc, repeats kept (a doc's set is
+    ``np.unique`` of its slice).
 
     - ONE Arrow ``utf8_split_whitespace`` tokenize over the batch
       (zero Python string objects for the common word-script path);
-    - ONE DuckDB ``hash()`` call over all kept tokens;
-    - the same per-doc rolling k-gram combine + unique as before.
+    - ONE DuckDB ``hash()`` call over all kept tokens and units;
+    - ONE rolling k-gram combine over the batch's flat token hashes
+      (:func:`_kgram_stream`), of which each doc keeps its own starts.
 
     Accepts a list of strings, a pandas Series, or an Arrow string
-    array.  Identical output to calling :func:`shingle_hash_set_text`
-    per doc (pinned by tests — that function delegates here).  The
-    unsegmented-script (CJK) fallback hashes the de-spaced text's
-    characters, batched across all such docs in one hash call.
+    array.  When the mean token length exceeds 10 (unsegmented
+    scripts, see :func:`shingle_hash_set_text`) a doc's units are the
+    characters of its de-spaced text, hashed in the same call and
+    combined ``k_chars`` at a time; that rare per-doc unit build is the
+    only Python loop over docs.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -165,7 +180,7 @@ def batch_shingle_sets(texts, k_tokens: int = 3,
         ta = pa.array(["" if t is None else t for t in texts], pa.string())
     n = len(ta)
     if n == 0:
-        return []
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
     tok = pc.utf8_split_whitespace(ta)
     offs = tok.offsets.to_numpy().astype(np.int64)
     offs = offs - offs[0]
@@ -181,37 +196,103 @@ def batch_shingle_sets(texts, k_tokens: int = 3,
     # mean token length > 10 (strict) -> unsegmented-script char grams
     cjk = (ntok > 0) & (charlen > 10 * ntok)
 
-    word_docs = (~cjk) & (ntok > 0)
-    keep = mask & word_docs[doc_of]
-    tok_hashes = hash_strings_fast(flat.filter(pa.array(keep)))
-    kofs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(doc_of[keep], minlength=n), out=kofs[1:])
-
-    # batch the rare CJK docs' char units into one hash call too
+    words = flat.filter(pa.array(mask & ~cjk[doc_of]))
     cjk_idx = np.flatnonzero(cjk)
-    cjk_units: list[str] = []
-    cjk_spans = np.zeros(cjk_idx.size + 1, dtype=np.int64)
-    cjk_slot = np.full(n, -1, dtype=np.int64)
-    for j, i in enumerate(cjk_idx):
-        cjk_slot[i] = j
-        cjk_units.extend("".join(ta[int(i)].as_py().split()))
-        cjk_spans[j + 1] = len(cjk_units)
-    cjk_hashes = (hash_strings_fast(cjk_units) if cjk_units
-                  else np.empty(0, dtype=np.uint64))
+    units: list[str] = []
+    n_units = np.empty(cjk_idx.size, dtype=np.int64)
+    for j, i in enumerate(cjk_idx.tolist()):
+        chars = "".join(ta[i].as_py().split())
+        units.extend(chars)
+        n_units[j] = len(chars)
+    if units:
+        words = pa.concat_arrays([words, pa.array(units, words.type)])
+    h = hash_strings_fast(words)
+    nw = h.size - len(units)
+    vals, lens = _kgram_stream(h[:nw], np.where(cjk, 0, ntok), k_tokens)
+    if cjk_idx.size == 0:
+        return vals, lens
+    cvals, clens = _kgram_stream(h[nw:], n_units, k_chars)
+    lens[cjk_idx] = clens
+    out = np.empty(int(lens.sum()), dtype=np.uint64)
+    in_cjk = np.repeat(cjk, lens)
+    out[~in_cjk] = vals
+    out[in_cjk] = cvals
+    return out, lens
 
-    empty = np.empty(0, dtype=np.uint64)
-    out: list[np.ndarray] = []
-    for i in range(n):
-        if ntok[i] == 0:
-            out.append(empty)
-        elif cjk_slot[i] >= 0:
-            j = cjk_slot[i]
-            h = cjk_hashes[cjk_spans[j]:cjk_spans[j + 1]]
-            out.append(np.unique(_rolling_combine(h, k_chars)))
-        else:
-            h = tok_hashes[kofs[i]:kofs[i + 1]]
-            out.append(np.unique(_rolling_combine(h, k_tokens)))
-    return out
+
+def _kgram_stream(h: np.ndarray, counts: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """K-gram hashes of docs whose unit hashes lie back to back in ``h``
+    (``counts`` units each): ``(vals, lens)``.  A doc of n >= k units
+    has n - k + 1 k-grams, one of 1 <= n < k units one n-gram, an empty
+    one none.  Values equal :func:`_rolling_combine` per doc: one Horner
+    pass over all of ``h`` (k-grams spanning two docs are computed and
+    never read), and one per short length, over all docs of it."""
+    counts = np.asarray(counts, dtype=np.int64)
+    lens = np.where(counts >= k, counts - k + 1, np.minimum(counts, 1))
+    src = _offsets(counts)[:-1]
+    dst = _offsets(lens)
+    out = np.empty(int(dst[-1]), dtype=np.uint64)
+    if (counts >= k).any():
+        m = h.size - k + 1
+        acc = np.zeros(m, dtype=np.uint64)
+        for j in range(k):
+            np.multiply(acc, _MIX, out=acc)
+            np.add(acc, h[j:j + m], out=acc)
+        # each output's start in h; a short doc's (overwritten below)
+        # may run past the last k-gram, hence the clip
+        start = np.repeat(src - dst[:-1], lens)
+        start += np.arange(out.size, dtype=np.int64)
+        np.take(acc, start, out=out, mode="clip")
+    for width in range(1, k):
+        docs = np.flatnonzero(counts == width)
+        if docs.size:
+            acc = np.zeros(docs.size, dtype=np.uint64)
+            for j in range(width):
+                np.multiply(acc, _MIX, out=acc)
+                np.add(acc, h[src[docs] + j], out=acc)
+            out[dst[docs]] = acc
+    return out, lens
+
+
+# most stream values one MinHash permutation pass or one packing sort
+# holds at once: 512 KiB of uint64 temporaries (L2-resident)
+_STREAM_CHUNK = 1 << 16
+
+
+def _doc_groups(lens: np.ndarray, limit: int = _STREAM_CHUNK):
+    """``(d0, d1, p0, p1)``: runs of whole docs ``d0:d1`` whose stream
+    values ``p0:p1`` number at most ``limit``; a doc longer than
+    ``limit`` forms a run of its own."""
+    ends = np.cumsum(lens)
+    d0 = 0
+    while d0 < lens.size:
+        p0 = int(ends[d0] - lens[d0])
+        d1 = max(d0 + 1, int(np.searchsorted(ends, p0 + limit, side="right")))
+        yield d0, d1, p0, int(ends[d1 - 1])
+        d0 = d1
+
+
+def packed_u32_sets(vals: np.ndarray,
+                    lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each doc's sorted unique uint32 tokens (the low 32 bits of its
+    stream values), packed back to back: ``(values, counts)``.
+
+    One ``np.unique`` per run of docs (:func:`_doc_groups`) over
+    ``(doc << 32) | low32``, which sorts by doc, then by token."""
+    lens = np.asarray(lens, dtype=np.int64)
+    counts = np.zeros(lens.size, dtype=np.int64)
+    parts = []
+    for d0, d1, p0, p1 in _doc_groups(lens):
+        doc = np.repeat(np.arange(d1 - d0, dtype=np.uint64), lens[d0:d1])
+        key = np.bitwise_and(vals[p0:p1], np.uint64(0xFFFFFFFF))
+        key |= doc << np.uint64(32)
+        key = np.unique(key)
+        counts[d0:d1] = np.bincount((key >> np.uint64(32)).astype(np.intp),
+                                    minlength=d1 - d0)
+        parts.append(key.astype(np.uint32))
+    values = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
+    return values, counts
 
 
 def _one_array(col):
@@ -533,44 +614,48 @@ class MinHasher:
         self.b = rng.integers(0, 2**63, self.num_perm, dtype=np.uint64)
 
     def signatures(self, shingle_sets: list[np.ndarray]) -> np.ndarray:
-        """(n_docs, num_perm) uint64 MinHash signature matrix.
-
-        Fully vectorized: concat all docs' shingle hashes, apply all
-        permutations at once, reduce per-doc with ``minimum.reduceat``.
-        Empty docs get an all-max sentinel signature.
-        """
-        n = len(shingle_sets)
-        out = np.full((n, self.num_perm), np.iinfo(np.uint64).max,
-                      dtype=np.uint64)
+        """(n_docs, num_perm) uint64 MinHash signature matrix of a list
+        of shingle sets: :meth:`stream_signatures` over their
+        concatenation."""
         lens = np.array([s.size for s in shingle_sets], dtype=np.int64)
+        vals = (np.concatenate(shingle_sets).astype(np.uint64, copy=False)
+                if shingle_sets else np.empty(0, dtype=np.uint64))
+        return self.stream_signatures(vals, lens)
+
+    def stream_signatures(self, vals: np.ndarray,
+                          lens: np.ndarray) -> np.ndarray:
+        """(n_docs, num_perm) uint64 MinHash signature matrix of a
+        shingle stream (``lens[i]`` values per doc, back to back, as
+        :func:`batch_shingle_stream` returns it).  Repeats within a doc
+        need no dedup first: a min is the same over a multiset and its
+        set.  Empty docs get an all-max sentinel signature.
+
+        Per permutation, over runs of whole docs of at most
+        ``_STREAM_CHUNK`` values (:func:`_doc_groups`): ``a*x + b`` as
+        two 1-D ufuncs into one reused 512 KiB buffer, then one
+        ``np.minimum.reduceat`` at the docs' starts.  A doc longer than
+        a run is reduced slice by slice into its running min.  Empty
+        docs are left out of the reduce, so a segment never spans one.
+        """
+        lens = np.asarray(lens, dtype=np.int64)
+        n = lens.size
+        top = np.iinfo(np.uint64).max
         nonempty = np.flatnonzero(lens)
-        if nonempty.size == 0:
-            return out
-        concat = np.concatenate([shingle_sets[i] for i in nonempty])
-        offsets = np.zeros(nonempty.size, dtype=np.int64)
-        np.cumsum(lens[nonempty][:-1], out=offsets[1:])
-        # chunk the shingle axis so the (chunk x num_perm) temp matrix
-        # stays L2-resident (~512 KiB): measured 4x faster single-core
-        # and ~19x faster aggregate at 32 parallel workers than a 32
-        # MiB chunk, which saturates memory bandwidth (the temp is
-        # written+read once per chunk, so traffic ~= matrix size)
-        chunk = max(1, (1 << 16) // self.num_perm)
-        mins = np.full((nonempty.size, self.num_perm), np.iinfo(np.uint64).max,
-                       dtype=np.uint64)
-        starts = offsets
-        ends = np.append(offsets[1:], concat.size)
-        pos = 0
-        while pos < concat.size:
-            hi = min(pos + chunk, concat.size)
-            h = concat[pos:hi, None] * self.a[None, :] + self.b[None, :]
-            # docs overlapping [pos, hi)
-            d0 = int(np.searchsorted(ends, pos, side="right"))
-            d1 = int(np.searchsorted(starts, hi, side="left"))
-            local = np.clip(starts[d0:d1] - pos, 0, None)
-            part = np.minimum.reduceat(h, local, axis=0)
-            np.minimum(mins[d0:d1], part, out=mins[d0:d1])
-            pos = hi
-        out[nonempty] = mins
+        lens_ne = lens[nonempty]
+        mins = np.full((self.num_perm, nonempty.size), top, dtype=np.uint64)
+        buf = np.empty(min(_STREAM_CHUNK, int(lens.sum())), dtype=np.uint64)
+        for d0, d1, p0, p1 in _doc_groups(lens_ne):
+            starts = _offsets(lens_ne[d0:d1])[:-1]
+            for s0 in range(p0, p1, _STREAM_CHUNK):
+                x = vals[s0:min(s0 + _STREAM_CHUNK, p1)]
+                t = buf[:x.size]
+                for p in range(self.num_perm):
+                    np.multiply(x, self.a[p], out=t)
+                    np.add(t, self.b[p], out=t)
+                    row = mins[p, d0:d1]
+                    np.minimum(row, np.minimum.reduceat(t, starts), out=row)
+        out = np.full((n, self.num_perm), top, dtype=np.uint64)
+        out[nonempty] = mins.T
         return out
 
     def band_keys(self, sigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

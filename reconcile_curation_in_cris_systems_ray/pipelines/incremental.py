@@ -69,8 +69,7 @@ def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
                  if c in delta_corpus_ds.schema().names]
     return (delta_corpus_ds.select_columns(base_cols)
             .map_batches(_extract_task, batch_format="pyarrow")
-            .map_batches(partial(_signature_task, blocking=cfg.blocking,
-                                 scoring=cfg.scoring),
+            .map_batches(partial(_signature_task, blocking=cfg.blocking),
                          batch_format="pyarrow"))
 
 

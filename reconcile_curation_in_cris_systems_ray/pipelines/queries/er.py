@@ -10,7 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ...config import BlockingConfig, ScoringConfig
+from ...config import BlockingConfig
 from ...stages import relational as rel
 from ...stages import textstats as ts
 from ...stages.dedup import exact_dedup
@@ -1751,15 +1751,15 @@ def q_progressive_er(sf_dir: str):
     from ...stages.shuffle import bucketed_map_groups
     from ..reconcile import _extract_task, _signature_task
 
-    blocking, scoring = BlockingConfig(), ScoringConfig()
+    blocking = BlockingConfig()
     tbl = corpus_table(CorpusConfig(n_families=60))
     corpus = rd.from_arrow(tbl)
     base_cols = [c for c in ("url", "warc_ts", "html", "lang")
                  if c in corpus.schema().names]
     features = corpus.select_columns(base_cols) \
         .map_batches(_extract_task, batch_format="pyarrow") \
-        .map_batches(_partial(_signature_task, blocking=blocking,
-                              scoring=scoring), batch_format="pyarrow")
+        .map_batches(_partial(_signature_task, blocking=blocking),
+                     batch_format="pyarrow")
     bands = emit_band_keys(features, blocking, include_bands=False)
 
     # keep every band group at this eval scale: skipping hot bands

@@ -48,9 +48,9 @@ def _extract_task(batch: pa.Table) -> pa.Table:
     return worker_cached("extractor", HtmlTextExtractor)(batch)
 
 
-def _signature_task(batch: pa.Table, blocking=None, scoring=None) -> pa.Table:
-    return worker_cached(("signature", blocking, scoring),
-                         lambda: SignatureStage(blocking, scoring))(batch)
+def _signature_task(batch: pa.Table, blocking=None) -> pa.Table:
+    return worker_cached(("signature", blocking),
+                         lambda: SignatureStage(blocking))(batch)
 
 
 def _library_versions() -> dict[str, str]:
@@ -106,7 +106,7 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     # tiny) input block, and the pair stage needs no repartition of its
     # own.  The repartition fuses into the signature execution.
     features = ckpt.run_stage("features", fp_ft, lambda: extracted.map_batches(
-        partial(_signature_task, blocking=cfg.blocking, scoring=cfg.scoring),
+        partial(_signature_task, blocking=cfg.blocking),
         batch_format="pyarrow").repartition(
             effective_buckets(cfg.blocking.num_buckets)))
 

@@ -17,9 +17,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..config import BlockingConfig, ScoringConfig
+from ..config import BlockingConfig
 from ..functions.similarity import (
-    MinHasher, _one_array, batch_shingle_sets,
+    MinHasher, _one_array, batch_shingle_stream, packed_u32_sets,
+    packed_u64_column,
 )
 
 
@@ -32,8 +33,9 @@ class SignatureStage:
     tokens, little-endian — binary rather than list<...> so the column
     stays a plain object dtype through pandas block conversions instead
     of Ray's tensor extension, whose metadata breaks ``Table.to_pandas``
-    in workers).  ``scoring`` is accepted beside ``blocking`` so that
-    callers pass the engine config pair; no feature depends on it.
+    in workers).  ``scoring`` is accepted and ignored: no feature
+    depends on it, and callers that pass the engine config pair
+    positionally keep working.
 
     Storage dtype: hashing/MinHash run in uint64, but the STORED
     shingle and signature values are truncated to uint32 equality
@@ -45,8 +47,7 @@ class SignatureStage:
     """
 
     def __init__(self, blocking: BlockingConfig = BlockingConfig(),
-                 scoring: ScoringConfig | None = None,
-                 text_col: str = "extracted_text"):
+                 scoring=None, text_col: str = "extracted_text"):
         self.cfg = blocking
         self.text_col = text_col
         self.hasher = MinHasher(blocking.num_bands, blocking.rows_per_band,
@@ -66,36 +67,47 @@ class SignatureStage:
             ta = ta.combine_chunks()
         flat = pc.replace_substring(ta, pattern="\n", replacement=" ")
         norm_arr = pc.fill_null(normalize_text_array(flat), "")
-        shingle_sets = batch_shingle_sets(norm_arr, self.cfg.shingle_k)
-        sigs = self.hasher.signatures(shingle_sets)
-        sets32 = [np.unique(s.astype(np.uint32)) for s in shingle_sets]
-        sig32 = sigs.astype(np.uint32)
-        n_sh = np.array([s.size for s in sets32], dtype=np.int64)
-        return pa.table({
-            "url": batch.column("url"),
-            "n_shingles": pa.array(n_sh),
-            # binary (uint32 little-endian bytes) — not list<...> — so the
-            # column survives Arrow acero hash joins as a payload field
-            "shingles": pa.array([s.tobytes() for s in sets32],
-                                 pa.binary()),
-            # FIXED-size binary: every sig is num_perm x uint32, and the
-            # fixed width lets every consumer rebuild the (n, num_perm)
-            # matrix zero-copy from the Arrow buffer instead of joining
-            # n Python bytes objects (emit_band_keys + hydrate merge
-            # were two full Python-object passes over the corpus)
-            "sig": pa.Array.from_buffers(
-                pa.binary(sig32.shape[1] * 4), len(sig32),
-                [None, pa.py_buffer(np.ascontiguousarray(sig32)
-                                    .tobytes())]),
-        })
+        return pa.table({"url": batch.column("url"),
+                         **feature_columns(norm_arr, self.hasher,
+                                           self.cfg.shingle_k)})
+
+
+def feature_columns(texts, hasher: MinHasher, shingle_k: int) -> dict:
+    """``n_shingles``, ``shingles`` and ``sig`` columns of a batch of
+    normalized texts (storage contract: :class:`SignatureStage`), from
+    one shingle stream, with no Python object per doc."""
+    vals, lens = batch_shingle_stream(texts, shingle_k)
+    sets, n_sh = packed_u32_sets(vals, lens)
+    sig32 = hasher.stream_signatures(vals, lens).astype(np.uint32)
+    n = lens.size
+    offs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_sh * 4, out=offs[1:])
+    if offs[-1] > np.iinfo(np.int32).max:
+        raise ValueError(f"{offs[-1]} shingle bytes overflow a binary "
+                         "column; use smaller batches")
+    return {
+        "n_shingles": pa.array(n_sh),
+        # binary (uint32 little-endian bytes) — not list<...> — so the
+        # column survives Arrow acero hash joins as a payload field
+        "shingles": pa.Array.from_buffers(
+            pa.binary(), n,
+            [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(sets)]),
+        # FIXED-size binary: every sig is num_perm x uint32, and the
+        # fixed width lets every consumer rebuild the (n, num_perm)
+        # matrix zero-copy from the Arrow buffer
+        "sig": pa.Array.from_buffers(
+            pa.binary(hasher.num_perm * 4), n,
+            [None, pa.py_buffer(np.ascontiguousarray(sig32))]),
+    }
 
 
 def binary_matrix(col, dtype=np.uint32) -> np.ndarray:
     """(n, k) matrix from a binary column of fixed-length payloads.
 
-    Zero-copy view of the Arrow data buffer when the column is one
-    chunk of fixed_size_binary (the writer's format); falls back to the
-    Python-bytes join for variable binary (older checkpoints/parquet).
+    Zero-copy view of the Arrow data buffer: a fixed_size_binary column
+    (the writer's format) is viewed directly, a variable binary one
+    (a pandas round trip, older checkpoints/parquet) through its
+    offsets, after checking that every row has the same length.
     """
     arr = _one_array(col)
     n = len(arr)
@@ -106,8 +118,10 @@ def binary_matrix(col, dtype=np.uint32) -> np.ndarray:
         flat = np.frombuffer(arr.buffers()[1], dtype=np.uint8)
         flat = flat[arr.offset * w: (arr.offset + n) * w]
         return flat.view(dtype).reshape(n, -1)
-    return np.frombuffer(b"".join(arr.to_pylist()),
-                         dtype=dtype).reshape(n, -1)
+    vals, lens = packed_u64_column(arr, dtype)
+    if (lens != lens[0]).any():
+        raise ValueError("binary_matrix needs equal-length rows")
+    return vals.reshape(n, -1)
 
 
 def emit_band_keys(features_ds, cfg: BlockingConfig = BlockingConfig(),

@@ -29,6 +29,7 @@ from ..functions.similarity import (
     jaccard_pairs_from_binary, simhash64, stable_hash_strings,
 )
 from ..functions.textnorm import normalize_text_series
+from .blocking import feature_columns
 from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
 from .shuffle import bucketed_map_groups
 
@@ -47,32 +48,19 @@ def exact_dedup(ds, text_col: str, id_col: str, num_buckets: int = 64):
 
 def _doc_features(ds, id_col: str, text_col: str, blocking: BlockingConfig,
                   normalize: bool = True):
-    """(id, shingles binary, sig binary) features for near-dup search.
-
-    Stored shingle/sig values are uint32 equality tokens (same storage
-    contract as the flagship ``SignatureStage`` — see its docstring)."""
+    """(id, shingles binary, sig binary) features for near-dup search,
+    built as the flagship ``SignatureStage`` builds them (same columns,
+    same storage contract — see its docstring)."""
     hasher = MinHasher(blocking.num_bands, blocking.rows_per_band,
                        blocking.minhash_seed)
-    k = blocking.shingle_k
 
     def feats(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pandas()
         if normalize:
-            texts = normalize_text_series(texts).fillna("")
-        else:
-            texts = texts.fillna("")
-        sets = batch_shingle_sets(texts.tolist(), k)
-        sigs = hasher.signatures(sets).astype(np.uint32)
-        sets32 = [np.unique(s.astype(np.uint32)) for s in sets]
-        return pa.table({
-            "url": batch.column(id_col).cast(pa.string()),
-            "shingles": pa.array([s.tobytes() for s in sets32], pa.binary()),
-            # fixed-size binary: zero-copy matrix reads downstream
-            "sig": pa.Array.from_buffers(
-                pa.binary(sigs.shape[1] * 4), len(sigs),
-                [None, pa.py_buffer(np.ascontiguousarray(sigs)
-                                    .tobytes())]),
-        })
+            texts = normalize_text_series(texts)
+        cols = feature_columns(texts.fillna(""), hasher, blocking.shingle_k)
+        return pa.table({"url": batch.column(id_col).cast(pa.string()),
+                         "shingles": cols["shingles"], "sig": cols["sig"]})
 
     return ds.select_columns([id_col, text_col]).map_batches(
         feats, batch_format="pyarrow")

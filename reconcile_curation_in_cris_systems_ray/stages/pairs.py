@@ -38,6 +38,7 @@ import pyarrow as pa
 import ray
 
 from ..config import BlockingConfig, ScoringConfig
+from .blocking import binary_matrix
 from .shuffle import bucketed_map_groups, effective_buckets
 
 _PAIR_COLS = ["uh_a", "uh_b"]
@@ -139,12 +140,6 @@ def expand_salts(band_ds, hot_keys: dict[int, int],
         return pd.concat([cold, out_hot], ignore_index=True)
 
     return band_ds.map_batches(expand, batch_format="pandas")
-
-
-def _decode_bands(col: pd.Series) -> np.ndarray:
-    """binary bands column (num_bands int64 LE per row) -> (n, num_bands)."""
-    return np.frombuffer(b"".join(col.tolist()),
-                         dtype=np.int64).reshape(len(col), -1)
 
 
 def _emit(urls_i: np.ndarray, urls_j: np.ndarray,
@@ -311,11 +306,14 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
         if cross_mask.any():
             # hot-key cross-salt groups: rare; pandas group iteration
             # over just the affected subset
-            sub = data.filter(pa.array(cross_mask)).to_pandas()
+            sub = data.filter(pa.array(cross_mask))
+            sub_bands = (binary_matrix(sub.column("bands"), np.int64)
+                         if has_bands else None)
+            sub = sub.drop_columns(["bands"] if has_bands else []).to_pandas()
             for (_, si, _), g in sub.groupby(
                     ["band_hash", "salt_i", "salt_j"], sort=False):
                 urls = g["uh"].to_numpy().astype(np.uint64)
-                bands = _decode_bands(g["bands"]) if has_bands else None
+                bands = sub_bands[g.index.to_numpy()] if has_bands else None
                 bid = int(g["band_id"].iloc[0]) if has_bid else 0
                 ma = g["member_salt"].to_numpy() == si
                 _pairs_cross(urls[ma],
@@ -346,13 +344,9 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
             counts = np.diff(np.append(np.flatnonzero(new), len(order)))
             starts = np.append(0, np.cumsum(counts))[:-1]
             urls_s = masked(npcol("uh", np.uint64))[order]
-            if has_bands:
-                bcol = pd.Series(data.column("bands").to_pylist())
-                if main_mask is not None:
-                    bcol = bcol[main_mask].reset_index(drop=True)
-                bands_s = _decode_bands(bcol)[order]
-            else:
-                bands_s = None
+            bands_s = (masked(binary_matrix(data.column("bands"),
+                                            np.int64))[order]
+                       if has_bands else None)
             for m in np.unique(counts):
                 if m < 2:
                     continue

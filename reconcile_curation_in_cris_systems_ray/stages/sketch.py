@@ -857,6 +857,44 @@ def icws_estimate(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(np.asarray(sig_a) == np.asarray(sig_b)))
 
 
+def _sig_matrix(col) -> np.ndarray:
+    """(n, m) int64 matrix of a list<int> signature column."""
+    import pyarrow as pa
+
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    flat = arr.flatten().to_numpy(zero_copy_only=False)
+    return flat.reshape(len(arr), -1).astype(np.int64)
+
+
+def _agreeing_pairs(df: pd.DataFrame, lookup, id_col: str, sig_col: str,
+                    threshold: float) -> pd.DataFrame:
+    """Candidate ``(id_a, id_b)`` rows whose signatures, read from a
+    :mod:`.lookup` id -> signature lookup ``(keys, table, size)``, agree
+    on at least ``threshold`` of their positions, with that fraction.
+    A candidate id the lookup does not hold raises ``ValueError``."""
+    import pyarrow as pa
+
+    from .lookup import probe
+
+    if df.empty:
+        return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
+                             "doc_b": pd.Series([], dtype="int64"),
+                             "est_wj": pd.Series([], dtype="float64")})
+    ids, tbl, _ = lookup
+    a, b = df["id_a"].to_numpy(), df["id_b"].to_numpy()
+    ia, found_a = probe(ids, a)
+    ib, found_b = probe(ids, b)
+    if not (found_a.all() and found_b.all()):
+        missing = np.concatenate([a[~found_a], b[~found_b]])
+        raise ValueError(f"candidate {id_col} {missing[0]} has no signature")
+    sigs = tbl.column(sig_col)
+    est = (_sig_matrix(sigs.take(pa.array(ia)))
+           == _sig_matrix(sigs.take(pa.array(ib)))).mean(axis=1)
+    keep = est >= threshold
+    return pd.DataFrame({"doc_a": a[keep], "doc_b": b[keep],
+                         "est_wj": np.round(est[keep], 6)})
+
+
 def signature_agreement_pairs(sigs_ds, id_col: str = "doc_id",
                               sig_col: str = "sig", threshold: float = 0.5,
                               num_buckets: int = 64):
@@ -870,11 +908,12 @@ def signature_agreement_pairs(sigs_ds, id_col: str = "doc_id",
     value) becomes one band row ``(bh = mix(k, sample), id)``; pairs
     sharing >= 1 band co-locate in one bucketed shuffle, dedup in a
     second (pair-keyed, ~2 orders smaller) exchange, and verify
-    against a broadcast (sorted-id, signature-matrix) lookup built in
-    ONE remote task from the dataset's own blocks — signatures never
-    touch the driver.  r=1 makes candidate recall EXACT for any
-    threshold >= 1/m: a qualifying pair agrees on >= ceil(threshold*m)
-    >= 1 positions, so it must share a band.  Partitioning assumption:
+    against a broadcast id -> signature lookup (:mod:`.lookup`, built
+    in ONE remote task from the dataset's own blocks — signatures never
+    touch the driver); a candidate id with no signature raises.  r=1
+    makes candidate recall EXACT for any threshold >= 1/m: a
+    qualifying pair agrees on >= ceil(threshold*m) >= 1 positions, so
+    it must share a band.  Partitioning assumption:
     group sizes are bounded by how many docs share one (k, sample)
     value — a corpus-wide identical boilerplate token can make a hot
     band, in which case the quadratic output IS the answer; above the
@@ -884,19 +923,13 @@ def signature_agreement_pairs(sigs_ds, id_col: str = "doc_id",
     import pyarrow as pa
     import ray
 
+    from .lookup import broadcast_lookup
     from .shuffle import bucketed_map_groups
 
     sigs = sigs_ds.materialize()
 
-    def _mat(tbl: "pa.Table") -> np.ndarray:
-        col = tbl.column(sig_col)
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
-            else col
-        flat = arr.flatten().to_numpy(zero_copy_only=False)
-        return flat.reshape(len(arr), -1).astype(np.int64)
-
     def explode(tbl: pa.Table) -> pd.DataFrame:
-        mat = _mat(tbl)
+        mat = _sig_matrix(tbl.column(sig_col))
         n, m = mat.shape
         k = np.tile(np.arange(m, dtype=np.uint64), n)
         vals = mat.astype(np.uint64).ravel()
@@ -949,38 +982,10 @@ def signature_agreement_pairs(sigs_ds, id_col: str = "doc_id",
         lambda d: d.drop_duplicates(["id_a", "id_b"]),
         num_buckets, empty_like=empty)
 
-    def _build_lookup(*blocks):
-        # schema-less 0-row blocks (Ray's groupby/normalize artifact)
-        # carry neither column — skip them
-        good = [b.select([id_col, sig_col]) for b in blocks
-                if id_col in b.schema.names and b.num_rows]
-        if not good:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty((0, 1), dtype=np.int64))
-        tbl = pa.concat_tables(good).combine_chunks()
-        ids = tbl.column(id_col).to_numpy(zero_copy_only=False)
-        mat = _mat(tbl)
-        order = np.argsort(ids, kind="mergesort")
-        return np.ascontiguousarray(ids[order]), \
-            np.ascontiguousarray(mat[order])
-
-    ids_ref, mat_ref = ray.remote(num_returns=2)(_build_lookup).remote(
-        *sigs.to_arrow_refs())
+    refs = broadcast_lookup(sigs.to_arrow_refs(), id_col, [sig_col])
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
-        ids = ray.get(ids_ref)
-        mat = ray.get(mat_ref)
-        if df.empty or not len(ids):
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                                 "doc_b": pd.Series([], dtype="int64"),
-                                 "est_wj": pd.Series([], dtype="float64")})
-        ia = np.searchsorted(ids, df["id_a"].to_numpy())
-        ib = np.searchsorted(ids, df["id_b"].to_numpy())
-        est = (mat[ia] == mat[ib]).mean(axis=1)
-        keep = est >= threshold
-        return pd.DataFrame({
-            "doc_a": df["id_a"].to_numpy()[keep],
-            "doc_b": df["id_b"].to_numpy()[keep],
-            "est_wj": np.round(est[keep], 6)})
+        return _agreeing_pairs(df, ray.get(list(refs)), id_col, sig_col,
+                               threshold)
 
     return cand.map_batches(verify, batch_format="pandas")

@@ -114,8 +114,7 @@ def parent() -> None:
         corpus = corpus_dataset(CorpusConfig(n_families=n_fam)) \
             .select_columns(["url", "warc_ts", "html", "lang"])
         feats = corpus.map_batches(_extract_task, batch_format="pyarrow") \
-            .map_batches(partial(_signature_task, blocking=cfg.blocking,
-                                 scoring=cfg.scoring),
+            .map_batches(partial(_signature_task, blocking=cfg.blocking),
                          batch_format="pyarrow")
         feats.write_parquet(FEAT_DIR)
         ray.shutdown()

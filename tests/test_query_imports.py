@@ -6,9 +6,9 @@ wrong.  Every subpackage is checked, so a stage helper deleted with its
 last query cannot leave a stale import behind either.  ``__init__.py``
 files are exempt: their imports are the package's re-export surface.
 
-The lookup gate keeps each url-keyed join on the one broadcast lookup
-(``stages/lookup.py``): the modules below may not probe a sorted key
-array with a ``searchsorted`` of their own.
+The lookup gate keeps each url- or id-keyed join on the one broadcast
+lookup (``stages/lookup.py``): the modules below may not probe a sorted
+key array with a ``searchsorted`` of their own.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ ENGINE_DIR = pathlib.Path(engine.__file__).parent
 # the package itself and each subpackage, as paths relative to it
 SUBPACKAGES = sorted(p.parent.relative_to(ENGINE_DIR).as_posix()
                      for p in ENGINE_DIR.rglob("__init__.py"))
-# (module, function): url-keyed joins that probe through stages/lookup.py;
-# a function name limits the gate to that function's body
+# (module, function): joins that probe through stages/lookup.py; a
+# function name limits the gate to that function's body
 LOOKUP_PROBERS = [
     ("stages/scoring.py", None),
     ("stages/cluster.py", None),
     ("pipelines/incremental.py", None),
     ("stages/dedup.py", "ngram_jaccard_pairs"),
+    ("stages/sketch.py", "signature_agreement_pairs"),
+    ("stages/sketch.py", "_agreeing_pairs"),
 ]
 
 

@@ -374,3 +374,28 @@ def test_tdigest_per_group_accuracy(ray_session):
             exact = sub["v"].quantile(q)
             assert abs(got.loc[g, name] - exact) <= 0.02 * spread, (
                 g, name, got.loc[g, name], exact)
+
+
+def test_signature_agreement_raises_on_dangling_id():
+    """A candidate id the signature lookup does not hold raises; it
+    must not read a neighbouring id's signature."""
+    from reconcile_curation_in_cris_systems_ray.stages.lookup import (
+        build_sorted_lookup,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.sketch import (
+        _agreeing_pairs,
+    )
+
+    sigs = pa.table({
+        "doc_id": pa.array([4, 1, 2], pa.int64()),
+        "sig": pa.array([[9, 9, 9, 9], [1, 2, 3, 4], [1, 2, 3, 5]],
+                        pa.list_(pa.int64()))})
+    lookup = build_sorted_lookup("doc_id", ["sig"], sigs)
+    got = _agreeing_pairs(pd.DataFrame({"id_a": [1, 1], "id_b": [2, 4]}),
+                          lookup, "doc_id", "sig", 0.5)
+    assert got.to_dict("list") == {"doc_a": [1], "doc_b": [2],
+                                   "est_wj": [0.75]}
+    for dangling in (3, 7):  # between two ids, past the last one
+        with pytest.raises(ValueError, match=f"doc_id {dangling} "):
+            _agreeing_pairs(pd.DataFrame({"id_a": [1], "id_b": [dangling]}),
+                            lookup, "doc_id", "sig", 0.5)

@@ -299,7 +299,7 @@ def _features_and_pairs(corpus_cfg, cfg):
     corpus = rd.from_arrow(tbl.select(["url", "warc_ts", "html", "lang"]))
     features = corpus.map_batches(
         _extract_task, batch_format="pyarrow").map_batches(
-        partial(_signature_task, blocking=cfg.blocking, scoring=cfg.scoring),
+        partial(_signature_task, blocking=cfg.blocking),
         batch_format="pyarrow").materialize()
     band_rows = features.count() * cfg.blocking.num_bands
     narrow = band_rows >= NARROW_THRESHOLD
