@@ -17,7 +17,7 @@ def entry() -> Any:
     web corpus (sized from sf0.001 documents) and return cluster
     assignments (url, cluster_id)."""
     from reconcile_curation_in_cris_systems_ray.config import tune_data_context
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.er import (
         q_reconcile_flagship,
     )
 
@@ -35,9 +35,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    """DuckDB-equivalent SQL for every SQL-expressible query; rows-only
-    entries (near-dup, simhash, embedding LSH, lang-id, ANN-IVF,
-    reconcile_flagship) are deliberately absent."""
+    """DuckDB-equivalent SQL for every SQL-expressible query (218 of the
+    229).  The 11 rows-only queries are deliberately absent:
+    compaction_plan, compression_ratio, incremental_link, media_decode,
+    ncd_pairs, pca_project, phash_dups, progressive_er, quantile_sketch,
+    quantile_sketch_group and reconcile_flagship (README's keep-list
+    says why each has none)."""
     from reconcile_curation_in_cris_systems_ray.pipelines.queries import ORACLES
 
     return dict(ORACLES)

@@ -61,7 +61,8 @@ from ..stages.cluster import connected_components
 from ..stages.lookup import broadcast_lookup, key_hash, probe
 from ..stages.pairs import generate_candidate_pairs
 from ..stages.scoring import hydrate_score_pairs
-from .reconcile import NARROW_THRESHOLD, _extract_task, _signature_task
+from .reconcile import (NARROW_THRESHOLD, _extract_task, _signature_task,
+                        check_unique_urls)
 
 
 def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
@@ -83,7 +84,7 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     ``{"assignments": Dataset, "delta_features": Dataset, "metrics": dict}``
     where assignments covers base + delta urls with full-run-equivalent
     cluster ids.  Raises ``ValueError`` naming a delta url that is
-    already in ``base_assignments``.
+    already in ``base_assignments`` or listed twice in the delta.
     """
     t0 = time.time()
     metrics: dict = {}
@@ -123,7 +124,8 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
         n_rows_hint=touched_hint, dedup_pairs=narrow)
 
     # --- keep only pairs with >= 1 NEW endpoint --------------------------
-    new_ref = broadcast_lookup(delta_feat.to_arrow_refs(), "url")[0]
+    new_ref, _, n_new_ref = broadcast_lookup(delta_feat.to_arrow_refs(),
+                                             "url")
 
     def has_new(batch: pa.Table) -> pa.Table:
         s = ray.get(new_ref)
@@ -144,6 +146,8 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     edges = scored.map_batches(to_edges, batch_format="pyarrow") \
         .materialize()
     metrics["delta_edges"] = edges.count()
+    # new_ref's build ran alongside the edges' execution
+    check_unique_urls(n_delta, n_new_ref, delta_feat, "the delta")
 
     # --- contract old endpoints to their cluster ids ----------------------
     def _relabel(h_ref, t_ref, urls: np.ndarray) -> np.ndarray:

@@ -1,483 +1,33 @@
 """Query registry package: the record-linkage engine's named queries.
 
-Every query function, SQL oracle string and helper is re-exported here;
-``QUERIES`` / ``ORACLES`` are assembled in ``_registry``.  The registry
-is being cut back to record linkage: the SURVEY §2 operators, the
-flagship and incremental runs, the ER / dedup / near-dup / ANN /
-curation families and the ``bench.py`` workloads.  The temporal
-module keeps only its windowed queries, ``stats`` only its sketches,
-ER score calibration and lang-ID classifiers, ``graph`` only its
-clusterings and PageRank, and the sampling-design module is gone.
-README's keep-list table gives the reason each module's queries stay.
+Each family module registers its own queries where it defines them: it
+ends with a ``QUERIES`` table (name -> function of an sf dir) and an
+``ORACLES`` table (name -> DuckDB SQL twin; rows-only queries have no
+entry).  This package only merges the nine tables, so adding or dropping
+a query edits its module's tables plus ``PINNED`` in
+``tests/test_queries_oracle.py``.  Import a query function from the
+module that defines it, e.g. ``pipelines.queries.er``.  README's
+keep-list gives the reason each module's queries stay.
 """
 
-from ._shared import (
-    _SCD2_SENTINEL,
-    _SQL_EDGES_CTE,
-    _corrupted_twin_pairs,
-    _doc_count,
-    _link_graph_inputs,
-    _md5_lower64,
-    _minhash_block_pairs,
-    _minhash_signatures,
-    _rp,
-)
-from .dedup import (
-    SQL_BOILERPLATE,
-    SQL_BURST_DEDUP,
-    SQL_CDC_CHUNKS,
-    SQL_CHAR_JACCARD_PAIRS,
-    SQL_CHUNK_DEDUP,
-    SQL_CHUNK_TOKENS,
-    SQL_CONTAINMENT_SETS,
-    SQL_DAMERAU_JOIN,
-    SQL_DEDUP_EXACT,
-    SQL_DUP_RATE_BY_SOURCE,
-    SQL_DUP_SPANS,
-    SQL_DUP_SPAN_REMOVAL,
-    SQL_EDIT_JOIN,
-    SQL_FINGERPRINT_CLUSTER,
-    SQL_HAMMING_PAIRS,
-    SQL_MINHASH_PAIRS,
-    SQL_NEAREST_DUP,
-    SQL_NOVELTY_SCORE,
-    SQL_PACK_SEQUENCES,
-    SQL_SETSIM_JOIN,
-    SQL_SOURCE_OVERLAP,
-    SQL_WEIGHTED_JACCARD,
-    SQL_WINNOW_FINGERPRINT,
-    _padded_docs,
-    q_boilerplate,
-    q_burst_dedup,
-    q_cdc_chunks,
-    q_char_jaccard_pairs,
-    q_chunk_dedup,
-    q_chunk_tokens,
-    q_compression_ratio,
-    q_containment_sets,
-    q_damerau_join,
-    q_dedup_exact,
-    q_dup_rate_by_source,
-    q_dup_span_removal,
-    q_dup_spans,
-    q_edit_join,
-    q_fingerprint_cluster,
-    q_hamming_pairs,
-    q_icws_pairs,
-    q_minhash_pairs,
-    q_ncd_pairs,
-    q_near_dup_docs,
-    q_near_dup_keep,
-    q_nearest_dup,
-    q_novelty_score,
-    q_pack_sequences,
-    q_setsim_join,
-    q_simhash_pairs,
-    q_smith_waterman,
-    q_source_overlap,
-    q_weighted_jaccard,
-    q_winnow_fingerprint,
-)
-from .embedding import (
-    SQL_CENTROID_AGG,
-    SQL_COSINE_PAIRS,
-    SQL_GH_MEANS,
-    SQL_KNN_BRUTEFORCE,
-    SQL_SKYLINE,
-    SQL_TOPK_SIM_PAIRS,
-    _pareto_min_max,
-    _query_vectors,
-    q_ann_ivf,
-    q_ann_multiprobe,
-    q_ann_pq,
-    q_canopy_cluster,
-    q_centroid_agg,
-    q_cosine_pairs,
-    q_dbscan_embed,
-    q_embedding_dups,
-    q_gh_means,
-    q_kmeans_embed,
-    q_knn_bruteforce,
-    q_mmr_select,
-    q_pca_project,
-    q_semdedup,
-    q_silhouette_score,
-    q_skyline,
-    q_topk_sim_pairs,
-)
-from .er import (
-    SQL_ADJUSTED_RAND,
-    SQL_BAND_JOIN,
-    SQL_BCUBED,
-    SQL_BLOCKING_KEY,
-    SQL_BLOCKING_SWEEP,
-    SQL_CLUSTER_METRICS,
-    SQL_COHENS_KAPPA,
-    SQL_CURATION_PIPELINE,
-    SQL_DISCOVERY_PIPELINE,
-    SQL_DYNAMIC_BLOCKING,
-    SQL_ENTITY_EXTRACT,
-    SQL_FUZZY_NAME_PAIRS,
-    SQL_GEO_JOIN,
-    SQL_GEO_NEAREST,
-    SQL_GOLDEN_RECORD,
-    SQL_MATCH_AUC,
-    SQL_MATCH_TRANSITIVITY,
-    SQL_META_BLOCKING,
-    SQL_MONGE_ELKAN,
-    SQL_MUTUAL_BEST_MATCH,
-    SQL_PARTIAL_RATIO,
-    SQL_RANGE_JOIN,
-    SQL_RBO_RANKINGS,
-    SQL_RRF_FUSION,
-    SQL_SNM_MULTIPASS,
-    SQL_SNM_PAIRS,
-    SQL_SOFT_TFIDF,
-    SQL_STANDARDIZE_VALUES,
-    SQL_THRESHOLD_SWEEP,
-    SQL_TRUTH_DISCOVERY,
-    _ER_DUP_OFFSET,
-    _FS_LOWER,
-    _FS_SPEC,
-    _FS_UPPER,
-    _GAZETTEER,
-    _PR_ENTITIES,
-    _SNM_WINDOW,
-    gale_shapley_panel,
-    q_adjusted_rand,
-    q_band_join,
-    q_bcubed,
-    q_blocking_key,
-    q_blocking_quality,
-    q_blocking_sweep,
-    q_cluster_metrics,
-    q_cohens_kappa,
-    q_curation_pipeline,
-    q_discovery_pipeline,
-    q_dynamic_blocking,
-    q_entity_extract,
-    q_er_match_pipeline,
-    q_fs_em,
-    q_fs_score,
-    q_fuzzy_name_pairs,
-    q_gale_shapley,
-    q_geo_join,
-    q_geo_nearest,
-    q_golden_record,
-    q_greedy_match,
-    q_incremental_link,
-    q_match_auc,
-    q_match_transitivity,
-    q_meta_blocking,
-    q_monge_elkan,
-    q_mutual_best_match,
-    q_optimal_assignment,
-    q_partial_ratio,
-    q_progressive_er,
-    q_r_swoosh,
-    q_range_join,
-    q_rbo_rankings,
-    q_reconcile_flagship,
-    q_rrf_fusion,
-    q_snm_multipass,
-    q_snm_pairs,
-    q_soft_tfidf,
-    q_soundex_block,
-    q_standardize_values,
-    q_threshold_sweep,
-    q_truth_discovery,
-)
-from .graph import (
-    SQL_CONNECTED_COMPONENTS,
-    SQL_LABEL_PROP,
-    SQL_PAGERANK,
-    _label_prop_sql,
-    _pagerank_sql,
-    q_cc_pivot,
-    q_connected_components,
-    q_label_prop,
-    q_pagerank,
-)
-from .io_catalog import (
-    SQL_AUDIT_STATS,
-    SQL_BLOOM_ANTI_JOIN,
-    SQL_BLOOM_PRUNED_SCAN,
-    SQL_CSV_ROUNDTRIP,
-    SQL_DELTA_AGG_REFRESH,
-    SQL_DQ_AUDIT,
-    SQL_EXTRACT_PIVOT,
-    SQL_FIELD_EXTRACT,
-    SQL_FIELD_EXTRACT_NESTED,
-    SQL_FIRST_LAST,
-    SQL_FIXED_WIDTH_INGEST,
-    SQL_IPC_ROUNDTRIP,
-    SQL_JSONL_INGEST,
-    SQL_JSON_EXTRACT,
-    SQL_MD5_FINGERPRINT,
-    SQL_MERGE_UPSERT,
-    SQL_ORC_ROUNDTRIP,
-    SQL_PRUNED_SCAN,
-    SQL_RENDEZVOUS_STABILITY,
-    SQL_SCD2_INTERVALS,
-    SQL_SKEW_REPORT,
-    SQL_TABLE_DIFF,
-    SQL_UNION_BY_NAME,
-    SQL_URL_CANONICAL,
-    SQL_VALUE_HISTOGRAM,
-    SQL_WARC_INGEST,
-    SQL_XML_INGEST,
-    SQL_ZORDER_SORT,
-    _PROFILE_COLS,
-    _Z_BITS,
-    _jsonl_shard_dir,
-    _messy_urls,
-    _shard_table,
-    _sql_zval,
-    ffd_pack,
-    q_audit_stats,
-    q_bloom_anti_join,
-    q_bloom_pruned_scan,
-    q_compaction_plan,
-    q_csv_roundtrip,
-    q_delta_agg_refresh,
-    q_dq_audit,
-    q_extract_pivot,
-    q_field_extract,
-    q_field_extract_nested,
-    q_first_last,
-    q_fixed_width_ingest,
-    q_ipc_roundtrip,
-    q_json_extract,
-    q_jsonl_ingest,
-    q_md5_fingerprint,
-    q_merge_upsert,
-    q_orc_roundtrip,
-    q_profile_table,
-    q_pruned_scan,
-    q_rendezvous_stability,
-    q_scd2_intervals,
-    q_skew_report,
-    q_table_diff,
-    q_union_by_name,
-    q_url_canonical,
-    q_value_histogram,
-    q_warc_ingest,
-    q_xml_ingest,
-    q_zorder_sort,
-)
-from .relational import (
-    SQL_ANTI_JOIN,
-    SQL_BROADCAST_JOIN,
-    SQL_CONTAINMENT_JOIN,
-    SQL_CORR_AGG,
-    SQL_COUNT_DISTINCT,
-    SQL_CUBE_AGG,
-    SQL_CUME_SUM,
-    SQL_DISTINCT,
-    SQL_EXCEPT,
-    SQL_EXPLODE_SPLIT,
-    SQL_FD_VIOLATIONS,
-    SQL_FILTER_PROJECT,
-    SQL_GROUPBY_AGG,
-    SQL_GROUPING_SETS,
-    SQL_GROUP_CONCAT,
-    SQL_GROUP_PIVOT,
-    SQL_HASH_JOIN,
-    SQL_HASH_SAMPLE,
-    SQL_INTERSECT,
-    SQL_JOIN_SIZE,
-    SQL_LEFT_JOIN,
-    SQL_MAP_AT_K,
-    SQL_MERGE_JOIN,
-    SQL_NTILE_WINDOW,
-    SQL_OUTER_JOIN,
-    SQL_PERCENTILE_FILTER,
-    SQL_PERCENT_RANK,
-    SQL_PIVOT_WIDE,
-    SQL_PRIORITY_DEDUP,
-    SQL_QUANTILE_AGG,
-    SQL_QUOTA_SAMPLE,
-    SQL_RANK_WINDOW,
-    SQL_REPRESENTATIVE_MIN,
-    SQL_ROLLUP_AGG,
-    SQL_SEMI_JOIN,
-    SQL_SKEW_JOIN,
-    SQL_SORT_LIMIT,
-    SQL_STAR_JOIN,
-    SQL_STRATIFIED_SAMPLE,
-    SQL_SYSTEMATIC_SAMPLE,
-    SQL_TOPK_PER_GROUP,
-    SQL_UNION_DISTINCT,
-    SQL_UNPIVOT,
-    SQL_WEIGHTED_SAMPLE,
-    _ENTITIES,
-    _EVENT_PRIORITY,
-    _SPLIT_FRACTIONS,
-    _WSAMPLE_WEIGHTS,
-    _typed_or_empty,
-    q_anti_join,
-    q_broadcast_join,
-    q_containment_join,
-    q_corr_agg,
-    q_count_distinct,
-    q_coverage_sample,
-    q_cube_agg,
-    q_cume_sum,
-    q_dataset_split,
-    q_distinct,
-    q_except,
-    q_explode_split,
-    q_fd_violations,
-    q_filter_project,
-    q_group_concat,
-    q_group_pivot,
-    q_groupby_agg,
-    q_grouping_sets,
-    q_hash_join,
-    q_hash_sample,
-    q_intersect,
-    q_join_size,
-    q_left_join,
-    q_map_at_k,
-    q_merge_join,
-    q_ntile_window,
-    q_outer_join,
-    q_percent_rank,
-    q_percentile_filter,
-    q_pivot_wide,
-    q_priority_dedup,
-    q_quantile_agg,
-    q_quota_sample,
-    q_rank_window,
-    q_representative_min,
-    q_rollup_agg,
-    q_semi_join,
-    q_skew_join,
-    q_sort_limit,
-    q_star_join,
-    q_stratified_sample,
-    q_systematic_sample,
-    q_topk_per_group,
-    q_union_distinct,
-    q_unpivot,
-    q_weighted_sample,
-)
-from .stats import (
-    SQL_CMS_COUNTS,
-    SQL_HEAVY_HITTERS,
-    SQL_KMV_OVERLAP,
-    SQL_NAIVE_BAYES,
-    SQL_SCORE_CALIBRATION,
-    q_approx_distinct,
-    q_approx_distinct_group,
-    q_cms_counts,
-    q_heavy_hitters,
-    q_isotonic_calibration,
-    q_kmv_overlap,
-    q_logreg_train,
-    q_naive_bayes,
-    q_quantile_sketch,
-    q_quantile_sketch_group,
-    q_score_calibration,
-)
-from .temporal import (
-    SQL_STREAM_JOIN,
-    SQL_WINDOW_DISTINCT,
-    SQL_WINDOW_HOURLY,
-    q_stream_join,
-    q_window_distinct,
-    q_window_hourly,
-)
-from .textstats import (
-    SQL_BIGRAM_LM,
-    SQL_BM25_SEARCH,
-    SQL_BPE_TOKEN_COUNT,
-    SQL_CHI2_TERMS,
-    SQL_DECONTAMINATE,
-    SQL_DSIR_SAMPLE,
-    SQL_GOPHER_FILTER,
-    SQL_GROUP_ENTROPY,
-    SQL_GROUP_LCP,
-    SQL_INTERLEAVE_ORDER,
-    SQL_KEYWORD_SEARCH,
-    SQL_K_ANONYMITY,
-    SQL_LANG_ID,
-    SQL_LLR_COLLOCATIONS,
-    SQL_L_DIVERSITY,
-    SQL_MIXTURE_RESAMPLE,
-    SQL_NGRAM_JACCARD,
-    SQL_NGRAM_TOP,
-    SQL_NORMALIZE_TEXT,
-    SQL_PHRASE_SEARCH,
-    SQL_PII_REDACT,
-    SQL_PMI_BIGRAMS,
-    SQL_PPL_BUCKET,
-    SQL_QUALITY_STATS,
-    SQL_RARE_COLLAPSE,
-    SQL_REGEX_EXTRACT,
-    SQL_REPETITION_RATIO,
-    SQL_STOPWORD_RATIO,
-    SQL_TFIDF_COSINE_PAIRS,
-    SQL_TOKEN_BUDGET_SAMPLE,
-    SQL_TOKEN_COUNT,
-    SQL_TOP_TFIDF,
-    SQL_T_CLOSENESS,
-    SQL_UNIGRAM_LOGPROB,
-    SQL_VOCAB_STATS,
-    SQL_ZIPF_SLOPE,
-    _BM25_B,
-    _BM25_K1,
-    _BM25_TERMS,
-    _EN_STOPWORDS,
-    _media_ds,
-    _sql_lang_id,
-    q_bigram_lm,
-    q_bm25_search,
-    q_bpe_token_count,
-    q_bpe_train,
-    q_chi2_terms,
-    q_decontaminate,
-    q_dsir_sample,
-    q_frame_sample,
-    q_gopher_filter,
-    q_group_entropy,
-    q_group_lcp,
-    q_interleave_order,
-    q_k_anonymity,
-    q_keyword_search,
-    q_l_diversity,
-    q_lang_id,
-    q_llr_collocations,
-    q_media_decode,
-    q_mixture_resample,
-    q_ngram_jaccard,
-    q_ngram_top,
-    q_normalize_text,
-    q_phash_dups,
-    q_phrase_search,
-    q_pii_redact,
-    q_pmi_bigrams,
-    q_ppl_bucket,
-    q_quality_stats,
-    q_rare_collapse,
-    q_regex_extract,
-    q_repetition_ratio,
-    q_stopword_ratio,
-    q_t_closeness,
-    q_tfidf_cosine_pairs,
-    q_token_budget_sample,
-    q_token_count,
-    q_top_tfidf,
-    q_unigram_logprob,
-    q_vocab_stats,
-    q_zipf_slope,
-)
-from ._registry import (
-    ORACLES,
-    QUERIES,
-    _blocking_quality_sql,
-    _dataset_split_sql,
-    _fs_sql,
-    _profile_sql,
-    _soundex_sql,
-)
+from . import (dedup, embedding, er, graph, io_catalog, relational, stats,
+               temporal, textstats)
+
+
+def merge_tables(tables) -> dict:
+    """Merge ``(module name, table)`` pairs into one dict; a name that two
+    modules register raises ``ValueError`` naming it and both modules."""
+    merged, owner = {}, {}
+    for module, table in tables:
+        for name, value in table.items():
+            if name in merged:
+                raise ValueError(f"query {name!r} is registered by both "
+                                 f"{owner[name]} and {module}")
+            merged[name], owner[name] = value, module
+    return merged
+
+
+_FAMILIES = (dedup, embedding, er, graph, io_catalog, relational, stats,
+             temporal, textstats)
+QUERIES = merge_tables((m.__name__, m.QUERIES) for m in _FAMILIES)
+ORACLES = merge_tables((m.__name__, m.ORACLES) for m in _FAMILIES)

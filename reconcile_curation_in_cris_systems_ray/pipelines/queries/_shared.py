@@ -1,7 +1,4 @@
-"""Shared helpers used by multiple query-family modules.
-
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
-"""
+"""Shared helpers used by multiple query-family modules."""
 
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """Deduplication family: exact/MinHash/SimHash/chunk/set-similarity.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -1857,3 +1857,68 @@ SELECT db.doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
              / count(*), 6) AS novelty
 FROM db JOIN df USING (bg) GROUP BY 1
 """
+
+
+QUERIES = {
+    "dedup_exact": q_dedup_exact,
+    "chunk_tokens": q_chunk_tokens,
+    "pack_sequences": q_pack_sequences,
+    "chunk_dedup": q_chunk_dedup,
+    "boilerplate": q_boilerplate,
+    "setsim_join": q_setsim_join,
+    "nearest_dup": q_nearest_dup,
+    "source_overlap": q_source_overlap,
+    "containment_sets": q_containment_sets,
+    "hamming_pairs": q_hamming_pairs,
+    "novelty_score": q_novelty_score,
+    "dup_spans": q_dup_spans,
+    "dup_span_removal": q_dup_span_removal,
+    "edit_join": q_edit_join,
+    "compression_ratio": q_compression_ratio,
+    "near_dup_keep": q_near_dup_keep,
+    "winnow_fingerprint": q_winnow_fingerprint,
+    "near_dup_docs": q_near_dup_docs,
+    "simhash_pairs": q_simhash_pairs,
+    "burst_dedup": q_burst_dedup,
+    "ncd_pairs": q_ncd_pairs,
+    "minhash_pairs": q_minhash_pairs,
+    "smith_waterman": q_smith_waterman,
+    "fingerprint_cluster": q_fingerprint_cluster,
+    "dup_rate_by_source": q_dup_rate_by_source,
+    "damerau_join": q_damerau_join,
+    "char_jaccard_pairs": q_char_jaccard_pairs,
+    "weighted_jaccard": q_weighted_jaccard,
+    "icws_pairs": q_icws_pairs,
+    "cdc_chunks": q_cdc_chunks,
+}
+
+ORACLES = {
+    "dedup_exact": SQL_DEDUP_EXACT,
+    "winnow_fingerprint": SQL_WINNOW_FINGERPRINT,
+    "dup_spans": SQL_DUP_SPANS,
+    "dup_span_removal": SQL_DUP_SPAN_REMOVAL,
+    "edit_join": SQL_EDIT_JOIN,
+    "chunk_tokens": SQL_CHUNK_TOKENS,
+    "pack_sequences": SQL_PACK_SEQUENCES,
+    "chunk_dedup": SQL_CHUNK_DEDUP,
+    "boilerplate": SQL_BOILERPLATE,
+    "setsim_join": SQL_SETSIM_JOIN,
+    "nearest_dup": SQL_NEAREST_DUP,
+    "simhash_pairs": SQL_SIMHASH_PAIRS,
+    "near_dup_docs": SQL_NEAR_DUP_DOCS,
+    "near_dup_keep": SQL_NEAR_DUP_KEEP,
+    "smith_waterman": SQL_SMITH_WATERMAN,
+    "icws_pairs": SQL_ICWS_PAIRS,
+    "source_overlap": SQL_SOURCE_OVERLAP,
+    "containment_sets": SQL_CONTAINMENT_SETS,
+    "hamming_pairs": SQL_HAMMING_PAIRS,
+    "novelty_score": SQL_NOVELTY_SCORE,
+    "burst_dedup": SQL_BURST_DEDUP,
+    "minhash_pairs": SQL_MINHASH_PAIRS,
+    "fingerprint_cluster": SQL_FINGERPRINT_CLUSTER,
+    "dup_rate_by_source": SQL_DUP_RATE_BY_SOURCE,
+    "damerau_join": SQL_DAMERAU_JOIN,
+    "char_jaccard_pairs": SQL_CHAR_JACCARD_PAIRS,
+    "weighted_jaccard": SQL_WEIGHTED_JACCARD,
+    "cdc_chunks": SQL_CDC_CHUNKS,
+}

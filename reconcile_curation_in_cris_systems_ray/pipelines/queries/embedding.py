@@ -1,6 +1,6 @@
 """Embedding-space ops: ANN, k-means/PCA, SemDeDup, cluster quality.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -1134,3 +1134,43 @@ ORDER BY round(jaro_winkler_similarity(a.c_name, b.c_name), 6) DESC,
          name_a, name_b
 LIMIT 50
 """
+
+
+QUERIES = {
+    "knn_bruteforce": q_knn_bruteforce,
+    "cosine_pairs": q_cosine_pairs,
+    "centroid_agg": q_centroid_agg,
+    "gh_means": q_gh_means,
+    "mmr_select": q_mmr_select,
+    "silhouette_score": q_silhouette_score,
+    "topk_sim_pairs": q_topk_sim_pairs,
+    "skyline": q_skyline,
+    "embedding_dups": q_embedding_dups,
+    "ann_ivf": q_ann_ivf,
+    "kmeans_embed": q_kmeans_embed,
+    "semdedup": q_semdedup,
+    "pca_project": q_pca_project,
+    "canopy_cluster": q_canopy_cluster,
+    "dbscan_embed": q_dbscan_embed,
+    "ann_pq": q_ann_pq,
+    "ann_multiprobe": q_ann_multiprobe,
+}
+
+ORACLES = {
+    "knn_bruteforce": SQL_KNN_BRUTEFORCE,
+    "ann_ivf": SQL_ANN_IVF,
+    "ann_multiprobe": SQL_ANN_MULTIPROBE,
+    "ann_pq": SQL_ANN_PQ,
+    "cosine_pairs": SQL_COSINE_PAIRS,
+    "skyline": SQL_SKYLINE,
+    "centroid_agg": SQL_CENTROID_AGG,
+    "canopy_cluster": SQL_CANOPY_CLUSTER,
+    "dbscan_embed": SQL_DBSCAN_EMBED,
+    "embedding_dups": SQL_EMBEDDING_DUPS,
+    "mmr_select": SQL_MMR_SELECT,
+    "kmeans_embed": SQL_KMEANS_EMBED,
+    "silhouette_score": SQL_SILHOUETTE_SCORE,
+    "semdedup": SQL_SEMDEDUP,
+    "gh_means": SQL_GH_MEANS,
+    "topk_sim_pairs": SQL_TOPK_SIM_PAIRS,
+}

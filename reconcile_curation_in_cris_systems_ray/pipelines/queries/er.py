@@ -1,6 +1,6 @@
 """Entity-resolution suite: blocking, scoring, matching, clustering, flagship.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -390,6 +390,35 @@ def q_fs_score(sf_dir: str):
     return scored.map_batches(finish, batch_format="pandas")
 
 
+def _fs_sql() -> str:
+    from ...stages.scoring import fs_log_weights
+
+    terms = " + ".join(
+        f"CASE WHEN {c} THEN {la!r} ELSE {ld!r} END"
+        for c, la, ld in fs_log_weights(_FS_SPEC))
+    return f"""
+WITH cust AS (
+  SELECT c_name, c_nationkey, c_mktsegment FROM customer
+  WHERE c_custkey < 150),
+pairs AS (
+  SELECT a.c_name AS name_a, b.c_name AS name_b,
+         round(jaro_winkler_similarity(a.c_name, b.c_name), 6) AS jw,
+         (jaro_winkler_similarity(a.c_name, b.c_name) >= 0.97)
+             AS ind_name,
+         (a.c_nationkey = b.c_nationkey) AS ind_nation,
+         (a.c_mktsegment = b.c_mktsegment) AS ind_seg
+  FROM cust a JOIN cust b ON a.c_name < b.c_name
+  WHERE jaro_winkler_similarity(a.c_name, b.c_name) >= 0.9),
+w AS (SELECT *, {terms} AS fsw FROM pairs)
+SELECT name_a, name_b, jw, ind_name, ind_nation, ind_seg,
+       round(fsw, 6) AS fs_weight,
+       CASE WHEN fsw >= {_FS_UPPER} THEN 'link'
+            WHEN fsw >= {_FS_LOWER} THEN 'possible'
+            ELSE 'non_link' END AS decision
+FROM w
+"""
+
+
 def q_fs_em(sf_dir: str):
     """Fellegi-Sunter EM over the candidate pairs — now ORACLED on its
     sufficient statistic (round-4): the distributed agreement-pattern
@@ -465,6 +494,13 @@ def q_soundex_block(sf_dir: str):
         return out
 
     return ds.map_batches(f, batch_format="pandas")
+
+
+def _soundex_sql() -> str:
+    from ...functions.phonetic import soundex_sql
+
+    return (f"SELECT p_partkey, p_name, {soundex_sql('p_name')} AS sx "
+            f"FROM part")
 
 
 def q_cluster_metrics(sf_dir: str):
@@ -633,6 +669,34 @@ def q_blocking_quality(sf_dir: str):
 
     return blocking_quality(
         ds.map_batches(derive, batch_format="pandas"), "blk", "lang")
+
+
+def _blocking_quality_sql() -> str:
+    from ...functions.phonetic import soundex_sql
+
+    blk = soundex_sql("regexp_extract(trim(coalesce(text, '')), '^\\S+')")
+    return f"""
+WITH cells AS (
+  SELECT {blk} AS blk, lang, count(*) AS n
+  FROM documents GROUP BY 1, 2),
+t AS (SELECT CAST(coalesce(sum((n * (n - 1)) // 2), 0) AS BIGINT) AS tp
+      FROM cells),
+p AS (SELECT CAST(coalesce(sum((s * (s - 1)) // 2), 0) AS BIGINT) AS cand
+      FROM (SELECT sum(n) AS s FROM cells GROUP BY blk)),
+r AS (SELECT CAST(coalesce(sum((s * (s - 1)) // 2), 0) AS BIGINT) AS tt
+      FROM (SELECT sum(n) AS s FROM cells GROUP BY lang)),
+nn AS (SELECT CAST(count(*) AS BIGINT) AS n_records FROM documents)
+SELECT nn.n_records, p.cand AS cand_pairs, r.tt AS true_pairs,
+       t.tp AS tp_pairs,
+       round(coalesce(
+           1 - p.cand / nullif(nn.n_records * (nn.n_records - 1) / 2,
+                               0), 1.0), 6) AS reduction_ratio,
+       round(coalesce(t.tp / nullif(r.tt, 0), 1.0), 6)
+           AS pairs_completeness,
+       round(coalesce(t.tp / nullif(p.cand, 0), 1.0), 6)
+           AS pairs_quality
+FROM nn, t, p, r
+"""
 
 
 def q_mutual_best_match(sf_dir: str):
@@ -3053,3 +3117,99 @@ FROM cust l, cust r
 WHERE l.name < r.name
   AND jaro_winkler_similarity(l.name, r.name) >= 0.9
 """
+
+
+QUERIES = {
+    "qgram_block": q_qgram_block,
+    "review_queue": q_review_queue,
+    "collective_er": q_collective_er,
+    "er_pair_features": q_er_pair_features,
+    "blocking_key": q_blocking_key,
+    "fuzzy_name_pairs": q_fuzzy_name_pairs,
+    "curation_pipeline": q_curation_pipeline,
+    "entity_extract": q_entity_extract,
+    "discovery_pipeline": q_discovery_pipeline,
+    "partial_ratio": q_partial_ratio,
+    "range_join": q_range_join,
+    "fs_score": q_fs_score,
+    "cluster_metrics": q_cluster_metrics,
+    "soundex_block": q_soundex_block,
+    "snm_pairs": q_snm_pairs,
+    "golden_record": q_golden_record,
+    "blocking_quality": q_blocking_quality,
+    "mutual_best_match": q_mutual_best_match,
+    "standardize_values": q_standardize_values,
+    "snm_multipass": q_snm_multipass,
+    "monge_elkan": q_monge_elkan,
+    "soft_tfidf": q_soft_tfidf,
+    "rrf_fusion": q_rrf_fusion,
+    "match_auc": q_match_auc,
+    "adjusted_rand": q_adjusted_rand,
+    "geo_join": q_geo_join,
+    "rbo_rankings": q_rbo_rankings,
+    "gale_shapley": q_gale_shapley,
+    "geo_nearest": q_geo_nearest,
+    "r_swoosh": q_r_swoosh,
+    "optimal_assignment": q_optimal_assignment,
+    "er_match_pipeline": q_er_match_pipeline,
+    "meta_blocking": q_meta_blocking,
+    "fs_em": q_fs_em,
+    "threshold_sweep": q_threshold_sweep,
+    "greedy_match": q_greedy_match,
+    "band_join": q_band_join,
+    "match_transitivity": q_match_transitivity,
+    "cohens_kappa": q_cohens_kappa,
+    "dynamic_blocking": q_dynamic_blocking,
+    "truth_discovery": q_truth_discovery,
+    "progressive_er": q_progressive_er,
+    "blocking_sweep": q_blocking_sweep,
+    "bcubed": q_bcubed,
+    "reconcile_flagship": q_reconcile_flagship,
+    "incremental_link": q_incremental_link,
+}
+
+ORACLES = {
+    "collective_er": SQL_COLLECTIVE_ER,
+    "er_pair_features": SQL_ER_PAIR_FEATURES,
+    "blocking_key": SQL_BLOCKING_KEY,
+    "fuzzy_name_pairs": SQL_FUZZY_NAME_PAIRS,
+    "curation_pipeline": SQL_CURATION_PIPELINE,
+    "entity_extract": SQL_ENTITY_EXTRACT,
+    "discovery_pipeline": SQL_DISCOVERY_PIPELINE,
+    "partial_ratio": SQL_PARTIAL_RATIO,
+    "range_join": SQL_RANGE_JOIN,
+    "meta_blocking": SQL_META_BLOCKING,
+    "fs_score": _fs_sql(),
+    "fs_em": SQL_FS_EM,
+    "qgram_block": SQL_QGRAM_BLOCK,
+    "review_queue": SQL_REVIEW_QUEUE,
+    "gale_shapley": SQL_GALE_SHAPLEY,
+    "greedy_match": SQL_GREEDY_MATCH,
+    "r_swoosh": SQL_R_SWOOSH,
+    "optimal_assignment": SQL_OPTIMAL_ASSIGNMENT,
+    "er_match_pipeline": SQL_ER_MATCH_PIPELINE,
+    "cluster_metrics": SQL_CLUSTER_METRICS,
+    "soundex_block": _soundex_sql(),
+    "snm_pairs": SQL_SNM_PAIRS,
+    "golden_record": SQL_GOLDEN_RECORD,
+    "blocking_quality": _blocking_quality_sql(),
+    "mutual_best_match": SQL_MUTUAL_BEST_MATCH,
+    "standardize_values": SQL_STANDARDIZE_VALUES,
+    "snm_multipass": SQL_SNM_MULTIPASS,
+    "monge_elkan": SQL_MONGE_ELKAN,
+    "soft_tfidf": SQL_SOFT_TFIDF,
+    "rrf_fusion": SQL_RRF_FUSION,
+    "match_auc": SQL_MATCH_AUC,
+    "adjusted_rand": SQL_ADJUSTED_RAND,
+    "geo_join": SQL_GEO_JOIN,
+    "rbo_rankings": SQL_RBO_RANKINGS,
+    "geo_nearest": SQL_GEO_NEAREST,
+    "threshold_sweep": SQL_THRESHOLD_SWEEP,
+    "band_join": SQL_BAND_JOIN,
+    "match_transitivity": SQL_MATCH_TRANSITIVITY,
+    "cohens_kappa": SQL_COHENS_KAPPA,
+    "dynamic_blocking": SQL_DYNAMIC_BLOCKING,
+    "truth_discovery": SQL_TRUTH_DISCOVERY,
+    "blocking_sweep": SQL_BLOCKING_SWEEP,
+    "bcubed": SQL_BCUBED,
+}

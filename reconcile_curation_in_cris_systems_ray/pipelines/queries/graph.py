@@ -1,6 +1,8 @@
 """Link-graph clustering queries: connected components (the flagship's
 cluster assembly), KwikCluster pivot, label propagation and PageRank,
 each over the hash-derived link-graph fixture of ``_shared``.
+
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -209,3 +211,16 @@ FROM pin LEFT JOIN best b ON b.node = pin.node
 """
 
 
+QUERIES = {
+    "pagerank": q_pagerank,
+    "connected_components": q_connected_components,
+    "cc_pivot": q_cc_pivot,
+    "label_prop": q_label_prop,
+}
+
+ORACLES = {
+    "pagerank": SQL_PAGERANK,
+    "connected_components": SQL_CONNECTED_COMPONENTS,
+    "cc_pivot": SQL_CC_PIVOT,
+    "label_prop": SQL_LABEL_PROP,
+}

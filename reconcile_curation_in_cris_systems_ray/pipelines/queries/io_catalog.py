@@ -1,6 +1,6 @@
 """Ingest/sink, catalog-maintenance and table-audit queries.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -669,6 +669,20 @@ def q_profile_table(sf_dir: str):
 
     return profile_columns(_rp(sf_dir, "customer", _PROFILE_COLS),
                            _PROFILE_COLS)
+
+
+def _profile_sql() -> str:
+    parts = []
+    for c in _PROFILE_COLS:
+        parts.append(f"""
+SELECT '{c}' AS col, CAST(count(*) AS BIGINT) AS n_rows,
+       CAST(sum(CASE WHEN {c} IS NULL THEN 1 ELSE 0 END) AS BIGINT)
+           AS n_null,
+       CAST(count(DISTINCT {c}) AS BIGINT) AS n_distinct,
+       CAST(min({c}) AS VARCHAR) AS vmin,
+       CAST(max({c}) AS VARCHAR) AS vmax
+FROM customer""")
+    return "\nUNION ALL\n".join(parts)
 
 
 def q_table_diff(sf_dir: str):
@@ -1477,3 +1491,69 @@ SQL_XML_INGEST = """
 SELECT c_custkey, c_name, round(c_acctbal, 6) AS c_acctbal
 FROM customer
 """
+
+
+QUERIES = {
+    "md5_fingerprint": q_md5_fingerprint,
+    "field_extract": q_field_extract,
+    "jsonl_ingest": q_jsonl_ingest,
+    "audit_stats": q_audit_stats,
+    "csv_roundtrip": q_csv_roundtrip,
+    "field_extract_nested": q_field_extract_nested,
+    "extract_pivot": q_extract_pivot,
+    "bloom_anti_join": q_bloom_anti_join,
+    "json_extract": q_json_extract,
+    "warc_ingest": q_warc_ingest,
+    "orc_roundtrip": q_orc_roundtrip,
+    "ipc_roundtrip": q_ipc_roundtrip,
+    "scd2_intervals": q_scd2_intervals,
+    "profile_table": q_profile_table,
+    "table_diff": q_table_diff,
+    "value_histogram": q_value_histogram,
+    "bloom_pruned_scan": q_bloom_pruned_scan,
+    "merge_upsert": q_merge_upsert,
+    "fixed_width_ingest": q_fixed_width_ingest,
+    "dq_audit": q_dq_audit,
+    "skew_report": q_skew_report,
+    "compaction_plan": q_compaction_plan,
+    "xml_ingest": q_xml_ingest,
+    "url_canonical": q_url_canonical,
+    "zorder_sort": q_zorder_sort,
+    "union_by_name": q_union_by_name,
+    "rendezvous_stability": q_rendezvous_stability,
+    "pruned_scan": q_pruned_scan,
+    "delta_agg_refresh": q_delta_agg_refresh,
+    "first_last": q_first_last,
+}
+
+ORACLES = {
+    "md5_fingerprint": SQL_MD5_FINGERPRINT,
+    "field_extract": SQL_FIELD_EXTRACT,
+    "jsonl_ingest": SQL_JSONL_INGEST,
+    "audit_stats": SQL_AUDIT_STATS,
+    "csv_roundtrip": SQL_CSV_ROUNDTRIP,
+    "field_extract_nested": SQL_FIELD_EXTRACT_NESTED,
+    "extract_pivot": SQL_EXTRACT_PIVOT,
+    "bloom_anti_join": SQL_BLOOM_ANTI_JOIN,
+    "url_canonical": SQL_URL_CANONICAL,
+    "json_extract": SQL_JSON_EXTRACT,
+    "warc_ingest": SQL_WARC_INGEST,
+    "orc_roundtrip": SQL_ORC_ROUNDTRIP,
+    "ipc_roundtrip": SQL_IPC_ROUNDTRIP,
+    "scd2_intervals": SQL_SCD2_INTERVALS,
+    "profile_table": _profile_sql(),
+    "table_diff": SQL_TABLE_DIFF,
+    "value_histogram": SQL_VALUE_HISTOGRAM,
+    "bloom_pruned_scan": SQL_BLOOM_PRUNED_SCAN,
+    "merge_upsert": SQL_MERGE_UPSERT,
+    "fixed_width_ingest": SQL_FIXED_WIDTH_INGEST,
+    "dq_audit": SQL_DQ_AUDIT,
+    "skew_report": SQL_SKEW_REPORT,
+    "xml_ingest": SQL_XML_INGEST,
+    "zorder_sort": SQL_ZORDER_SORT,
+    "union_by_name": SQL_UNION_BY_NAME,
+    "rendezvous_stability": SQL_RENDEZVOUS_STABILITY,
+    "pruned_scan": SQL_PRUNED_SCAN,
+    "delta_agg_refresh": SQL_DELTA_AGG_REFRESH,
+    "first_last": SQL_FIRST_LAST,
+}

@@ -1,6 +1,6 @@
 """Relational operators: joins, group-bys, windows, sampling, set ops.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -907,6 +907,22 @@ def q_dataset_split(sf_dir: str):
                          "doc_id", _SPLIT_FRACTIONS)
 
 
+def _dataset_split_sql() -> str:
+    names = list(_SPLIT_FRACTIONS)
+    bounds = np.cumsum([_SPLIT_FRACTIONS[n] for n in names])
+    # embed the EXACT float boundaries the Ray side uses (np.cumsum of
+    # the fractions), not re-typed literals — 0.8 + 0.1 != 0.9 in IEEE
+    case = "CASE " + " ".join(
+        f"WHEN u < {bounds[i]!r} THEN '{names[i]}'"
+        for i in range(len(names) - 1)) + f" ELSE '{names[-1]}' END"
+    return f"""
+SELECT doc_id, lang, {case} AS split
+FROM (SELECT doc_id, lang,
+             hash(CAST(doc_id AS VARCHAR)) / 18446744073709551616.0 AS u
+      FROM documents)
+"""
+
+
 _WSAMPLE_WEIGHTS = {"en": 2.0, "zh": 1.0, "es": 0.5, "de": 1.5, "fr": 1.0}
 
 
@@ -1464,3 +1480,104 @@ JOIN nation n ON n.n_nationkey = c.c_nationkey
 WHERE o.o_totalprice > 150000.0
 GROUP BY 1
 """
+
+
+QUERIES = {
+    "yannakakis_join": q_yannakakis_join,
+    "filter_project": q_filter_project,
+    "groupby_agg": q_groupby_agg,
+    "sort_limit": q_sort_limit,
+    "distinct": q_distinct,
+    "broadcast_join": q_broadcast_join,
+    "hash_join": q_hash_join,
+    "anti_join": q_anti_join,
+    "union_distinct": q_union_distinct,
+    "representative_min": q_representative_min,
+    "priority_dedup": q_priority_dedup,
+    "count_distinct": q_count_distinct,
+    "explode_split": q_explode_split,
+    "topk_per_group": q_topk_per_group,
+    "percentile_filter": q_percentile_filter,
+    "group_pivot": q_group_pivot,
+    "containment_join": q_containment_join,
+    "quantile_agg": q_quantile_agg,
+    "hash_sample": q_hash_sample,
+    "stratified_sample": q_stratified_sample,
+    "unpivot": q_unpivot,
+    "left_join": q_left_join,
+    "semi_join": q_semi_join,
+    "outer_join": q_outer_join,
+    "intersect": q_intersect,
+    "except_distinct": q_except,
+    "rollup_agg": q_rollup_agg,
+    "pivot_wide": q_pivot_wide,
+    "cube_agg": q_cube_agg,
+    "corr_agg": q_corr_agg,
+    "group_concat": q_group_concat,
+    "cume_sum": q_cume_sum,
+    "rank_window": q_rank_window,
+    "star_join": q_star_join,
+    "skew_join": q_skew_join,
+    "percent_rank": q_percent_rank,
+    "dataset_split": q_dataset_split,
+    "weighted_sample": q_weighted_sample,
+    "map_at_k": q_map_at_k,
+    "fd_violations": q_fd_violations,
+    "systematic_sample": q_systematic_sample,
+    "ntile_window": q_ntile_window,
+    "join_size": q_join_size,
+    "merge_join": q_merge_join,
+    "quota_sample": q_quota_sample,
+    "coverage_sample": q_coverage_sample,
+    "grouping_sets": q_grouping_sets,
+}
+
+ORACLES = {
+    "yannakakis_join": SQL_YANNAKAKIS_JOIN,
+    "filter_project": SQL_FILTER_PROJECT,
+    "groupby_agg": SQL_GROUPBY_AGG,
+    "sort_limit": SQL_SORT_LIMIT,
+    "distinct": SQL_DISTINCT,
+    "broadcast_join": SQL_BROADCAST_JOIN,
+    "hash_join": SQL_HASH_JOIN,
+    "anti_join": SQL_ANTI_JOIN,
+    "union_distinct": SQL_UNION_DISTINCT,
+    "representative_min": SQL_REPRESENTATIVE_MIN,
+    "priority_dedup": SQL_PRIORITY_DEDUP,
+    "count_distinct": SQL_COUNT_DISTINCT,
+    "explode_split": SQL_EXPLODE_SPLIT,
+    "topk_per_group": SQL_TOPK_PER_GROUP,
+    "percentile_filter": SQL_PERCENTILE_FILTER,
+    "group_pivot": SQL_GROUP_PIVOT,
+    "containment_join": SQL_CONTAINMENT_JOIN,
+    "quantile_agg": SQL_QUANTILE_AGG,
+    "hash_sample": SQL_HASH_SAMPLE,
+    "stratified_sample": SQL_STRATIFIED_SAMPLE,
+    "unpivot": SQL_UNPIVOT,
+    "left_join": SQL_LEFT_JOIN,
+    "semi_join": SQL_SEMI_JOIN,
+    "outer_join": SQL_OUTER_JOIN,
+    "intersect": SQL_INTERSECT,
+    "except_distinct": SQL_EXCEPT,
+    "rollup_agg": SQL_ROLLUP_AGG,
+    "pivot_wide": SQL_PIVOT_WIDE,
+    "cube_agg": SQL_CUBE_AGG,
+    "corr_agg": SQL_CORR_AGG,
+    "group_concat": SQL_GROUP_CONCAT,
+    "cume_sum": SQL_CUME_SUM,
+    "rank_window": SQL_RANK_WINDOW,
+    "star_join": SQL_STAR_JOIN,
+    "skew_join": SQL_SKEW_JOIN,
+    "percent_rank": SQL_PERCENT_RANK,
+    "coverage_sample": SQL_COVERAGE_SAMPLE,
+    "dataset_split": _dataset_split_sql(),
+    "weighted_sample": SQL_WEIGHTED_SAMPLE,
+    "map_at_k": SQL_MAP_AT_K,
+    "fd_violations": SQL_FD_VIOLATIONS,
+    "systematic_sample": SQL_SYSTEMATIC_SAMPLE,
+    "ntile_window": SQL_NTILE_WINDOW,
+    "join_size": SQL_JOIN_SIZE,
+    "merge_join": SQL_MERGE_JOIN,
+    "quota_sample": SQL_QUOTA_SAMPLE,
+    "grouping_sets": SQL_GROUPING_SETS,
+}

@@ -1,6 +1,6 @@
 """Sketches (HLL, t-digest, CMS, KMV), ER score calibration, lang-ID.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -708,3 +708,30 @@ fit AS (SELECT i, max(mn) AS p FROM mm GROUP BY i)
 SELECT o.s, o.n, round(f.p, 6) AS p_cal
 FROM o JOIN fit f USING (i)
 """
+
+
+QUERIES = {
+    "heavy_hitters": q_heavy_hitters,
+    "quantile_sketch": q_quantile_sketch,
+    "cms_counts": q_cms_counts,
+    "isotonic_calibration": q_isotonic_calibration,
+    "approx_distinct": q_approx_distinct,
+    "approx_distinct_group": q_approx_distinct_group,
+    "quantile_sketch_group": q_quantile_sketch_group,
+    "kmv_overlap": q_kmv_overlap,
+    "score_calibration": q_score_calibration,
+    "naive_bayes": q_naive_bayes,
+    "logreg_train": q_logreg_train,
+}
+
+ORACLES = {
+    "approx_distinct": SQL_APPROX_DISTINCT,
+    "approx_distinct_group": SQL_APPROX_DISTINCT_GROUP,
+    "heavy_hitters": SQL_HEAVY_HITTERS,
+    "cms_counts": SQL_CMS_COUNTS,
+    "isotonic_calibration": SQL_ISOTONIC_CALIBRATION,
+    "logreg_train": SQL_LOGREG_TRAIN,
+    "kmv_overlap": SQL_KMV_OVERLAP,
+    "score_calibration": SQL_SCORE_CALIBRATION,
+    "naive_bayes": SQL_NAIVE_BAYES,
+}

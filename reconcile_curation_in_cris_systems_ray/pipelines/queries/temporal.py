@@ -1,7 +1,7 @@
 """Windowed event queries: tumbling-hour aggregate, windowed distinct
 count and the interval stream join.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -144,3 +144,14 @@ FROM events c JOIN events v
 """
 
 
+QUERIES = {
+    "window_hourly": q_window_hourly,
+    "window_distinct": q_window_distinct,
+    "stream_join": q_stream_join,
+}
+
+ORACLES = {
+    "window_hourly": SQL_WINDOW_HOURLY,
+    "window_distinct": SQL_WINDOW_DISTINCT,
+    "stream_join": SQL_STREAM_JOIN,
+}

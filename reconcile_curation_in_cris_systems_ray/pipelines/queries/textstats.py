@@ -1,6 +1,6 @@
 """Text analysis & LLM-curation: quality, lang-id, TF-IDF, filters, PII.
 
-Split out of the former monolithic pipelines/queries.py (round-4 task 2).
+The ``QUERIES`` / ``ORACLES`` tables at the end register this family.
 """
 
 from __future__ import annotations
@@ -1977,3 +1977,90 @@ SELECT 'm' || CAST(doc_id AS VARCHAR) AS media_id,
        CAST(48 + (doc_id % 5) * 8 AS INT) AS height
 FROM documents
 """
+
+
+QUERIES = {
+    "png_dims": q_png_dims,
+    "token_count": q_token_count,
+    "quality_stats": q_quality_stats,
+    "normalize_text": q_normalize_text,
+    "ngram_jaccard": q_ngram_jaccard,
+    "bpe_token_count": q_bpe_token_count,
+    "stopword_ratio": q_stopword_ratio,
+    "top_tfidf": q_top_tfidf,
+    "regex_extract": q_regex_extract,
+    "keyword_search": q_keyword_search,
+    "bm25_search": q_bm25_search,
+    "gopher_filter": q_gopher_filter,
+    "ngram_top": q_ngram_top,
+    "repetition_ratio": q_repetition_ratio,
+    "pii_redact": q_pii_redact,
+    "decontaminate": q_decontaminate,
+    "unigram_logprob": q_unigram_logprob,
+    "mixture_resample": q_mixture_resample,
+    "rare_collapse": q_rare_collapse,
+    "group_entropy": q_group_entropy,
+    "pmi_bigrams": q_pmi_bigrams,
+    "vocab_stats": q_vocab_stats,
+    "llr_collocations": q_llr_collocations,
+    "l_diversity": q_l_diversity,
+    "t_closeness": q_t_closeness,
+    "token_budget_sample": q_token_budget_sample,
+    "interleave_order": q_interleave_order,
+    "dsir_sample": q_dsir_sample,
+    "media_decode": q_media_decode,
+    "phash_dups": q_phash_dups,
+    "frame_sample": q_frame_sample,
+    "lang_id": q_lang_id,
+    "tfidf_cosine_pairs": q_tfidf_cosine_pairs,
+    "phrase_search": q_phrase_search,
+    "bpe_train": q_bpe_train,
+    "chi2_terms": q_chi2_terms,
+    "group_lcp": q_group_lcp,
+    "zipf_slope": q_zipf_slope,
+    "bigram_lm": q_bigram_lm,
+    "k_anonymity": q_k_anonymity,
+    "ppl_bucket": q_ppl_bucket,
+}
+
+ORACLES = {
+    "png_dims": SQL_PNG_DIMS,
+    "token_count": SQL_TOKEN_COUNT,
+    "quality_stats": SQL_QUALITY_STATS,
+    "normalize_text": SQL_NORMALIZE_TEXT,
+    "ngram_jaccard": SQL_NGRAM_JACCARD,
+    "bpe_token_count": SQL_BPE_TOKEN_COUNT,
+    "stopword_ratio": SQL_STOPWORD_RATIO,
+    "top_tfidf": SQL_TOP_TFIDF,
+    "dsir_sample": SQL_DSIR_SAMPLE,
+    "lang_id": SQL_LANG_ID,
+    "regex_extract": SQL_REGEX_EXTRACT,
+    "keyword_search": SQL_KEYWORD_SEARCH,
+    "bm25_search": SQL_BM25_SEARCH,
+    "gopher_filter": SQL_GOPHER_FILTER,
+    "ngram_top": SQL_NGRAM_TOP,
+    "repetition_ratio": SQL_REPETITION_RATIO,
+    "pii_redact": SQL_PII_REDACT,
+    "decontaminate": SQL_DECONTAMINATE,
+    "unigram_logprob": SQL_UNIGRAM_LOGPROB,
+    "mixture_resample": SQL_MIXTURE_RESAMPLE,
+    "frame_sample": SQL_FRAME_SAMPLE,
+    "bpe_train": SQL_BPE_TRAIN,
+    "rare_collapse": SQL_RARE_COLLAPSE,
+    "group_entropy": SQL_GROUP_ENTROPY,
+    "pmi_bigrams": SQL_PMI_BIGRAMS,
+    "vocab_stats": SQL_VOCAB_STATS,
+    "llr_collocations": SQL_LLR_COLLOCATIONS,
+    "l_diversity": SQL_L_DIVERSITY,
+    "t_closeness": SQL_T_CLOSENESS,
+    "token_budget_sample": SQL_TOKEN_BUDGET_SAMPLE,
+    "interleave_order": SQL_INTERLEAVE_ORDER,
+    "tfidf_cosine_pairs": SQL_TFIDF_COSINE_PAIRS,
+    "phrase_search": SQL_PHRASE_SEARCH,
+    "chi2_terms": SQL_CHI2_TERMS,
+    "group_lcp": SQL_GROUP_LCP,
+    "zipf_slope": SQL_ZIPF_SLOPE,
+    "bigram_lm": SQL_BIGRAM_LM,
+    "k_anonymity": SQL_K_ANONYMITY,
+    "ppl_bucket": SQL_PPL_BUCKET,
+}

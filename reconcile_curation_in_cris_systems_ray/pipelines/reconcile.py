@@ -26,6 +26,7 @@ from functools import partial
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..config import ReconcileConfig
@@ -67,6 +68,24 @@ def _library_versions() -> dict[str, str]:
             "duckdb": importlib.metadata.version("duckdb")}
 
 
+def check_unique_urls(n_rows: int, n_urls_ref, ds, where: str) -> None:
+    """Raise ``ValueError`` naming a url that ``ds`` lists twice, when the
+    url lookup built over its ``n_rows`` rows (size ref ``n_urls_ref``)
+    holds fewer urls.  The lookup keeps a repeated url's first row, so
+    the url's other pages would be scored as that one and the url
+    assigned twice.  The size ref resolves once the build has run, and
+    the scan for the url's name runs only on failure."""
+    if ray.get(n_urls_ref) == n_rows:
+        return
+    urls = pa.chunked_array([b.column("url")
+                             for b in ray.get(ds.to_arrow_refs())
+                             if b.num_rows])
+    counts = pc.value_counts(urls)
+    repeated = counts.filter(pc.greater(counts.field("counts"), 1))
+    raise ValueError(f"url listed twice in {where}: "
+                     f"{repeated[0]['values'].as_py()!r}")
+
+
 def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
                   checkpoint_root: str | None = None, resume: bool = True,
                   input_fingerprint: str | None = None) -> dict:
@@ -75,6 +94,11 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     A checkpointed run (``checkpoint_root`` set) must name its input
     with ``input_fingerprint``: stages resume by fingerprint, so a
     shared default would resume one input's stages for another.
+
+    Raises ``ValueError`` naming a url that the corpus lists twice.  The
+    check compares the broadcast feature lookup's url count with the
+    feature row count, so it does not run above
+    ``lookup.BROADCAST_ROWS`` feature rows, where no lookup is built.
     """
     if checkpoint_root is not None and input_fingerprint is None:
         raise ValueError(
@@ -123,7 +147,8 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     # (2.1M band rows: 4.5-4.9s wide vs 1.8-1.9s narrow at 32 CPUs —
     # pair rows are ~10x fewer than band rows, so deduping pairs costs
     # less than shipping a 128B band vector through the big shuffle)
-    band_rows_hint = features.count() * cfg.blocking.num_bands
+    n_features = features.count()
+    band_rows_hint = n_features * cfg.blocking.num_bands
     narrow = band_rows_hint >= NARROW_THRESHOLD
     pairs = ckpt.run_stage("pairs", fp_pr, lambda: generate_candidate_pairs(
         emit_band_keys(features, cfg.blocking, include_bands=not narrow),
@@ -164,6 +189,9 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         "wall_sec": round(time.time() - t_cc, 3), "resumed": False,
         **cc_metrics,
     })
+    # the scorer has read the lookup by now, so its size is ready
+    if prebuilt is not None:
+        check_unique_urls(n_features, prebuilt[2], features, "the corpus")
 
     fp_as = fingerprint(fp_sc, "assignments")
     assignments = ckpt.run_stage("assignments", fp_as, lambda: assign_clusters(

@@ -17,7 +17,9 @@ def _exact_top10(X, ids, queries):
 
 
 def test_pq_recall_vs_exact(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_ann_pq
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.embedding import (
+        q_ann_pq,
+    )
 
     got = q_ann_pq(SF).to_pandas()
     t = pq.read_table(f"{SF}/embeddings.parquet",
@@ -40,7 +42,9 @@ def test_pq_recall_vs_exact(ray_session):
 
 
 def test_pq_deterministic(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_ann_pq
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.embedding import (
+        q_ann_pq,
+    )
 
     a = q_ann_pq(SF).to_pandas().sort_values(
         ["query_id", "vec_id"]).reset_index(drop=True)

@@ -38,7 +38,9 @@ def _sequential_bpe(texts: list[str], n_merges: int) -> pd.DataFrame:
 
 
 def test_bpe_train_matches_sequential(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_bpe_train
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.textstats import (
+        q_bpe_train,
+    )
 
     got = q_bpe_train(SF).reset_index(drop=True)
     texts = pq.read_table(f"{SF}/documents.parquet",

@@ -44,7 +44,9 @@ def _sequential_canopies(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def test_canopy_matches_sequential(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_canopy_cluster
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.embedding import (
+        q_canopy_cluster,
+    )
 
     got = (q_canopy_cluster(SF).to_pandas()
            .astype({"doc_id": "int64", "canopy_id": "int64"})

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import collections
 
-from reconcile_curation_in_cris_systems_ray.pipelines.queries import ffd_pack
+from reconcile_curation_in_cris_systems_ray.pipelines.queries.io_catalog import (
+    ffd_pack,
+)
 
 TARGET = 100
 
@@ -44,7 +46,7 @@ def test_ffd_matches_reference():
 
 
 def test_compaction_plan_query(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.io_catalog import (
         q_compaction_plan,
     )
 

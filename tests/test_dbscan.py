@@ -52,7 +52,9 @@ def _sequential_dbscan(ids: np.ndarray, X: np.ndarray) -> pd.DataFrame:
 
 
 def test_dbscan_matches_sequential(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_dbscan_embed
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.embedding import (
+        q_dbscan_embed,
+    )
 
     got = (q_dbscan_embed(SF).to_pandas()
            .astype({"vec_id": "int64", "cluster": "int64"})

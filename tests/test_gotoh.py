@@ -70,7 +70,7 @@ def test_identity_and_ordering():
 
 
 def test_smith_waterman_query(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.dedup import (
         q_smith_waterman,
     )
 

@@ -26,8 +26,11 @@ def _sequential_greedy(pairs: pd.DataFrame) -> pd.DataFrame:
 
 
 def test_greedy_match_matches_sequential(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
-        q_greedy_match, q_minhash_pairs,
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.dedup import (
+        q_minhash_pairs,
+    )
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.er import (
+        q_greedy_match,
     )
 
     cand = q_minhash_pairs(SF).to_pandas()

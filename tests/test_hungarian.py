@@ -30,7 +30,7 @@ def test_hungarian_matches_bruteforce():
 def test_optimal_assignment_query(ray_session):
     import duckdb
 
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.er import (
         q_optimal_assignment,
     )
 

@@ -43,7 +43,7 @@ def test_pava_matches_reference():
 
 
 def test_isotonic_calibration_query(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.stats import (
         q_isotonic_calibration,
     )
 

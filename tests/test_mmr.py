@@ -34,7 +34,9 @@ def _reference_mmr(emb: pd.DataFrame, k: int = 10, lam: float = 0.7):
 
 
 def test_mmr_matches_sequential_reference(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_mmr_select
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.embedding import (
+        q_mmr_select,
+    )
 
     got = q_mmr_select(SF)
     emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()

@@ -207,7 +207,7 @@ def test_phash_png_recovers_planted_near_duplicates(ray_session):
     """End-to-end REAL path: noise-perturbed re-encoded PNGs (different
     bytes, different scanline filter) land within 2 hex-nibble Hamming
     distance; unrelated images never pair."""
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.textstats import (
         q_phash_dups,
     )
 

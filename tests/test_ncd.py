@@ -45,7 +45,9 @@ def _brute_ncd(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def test_ncd_pairs_matches_brute_force(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_ncd_pairs
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.dedup import (
+        q_ncd_pairs,
+    )
 
     got = q_ncd_pairs(SF).to_pandas() \
         .sort_values(["id_a", "id_b"]).reset_index(drop=True)

@@ -326,6 +326,48 @@ def test_incremental_rejects_delta_url_already_in_base(ray_session, corpus):
                         rd.from_arrow(resent))
 
 
+def _with_url(tbl, urls):
+    import pyarrow as pa
+
+    i = tbl.schema.get_field_index("url")
+    return tbl.set_column(i, tbl.schema.field(i),
+                          pa.array(urls, tbl.schema.field(i).type))
+
+
+def test_flagship_rejects_url_listed_twice(ray_session, corpus):
+    """A url given a second page must fail loudly, naming it: the
+    feature lookup keeps one row per url, so the second page would be
+    scored as the first and the url assigned twice."""
+    import re
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    url = corpus.column("url")[0].as_py()
+    twice = pa.concat_tables([corpus, _with_url(corpus.slice(1, 1), [url])])
+    with pytest.raises(ValueError, match=re.escape(url)):
+        run_reconcile(rd.from_arrow(twice))
+
+
+def test_incremental_rejects_url_listed_twice_in_delta(ray_session, corpus):
+    """A delta that lists one new url twice must fail loudly, naming
+    it, instead of assigning the url twice."""
+    import re
+
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
+        run_incremental,
+    )
+
+    base = run_reconcile(rd.from_arrow(corpus.slice(2)))
+    url = corpus.column("url")[0].as_py()
+    delta = _with_url(corpus.slice(0, 2), [url, url])
+    with pytest.raises(ValueError, match=re.escape(url)):
+        run_incremental(base["features"], base["assignments"],
+                        rd.from_arrow(delta))
+
+
 def _with_empty_block(tbl):
     """``tbl`` as a dataset whose first block has no rows and no
     columns — what a map over an emptied input block yields."""

@@ -552,8 +552,10 @@ def test_er_match_pipeline_accuracy(ray_session):
     """Capstone composition (3-channel blocking -> ME scoring ->
     mutual best match) recovers the planted one-typo duplicates;
     rows-only driver check, accuracy pinned here."""
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
-        _ER_DUP_OFFSET, QUERIES)
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries import QUERIES
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.er import (
+        _ER_DUP_OFFSET,
+    )
 
     out = _to_pandas(QUERIES["er_match_pipeline"](SF))
     import pyarrow.parquet as pq

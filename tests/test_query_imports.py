@@ -1,10 +1,16 @@
-"""Dead-import gate for the engine package, and the lookup gate.
+"""Dead-import gate for the engine package, the core/library boundary,
+the query-table merge and the lookup gate.
 
 Pruning a query family relies on grep ("which queries still reach this
 helper?"); a module-level import that nothing uses makes that answer
-wrong.  Every subpackage is checked, so a stage helper deleted with its
-last query cannot leave a stale import behind either.  ``__init__.py``
-files are exempt: their imports are the package's re-export surface.
+wrong.  Every module of every subpackage is checked, ``__init__.py``
+files included: no package re-exports names, so each import in one is
+used there, and a stale helper cannot hide behind a re-export list.
+
+The boundary gate keeps the linkage core (the flagship, the incremental
+link and the CLI) independent of the query library: the engine imports
+that the core reaches, at any depth, never load ``pipelines/queries/``,
+and no engine module outside that package imports it.
 
 The lookup gate keeps each url- or id-keyed join on the one broadcast
 lookup (``stages/lookup.py``): the modules below may not probe a sorted
@@ -59,10 +65,80 @@ def test_gate_covers_every_subpackage():
 
 @pytest.mark.parametrize("subpackage", SUBPACKAGES)
 def test_modules_have_no_unused_imports(subpackage):
-    modules = sorted(p for p in (ENGINE_DIR / subpackage).glob("*.py")
-                     if p.name != "__init__.py")
+    modules = sorted((ENGINE_DIR / subpackage).glob("*.py"))
     unused = [u for p in modules for u in _unused_imports(p)]
     assert unused == [], unused
+
+
+def _engine_imports(path: pathlib.Path) -> set[pathlib.Path]:
+    """Engine modules that ``path`` imports anywhere in its body (lazy
+    imports included), with the packages they load on the way."""
+    pkg = path.parent.relative_to(ENGINE_DIR).parts
+    targets = []  # (dotted module path, names imported from it)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            targets += [(a.name.split("."), []) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module.split(".") if node.module else []
+            if node.level:
+                mod = [ENGINE_DIR.name, *pkg[:len(pkg) - node.level + 1],
+                       *mod]
+            targets.append((mod, [a.name for a in node.names]))
+    out = set()
+    for mod, names in targets:
+        if mod[0] != ENGINE_DIR.name:
+            continue
+        parts = mod[1:]
+        for i in range(len(parts) + 1):
+            out.add(ENGINE_DIR.joinpath(*parts[:i], "__init__.py"))
+        out.add(ENGINE_DIR.joinpath(*parts).with_suffix(".py"))
+        out.update(ENGINE_DIR.joinpath(*parts, n + ".py") for n in names)
+    return {p for p in out if p.is_file()}
+
+
+def _import_closure(roots) -> set[pathlib.Path]:
+    seen, todo = set(), [ENGINE_DIR / r for r in roots]
+    while todo:
+        path = todo.pop()
+        if path not in seen:
+            seen.add(path)
+            todo.extend(_engine_imports(path) - seen)
+    return seen
+
+
+def _in_query_library(path: pathlib.Path) -> bool:
+    return path.is_relative_to(ENGINE_DIR / "pipelines" / "queries")
+
+
+def test_linkage_core_never_reaches_the_query_library():
+    closure = _import_closure(["pipelines/reconcile.py",
+                               "pipelines/incremental.py", "cli.py"])
+    # non-vacuous: the walk follows relative imports at any depth, and
+    # function-local ones (blocking.py imports textnorm inside a method)
+    assert ENGINE_DIR / "stages" / "lookup.py" in closure
+    assert ENGINE_DIR / "functions" / "textnorm.py" in closure
+    reached = sorted(p.relative_to(ENGINE_DIR).as_posix()
+                     for p in closure if _in_query_library(p))
+    assert reached == [], reached
+
+
+def test_only_the_query_library_imports_itself():
+    importers = sorted(
+        p.relative_to(ENGINE_DIR).as_posix()
+        for p in ENGINE_DIR.rglob("*.py") if not _in_query_library(p)
+        and any(_in_query_library(q) for q in _engine_imports(p)))
+    assert importers == [], importers
+
+
+def test_query_table_merge_rejects_a_name_registered_twice():
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+        merge_tables,
+    )
+
+    assert merge_tables([("a", {"x": 1}), ("b", {"y": 2})]) == \
+        {"x": 1, "y": 2}
+    with pytest.raises(ValueError, match=r"'x'.* a and b"):
+        merge_tables([("a", {"x": 1}), ("b", {"y": 2, "x": 3})])
 
 
 def _searchsorted_calls(path: pathlib.Path, function: str | None) -> list:

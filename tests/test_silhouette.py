@@ -28,7 +28,7 @@ def _reference(X: np.ndarray, C: np.ndarray):
 
 
 def test_silhouette_matches_reference(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.embedding import (
         q_silhouette_score,
     )
     from reconcile_curation_in_cris_systems_ray.stages.embcluster import (

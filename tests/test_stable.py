@@ -59,7 +59,7 @@ def _panel_jw():
 
 
 def test_gale_shapley_matches_reference(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.er import (
         q_gale_shapley,
     )
 

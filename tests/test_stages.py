@@ -511,7 +511,7 @@ def test_embedding_dups_query_recovers_planted_pairs(ray_session):
     """The driver's embedding_dups query plants near-identical probes
     (vec_id + 1_000_000); LSH + exact-cosine verify must recover every
     planted pair and nothing from the i.i.d. background."""
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.embedding import (
         q_embedding_dups,
     )
 

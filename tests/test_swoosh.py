@@ -39,7 +39,9 @@ def _independent_swoosh(ids, texts):
 
 
 def test_swoosh_matches_reference(ray_session):
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import q_r_swoosh
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries.er import (
+        q_r_swoosh,
+    )
 
     got = q_r_swoosh(SF).to_pandas()
     docs = pq.read_table(f"{SF}/documents.parquet").to_pandas()
