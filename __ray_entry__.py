@@ -26,7 +26,8 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per implemented operator/pipeline from SURVEY.md §2."""
+    """The 195 registered queries (README's keep-list gives the reason
+    each module's queries stay)."""
     from reconcile_curation_in_cris_systems_ray.config import tune_data_context
     from reconcile_curation_in_cris_systems_ray.pipelines.queries import QUERIES
 
@@ -35,10 +36,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    """DuckDB-equivalent SQL for every SQL-expressible query (218 of the
-    229).  The 11 rows-only queries are deliberately absent:
-    compaction_plan, compression_ratio, incremental_link, media_decode,
-    ncd_pairs, pca_project, phash_dups, progressive_er, quantile_sketch,
+    """DuckDB-equivalent SQL for every SQL-expressible query (185 of the
+    195).  The 10 rows-only queries are deliberately absent:
+    compression_ratio, incremental_link, media_decode, ncd_pairs,
+    pca_project, phash_dups, progressive_er, quantile_sketch,
     quantile_sketch_group and reconcile_flagship (README's keep-list
     says why each has none)."""
     from reconcile_curation_in_cris_systems_ray.pipelines.queries import ORACLES

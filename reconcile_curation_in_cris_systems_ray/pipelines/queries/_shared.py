@@ -53,9 +53,6 @@ outd AS (SELECT src AS node, count(*) AS c FROM edges GROUP BY 1)
 """
 
 
-_SCD2_SENTINEL = pd.Timestamp("2100-01-01")
-
-
 def _corrupted_twin_pairs(df: pd.DataFrame,
                           id_out: str = "pair_id") -> pd.DataFrame:
     """Fixture builder shared by monge_elkan / soft_tfidf: each part

@@ -797,7 +797,7 @@ def q_gh_means(sf_dir: str):
     batch emits one (lang, n, sum_ln, sum_inv) partial and a tiny
     groupby collapses O(batches x langs) rows; closed forms
     exp(sum_ln/n) and n/sum_inv mirror the SQL bit-for-bit (round-6
-    before compare, the corr_agg discipline)."""
+    before compare)."""
     ds = _rp(sf_dir, "documents", ["lang", "text"])
 
     def part(df: pd.DataFrame) -> pd.DataFrame:

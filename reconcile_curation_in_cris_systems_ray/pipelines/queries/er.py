@@ -211,7 +211,7 @@ def q_fuzzy_name_pairs(sf_dir: str):
     oracle, so scores match bit-for-bit)."""
     import ray
 
-    from ...stages.scoring import BroadcastFuzzyJoin
+    from ...stages.fuzzy import BroadcastFuzzyJoin
 
     cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"]).map_batches(
         lambda t: t.filter(pc.less(t["c_custkey"], 150)),
@@ -355,7 +355,7 @@ def q_fs_score(sf_dir: str):
     order, so weights match bit-for-bit."""
     import ray
 
-    from ...stages.scoring import BroadcastAttrPairJoin, fellegi_sunter
+    from ...stages.fuzzy import BroadcastAttrPairJoin, fellegi_sunter
 
     cust = _rp(sf_dir, "customer",
                ["c_custkey", "c_name", "c_nationkey", "c_mktsegment"]) \
@@ -391,7 +391,7 @@ def q_fs_score(sf_dir: str):
 
 
 def _fs_sql() -> str:
-    from ...stages.scoring import fs_log_weights
+    from ...stages.fuzzy import fs_log_weights
 
     terms = " + ".join(
         f"CASE WHEN {c} THEN {la!r} ELSE {ld!r} END"
@@ -432,7 +432,7 @@ def q_fs_em(sf_dir: str):
     here)."""
     import ray
 
-    from ...stages.scoring import BroadcastAttrPairJoin, fs_em
+    from ...stages.fuzzy import BroadcastAttrPairJoin, fs_em
 
     cust = _rp(sf_dir, "customer",
                ["c_custkey", "c_name", "c_nationkey", "c_mktsegment"]) \
@@ -764,13 +764,13 @@ def q_standardize_values(sf_dir: str):
     names deterministically corrupted (suppkey-positioned char drop on
     every 3rd supplier), then folded back onto the canonical nation
     list via the per-worker DuckDB jaro_winkler argmax
-    (stages/scoring.py::ValueStandardizer — ST3 pattern, broadcast
+    (stages/fuzzy.py::ValueStandardizer — ST3 pattern, broadcast
     canon).  The oracle reruns the identical kernel, so values match
     bit-for-bit.  The corruption loop is fixture construction, not the
     operator (the operator itself is one vectorized cross join)."""
     import pyarrow.parquet as pq
 
-    from ...stages.scoring import standardize_values
+    from ...stages.fuzzy import standardize_values
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_name"])
@@ -872,10 +872,10 @@ def q_monge_elkan(sf_dir: str):
     """Monge-Elkan token-alignment similarity: each part name scored
     against its word-REORDERED, first-token-corrupted twin — the case
     whole-string JW collapses on but token alignment survives
-    (stages/scoring.py::MongeElkanScorer, per-worker DuckDB JW
+    (stages/fuzzy.py::MongeElkanScorer, per-worker DuckDB JW
     kernel, bit-for-bit oracle parity; the corruption loop is fixture
     construction)."""
-    from ...stages.scoring import monge_elkan_scores
+    from ...stages.fuzzy import monge_elkan_scores
 
     parts = _rp(sf_dir, "part", ["p_partkey", "p_name"])
 
@@ -927,7 +927,7 @@ def q_soft_tfidf(sf_dir: str):
     import ray
 
     from ...stages.relational import partial_groupby_agg
-    from ...stages.scoring import soft_tfidf_scores
+    from ...stages.fuzzy import soft_tfidf_scores
 
     parts = _rp(sf_dir, "part", ["p_partkey", "p_name"])
     n_names = parts.count()
@@ -1040,7 +1040,7 @@ def q_er_match_pipeline(sf_dir: str):
     from ...stages.blocking import sorted_neighborhood_pairs
     from ...stages.relational import distinct, hash_join, \
         mutual_best_match
-    from ...stages.scoring import monge_elkan_scores
+    from ...stages.fuzzy import monge_elkan_scores
 
     cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
 
@@ -3034,7 +3034,7 @@ def q_er_pair_features(sf_dir: str):
     import ray
 
     from ...functions.similarity import partial_lev_distance
-    from ...stages.scoring import BroadcastAttrPairJoin
+    from ...stages.fuzzy import BroadcastAttrPairJoin
 
     cust = _rp(sf_dir, "customer",
                ["c_custkey", "c_name", "c_nationkey", "c_mktsegment"]) \

@@ -18,7 +18,7 @@ def q_pagerank(sf_dir: str):
     uniformly) over the hash-derived edge fixture; oracle unrolls
     the iterations as chained CTEs.  Rank rounded to 8 decimals on both
     sides (identical IEEE expression order; only groupby-sum reduction
-    order differs, ~1e-17 — the corr_agg rounding discipline)."""
+    order differs, ~1e-17)."""
     from ...stages.graph import pagerank
 
     edges, nodes, n = _link_graph_inputs(sf_dir)

@@ -12,7 +12,6 @@ import pyarrow.compute as pc
 
 from ...stages import relational as rel
 from ...stages import textstats as ts
-from ...stages.ann import brute_force_topk
 from ._shared import _rp
 
 # --------------------------------------------------------------------------
@@ -101,7 +100,7 @@ def q_broadcast_join(sf_dir: str):
     """J2: small-side broadcast join — the genuinely-constant nation
     lookup (25 rows by schema) ships once via ray.put, while customer,
     which SCALES with the dataset, stays a distributed hash join
-    (driver-collecting it was the star_join-class mistake)."""
+    (never collected on the driver)."""
     orders = _rp(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     nation = _rp(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
@@ -342,63 +341,6 @@ SELECT doc_id, n_tokens FROM s, thr WHERE n_tokens > thr.t
 """
 
 
-def q_outer_join(sf_dir: str):
-    """Full-outer shuffle join (completes the join family): active
-    click users vs heavy order customers — orphans survive on BOTH
-    sides; keys and counts are coalesced so the output is null-free
-    int64 (engine-stable hashing)."""
-    ev = _rp(sf_dir, "events", ["user_id", "event_type"])
-    ev = ev.filter(expr="event_type == 'click'")
-
-    def count_by(df, key, out):
-        g = df.groupby(key, sort=False).size()
-        return pd.DataFrame({key: g.index.to_numpy(), out: g.to_numpy()})
-
-    from ...stages.shuffle import bucketed_map_groups
-
-    e_agg = bucketed_map_groups(
-        ev.select_columns(["user_id"]),
-        ["user_id"], lambda df: count_by(df, "user_id", "n_ev"), 32)
-    orders = _rp(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
-    orders = orders.filter(expr="o_orderstatus == 'F'")
-    o_agg = bucketed_map_groups(
-        orders.select_columns(["o_custkey"]),
-        ["o_custkey"], lambda df: count_by(df, "o_custkey", "n_ord"), 32)
-    joined = rel.hash_join(e_agg, o_agg, on=["user_id"],
-                           right_on=["o_custkey"], how="full_outer",
-                           rows_hint=3000)
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        # Ray 2.49's full_outer join coalesces left/right keys into the
-        # left key column; coalesce defensively anyway so a join-impl
-        # change that leaves right-only keys in o_custkey still works.
-        key = df["user_id"]
-        if "o_custkey" in df.columns:
-            key = key.fillna(df["o_custkey"])
-        return pd.DataFrame({
-            "ukey": key.astype("int64"),
-            "n_ev": df["n_ev"].fillna(0).astype("int64"),
-            "n_ord": df["n_ord"].fillna(0).astype("int64"),
-        })
-
-    return joined.map_batches(finish, batch_format="pandas")
-
-
-SQL_OUTER_JOIN = """
-WITH e AS (
-  SELECT user_id, count(*) AS n_ev FROM events
-  WHERE event_type = 'click' GROUP BY user_id
-), o AS (
-  SELECT o_custkey, count(*) AS n_ord FROM orders
-  WHERE o_orderstatus = 'F' GROUP BY o_custkey
-)
-SELECT coalesce(e.user_id, o.o_custkey) AS ukey,
-       coalesce(e.n_ev, 0) AS n_ev,
-       coalesce(o.n_ord, 0) AS n_ord
-FROM e FULL OUTER JOIN o ON e.user_id = o.o_custkey
-"""
-
-
 def q_intersect(sf_dir: str):
     """Set op INTERSECT (distinct): users who both clicked and
     purchased — one bucketed co-location shuffle, no join."""
@@ -438,66 +380,6 @@ SELECT user_id AS ukey FROM events WHERE event_type = 'click'
 """
 
 
-def q_corr_agg(sf_dir: str):
-    """Per-group Pearson correlation (quantity vs extendedprice per
-    returnflag) from re-aggregable moments: derived product columns in
-    one vectorized map, then the shuffle-free combiner sums
-    (n, Σx, Σy, Σxy, Σx², Σy²) and the driver applies the closed
-    form — the statistical-aggregate shape of the A4 counter merge,
-    exact at any scale with zero exchanges."""
-    ds = _rp(sf_dir, "lineitem",
-             ["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    # Pearson r is shift-invariant, so compute the moments on values
-    # centered by a sampled global mean: raw Σxy − ΣxΣy/n cancels
-    # catastrophically once n·mean² dwarfs the covariance (billions of
-    # rows, values ~1e5); shifting keeps the subtracted terms the same
-    # magnitude as the result.  The shift is a constant broadcast into
-    # the map — the combiner stays shuffle-free and re-aggregable.
-    samp = ds.limit(4096).to_pandas()
-    cx = float(samp["l_quantity"].mean()) if len(samp) else 0.0
-    cy = float(samp["l_extendedprice"].mean()) if len(samp) else 0.0
-
-    def moments(t: pa.Table) -> pa.Table:
-        x = pc.subtract(pc.cast(t.column("l_quantity"), pa.float64()), cx)
-        y = pc.subtract(pc.cast(t.column("l_extendedprice"), pa.float64()),
-                        cy)
-        return pa.table({
-            "l_returnflag": t.column("l_returnflag"),
-            "x": x, "y": y,
-            "xy": pc.multiply(x, y),
-            "xx": pc.multiply(x, x),
-            "yy": pc.multiply(y, y),
-        })
-
-    sums = rel.partial_groupby_agg(
-        ds.map_batches(moments, batch_format="pyarrow"),
-        ["l_returnflag"], {
-            "sx": ("x", "sum"), "sy": ("y", "sum"),
-            "sxy": ("xy", "sum"), "sxx": ("xx", "sum"),
-            "syy": ("yy", "sum"), "n": (None, "count"),
-        })
-    n = sums["n"]
-    cov = sums["sxy"] - sums["sx"] * sums["sy"] / n
-    vx = sums["sxx"] - sums["sx"] ** 2 / n
-    vy = sums["syy"] - sums["sy"] ** 2 / n
-    out = pd.DataFrame({
-        "l_returnflag": sums["l_returnflag"],
-        "corr_qty_price": (cov / np.sqrt(vx * vy)).round(6),
-        "n": n,
-    })
-    return out
-
-
-SQL_CORR_AGG = """
-SELECT l_returnflag,
-       round(corr(l_quantity, l_extendedprice), 6) AS corr_qty_price,
-       count(*) AS n
-FROM lineitem
-GROUP BY l_returnflag
-"""
-
-
 def q_cube_agg(sf_dir: str):
     """GROUP BY CUBE: every subset of (returnflag, linestatus) —
     finest level aggregated once (shuffle-free combiner), all other
@@ -519,26 +401,6 @@ SELECT coalesce(l_returnflag, 'ALL') AS l_returnflag,
        count(*) AS n
 FROM lineitem
 GROUP BY CUBE(l_returnflag, l_linestatus)
-"""
-
-
-def q_pivot_wide(sf_dir: str):
-    """Long -> wide PIVOT (unpivot's inverse): per-user counts of
-    click/view/purchase as static columns — one shuffle on user_id,
-    vectorized crosstab per bucket."""
-    ev = _rp(sf_dir, "events", ["user_id", "event_type"])
-    return rel.pivot_wide(ev, "user_id", "event_type",
-                          ["click", "view", "purchase"])
-
-
-SQL_PIVOT_WIDE = """
-SELECT user_id,
-       count(*) FILTER (event_type = 'click')    AS n_click,
-       count(*) FILTER (event_type = 'view')     AS n_view,
-       count(*) FILTER (event_type = 'purchase') AS n_purchase
-FROM events
-WHERE event_type IN ('click', 'view', 'purchase')
-GROUP BY user_id
 """
 
 
@@ -697,53 +559,6 @@ SELECT l_orderkey, l_linenumber, 'l_discount',
 """
 
 
-def q_left_join(sf_dir: str):
-    """J3 variant: LEFT OUTER hash join (customers keep their row even
-    with zero orders) + per-customer non-null count.  Exercises Ray's
-    native left_outer shuffle join; the count is a bucketed groupby
-    (customer keys are high-cardinality — no driver combine)."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    joined = rel.hash_join(cust, orders, on=["c_custkey"],
-                           right_on=["o_custkey"], how="left_outer",
-                           rows_hint=cust.count() + orders.count())
-
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["c_custkey", "c_name"], sort=False)["o_orderkey"]
-        return g.count().rename("n_orders").reset_index()
-
-    return bucketed_map_groups(joined, ["c_custkey"], agg, num_buckets=32)
-
-
-SQL_LEFT_JOIN = """
-SELECT c_custkey, c_name, count(o_orderkey) AS n_orders
-FROM customer LEFT JOIN orders ON o_custkey = c_custkey
-GROUP BY c_custkey, c_name
-"""
-
-
-def q_semi_join(sf_dir: str):
-    """J5 variant: LEFT SEMI join — suppliers with at least one
-    high-quantity lineitem, emitted once regardless of match count.
-    Exercises Ray's native left_semi shuffle join."""
-    supp = _rp(sf_dir, "supplier", ["s_suppkey", "s_name"])
-    hot = _rp(sf_dir, "lineitem", ["l_suppkey", "l_quantity"]).map_batches(
-        lambda t: t.filter(pc.greater(t["l_quantity"], 49.0))
-                   .select(["l_suppkey"]),
-        batch_format="pyarrow")
-    return rel.hash_join(supp, hot, on=["s_suppkey"],
-                         right_on=["l_suppkey"], how="left_semi",
-                         rows_hint=supp.count())
-
-
-SQL_SEMI_JOIN = """
-SELECT s_suppkey, s_name FROM supplier
-WHERE s_suppkey IN (SELECT l_suppkey FROM lineitem WHERE l_quantity > 49)
-"""
-
-
 def q_group_concat(sf_dir: str):
     """A1 variant: per-group ordered string aggregation (SQL
     string_agg with ORDER BY) — nation names per region."""
@@ -802,75 +617,6 @@ def q_rank_window(sf_dir: str):
 SQL_RANK_WINDOW = """
 SELECT event_id, user_id,
        row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-FROM events
-"""
-
-
-def q_star_join(sf_dir: str):
-    """Multiway star join: fact (lineitem) hash-joined to orders, then
-    to customer — both SCALING tables stay distributed shuffle joins
-    (customer is 150M rows at sf1000; it must never be collapsed
-    driver-side).  Only nation JOIN region — 25 and 5 rows by schema,
-    genuinely constant at any scale factor — is pre-merged and
-    broadcast.  Integer quantity sums keep the float-order question
-    out of the hash."""
-    li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    n_li = li.count()
-    joined = rel.hash_join(li, orders, on=["l_orderkey"],
-                           right_on=["o_orderkey"],
-                           rows_hint=n_li + orders.count())
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = rel.hash_join(joined, cust, on=["o_custkey"],
-                           right_on=["c_custkey"],
-                           rows_hint=n_li + cust.count())
-    nation = _rp(sf_dir, "nation",
-                 ["n_nationkey", "n_regionkey"]).to_pandas()
-    region = _rp(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    dim = (nation.merge(region, left_on="n_regionkey",
-                        right_on="r_regionkey")
-           )[["n_nationkey", "r_name"]].rename(
-        columns={"n_nationkey": "c_nationkey"})
-    wide = rel.broadcast_join(joined, dim, on=["c_nationkey"], how="inner")
-    df = rel.partial_groupby_agg(wide, ["r_name"], {
-        "n_items": (None, "count"),
-        "sum_qty": ("l_quantity", "sum"),
-    })
-    df["sum_qty"] = df["sum_qty"].round(2)
-    return df
-
-
-SQL_STAR_JOIN = """
-SELECT r_name, count(*) AS n_items, round(sum(l_quantity), 2) AS sum_qty
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation ON c_nationkey = n_nationkey
-JOIN region ON n_regionkey = r_regionkey
-GROUP BY r_name
-"""
-
-
-def q_percent_rank(sf_dir: str):
-    """percent_rank() + ntile(4) per user over the (ts, event_id)
-    total order — the remaining rank-family window ops.  One hash
-    shuffle, vectorized per bucket (see temporal.percent_ntile)."""
-    from ...stages.temporal import percent_ntile
-
-    events = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    out = percent_ntile(events, key="user_id",
-                        order_cols=["ts", "event_id"], k=4)
-    return out.map_batches(
-        lambda df: df[["event_id", "user_id", "pr", "tile"]],
-        batch_format="pandas")
-
-
-SQL_PERCENT_RANK = """
-SELECT event_id, user_id,
-       round(percent_rank() OVER
-             (PARTITION BY user_id ORDER BY ts, event_id), 6) AS pr,
-       ntile(4) OVER
-             (PARTITION BY user_id ORDER BY ts, event_id) AS tile
 FROM events
 """
 
@@ -976,161 +722,6 @@ GROUP BY GROUPING SETS ((o_orderstatus, o_orderpriority),
 """
 
 
-def q_fd_violations(sf_dir: str):
-    """Functional-dependency audit (X -> Y constraint check, the
-    data-curation counterpart of profile_table): nations whose
-    customers span more than one market segment, with the violating
-    value- and row-counts.  Only the bounded (X, Y) distinct-cell
-    table ever moves (combiner + one tiny driver finish) — the row
-    stream never shuffles, so the audit costs one narrow pass at any
-    scale."""
-    ds = _rp(sf_dir, "customer", ["c_nationkey", "c_mktsegment"])
-    cells = rel.partial_groupby_agg(
-        ds.map_batches(
-            lambda df: (df.groupby(["c_nationkey", "c_mktsegment"],
-                                   sort=False).size().reset_index(name="n")),
-            batch_format="pandas"),
-        ["c_nationkey", "c_mktsegment"], {"n": ("n", "sum")})
-    g = cells.groupby("c_nationkey", sort=False)
-    out = pd.DataFrame({"n_vals": g["c_mktsegment"].nunique(),
-                        "n_rows": g["n"].sum()}).reset_index()
-    return out[out["n_vals"] > 1].reset_index(drop=True)
-
-
-SQL_FD_VIOLATIONS = """
-SELECT c_nationkey, count(DISTINCT c_mktsegment) AS n_vals,
-       count(*) AS n_rows
-FROM customer GROUP BY 1
-HAVING count(DISTINCT c_mktsegment) > 1
-"""
-
-
-def q_systematic_sample(sf_dir: str):
-    """Systematic every-97th sample in global (ts, event_id) order —
-    the evenly-spaced audit sample (vs hash_sample's random one):
-    global row numbers from the keyless scan of ones, then a map-only
-    modulus filter."""
-    from ...stages.scan import global_scan
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts"])
-
-    def ones(t: pa.Table) -> pa.Table:
-        return t.append_column("one", pa.array(
-            np.ones(t.num_rows, dtype=np.int64)))
-
-    ranked = global_scan(ev.map_batches(ones, batch_format="pyarrow"),
-                         ["ts", "event_id"], "one", "rn")
-
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        m = (df["rn"].to_numpy(np.int64) - 1) % 97 == 0
-        return pd.DataFrame({"event_id":
-                             df["event_id"].to_numpy(np.int64)[m]})
-
-    return ranked.map_batches(pick, batch_format="pandas")
-
-
-SQL_SYSTEMATIC_SAMPLE = """
-WITH r AS (SELECT event_id,
-                  row_number() OVER (ORDER BY ts, event_id) AS rn
-           FROM events)
-SELECT event_id FROM r WHERE (rn - 1) % 97 = 0
-"""
-
-
-def q_ntile_window(sf_dir: str):
-    """Per-user NTILE(4) quartile assignment over (ts, event_id) with
-    SQL's exact remainder rule (the first n MOD k tiles get one extra
-    row — NOT the floor(rn*k/n) equal-frequency formula) — one user
-    co-location shuffle, tile ids computed vectorized from within-group
-    rank and size."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    k = 4
-
-    def tiles(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        i = df.groupby("user_id", sort=False).cumcount().to_numpy(np.int64)
-        n = df.groupby("user_id", sort=False)["event_id"] \
-            .transform("size").to_numpy(np.int64)
-        q, r = n // k, n % k
-        big = q + 1                      # size of the first r tiles
-        boundary = big * r               # rows covered by big tiles
-        q_safe = np.maximum(q, 1)        # n < k: every tile is "big"
-        tile = np.where(i < boundary, i // big + 1,
-                        (i - boundary) // q_safe + r + 1)
-        return pd.DataFrame({"event_id": df["event_id"].to_numpy(),
-                             "user_id": df["user_id"].to_numpy(),
-                             "tile": tile})
-
-    return bucketed_map_groups(ev, ["user_id"], tiles, num_buckets=64)
-
-
-SQL_NTILE_WINDOW = """
-SELECT event_id, user_id,
-       CAST(ntile(4) OVER (PARTITION BY user_id
-                           ORDER BY ts, event_id) AS BIGINT) AS tile
-FROM events
-"""
-
-
-def q_join_size(sf_dir: str):
-    """Exact equi-join cardinality + skew prediction WITHOUT running
-    the join: |A ⋈ B| = Σ_k n_A(k)·n_B(k) over per-side key counts —
-    the optimizer/skew-diagnosis pass a pipeline runs before
-    committing to a shuffle join (the hot-key salting decision in the
-    flagship's pair stage is this same statistic).  Per-side counts
-    are batch partials; one bucketed merge co-locates each key's two
-    counts; per-bucket (Σ n_l·n_r, keys, max) partials reduce
-    driver-side at O(buckets)."""
-    from ...stages.shuffle import bucketed_map_groups
-
-    ev = _rp(sf_dir, "events", ["user_id"])
-    orders = _rp(sf_dir, "orders", ["o_custkey"])
-
-    def l_part(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("user_id", sort=False).size()
-        return pd.DataFrame({"k": g.index.to_numpy(np.int64),
-                             "nl": g.to_numpy(np.int64),
-                             "nr": np.int64(0)})
-
-    def r_part(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(df["o_custkey"].to_numpy(np.int64) % 150).size()
-        return pd.DataFrame({"k": g.index.to_numpy(np.int64),
-                             "nl": np.int64(0),
-                             "nr": g.to_numpy(np.int64)})
-
-    parts = ev.map_batches(l_part, batch_format="pandas").union(
-        orders.map_batches(r_part, batch_format="pandas"))
-
-    def bucket_stats(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("k", sort=False)[["nl", "nr"]].sum()
-        contrib = g["nl"].to_numpy(np.int64) * g["nr"].to_numpy(np.int64)
-        hit = contrib > 0
-        return pd.DataFrame({"rows": [contrib.sum()],
-                             "keys": [np.int64(hit.sum())],
-                             "mx": [contrib.max() if len(contrib) else 0]})
-
-    st = bucketed_map_groups(parts, ["k"], bucket_stats,
-                             num_buckets=64).to_pandas()
-    return pd.DataFrame({
-        "est_rows": [np.int64(st["rows"].sum())],
-        "n_keys": [np.int64(st["keys"].sum())],
-        "max_key_rows": [np.int64(st["mx"].max())]})
-
-
-SQL_JOIN_SIZE = """
-WITH l AS (SELECT user_id AS k, count(*) AS nl FROM events GROUP BY 1),
-r AS (SELECT o_custkey % 150 AS k, count(*) AS nr
-      FROM orders GROUP BY 1)
-SELECT CAST(sum(nl * nr) AS BIGINT) AS est_rows,
-       CAST(count(*) AS BIGINT) AS n_keys,
-       CAST(max(nl * nr) AS BIGINT) AS max_key_rows
-FROM l JOIN r USING (k)
-"""
-
-
 def q_merge_join(sf_dir: str):
     """Sort-merge physical plan for the J1/J8 equi-join
     (stages/relational.py::sort_merge_join): both sides
@@ -1158,97 +749,6 @@ SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_lineitems,
        round(sum(l_extendedprice), 2) AS sum_price
 FROM lineitem JOIN orders ON l_orderkey = o_orderkey
 GROUP BY o_orderpriority
-"""
-
-
-def q_quota_sample(sf_dir: str):
-    """Fair quota sampling with waterfilling (max-min fair allocation):
-    a 200-doc budget split across languages at a common level L —
-    every group keeps min(n_g, L), the remainder goes one-each to the
-    still-capped groups in lang order — then each group contributes
-    its hash-rank-smallest rows (deterministic, SQL-reproducible).
-    The domain-balancing sampler for mixture curation when naive
-    proportional sampling would let one language swamp the budget.
-    Scale shape: group counts are a bounded combiner, the level solves
-    on k values driver-side, and the per-group pick is a per-batch
-    partial top-alloc (never a full co-location of a language)."""
-    from ...functions.similarity import hash_strings_fast
-    from ...stages.shuffle import bucketed_map_groups
-
-    total = 200
-    docs = _rp(sf_dir, "documents", ["doc_id", "lang"])
-    g = rel.partial_groupby_agg(
-        docs.map_batches(
-            lambda df: df.groupby("lang", sort=False).size()
-            .reset_index(name="n"),
-            batch_format="pandas"),
-        ["lang"], {"n": ("n", "sum")}).sort_values("lang")
-    n = g["n"].to_numpy(np.int64)
-    langs = g["lang"].to_numpy(object)
-    # max level with sum(min(n, L)) <= total
-    lo = 0
-    for level in range(0, int(n.max()) + 1):
-        if np.minimum(n, level).sum() <= total:
-            lo = level
-        else:
-            break
-    alloc = np.minimum(n, lo)
-    r = total - int(alloc.sum())
-    for i in range(len(n)):          # lang order, one each
-        if r <= 0:
-            break
-        if n[i] > alloc[i]:
-            alloc[i] += 1
-            r -= 1
-    amap = dict(zip(langs, alloc))
-    amax = int(alloc.max()) if len(alloc) else 0
-
-    def prune(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].astype(str)
-        out = pd.DataFrame({
-            "doc_id": df["doc_id"].to_numpy(np.int64),
-            "lang": df["lang"].to_numpy(object),
-            "h": hash_strings_fast(ids.to_numpy(object))})
-        out = out.sort_values(["lang", "h", "doc_id"],
-                              kind="mergesort")
-        return out.groupby("lang", sort=False).head(amax)
-
-    def trim(df: pd.DataFrame) -> pd.DataFrame:
-        parts = []
-        for lang, gg in df.groupby("lang", sort=False):
-            k = int(amap.get(lang, 0))
-            gg = gg.sort_values(["h", "doc_id"], kind="mergesort")
-            parts.append(gg.head(k)[["doc_id", "lang"]])
-        return pd.concat(parts, ignore_index=True) if parts else \
-            pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                          "lang": pd.Series([], dtype=object)})
-
-    pruned = docs.map_batches(prune, batch_format="pandas")
-    return bucketed_map_groups(pruned, ["lang"], trim, num_buckets=8)
-
-
-SQL_QUOTA_SAMPLE = """
-WITH g AS (SELECT lang, count(*) AS n FROM documents GROUP BY 1),
-lv AS (SELECT unnest(generate_series(0, (SELECT max(n) FROM g)))
-           AS l),
-s AS (SELECT l, sum(least(n, l)) AS tot FROM lv CROSS JOIN g
-      GROUP BY l),
-pick AS (SELECT max(l) AS lev FROM s WHERE tot <= 200),
-alloc AS (SELECT lang, n, least(n, lev) AS a FROM g CROSS JOIN pick),
-rem AS (SELECT 200 - sum(a) AS r FROM alloc),
-capped AS (SELECT lang, a, row_number() OVER (ORDER BY lang) AS rn
-           FROM alloc WHERE n > a),
-final AS (
-  SELECT lang, a + CASE WHEN rn <= r THEN 1 ELSE 0 END AS alloc
-  FROM capped CROSS JOIN rem
-  UNION ALL
-  SELECT lang, a AS alloc FROM alloc WHERE n <= a),
-sel AS (SELECT doc_id, lang, row_number() OVER (
-            PARTITION BY lang
-            ORDER BY hash(CAST(doc_id AS VARCHAR)), doc_id) AS rk
-        FROM documents)
-SELECT doc_id, lang FROM sel JOIN final USING (lang)
-WHERE rk <= alloc
 """
 
 
@@ -1355,135 +855,7 @@ FROM (SELECT unnest(hist) AS u FROM last)
 """
 
 
-def q_map_at_k(sf_dir: str):
-    """Mean-average-precision retrieval evaluation: for a 20-query
-    panel (vec_id < 20), rank the corpus by cosine (self excluded,
-    ties by vec_id), mark hits by class agreement (vec_id % 20), and
-    compute AP@10 per query — precision summed at each relevant rank
-    over min(R, 10).  The ranking reuses the brute-force partial-top-k
-    plan (per-batch matmul against the broadcast query matrix); only
-    the bounded panel (20 queries x 11 rows) reaches the driver, plus
-    one class-count combiner for R."""
-    from ...stages.ann import brute_force_topk
-
-    emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    qdf = emb.map_batches(
-        lambda df: df[df["vec_id"] < 20], batch_format="pandas") \
-        .to_pandas().sort_values("vec_id").reset_index(drop=True)
-    topk = brute_force_topk(emb, np.stack(qdf["embedding"].to_numpy()),
-                            k=11).to_pandas()
-    # query_id indexes the sorted panel, which is vec_id 0..19
-    topk = topk[topk["vec_id"] != topk["query_id"]]
-
-    cls = rel.partial_groupby_agg(
-        emb.map_batches(
-            lambda df: pd.DataFrame(
-                {"cls": df["vec_id"].to_numpy(np.int64) % 20,
-                 "c": np.int64(1)}),
-            batch_format="pandas"),
-        ["cls"], {"c": ("c", "sum")})
-    rtot = dict(zip(cls["cls"].astype(np.int64), cls["c"].astype(np.int64)))
-
-    rows = []
-    for qid, g in topk.groupby("query_id", sort=True):
-        g = g.sort_values(["score", "vec_id"],
-                          ascending=[False, True]).head(10)
-        rel_mask = (g["vec_id"].to_numpy(np.int64) % 20) == qid
-        cum = np.cumsum(rel_mask)
-        d = np.arange(1, len(g) + 1)
-        ap = (cum[rel_mask] / d[rel_mask]).sum() / min(
-            int(rtot[int(qid)]) - 1, 10)
-        rows.append({"query_id": np.int64(qid), "ap": np.round(ap, 6)})
-    return pd.DataFrame(rows)
-
-
-SQL_MAP_AT_K = """
-WITH q AS (SELECT vec_id AS qid, embedding FROM embeddings
-           WHERE vec_id < 20),
-ranked AS (
-  SELECT q.qid, e.vec_id,
-         row_number() OVER (
-           PARTITION BY q.qid
-           ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC,
-                    e.vec_id) AS rn,
-         (e.vec_id % 20 = q.qid) AS rel
-  FROM embeddings e CROSS JOIN q
-  WHERE e.vec_id <> q.qid),
-topd AS (SELECT qid, rn, rel,
-                sum(CASE WHEN rel THEN 1 ELSE 0 END)
-                  OVER (PARTITION BY qid ORDER BY rn) AS cumrel
-         FROM ranked WHERE rn <= 10),
-ap AS (SELECT qid,
-              sum(CASE WHEN rel THEN cumrel * 1.0 / rn ELSE 0 END) AS s
-       FROM topd GROUP BY qid),
-rtot AS (SELECT vec_id % 20 AS cls, count(*) - 1 AS r
-         FROM embeddings GROUP BY 1)
-SELECT ap.qid AS query_id,
-       round(ap.s / least(rtot.r, 10), 6) AS ap
-FROM ap JOIN rtot ON rtot.cls = ap.qid
-"""
-
-
-def q_yannakakis_join(sf_dir: str):
-    """Yannakakis semijoin program for an acyclic 3-way join (nation ⋈
-    customer ⋈ high-value orders): a bottom-up semijoin sweep reduces
-    every relation to the tuples that WILL contribute to the final
-    join before any full join runs — the classical guarantee that
-    intermediate sizes never exceed the output, which at 100 TB is the
-    difference between shuffling the full customer table and shuffling
-    only customers who actually have qualifying orders.  Final
-    aggregate: orders + total spend per nation.  The oracle is the
-    plain 3-way join — semijoin reduction must be result-invariant."""
-    ords = _rp(sf_dir, "orders", ["o_custkey", "o_totalprice"]) \
-        .map_batches(lambda t: t.filter(
-            pc.greater(t["o_totalprice"], 150000.0)),
-        batch_format="pyarrow")
-    cust = _rp(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    nat = _rp(sf_dir, "nation", ["n_nationkey", "n_name"])
-
-    # bottom-up semijoin sweep (reducer pass)
-    cust_red = rel.hash_join(cust, ords, on=["c_custkey"],
-                             right_on=["o_custkey"], how="left_semi")
-    nat_red = rel.hash_join(nat, cust_red, on=["n_nationkey"],
-                            right_on=["c_nationkey"], how="left_semi")
-    # top-down joins over the reduced relations
-    oc = rel.hash_join(ords, cust_red, on=["o_custkey"],
-                       right_on=["c_custkey"])
-    ocn = rel.hash_join(oc, nat_red, on=["c_nationkey"],
-                        right_on=["n_nationkey"])
-
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("n_name", sort=False).agg(
-            num_orders=("o_totalprice", "size"),
-            total_price=("o_totalprice", "sum")).reset_index()
-        g["num_orders"] = g["num_orders"].astype(np.int64)
-        return g
-
-    out = rel.partial_groupby_agg(
-        ocn.map_batches(lambda t: t.select(["n_name", "o_totalprice"]),
-                        batch_format="pyarrow"),
-        ["n_name"],
-        {"num_orders": ("o_totalprice", "count"),
-         "total_price": ("o_totalprice", "sum")})
-    out["num_orders"] = out["num_orders"].astype(np.int64)
-    out["total_price"] = out["total_price"].round(2)
-    return out
-
-
-SQL_YANNAKAKIS_JOIN = """
-SELECT n.n_name,
-       CAST(count(*) AS BIGINT) AS num_orders,
-       round(sum(o.o_totalprice), 2) AS total_price
-FROM orders o
-JOIN customer c ON c.c_custkey = o.o_custkey
-JOIN nation n ON n.n_nationkey = c.c_nationkey
-WHERE o.o_totalprice > 150000.0
-GROUP BY 1
-"""
-
-
 QUERIES = {
-    "yannakakis_join": q_yannakakis_join,
     "filter_project": q_filter_project,
     "groupby_agg": q_groupby_agg,
     "sort_limit": q_sort_limit,
@@ -1504,36 +876,22 @@ QUERIES = {
     "hash_sample": q_hash_sample,
     "stratified_sample": q_stratified_sample,
     "unpivot": q_unpivot,
-    "left_join": q_left_join,
-    "semi_join": q_semi_join,
-    "outer_join": q_outer_join,
     "intersect": q_intersect,
     "except_distinct": q_except,
     "rollup_agg": q_rollup_agg,
-    "pivot_wide": q_pivot_wide,
     "cube_agg": q_cube_agg,
-    "corr_agg": q_corr_agg,
     "group_concat": q_group_concat,
     "cume_sum": q_cume_sum,
     "rank_window": q_rank_window,
-    "star_join": q_star_join,
     "skew_join": q_skew_join,
-    "percent_rank": q_percent_rank,
     "dataset_split": q_dataset_split,
     "weighted_sample": q_weighted_sample,
-    "map_at_k": q_map_at_k,
-    "fd_violations": q_fd_violations,
-    "systematic_sample": q_systematic_sample,
-    "ntile_window": q_ntile_window,
-    "join_size": q_join_size,
     "merge_join": q_merge_join,
-    "quota_sample": q_quota_sample,
     "coverage_sample": q_coverage_sample,
     "grouping_sets": q_grouping_sets,
 }
 
 ORACLES = {
-    "yannakakis_join": SQL_YANNAKAKIS_JOIN,
     "filter_project": SQL_FILTER_PROJECT,
     "groupby_agg": SQL_GROUPBY_AGG,
     "sort_limit": SQL_SORT_LIMIT,
@@ -1554,30 +912,17 @@ ORACLES = {
     "hash_sample": SQL_HASH_SAMPLE,
     "stratified_sample": SQL_STRATIFIED_SAMPLE,
     "unpivot": SQL_UNPIVOT,
-    "left_join": SQL_LEFT_JOIN,
-    "semi_join": SQL_SEMI_JOIN,
-    "outer_join": SQL_OUTER_JOIN,
     "intersect": SQL_INTERSECT,
     "except_distinct": SQL_EXCEPT,
     "rollup_agg": SQL_ROLLUP_AGG,
-    "pivot_wide": SQL_PIVOT_WIDE,
     "cube_agg": SQL_CUBE_AGG,
-    "corr_agg": SQL_CORR_AGG,
     "group_concat": SQL_GROUP_CONCAT,
     "cume_sum": SQL_CUME_SUM,
     "rank_window": SQL_RANK_WINDOW,
-    "star_join": SQL_STAR_JOIN,
     "skew_join": SQL_SKEW_JOIN,
-    "percent_rank": SQL_PERCENT_RANK,
     "coverage_sample": SQL_COVERAGE_SAMPLE,
     "dataset_split": _dataset_split_sql(),
     "weighted_sample": SQL_WEIGHTED_SAMPLE,
-    "map_at_k": SQL_MAP_AT_K,
-    "fd_violations": SQL_FD_VIOLATIONS,
-    "systematic_sample": SQL_SYSTEMATIC_SAMPLE,
-    "ntile_window": SQL_NTILE_WINDOW,
-    "join_size": SQL_JOIN_SIZE,
     "merge_join": SQL_MERGE_JOIN,
-    "quota_sample": SQL_QUOTA_SAMPLE,
     "grouping_sets": SQL_GROUPING_SETS,
 }

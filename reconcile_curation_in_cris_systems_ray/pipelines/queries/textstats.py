@@ -527,7 +527,7 @@ def q_bm25_search(sf_dir: str):
     top-k, so the final sort sees <= 20 x batches rows.  The float
     expression (idf * tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl)),
     summed in term order) is mirrored in the SQL oracle bit-for-bit
-    (corr_agg round-6 discipline)."""
+    (both sides round to 6 decimals)."""
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
     k1, b = _BM25_K1, _BM25_B
     t1, t2 = _BM25_TERMS

@@ -214,7 +214,7 @@ def pca(ds, k: int = 8, id_col: str = "vec_id",
     covariance; ``eigh`` there (d is the embedding width, tiny); then
     one broadcast of the (d, k) component matrix and a map pass
     projects every vector.  Nothing wide ever moves: the pattern is
-    exactly the corr_agg / centroid_agg re-aggregable-moments combiner
+    exactly the centroid_agg re-aggregable-moments combiner
     lifted to matrix moments.
 
     Determinism: eigenvector signs are fixed by making each

@@ -8,8 +8,10 @@ control, per the north rule:
 - **hot-key detection**: a narrow per-batch ``value_counts`` pre-pass
   (locally-unique keys dropped before the driver merge); keys whose
   group exceeds ``hot_key_cap`` are broadcast via ``ray.put``.
-- **salting**: members of a hot key get ``salt = hash(url) % s`` and are
-  replicated into the s "triangle" groups ``(min(salt,t), max(salt,t))``
+- **salting**: members of a hot key with at most ``MAX_SIDE`` members
+  (a larger key reaches the guard below unsplit) get
+  ``salt = hash(url) % s`` and are replicated into the s "triangle"
+  groups ``(min(salt,t), max(salt,t))``
   so every cross-salt pair is generated exactly once while the work is
   spread over s*(s+1)/2 independent groups (pair-set identical to the
   unsalted groupby — pinned by tests).
@@ -260,6 +262,11 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
         if band_ds.num_blocks() > nb:
             band_ds = band_ds.repartition(nb).materialize()
     hot = find_hot_keys(band_ds, blocking, n_rows_hint)
+    # a key with more than MAX_SIDE members stays unsalted: salting
+    # would split it into groups whose sides never exceed MAX_SIDE, so
+    # the degenerate-clique guard would not trip and the key would pay
+    # its full O(m^2) clique instead of the O(m) star + chain
+    hot = {k: c for k, c in hot.items() if c <= MAX_SIDE}
     # grouping key is band_hash ALONE (band_id is mixed into the hash;
     # narrow rows don't even carry a band_id column — 20% fewer bytes
     # through the pipeline's hottest exchange)

@@ -535,37 +535,6 @@ def grouping_sets_agg(ds, sets: Sequence[Sequence[str]],
     return pd.concat(levels, ignore_index=True)
 
 
-def pivot_wide(ds, key: str, pivot_col: str, categories: Sequence[str],
-               prefix: str = "n_", num_buckets: int = 64):
-    """Long -> wide PIVOT (count per category): one output row per
-    ``key`` with a ``prefix+category`` count column for each listed
-    category — the inverse of :func:`unpivot`.  Categories are an
-    explicit broadcast list (as in SQL ``PIVOT ... IN (...)``), so the
-    output schema is static and the plan is ONE hash shuffle on the
-    key followed by a vectorized crosstab per bucket; rows with other
-    category values are dropped upstream, never shuffled.
-    """
-    categories = list(categories)
-    out_cols = [prefix + c for c in categories]
-
-    def ct(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({key: pd.Series([], dtype="int64"),
-                                 **{c: pd.Series([], dtype="int64")
-                                    for c in out_cols}})
-        tab = pd.crosstab(df[key], df[pivot_col])
-        for cat in categories:
-            if cat not in tab.columns:
-                tab[cat] = 0
-        tab = tab[categories].astype("int64")
-        tab.columns = out_cols
-        return tab.reset_index()
-
-    flt = ds.select_columns([key, pivot_col]).filter(
-        expr=f"{pivot_col} in {categories!r}")
-    return bucketed_map_groups(flt, [key], ct, num_buckets)
-
-
 def unpivot(ds, id_cols: Sequence[str], value_cols: Sequence[str],
             var_name: str = "measure", value_name: str = "value"):
     """Wide -> long (SQL UNPIVOT / pandas melt): one output row per
@@ -769,8 +738,8 @@ def group_entropy(ds, key: str, col: str, num_buckets: int = 64):
     count partials combine in ONE co-location shuffle of the COUNTS
     (bounded by key x value cardinality x blocks, never the rows); the entropy
     sum per key is computed over counts sorted by value so the float
-    accumulation order is deterministic (SQL parity at round-6, the
-    corr_agg discipline)."""
+    accumulation order is deterministic (SQL parity after rounding to 6
+    decimals)."""
     def part(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby([key, col], sort=False).size() \
             .rename("n").reset_index()
@@ -974,70 +943,6 @@ def profile_columns(ds, cols: Sequence[str]):
             "vmin": None if vmin.empty else str(vmin.min()),
             "vmax": None if vmax.empty else str(vmax.max())})
     return pd.DataFrame(out)
-
-
-def table_diff(base, new, key: str, compare_cols: Sequence[str]):
-    """Snapshot reconciliation: classify every key as ``added`` (new
-    only), ``removed`` (base only) or ``changed`` (present in both
-    with any compare column differing); unchanged keys are dropped —
-    the delta report that drives incremental reprocessing.
-
-    One full-outer distributed hash join on the key; presence flags
-    ride as literal columns so a genuinely-null attribute is never
-    mistaken for an absent row; NULL-safe comparison treats
-    null==null as equal (SQL ``IS DISTINCT FROM``)."""
-    cmp_cols = list(compare_cols)
-    bsch = base.schema()
-    bt = dict(zip(bsch.names, bsch.types))[key]
-    key_dtype = bt.to_pandas_dtype() if hasattr(bt, "to_pandas_dtype") \
-        else bt
-
-    def tag(flag: str):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.copy()
-            out[flag] = np.int8(1)
-            return out
-        return f
-
-    b = base.map_batches(tag("__b"), batch_format="pandas")
-
-    def prep_new(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.rename(columns={c: f"{c}__new" for c in cmp_cols})
-        # defensive key copy: Ray 2.49 coalesces the right key into the
-        # left key column on full_outer, but that is undocumented
-        # behavior (the q_outer_join caveat) — carry our own
-        out["__nk"] = df[key]
-        return out
-
-    n = new.map_batches(tag("__n"), batch_format="pandas").map_batches(
-        prep_new, batch_format="pandas")
-    j = hash_join(b, n, on=[key], how="full_outer")
-
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
-        has_b = df["__b"].notna().to_numpy()
-        has_n = df["__n"].notna().to_numpy()
-        changed = np.zeros(len(df), dtype=bool)
-        for c in cmp_cols:
-            a = df[c]
-            z = df[f"{c}__new"]
-            # IS DISTINCT FROM: null == null is equal
-            changed |= (a.ne(z) & ~(a.isna() & z.isna())).to_numpy()
-        status = np.where(~has_b, "added",
-                          np.where(~has_n, "removed",
-                                   np.where(changed, "changed",
-                                            "unchanged")))
-        keys = df[key].fillna(df["__nk"]) if "__nk" in df.columns \
-            else df[key]
-        if len(keys) and keys.dtype != key_dtype:
-            # the nullable join widened an int key to float; after the
-            # coalesce no nulls remain, so restore the original dtype
-            # (else added/removed rows report keys like '6.0')
-            keys = keys.astype(key_dtype)
-        out = pd.DataFrame({key: keys.to_numpy(),
-                            "status": status})
-        return out[out["status"] != "unchanged"]
-
-    return j.map_batches(classify, batch_format="pandas")
 
 
 def sort_merge_join(left, right, on: str, right_on: str | None = None,

@@ -610,42 +610,6 @@ def weighted_sample(ds, key_col: str, weight_col_or_map, k: int,
     return top.drop(columns=["_pri"]).reset_index(drop=True)
 
 
-def value_histogram(ds, col: str, lo: float, hi: float, n_bins: int = 20):
-    """Fixed-width histogram of a numeric column over [lo, hi):
-    per-bin row counts plus underflow/overflow bins — the
-    distribution audit behind threshold choices.  Pure combiner
-    (per-batch np.histogram-style bincounts, driver sum of
-    (n_bins+2)-vectors); explicit [lo, hi) so the bin edges are
-    deterministic literals shared with the SQL oracle, not
-    data-dependent."""
-    width = (hi - lo) / n_bins
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[col].dropna().to_numpy(np.float64)
-        idx = np.floor((v - lo) / width).astype(np.int64)
-        # in-range values that float-floor onto n_bins (hi-adjacent
-        # rounding with a non-exact width) clamp into the last REAL
-        # bin FIRST; only then do the under/overflow overrides apply —
-        # clamping after would misroute them to overflow (SQL LEAST)
-        idx = np.minimum(idx, n_bins - 1)
-        idx = np.where(v < lo, -1, np.where(v >= hi, n_bins, idx))
-        counts = np.bincount(idx + 1, minlength=n_bins + 2)
-        return pd.DataFrame({"bin": np.arange(-1, n_bins + 1,
-                                              dtype=np.int64),
-                             "n": counts.astype(np.int64)})
-
-    parts = ds.map_batches(part, batch_format="pandas").take_all()
-    agg: dict[int, int] = {}
-    for r in parts:
-        agg[r["bin"]] = agg.get(r["bin"], 0) + r["n"]
-    bins = np.arange(-1, n_bins + 1, dtype=np.int64)
-    return pd.DataFrame({
-        "bin": bins,
-        "bin_lo": np.where(bins < 0, -np.inf, lo + bins * width),
-        "n": np.array([agg.get(int(b), 0) for b in bins],
-                      dtype=np.int64)})
-
-
 def count_min_estimates(ds, text_col: str, probes: list[str],
                         depth: int = 4, width: int = 2048) -> pd.DataFrame:
     """Count-Min sketch term-frequency estimates (Cormode &

@@ -1,6 +1,6 @@
 """Temporal / ordered-window operators: interval (range) join,
-partitioned window functions (first/last, cumulative, row number,
-ntile), exact group quantiles and SCD2 validity intervals.
+partitioned window functions (cumulative, row number) and exact group
+quantiles.
 
 Ray Data has no native primitive for any of these (and the reference
 engine is batch-only — SURVEY §2.10), but a web-scale event/curation
@@ -140,44 +140,6 @@ def interval_join(left, right, on: str, left_ts: str, start_col: str,
                                num_buckets)
 
 
-def first_last_window(ds, key: str, order_cols: Sequence[str],
-                      value_col: str, first_out: str = "first_val",
-                      last_out: str = "last_val",
-                      num_buckets: int = 64):
-    """SQL ``first_value(v)`` / ``last_value(v)`` OVER (PARTITION BY
-    key ORDER BY ... ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED
-    FOLLOWING): every row gains its partition's first and last value
-    in the total order.  Same physical contract as the sibling window
-    ops — ONE hash shuffle on the key co-locates each partition, then
-    a vectorized ``groupby().transform('first'/'last')`` per bucket.
-    """
-    order_cols = list(order_cols)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            out[first_out] = pd.Series([], dtype="float64")
-            out[last_out] = pd.Series([], dtype="float64")
-            return out
-        df = df.sort_values([key, *order_cols], kind="mergesort")
-        # positional first/last ROW per contiguous group — NOT pandas
-        # transform('first'/'last'), which skip nulls and would
-        # silently diverge from SQL first_value/last_value when a
-        # partition's edge row carries NULL
-        keys_arr = df[key].to_numpy()
-        new_grp = np.r_[True, keys_arr[1:] != keys_arr[:-1]]
-        gid = np.cumsum(new_grp) - 1
-        first_idx = np.flatnonzero(new_grp)
-        last_idx = np.r_[first_idx[1:] - 1, len(keys_arr) - 1]
-        vals = df[value_col].reset_index(drop=True)
-        out = df.copy()
-        out[first_out] = vals.iloc[first_idx[gid]].to_numpy()
-        out[last_out] = vals.iloc[last_idx[gid]].to_numpy()
-        return out
-
-    return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
-
-
 def cumulative_agg(ds, key: str, order_cols: Sequence[str], value_col: str,
                    agg: str = "sum", out_col: str = "running",
                    num_buckets: int = 64):
@@ -232,44 +194,6 @@ def row_number(ds, key: str, order_cols: Sequence[str],
     return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
 
 
-def percent_ntile(ds, key: str, order_cols: Sequence[str], k: int = 4,
-                  pr_col: str = "pr", tile_col: str = "tile",
-                  num_buckets: int = 64):
-    """Per-key ``percent_rank()`` and ``ntile(k)`` (SQL window
-    semantics: percent_rank = (rank-1)/(n-1), 0 for singleton groups;
-    ntile hands the first ``n % k`` tiles one extra row).  Requires
-    ``order_cols`` to be a total order within each key so rank equals
-    row_number (no ties — the deterministic contract shared by the
-    other window ops).  ONE hash shuffle, vectorized per bucket."""
-    order_cols = list(order_cols)
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            out[pr_col] = pd.Series([], dtype="float64")
-            out[tile_col] = pd.Series([], dtype="int64")
-            return out
-        df = df.sort_values([key, *order_cols], kind="mergesort")
-        g = df.groupby(key, sort=False)
-        rn0 = g.cumcount().to_numpy(dtype=np.int64)
-        n = g[key].transform("size").to_numpy(dtype=np.int64)
-        pr = np.where(n > 1, rn0 / np.maximum(n - 1, 1), 0.0)
-        base = n // k
-        rem = n % k
-        cut = rem * (base + 1)
-        tile = np.where(
-            rn0 < cut,
-            rn0 // np.maximum(base + 1, 1),
-            rem + (rn0 - cut) // np.maximum(base, 1),
-        ) + 1
-        out = df.copy()
-        out[pr_col] = np.round(pr, 6)
-        out[tile_col] = tile.astype(np.int64)
-        return out
-
-    return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
-
-
 def quantile_agg(ds, keys: Sequence[str], value_col: str,
                  qs: dict[str, float], num_buckets: int = 64):
     """Exact per-group quantiles (linear interpolation — DuckDB
@@ -292,49 +216,3 @@ def quantile_agg(ds, keys: Sequence[str], value_col: str,
 
     return bucketed_map_groups(ds.select_columns([*keys, value_col]),
                                keys, bucket_fn, num_buckets)
-
-
-def scd2_intervals(ds, key: str, ts_col: str, val_col: str,
-                   tie_col: str, fill_to=None, num_buckets: int = 64):
-    """Slowly-changing-dimension type-2 history build: collapse a
-    per-key change-event stream to one row per VERSION — consecutive
-    rows with an unchanged ``val_col`` merge into one validity
-    interval ``[valid_from, valid_to)``, where ``valid_to`` is the
-    next version's start (``fill_to`` for the still-current version,
-    matching a SQL ``COALESCE(lead(ts), sentinel)``).
-
-    The canonical warehouse curation step for reconciling mutable
-    entity attributes over time (the temporal complement of the
-    golden-record merge).  Same partitioning contract as the other
-    window ops: ONE hash shuffle on the key, then a vectorized
-    sort + shift per bucket; ``tie_col`` makes equal-timestamp
-    ordering deterministic.  Non-null ``val_col`` contract: SQL's
-    ``lag(v) <> v`` treats consecutive NULLs as unchanged while
-    pandas ``ne`` treats every NaN as a change — callers with
-    nullable values must fill a sentinel first."""
-
-    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({key: df[key].iloc[:0],
-                              "value": df[val_col].iloc[:0],
-                              "valid_from": df[ts_col].iloc[:0],
-                              "valid_to": df[ts_col].iloc[:0]})
-        if len(df) == 0:
-            return empty
-        df = df.sort_values([key, ts_col, tie_col], kind="mergesort")
-        g = df.groupby(key, sort=False)
-        changed = df[val_col].ne(g[val_col].shift(1)) \
-            | g.cumcount().eq(0)
-        kept = df[changed].copy()
-        if len(kept) == 0:
-            return empty
-        nxt = kept.groupby(key, sort=False)[ts_col].shift(-1)
-        if fill_to is not None:
-            nxt = nxt.fillna(fill_to)
-        return pd.DataFrame({key: kept[key].to_numpy(),
-                             "value": kept[val_col].to_numpy(),
-                             "valid_from": kept[ts_col].to_numpy(),
-                             "valid_to": nxt.to_numpy()})
-
-    return bucketed_map_groups(ds, [key], bucket_fn, num_buckets)
-
-

@@ -8,7 +8,6 @@ once per actor — the ST1 load-once pattern).
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -108,22 +107,6 @@ class LangIdStage:
         out["lang_score"] = np.where(
             is_cjk, 1.0, best.round(4).where(ntok > 0, 0.0))
         return out
-
-
-def md5_fingerprint_stage(ds, text_col: str = "text",
-                          out_col: str = "fingerprint"):
-    """Content fingerprint = md5 hexdigest of the utf-8 text (matches
-    DuckDB ``md5(text)`` for oracle parity)."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out[out_col] = [
-            hashlib.md5(t.encode("utf-8")).hexdigest()
-            for t in df[text_col].astype("string").fillna("")
-        ]
-        return out
-
-    return ds.map_batches(fn, batch_format="pandas")
 
 
 def winnowing_fingerprints(text: str, k: int = 5, window: int = 4) -> list[int]:

@@ -413,9 +413,9 @@ def test_empty_blocks_through_full_and_incremental_run(ray_session, corpus):
     assert got == want
 
 
-def _blank_pages(n: int, prefix: str):
-    """``n`` corpus rows whose html has an empty body: their text yields
-    no shingles, so they all get the same sentinel MinHash signature."""
+def _pages(urls: list[str], htmls: list[bytes]):
+    """Corpus rows with the given urls and raw html bytes; each gets its
+    own ground-truth cluster id and an empty ``text`` column."""
     import numpy as np
     import pyarrow as pa
 
@@ -423,14 +423,23 @@ def _blank_pages(n: int, prefix: str):
         CORPUS_SCHEMA,
     )
 
+    n = len(urls)
     return pa.table({
-        "url": [f"https://blank.example/{prefix}/{i:05d}" for i in range(n)],
+        "url": urls,
         "warc_ts": np.full(n, np.datetime64("2024-03-01", "us")),
-        "html": [b"<html><body></body></html>"] * n,
+        "html": htmls,
         "text": [""] * n,
         "lang": ["en"] * n,
         "cluster_id": np.arange(n, dtype=np.int64) + 10**9,
     }, schema=CORPUS_SCHEMA)
+
+
+def _blank_pages(n: int, prefix: str):
+    """``n`` corpus rows whose html has an empty body: their text yields
+    no shingles, so they all get the same sentinel MinHash signature."""
+    return _pages(
+        [f"https://blank.example/{prefix}/{i:05d}" for i in range(n)],
+        [b"<html><body></body></html>"] * n)
 
 
 def test_shingle_less_pages_emit_no_candidate_pairs(ray_session, corpus):
@@ -642,3 +651,66 @@ def test_flagship_crash_after_pairs_resumes_to_identical_assignments(
     a2 = {r["url"]: r["cluster_id"]
           for r in out["assignments"].take_all()}
     assert a2 == a_ref
+
+
+def test_identical_pages_above_max_side_take_the_clique_guard(ray_session):
+    """2,100 byte-identical pages share every band key, a group larger
+    than ``MAX_SIDE``.  Salting must not split it below the guard: the
+    pair stage emits the star + chain (at most ``CHAIN_WINDOW + 1``
+    pairs per page) instead of the C(2100, 2) = 2,203,950-pair clique,
+    and the pages still form one cluster named by the minimum url."""
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.stages.pairs import (
+        CHAIN_WINDOW, MAX_SIDE,
+    )
+
+    n = 2100
+    assert n > MAX_SIDE
+    body = " ".join(f"word{i % 97} token{i % 89}" for i in range(120))
+    html = f"<html><body><main><p>{body}</p></main></body></html>".encode()
+    pages = _pages([f"https://same.example/p/{i:05d}" for i in range(n)],
+                   [html] * n)
+    out = run_reconcile(rd.from_arrow(pages))
+    assert out["metrics"]["candidate_pairs"] <= (CHAIN_WINDOW + 1) * n
+    rows = out["assignments"].take_all()
+    assert len(rows) == n
+    assert {r["cluster_id"] for r in rows} == {
+        min(pages.column("url").to_pylist())}
+
+
+def test_damaged_html_pages_mixed_into_the_gate_corpus(ray_session, corpus):
+    """Pages whose html is invalid UTF-8, truncated mid-tag or zero
+    bytes, mixed into the gate corpus: every url is assigned exactly
+    once, two byte-identical damaged pages share a cluster, and the
+    gate corpus's own pairs score the same F1 as without them."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    body = " ".join(f"damaged{i % 53} page{i % 41} text{i}"
+                    for i in range(80)).encode()
+    bad_utf8 = b"<html><body><p>" + body + b" \xff\xfe\xc3\x28 \xed\xa0\x80 " \
+        + body[::-1] + b"</p></body></html>"
+    truncated = b"<html><body><main><p>" + body + b"</p><div class=\"na"
+    htmls = [bad_utf8, bad_utf8, truncated, truncated, b"", b""]
+    damaged = _pages([f"https://damaged.example/d/{i}"
+                      for i in range(len(htmls))], htmls)
+
+    alone = run_reconcile(rd.from_arrow(corpus))
+    f1_alone = _pairwise_f1(alone["assignments"].take_all(),
+                            true_pairs(corpus))
+    mixed = run_reconcile(rd.from_arrow(pa.concat_tables([corpus, damaged])))
+    rows = mixed["assignments"].take_all()
+    got = {r["url"]: r["cluster_id"] for r in rows}
+    assert len(got) == len(rows) == corpus.num_rows + damaged.num_rows
+
+    urls = damaged.column("url").to_pylist()
+    assert got[urls[0]] == got[urls[1]] == urls[0]     # invalid UTF-8 twins
+    assert got[urls[2]] == got[urls[3]] == urls[2]     # truncated twins
+    assert got[urls[0]] != got[urls[2]]
+    assert got[urls[4]] == urls[4] and got[urls[5]] == urls[5]  # no text
+
+    gate = set(corpus.column("url").to_pylist())
+    f1_mixed = _pairwise_f1([r for r in rows if r["url"] in gate],
+                            true_pairs(corpus))
+    assert f1_mixed == f1_alone

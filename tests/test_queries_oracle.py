@@ -52,7 +52,6 @@ PINNED = [
     "review_queue",
     "collective_er",
     "png_dims",
-    "yannakakis_join",
     "er_pair_features",
     # round-4 oracle upgrades (formerly rows-only)
     "fs_em",
@@ -66,16 +65,11 @@ PINNED = [
     "label_prop",
     "stream_join",
     "geo_nearest",
-    "xml_ingest",
     "l_diversity",
-    "skew_report",
     "window_distinct",
     "llr_collocations",
-    "dq_audit",
-    "map_at_k",
     "rbo_rankings",
     "merge_upsert",
-    "fixed_width_ingest",
     "geo_join",
     "match_auc",
     "adjusted_rand",
@@ -87,7 +81,6 @@ PINNED = [
     "bpe_token_count",
     "stopword_ratio",
     "ngram_jaccard",
-    "extract_pivot",
     "range_join",
     "quantile_agg",
     "hash_sample",
@@ -98,16 +91,10 @@ PINNED = [
     "heavy_hitters",
     "cosine_pairs",
     "percentile_filter",
-    "outer_join",
     "intersect",
     "except_distinct",
     "rollup_agg",
-    "pivot_wide",
     "cube_agg",
-    "corr_agg",
-    "left_join",
-    "semi_join",
-    "star_join",
     "cume_sum",
     "rank_window",
     "regex_extract",
@@ -119,43 +106,32 @@ PINNED = [
     "threshold_sweep",
     "minhash_pairs",
     "kmv_overlap",
-    "zorder_sort",
     "fingerprint_cluster",
     "chi2_terms",
     "band_join",
-    "union_by_name",
     "group_lcp",
     "zipf_slope",
-    "systematic_sample",
     "dup_rate_by_source",
     "match_transitivity",
     "cohens_kappa",
     "damerau_join",
     "char_jaccard_pairs",
-    "ntile_window",
     "dynamic_blocking",
     "bigram_lm",
-    "join_size",
     "truth_discovery",
     "blocking_sweep",
-    "rendezvous_stability",
     "weighted_jaccard",
     "score_calibration",
     "merge_join",
-    "pruned_scan",
     "k_anonymity",
-    "quota_sample",
-    "delta_agg_refresh",
     "naive_bayes",
     "cdc_chunks",
     "pii_redact",
     "decontaminate",
     "chunk_tokens",
     "pack_sequences",
-    "json_extract",
     "centroid_agg",
     "skew_join",
-    "percent_rank",
     "chunk_dedup",
     "boilerplate",
     "setsim_join",
@@ -164,8 +140,6 @@ PINNED = [
     "warc_ingest",
     "pagerank",
     "connected_components",
-    "orc_roundtrip",
-    "ipc_roundtrip",
     "fs_score",
     "cluster_metrics",
     "soundex_block",
@@ -175,7 +149,6 @@ PINNED = [
     "golden_record",
     "blocking_quality",
     "mutual_best_match",
-    "scd2_intervals",
     "standardize_values",
     "snm_multipass",
     "rare_collapse",
@@ -184,8 +157,6 @@ PINNED = [
     "profile_table",
     "vocab_stats",
     "source_overlap",
-    "table_diff",
-    "value_histogram",
     "containment_sets",
     "hamming_pairs",
     "monge_elkan",
@@ -200,16 +171,13 @@ PINNED = [
     "nearest_dup",
     "cms_counts",
     "soft_tfidf",
-    "fd_violations",
     "burst_dedup",
     "tfidf_cosine_pairs",
     "bcubed",
     "grouping_sets",
-    "first_last",
     "ppl_bucket",
     "rrf_fusion",
     "gh_means",
-    "bloom_pruned_scan",
     # empty-at-sf0.001 regression (Ray drops 0-row dataset schemas;
     # the query carries a typed-empty fallback)
     "anti_join",
@@ -318,6 +286,31 @@ quantile_sketch_group score_calibration
 GRAPH_KEEP_QUERIES = """
 cc_pivot connected_components label_prop pagerank
 """.split()
+# the relational queries that stay: the SURVEY §2 joins, set ops,
+# group-bys, dedup and sort/limit operators
+RELATIONAL_KEEP_QUERIES = """
+anti_join broadcast_join containment_join count_distinct distinct
+except_distinct explode_split filter_project group_pivot groupby_agg
+hash_join intersect priority_dedup representative_min sort_limit
+topk_per_group union_distinct
+""".split()
+# relational queries that serve no §2 operator but are still registered:
+# the next keep-list wave deletes them together with the stage helpers
+# and stage tests (sampling, OLAP levels, windows) that only they reach
+RELATIONAL_UNDER_REVIEW = """
+coverage_sample cube_agg cume_sum dataset_split group_concat grouping_sets
+hash_sample merge_join percentile_filter quantile_agg rank_window
+rollup_agg skew_join stratified_sample unpivot weighted_sample
+""".split()
+# the ingest and catalog queries that stay: the §2 sources, sinks, field
+# extraction, url canonicalisation, audit and profiling operators, the
+# benchmark's merge_upsert, and warc_ingest (WARC is the Common Crawl
+# container the engine ingests)
+IO_CATALOG_KEEP_QUERIES = """
+audit_stats bloom_anti_join csv_roundtrip field_extract
+field_extract_nested jsonl_ingest merge_upsert profile_table
+url_canonical warc_ingest
+""".split()
 
 
 def test_registry_keeps_record_linkage_scope():
@@ -340,6 +333,22 @@ def test_registry_keeps_record_linkage_scope():
     # the approximate quantile sketches are the only rows-only ones
     assert sorted(set(STATS_KEEP_QUERIES) - set(ORACLES)) == [
         "quantile_sketch", "quantile_sketch_group"]
+
+
+def test_relational_and_io_catalog_register_their_keep_lists():
+    from reconcile_curation_in_cris_systems_ray.pipelines.queries import (
+        ORACLES, io_catalog, relational,
+    )
+
+    assert len(RELATIONAL_KEEP_QUERIES) == 17
+    assert len(IO_CATALOG_KEEP_QUERIES) == 10
+    assert not set(RELATIONAL_KEEP_QUERIES) & set(RELATIONAL_UNDER_REVIEW)
+    assert sorted(relational.QUERIES) == sorted(
+        RELATIONAL_KEEP_QUERIES + RELATIONAL_UNDER_REVIEW)
+    assert sorted(io_catalog.QUERIES) == sorted(IO_CATALOG_KEEP_QUERIES)
+    # every kept relational and io query has a DuckDB oracle
+    assert sorted(set(relational.QUERIES) - set(ORACLES)) == []
+    assert sorted(set(io_catalog.QUERIES) - set(ORACLES)) == []
 
 
 @pytest.mark.parametrize("name", PINNED)
@@ -400,29 +409,6 @@ def test_sort_merge_join_equals_hash_join(ray_session):
     b = hj[cols].sort_values(cols, kind="mergesort") \
         .reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
-
-
-def test_pruned_scan_skips_files(ray_session):
-    """File skipping must actually engage: the 5-day range read opens
-    strictly fewer files than the partition count, and the pruned
-    aggregate equals the full-scan filter (the oracle pin covers the
-    values; this covers the pruning evidence)."""
-    from reconcile_curation_in_cris_systems_ray.sources.manifest_scan import (
-        read_pruned,
-    )
-    from reconcile_curation_in_cris_systems_ray.pipelines.queries import QUERIES
-
-    _to_pandas(QUERIES["pruned_scan"](SF))    # writes the manifest dir
-    path = "/tmp/graft_pruned_scan/" + SF.strip("/").replace("/", "_")
-    import json
-    import os
-
-    with open(os.path.join(path, "manifest.json")) as f:
-        m = json.load(f)
-    d0 = min(e["key_min"] for e in m["files"])
-    ds, n_read, n_total = read_pruned(path, d0 + 10, d0 + 14)
-    assert n_read < n_total
-    assert n_read <= 6          # 5-day window -> at most 5-6 day files
 
 
 def test_coverage_sample_matches_exact_greedy(ray_session, oracle_con):

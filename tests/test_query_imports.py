@@ -9,8 +9,9 @@ used there, and a stale helper cannot hide behind a re-export list.
 
 The boundary gate keeps the linkage core (the flagship, the incremental
 link and the CLI) independent of the query library: the engine imports
-that the core reaches, at any depth, never load ``pipelines/queries/``,
-and no engine module outside that package imports it.
+that the core reaches, at any depth, never load ``pipelines/queries/``
+or the library-only stage modules (``LIBRARY_ONLY_STAGES``), and no
+engine module outside that package imports it.
 
 The lookup gate keeps each url- or id-keyed join on the one broadcast
 lookup (``stages/lookup.py``): the modules below may not probe a sorted
@@ -110,6 +111,11 @@ def _in_query_library(path: pathlib.Path) -> bool:
     return path.is_relative_to(ENGINE_DIR / "pipelines" / "queries")
 
 
+# stage modules outside pipelines/queries/ that only the query library
+# uses; the linkage core must not load them either
+LIBRARY_ONLY_STAGES = ["stages/fuzzy.py"]
+
+
 def test_linkage_core_never_reaches_the_query_library():
     closure = _import_closure(["pipelines/reconcile.py",
                                "pipelines/incremental.py", "cli.py"])
@@ -118,8 +124,11 @@ def test_linkage_core_never_reaches_the_query_library():
     assert ENGINE_DIR / "stages" / "lookup.py" in closure
     assert ENGINE_DIR / "functions" / "textnorm.py" in closure
     reached = sorted(p.relative_to(ENGINE_DIR).as_posix()
-                     for p in closure if _in_query_library(p))
+                     for p in closure if _in_query_library(p)
+                     or p.relative_to(ENGINE_DIR).as_posix()
+                     in LIBRARY_ONLY_STAGES)
     assert reached == [], reached
+    assert all((ENGINE_DIR / m).is_file() for m in LIBRARY_ONLY_STAGES)
 
 
 def test_only_the_query_library_imports_itself():

@@ -939,7 +939,7 @@ def test_fs_em_pattern_equals_row_level(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.stages.scoring import fs_em
+    from reconcile_curation_in_cris_systems_ray.stages.fuzzy import fs_em
 
     rng = np.random.default_rng(3)
     ind = rng.random((5000, 3)) < np.array([0.5, 0.3, 0.7])
@@ -958,7 +958,7 @@ def test_fs_em_recovers_planted_parameters(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.stages.scoring import fs_em
+    from reconcile_curation_in_cris_systems_ray.stages.fuzzy import fs_em
 
     rng = np.random.default_rng(11)
     n = 60_000
@@ -1114,50 +1114,12 @@ def test_mutual_best_match_matches_bruteforce(ray_session):
             == sorted(zip(exp["a"], exp["b"], exp["s"])))
 
 
-def test_scd2_intervals_collapse_and_sentinel(ray_session):
-    """Consecutive duplicates collapse; valid_to chains to the next
-    version; the current version gets the sentinel; equal-ts rows
-    order by the tie column."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.temporal import (
-        scd2_intervals)
-
-    ts = pd.to_datetime(
-        ["2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04",
-         "2024-01-01", "2024-01-01", "2024-01-05"])
-    df = pd.DataFrame({
-        "k": [1, 1, 1, 1, 2, 2, 2],
-        "ts": ts,
-        "v": ["x", "x", "y", "x", "p", "q", "q"],
-        "tie": [1, 2, 3, 4, 2, 1, 3],  # k=2 same-ts: tie 1 ('q') first
-    })
-    sent = pd.Timestamp("2100-01-01")
-    got = scd2_intervals(rd.from_pandas(df).repartition(3), "k", "ts",
-                         "v", "tie", fill_to=sent, num_buckets=4) \
-        .to_pandas().sort_values(["k", "valid_from", "value"]) \
-        .reset_index(drop=True)
-    k1 = got[got["k"] == 1].reset_index(drop=True)
-    assert list(k1["value"]) == ["x", "y", "x"]
-    assert k1["valid_to"].iloc[0] == pd.Timestamp("2024-01-03")
-    assert k1["valid_to"].iloc[1] == pd.Timestamp("2024-01-04")
-    assert k1["valid_to"].iloc[2] == sent
-    # k=2: order at 01-01 is tie=1 ('q') then tie=2 ('p') -> versions
-    # q[01-01, 01-01), p[01-01, 01-05), q[01-05, sentinel)
-    k2 = got[got["k"] == 2].sort_values(["valid_from", "valid_to"]) \
-        .reset_index(drop=True)
-    assert list(k2["value"]) == ["q", "p", "q"]
-    assert k2["valid_to"].iloc[0] == pd.Timestamp("2024-01-01")
-    assert k2["valid_to"].iloc[1] == pd.Timestamp("2024-01-05")
-    assert k2["valid_to"].iloc[2] == sent
-
-
 def test_standardize_values_folds_typos(ray_session):
     """Typo'd values fold onto the canonical spelling; dissimilar
     values pass through unchanged with std_matched False."""
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+    from reconcile_curation_in_cris_systems_ray.stages.fuzzy import (
         standardize_values)
 
     canon = ["GERMANY", "FRANCE", "JAPAN"]
@@ -1215,8 +1177,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
         blocking_quality)
     from reconcile_curation_in_cris_systems_ray.stages.relational import (
         golden_record, group_entropy, mutual_best_match, rare_collapse)
-    from reconcile_curation_in_cris_systems_ray.stages.temporal import (
-        scd2_intervals)
 
     kv = rd.from_pandas(pd.DataFrame({
         "k": pd.Series([], dtype="int64"),
@@ -1225,11 +1185,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
         "a": pd.Series([], dtype="int64"),
         "b": pd.Series([], dtype="int64"),
         "s": pd.Series([], dtype="float64")}))
-    ev = rd.from_pandas(pd.DataFrame({
-        "k": pd.Series([], dtype="int64"),
-        "ts": pd.Series([], dtype="int64"),
-        "v": pd.Series([], dtype="string"),
-        "tie": pd.Series([], dtype="int64")}))
 
     assert sorted_neighborhood_pairs(kv, "v", "k", window=3,
                                      num_buckets=4).count() == 0
@@ -1239,8 +1194,6 @@ def test_new_er_ops_tolerate_empty_input(ray_session):
                              num_buckets=4).count() == 0
     assert rare_collapse(kv, "v", 0.1).count() == 0
     assert group_entropy(kv, "k", "v", num_buckets=4).count() == 0
-    assert scd2_intervals(ev, "k", "ts", "v", "tie",
-                          num_buckets=4).count() == 0
     bq = blocking_quality(kv, "v", "k")
     assert int(bq["n_records"].iloc[0]) == 0
     assert float(bq["reduction_ratio"].iloc[0]) == 1.0
@@ -1352,47 +1305,6 @@ def test_source_overlap_hand_case(ray_session):
     assert got == {("A", "B"): 1, ("B", "C"): 1}
 
 
-def test_table_diff_classification(ray_session):
-    """added/removed/changed with nulls: null==null is unchanged,
-    null vs value is changed."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.relational import (
-        table_diff)
-
-    base = pd.DataFrame({"k": [1, 2, 3, 4, 5],
-                         "v": ["a", "b", None, "d", None]})
-    new = pd.DataFrame({"k": [1, 3, 4, 5, 6],
-                        "v": ["a", None, "D", "x", "n"]})
-    # 1: unchanged (a==a); 2: removed; 3: unchanged (null==null);
-    # 4: changed; 5: changed (null -> x); 6: added
-    out = table_diff(rd.from_pandas(base).repartition(2),
-                     rd.from_pandas(new).repartition(2),
-                     "k", ["v"]).to_pandas()
-    got = dict(zip(out["k"].astype(int), out["status"]))
-    assert got == {2: "removed", 4: "changed", 5: "changed", 6: "added"}
-
-
-def test_value_histogram_bins(ray_session):
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.sketch import (
-        value_histogram)
-
-    df = pd.DataFrame({"v": [-5.0, 0.0, 9.9, 10.0, 55.0, 99.99,
-                             100.0, 250.0, None]})
-    out = value_histogram(rd.from_pandas(df).repartition(2), "v",
-                          lo=0.0, hi=100.0, n_bins=10)
-    got = dict(zip(out["bin"], out["n"]))
-    assert got[-1] == 1            # underflow
-    assert got[0] == 2             # 0.0, 9.9
-    assert got[1] == 1             # 10.0
-    assert got[5] == 1             # 55.0
-    assert got[9] == 1             # 99.99
-    assert got[10] == 2            # overflow: 100.0, 250.0
-    assert sum(got.values()) == 8  # null dropped
-
-
 def test_containment_join_finds_asymmetric_quotes(ray_session):
     """A short doc fully quoted inside a long one: containment 1.0
     even though Jaccard is far below threshold; results match a
@@ -1423,23 +1335,6 @@ def test_containment_join_finds_asymmetric_quotes(ray_session):
         sa, sb = sets(docs.set_index("doc_id")["text"][a]), \
             sets(docs.set_index("doc_id")["text"][b])
         assert c == round(len(sa & sb) / len(sa), 6)
-
-
-def test_value_histogram_inexact_width_clamps_to_last_bin(ray_session):
-    """hi-adjacent values that float-floor onto n_bins must land in
-    the last REAL bin (SQL LEAST semantics), not overflow."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.stages.sketch import (
-        value_histogram)
-
-    v = 3.2999999999999994          # < hi, but floors to bin 10
-    assert v < 3.3
-    df = pd.DataFrame({"v": [v, 3.3]})
-    out = value_histogram(rd.from_pandas(df), "v", lo=0.0, hi=3.3,
-                          n_bins=10)
-    got = dict(zip(out["bin"], out["n"]))
-    assert got[9] == 1 and got[10] == 1
 
 
 def test_hamming_pairs_matches_bruteforce(ray_session):
@@ -1474,7 +1369,7 @@ def test_monge_elkan_token_alignment(ray_session):
     import duckdb
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+    from reconcile_curation_in_cris_systems_ray.stages.fuzzy import (
         monge_elkan_scores)
 
     df = pd.DataFrame({
@@ -1518,36 +1413,6 @@ def test_hamming_pairs_constant_prefix_recursion(ray_session):
             if d <= 2:
                 exp[(a, b)] = d
     assert got_pairs == exp
-
-
-def test_bloom_pruned_scan_prunes_files(ray_session, tmp_path):
-    """Bloom sidecar pruning: a probe for a key confined to a few
-    partitions opens strictly fewer files than the manifest lists,
-    and never misses a row (no false negatives by construction)."""
-    import ray.data as rd
-
-    from reconcile_curation_in_cris_systems_ray.sources.manifest_scan import (
-        read_bloom_pruned, write_partitioned_with_bloom,
-    )
-
-    rng = np.random.default_rng(5)
-    df = pd.DataFrame({
-        "part_key": np.repeat(np.arange(20), 50),
-        "user": rng.integers(0, 40, 1000),
-        "val": rng.normal(size=1000)})
-    # a sentinel user that lives in exactly two partitions
-    df.loc[df.index[:3], "user"] = 999          # part_key 0
-    df.loc[df.index[-3:], "user"] = 999         # part_key 19
-    path = str(tmp_path / "bloomed")
-    write_partitioned_with_bloom(
-        rd.from_pandas(df).repartition(4), path,
-        lambda d: d["part_key"], "user")
-    ds, n_read, n_total = read_bloom_pruned(path, [999])
-    assert n_total == 20
-    assert n_read < n_total            # pruning engaged
-    got = ds.to_pandas()
-    got = got[got["user"] == 999]
-    assert len(got) == 6               # exact: no false negatives
 
 
 def test_grand_total_empty_input_sql_semantics(ray_session):

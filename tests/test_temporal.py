@@ -119,25 +119,3 @@ def test_cumulative_count_is_one_based(temporal):
                                   order_cols=["ts", "eid"], value_col="v",
                                   agg="count", out_col="run").to_pandas()
     assert dict(zip(out["eid"], out["run"])) == {1: 1, 2: 2, 3: 3, 4: 1}
-
-
-def test_first_last_window_null_edges(temporal, ray_session):
-    """SQL first_value/last_value return the edge ROW's value even when
-    it is NULL — pandas transform('first'/'last') would skip it (the
-    review-flagged divergence); pin the positional semantics."""
-    import ray.data as rd
-
-    df = pd.DataFrame({
-        "k": ["a", "a", "a", "b", "b"],
-        "o": [1, 2, 3, 1, 2],
-        "v": [np.nan, 10.0, 20.0, 5.0, np.nan],
-    })
-    out = temporal.first_last_window(
-        rd.from_pandas(df), key="k", order_cols=["o"], value_col="v",
-    ).to_pandas().sort_values(["k", "o"]).reset_index(drop=True)
-    # partition a: first row's value is NULL -> first_val NULL everywhere
-    assert out.loc[out["k"] == "a", "first_val"].isna().all()
-    assert (out.loc[out["k"] == "a", "last_val"] == 20.0).all()
-    # partition b: last row's value is NULL -> last_val NULL everywhere
-    assert (out.loc[out["k"] == "b", "first_val"] == 5.0).all()
-    assert out.loc[out["k"] == "b", "last_val"].isna().all()
