@@ -338,6 +338,9 @@ def packed_u64_column(col, dtype=np.uint64) -> tuple[np.ndarray, np.ndarray]:
 # tokens (side-b partners plus side-a sets) gathered at once
 _SLOT_BITS = 16
 _GATHER_TOKENS = 1 << 18
+# most partners a side-a set may have for its pairs to take the merge
+# kernel rather than the per-set probe
+_SMALL_GROUP = 4
 
 
 def _offsets(lens: np.ndarray) -> np.ndarray:
@@ -392,9 +395,82 @@ def jaccard_pairs_by_index(vals: np.ndarray, lens: np.ndarray,
     the broadcast feature table's zero-copy view).  Either side empty
     scores 0.0.
 
-    Candidate pairs repeat their side-a set many times (a hot block's
-    ~20k pairs hold ~700 distinct sets), so the kernel works per side-a
-    set rather than per pair, build/probe style:
+    Intersection sizes come from two kernels, split by how many pairs
+    share a side-a set: pairs whose set has at most ``_SMALL_GROUP``
+    partners (most pairs of a crawl of small duplicate families) are
+    counted together by :func:`_merge_intersections`, the rest per
+    side-a set by :func:`_probe_intersections`.  Both count exactly,
+    so the split never changes a score.
+    """
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    n = ia.size
+    offs = _offsets(lens)
+    la, lb = lens[ia], lens[ib]
+    inter = np.zeros(n, dtype=np.int64)
+    if n and vals.dtype.itemsize <= 4:
+        _, inv, partners = np.unique(ia, return_inverse=True,
+                                     return_counts=True)
+        small = partners[inv] <= _SMALL_GROUP
+        few = np.flatnonzero(small)
+        inter[few] = _merge_intersections(vals, offs, ia[few], ib[few])
+        many = np.flatnonzero(~small)
+        inter[many] = _probe_intersections(vals, offs, ia[many], ib[many])
+    else:
+        inter = _probe_intersections(vals, offs, ia, ib)
+    out = np.zeros(n, dtype=np.float64)
+    np.divide(inter, la + lb - inter, out=out, where=(la > 0) & (lb > 0))
+    return out
+
+
+def _merge_intersections(vals: np.ndarray, offs: np.ndarray,
+                         ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Intersection size of each set pair ``(ia[k], ib[k])``, tokens of
+    at most 32 bits, with no Python loop over pairs.
+
+    In slices of at most ``_GATHER_TOKENS`` tokens, both sets of every
+    pair are gathered and each token is tagged with its pair's number
+    in the slice (``pair << 32 | token``); one sort then brings a
+    pair's two copies of a shared token next to each other (a set
+    holds a token once), so the pair's intersection size is its count
+    of adjacent-equal keys.  Per token this does more work than the
+    per-set probe, which scatters a set once for all its partners, but
+    it pays no per-set Python overhead: the better kernel when a set
+    has few partners."""
+    n = ia.size
+    inter = np.zeros(n, dtype=np.int64)
+    tok = (offs[ia + 1] - offs[ia]) + (offs[ib + 1] - offs[ib])
+    tok_end = np.cumsum(tok)
+    shift = np.uint64(32)
+    s0 = 0
+    while s0 < n:
+        base = tok_end[s0 - 1] if s0 else 0
+        s1 = max(s0 + 1, int(np.searchsorted(tok_end, base + _GATHER_TOKENS,
+                                             side="right")))
+        v, o = _gather_sets(vals, offs, np.concatenate([ia[s0:s1],
+                                                        ib[s0:s1]]))
+        pair = np.arange(s1 - s0, dtype=np.uint64) << shift
+        keys = np.repeat(np.concatenate([pair, pair]), np.diff(o))
+        keys |= v
+        # a pair's keys are two sorted runs: the stable sort merges them
+        keys.sort(kind="stable")
+        eq = np.zeros(keys.size, dtype=np.uint8)
+        np.equal(keys[1:], keys[:-1], out=eq[1:].view(bool))
+        # reduceat over the non-empty pairs only: a segment then runs
+        # to the next non-empty pair's start, or to the slice's end
+        nz = np.flatnonzero(tok[s0:s1])
+        if nz.size:
+            starts = tok_end[s0:s1][nz] - tok[s0:s1][nz] - base
+            inter[s0 + nz] = np.add.reduceat(eq, starts, dtype=np.int64)
+        s0 = s1
+    return inter
+
+
+def _probe_intersections(vals: np.ndarray, offs: np.ndarray,
+                         ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Intersection size of each set pair ``(ia[k], ib[k])``, per
+    side-a set rather than per pair, build/probe style (a hot block's
+    ~20k pairs hold ~700 distinct sets):
 
     - pairs are grouped by ``ia`` (a stable argsort of the integers);
     - the side-b sets and each group's side-a set are gathered by
@@ -410,13 +486,9 @@ def jaccard_pairs_by_index(vals: np.ndarray, lens: np.ndarray,
       a collision are probed with one ``searchsorted``;
     - per-pair hit counts come from one ``np.add.reduceat`` per slice.
     """
-    ia = np.asarray(ia, dtype=np.int64)
-    ib = np.asarray(ib, dtype=np.int64)
     n = ia.size
     dtype = vals.dtype
-    offs = _offsets(lens)
-    la, lb = lens[ia], lens[ib]
-
+    la, lb = offs[ia + 1] - offs[ia], offs[ib + 1] - offs[ib]
     order = np.argsort(ia, kind="stable")
     ia_ord, ib_ord = ia[order], ib[order]
     # a slice's tokens: its pairs' side b, plus each group's set once
@@ -475,9 +547,7 @@ def jaccard_pairs_by_index(vals: np.ndarray, lens: np.ndarray,
 
     inter = np.empty(n, dtype=np.int64)
     inter[order] = inter_ord
-    out = np.zeros(n, dtype=np.float64)
-    np.divide(inter, la + lb - inter, out=out, where=(la > 0) & (lb > 0))
-    return out
+    return inter
 
 
 def partial_lev_distance(pattern: str, text: str) -> int:

@@ -60,7 +60,7 @@ from ..stages.blocking import emit_band_keys
 from ..stages.cluster import connected_components
 from ..stages.lookup import broadcast_lookup, key_hash, probe
 from ..stages.pairs import generate_candidate_pairs
-from ..stages.scoring import hydrate_score_pairs
+from ..stages.scoring import hydrate_score_pairs, match_edges
 from .reconcile import (NARROW_THRESHOLD, _extract_task, _signature_task,
                         check_unique_urls)
 
@@ -139,11 +139,7 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     scored = hydrate_score_pairs(pairs_new, features_all, cfg.scoring,
                                  est_prefilter=cfg.scoring.est_prefilter)
 
-    def to_edges(batch: pa.Table) -> pa.Table:
-        m = batch.filter(batch.column("is_match"))
-        return pa.table({"u": m.column("url_a"), "v": m.column("url_b")})
-
-    edges = scored.map_batches(to_edges, batch_format="pyarrow") \
+    edges = scored.map_batches(match_edges, batch_format="pyarrow") \
         .materialize()
     metrics["delta_edges"] = edges.count()
     # new_ref's build ran alongside the edges' execution

@@ -4,15 +4,35 @@ Composition (each stage checkpointable via
 :class:`..state.manifest.CheckpointManager`):
 
     corpus (url, warc_ts, html, text, lang)
-      -> extract        task map_batches, html -> extracted_text
-      -> features       task map_batches: normalize + MinHash sigs,
-                        coalesced to one block per exchange bucket
-      -> bands          explode to (band_hash, uh[, band_id, bands])
-      -> pairs          salted bucketed exchange + cross-band dedup
-      -> scored         exact Jaccard by index into the broadcast features
-      -> edges          is_match filter
-      -> components     large/small-star fixpoint rounds
-      -> assignments    (url, cluster_id = min url of component)
+      -> extract        Ray Data map_batches, html -> extracted_text
+      -> features       fused into the same map: normalize + MinHash
+                        sigs, coalesced to one block per exchange bucket
+    --- one Ray Data execution above; bare Ray tasks over the features'
+        block refs below ---
+      -> pairs          one explode task per features block returns its
+                        band rows (band_hash, uh[, band_id, bands]) and
+                        partial key counts; the driver merges the counts
+                        into the hot keys; the exchange salts them in its
+                        split (or single merge) tasks and pairs each
+                        bucket; narrow band rows add a pair-key dedup
+                        exchange
+      -> edges          one score task per pair block: exact Jaccard by
+                        index into the broadcast feature lookup, match
+                        edges and their count out
+      -> cc_star        one union-find task over the edge blocks (above
+                        ``driver_finish_edges``: the contraction rounds
+                        of ``connected_components``)
+      -> assignments    a star-lookup build, then one task per features
+                        block: (url, cluster_id = min url of component)
+
+Lookups pass into tasks as top-level arguments, so Ray orders the
+dependency and no task blocks on a ``ray.get``.  Only the pairs and
+the assignments are wrapped as Datasets (``rd.from_arrow_refs``), at
+the end.  With a checkpoint root each stage boundary writes its blocks
+through the manager and continues from the read-back blocks; without
+one the refs pass straight through.  Above ``lookup.BROADCAST_ROWS``
+feature rows, scoring and assignment take the Dataset plans instead
+(``hydrate_pairs`` joins, ``assign_clusters``' groupby).
 
 Reference lifecycle analogue: §3.3 of SURVEY.md (prescan -> linkage ->
 discovery -> combine), re-expressed Ray-Data-first.
@@ -28,16 +48,21 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+import ray.data as rd
 
 from ..config import ReconcileConfig
 from ..state.manifest import CheckpointManager, fingerprint
-from ..stages import worker_cached
-from ..stages.blocking import SignatureStage, emit_band_keys
-from ..stages.cluster import assign_clusters, connected_components
+from ..stages import lookup, worker_cached
+from ..stages.blocking import SignatureStage
+from ..stages.cluster import (
+    assign_blocks, assign_clusters, connected_components, union_find_star,
+)
 from ..stages.extract import HtmlTextExtractor
-from ..stages.pairs import generate_candidate_pairs
-from ..stages.scoring import build_feature_lookup, hydrate_score_pairs
-from ..stages.shuffle import effective_buckets
+from ..stages.pairs import feature_pairs
+from ..stages.scoring import (
+    build_feature_lookup, hydrate_score_pairs, match_edges, score_edges,
+)
+from ..stages.shuffle import effective_buckets, nonempty_dataset
 
 # band-row width crossover: below this, band rows carry the full band
 # vector (min-band emission, no pair-key exchange); above it, narrow
@@ -124,22 +149,18 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         materialize=checkpoint_root is not None)
 
     fp_ft = fingerprint(fp_ex, "features")
-    # coalesce the features once, to the exchange's bucket count: band
-    # emission, the hot-key scan, the lookup build and the assignment
-    # map then each run one task per bucket instead of one per (often
-    # tiny) input block, and the pair stage needs no repartition of its
-    # own.  The repartition fuses into the signature execution.
+    # coalesce the features once, to the exchange's bucket count: the
+    # explode, the lookup build and the assignment then each run one
+    # task per bucket instead of one per (often tiny) input block.  The
+    # repartition fuses into the signature execution.
     features = ckpt.run_stage("features", fp_ft, lambda: extracted.map_batches(
         partial(_signature_task, blocking=cfg.blocking),
         batch_format="pyarrow").repartition(
             effective_buckets(cfg.blocking.num_buckets)))
 
-    fp_pr = fingerprint(fp_ft, "pairs")
-    # launch the broadcast hydration lookup build (one remote task,
-    # non-blocking) BEFORE the pair stage so it overlaps that stage's
-    # execution; the scorer's merge blocks on the refs naturally
-    prebuilt = build_feature_lookup(features)
-
+    features = features.materialize()
+    feature_refs = features.to_arrow_refs()
+    n_features = features.count()
     # scale-adaptive dedup mode (measured crossover, re-measured on a
     # clean box round 2): below ~500k band rows ship the per-row band
     # vector and dedup via min-band emission (no second exchange);
@@ -147,71 +168,128 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     # (2.1M band rows: 4.5-4.9s wide vs 1.8-1.9s narrow at 32 CPUs —
     # pair rows are ~10x fewer than band rows, so deduping pairs costs
     # less than shipping a 128B band vector through the big shuffle)
-    n_features = features.count()
     band_rows_hint = n_features * cfg.blocking.num_bands
     narrow = band_rows_hint >= NARROW_THRESHOLD
-    pairs = ckpt.run_stage("pairs", fp_pr, lambda: generate_candidate_pairs(
-        emit_band_keys(features, cfg.blocking, include_bands=not narrow),
-        cfg.blocking, cfg.scoring,
-        n_rows_hint=band_rows_hint,
-        dedup_pairs=narrow))
+    # the broadcast lookups serve up to lookup.BROADCAST_ROWS feature
+    # rows (read per run); past it scoring and assignment take the
+    # Dataset.join / groupby plans.  The lookup build is launched first
+    # so it overlaps the pair stage
+    feature_lookup = build_feature_lookup(features, lookup.BROADCAST_ROWS)
 
-    fp_sc = fingerprint(fp_pr, "scored")
-    # scored streams straight into edge extraction + clustering when not
-    # checkpointing (consumed exactly once; CC materializes the edges).
-    # Fused hydrate+score: one task stage resolves each pair to row
-    # indices of the broadcast features and emits the scored schema
-    # directly; no pair copies its shingle sets
-    scored = ckpt.run_stage("scored", fp_sc, lambda: hydrate_score_pairs(
-        pairs, features, cfg.scoring,
-        est_prefilter=cfg.scoring.est_prefilter, prebuilt=prebuilt),
-        materialize=checkpoint_root is not None)
+    fp_pr = fingerprint(fp_ft, "pairs")
+    pair_refs, pair_counts = _ref_stage(
+        ckpt, "pairs", fp_pr, lambda: _unzip(feature_pairs(
+            feature_refs, cfg.blocking, narrow, band_rows_hint)))
 
-    def to_edges(batch: pa.Table) -> pa.Table:
-        m = batch.filter(batch.column("is_match"))
-        return pa.table({"u": m.column("url_a"), "v": m.column("url_b")})
-
-    edges = scored.map_batches(to_edges, batch_format="pyarrow")
-    # the scored dataset streams (no barrier), so the CC edge
-    # materialization below pulls the whole hydrate+score execution
-    # through — time it explicitly so the segment is visible in stage
-    # metrics (it was the untimed 40-55% of the wall in round-2 bench)
+    fp_ed = fingerprint(fp_pr, "edges")
     t_cc = time.time()
-    cc_metrics: dict = {}
-    # with a checkpoint root, every CC contraction round + the final
-    # union-find star become resumable stages of their own (round-4:
-    # a crash mid-closure no longer restarts the whole fixpoint)
-    star = connected_components(edges, cfg.cluster, metrics_out=cc_metrics,
-                                ckpt=ckpt if checkpoint_root else None,
-                                fp_base=fingerprint(fp_sc, "cc"))
+    edge_refs, edge_counts = _ref_stage(
+        ckpt, "edges", fp_ed,
+        lambda: _match_edges(pair_refs, features, feature_lookup, cfg))
+    # the union-find finish below needs the edge count: the one wait
+    # between the pair stage and the assignments
+    n_edges = sum(ray.get(edge_counts))
+    fp_cc = fingerprint(fp_ed, "cc")
+    cc_metrics: dict = {"input_edges": n_edges}
+    if n_edges <= cfg.cluster.driver_finish_edges:
+        star_refs, _ = _ref_stage(ckpt, "cc_star", fingerprint(fp_cc, "star"),
+                                  lambda: (union_find_star(edge_refs), []))
+        cc_metrics["rounds"] = 0
+    else:
+        # contraction rounds, each a resumable stage with a root
+        star_refs = connected_components(
+            rd.from_arrow_refs(edge_refs), cfg.cluster,
+            metrics_out=cc_metrics,
+            ckpt=ckpt if checkpoint_root else None,
+            fp_base=fp_cc).to_arrow_refs()
+    # the scorer has read the lookup by now, so its size is ready
+    if feature_lookup is not None:
+        check_unique_urls(n_features, feature_lookup[2], features,
+                          "the corpus")
+
     ckpt.lineage.append({
-        "stage": "score+components", "fingerprint": fp_sc, "rows": None,
+        "stage": "score+components", "fingerprint": fp_cc, "rows": None,
         "wall_sec": round(time.time() - t_cc, 3), "resumed": False,
         **cc_metrics,
     })
-    # the scorer has read the lookup by now, so its size is ready
-    if prebuilt is not None:
-        check_unique_urls(n_features, prebuilt[2], features, "the corpus")
 
-    fp_as = fingerprint(fp_sc, "assignments")
-    assignments = ckpt.run_stage("assignments", fp_as, lambda: assign_clusters(
-        features, star, num_buckets=cfg.cluster.num_buckets))
+    fp_as = fingerprint(fp_cc, "assignments")
+    asg_refs, _ = _ref_stage(
+        ckpt, "assignments", fp_as,
+        lambda: (_assign(feature_refs, star_refs, features,
+                         feature_lookup is not None, cfg), []))
+    pairs = nonempty_dataset(zip(pair_refs, pair_counts),
+                             pa.table({"uh_a": pa.array([], pa.uint64()),
+                                       "uh_b": pa.array([], pa.uint64())}))
+    n_pairs = pairs.count()
+    assignments = rd.from_arrow_refs(asg_refs)
 
     ckpt.write_lineage(versions)
     metrics = {
         "stages": ckpt.lineage,
         "total_wall_sec": round(time.time() - t_start, 3),
-        "candidate_pairs": next(
-            (s["rows"] for s in ckpt.lineage if s["stage"] == "pairs"), None),
-        # when scored streams, its row count equals the (materialized)
-        # candidate-pair count — the scorer flags rather than drops rows
-        "scored_pairs": next(
-            (s["rows"] for s in ckpt.lineage
-             if s["stage"] == "scored" and s["rows"] is not None),
-            next((s["rows"] for s in ckpt.lineage
-                  if s["stage"] == "pairs"), None)),
+        "candidate_pairs": n_pairs,
+        # every candidate pair is scored; est_prefilter only skips the
+        # exact Jaccard of some
+        "scored_pairs": n_pairs,
     }
-    return {
-        "extracted": extracted, "features": features, "pairs": pairs,
-        "scored": scored, "assignments": assignments, "metrics": metrics,
-    }
+    return {"extracted": extracted, "features": features, "pairs": pairs,
+            "assignments": assignments, "metrics": metrics}
+
+
+def _unzip(outs) -> tuple[list, list]:
+    """``[(table ref, count ref), ...]`` -> ``(table refs, count refs)``."""
+    outs = list(outs)
+    return [t for t, _ in outs], [n for _, n in outs]
+
+
+def _ref_stage(ckpt: CheckpointManager, name: str, fp: str, build):
+    """Stage ``name`` over block refs.
+
+    ``build()`` launches the stage's tasks and returns ``(table refs,
+    row-count refs)`` without waiting.  Without a checkpoint root they
+    pass straight through.  With one, ``rd.from_arrow_refs`` of them is
+    written through ``ckpt`` (or a checkpoint with fingerprint ``fp`` is
+    read back instead of building) and the stage continues from the
+    read-back blocks, so a checkpointed run takes the same code path."""
+    if not ckpt.root:
+        refs, counts = build()
+        ckpt.lineage.append({"stage": name, "fingerprint": fp, "rows": None,
+                             "wall_sec": None, "resumed": False,
+                             "streamed": True})
+        return refs, counts
+    ds = ckpt.run_stage(
+        name, fp, lambda: rd.from_arrow_refs(build()[0])).materialize()
+    blocks = [b for bundle in ds.iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    return ([ref for ref, _ in blocks],
+            [ray.put(meta.num_rows) for _, meta in blocks])
+
+
+def _match_edges(pair_refs, features, feature_lookup,
+                 cfg: ReconcileConfig) -> tuple[list, list]:
+    """Match edges of the candidate pairs: one score task per pair
+    block against the broadcast feature lookup, or, without a lookup,
+    the ``Dataset.join`` hydration."""
+    if feature_lookup is not None:
+        return _unzip(score_edges(pair_refs, feature_lookup, cfg.scoring))
+    edges = hydrate_score_pairs(
+        rd.from_arrow_refs(pair_refs), features, cfg.scoring,
+        est_prefilter=cfg.scoring.est_prefilter,
+        broadcast_threshold=lookup.BROADCAST_ROWS).map_batches(
+            match_edges, batch_format="pyarrow").materialize()
+    return edges.to_arrow_refs(), [ray.put(edges.count())]
+
+
+def _assign(feature_refs, star_refs, features, broadcast: bool,
+            cfg: ReconcileConfig) -> list:
+    """Assignment blocks: one task per features block against the star
+    lookup, or, past the broadcast size, ``assign_clusters``' groupby."""
+    if broadcast:
+        # the star has at most one row per feature row, so it fits too
+        return assign_blocks(feature_refs, star_refs)
+    return assign_clusters(
+        features, rd.from_arrow_refs(star_refs),
+        num_buckets=cfg.cluster.num_buckets,
+        broadcast_threshold=lookup.BROADCAST_ROWS).materialize() \
+        .to_arrow_refs()

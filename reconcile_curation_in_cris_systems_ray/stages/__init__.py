@@ -17,3 +17,20 @@ def worker_cached(key, build):
     if st is None:
         st = _WORKER_STATE[key] = build()
     return st
+
+
+_REMOTE: dict = {}
+
+
+def remote_fn(fn, **options):
+    """``ray.remote(**options)(fn)``, made once per process: a remote
+    function is pickled and exported on its first call, so building a
+    fresh one per call pays that again."""
+    key = (fn, tuple(sorted(options.items())))
+    rf = _REMOTE.get(key)
+    if rf is None:
+        import ray
+
+        rf = _REMOTE[key] = ray.remote(**options)(fn) if options \
+            else ray.remote(fn)
+    return rf

@@ -13,6 +13,8 @@ are read by the scorer only for surviving candidate pairs.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -160,53 +162,57 @@ def emit_band_keys(features_ds, cfg: BlockingConfig = BlockingConfig(),
     all-max sentinel signature, so they would share every band key and
     form one quadratic candidate clique whose pairs all score 0.  They
     keep their singleton cluster at assignment."""
+    return features_ds.select_columns(["url", "sig", "shingles"]).map_batches(
+        partial(band_rows, cfg=cfg, include_bands=include_bands),
+        batch_format="pyarrow")
+
+
+def band_rows(batch: pa.Table, cfg: BlockingConfig,
+              include_bands: bool) -> pa.Table:
+    """The band rows of one features block (schema and rules:
+    :func:`emit_band_keys`); extra columns are ignored."""
     import pyarrow.compute as pc
 
     from ..functions.similarity import stable_hash_strings
 
-    hasher = MinHasher(cfg.num_bands, cfg.rows_per_band, cfg.minhash_seed)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        if batch.num_rows:
-            keep = pc.fill_null(pc.binary_length(batch.column("shingles")),
-                                0).to_numpy(zero_copy_only=False) > 0
-            batch = batch.select(["url", "sig"])
-            if not keep.all():
-                batch = batch.filter(pa.array(keep))
-        n = len(batch)
-        if n == 0:
-            cols = {"band_hash": pa.array([], pa.int64()),
-                    "uh": pa.array([], pa.uint64())}
-            if include_bands:
-                cols["band_id"] = pa.array([], pa.int32())
-                cols["bands"] = pa.array([], pa.binary(cfg.num_bands * 8))
-            return pa.table(cols)
-        # stored sigs are uint32 equality tokens; band-key mixing runs
-        # in uint64 arithmetic
-        sigs = binary_matrix(batch.column("sig")).astype(np.uint64)
-        band_id, band_hash = hasher.band_keys(sigs)
-        uh = stable_hash_strings(
-            batch.column("url").to_pandas().to_numpy(dtype=object))
-        idx = np.repeat(np.arange(n), cfg.num_bands)
-        cols = {
-            "band_hash": pa.array(band_hash, pa.int64()),
-            "uh": pa.array(uh[idx], pa.uint64()),
-        }
+    if batch.num_rows:
+        keep = pc.fill_null(pc.binary_length(batch.column("shingles")),
+                            0).to_numpy(zero_copy_only=False) > 0
+        batch = batch.select(["url", "sig"])
+        if not keep.all():
+            batch = batch.filter(pa.array(keep))
+    n = len(batch)
+    if n == 0:
+        cols = {"band_hash": pa.array([], pa.int64()),
+                "uh": pa.array([], pa.uint64())}
         if include_bands:
-            cols["band_id"] = pa.array(band_id, pa.int32())
-            # bands as ONE fixed-size-binary buffer (numpy repeat, zero
-            # Python objects) — a 2M-row explode otherwise builds 2M
-            # bytes objects per pass
-            key_mat = band_hash.reshape(n, cfg.num_bands)
-            width = cfg.num_bands * 8
-            bands_buf = np.repeat(key_mat, cfg.num_bands, axis=0).tobytes()
-            cols["bands"] = pa.Array.from_buffers(
-                pa.binary(width), n * cfg.num_bands,
-                [None, pa.py_buffer(bands_buf)])
+            cols["band_id"] = pa.array([], pa.int32())
+            cols["bands"] = pa.array([], pa.binary(cfg.num_bands * 8))
         return pa.table(cols)
-
-    return features_ds.select_columns(["url", "sig", "shingles"]).map_batches(
-        explode, batch_format="pyarrow")
+    # stored sigs are uint32 equality tokens; band-key mixing runs in
+    # uint64 arithmetic
+    sigs = binary_matrix(batch.column("sig")).astype(np.uint64)
+    band_id, band_hash = MinHasher(
+        cfg.num_bands, cfg.rows_per_band, cfg.minhash_seed).band_keys(sigs)
+    uh = stable_hash_strings(
+        batch.column("url").to_pandas().to_numpy(dtype=object))
+    idx = np.repeat(np.arange(n), cfg.num_bands)
+    cols = {
+        "band_hash": pa.array(band_hash, pa.int64()),
+        "uh": pa.array(uh[idx], pa.uint64()),
+    }
+    if include_bands:
+        cols["band_id"] = pa.array(band_id, pa.int32())
+        # bands as ONE fixed-size-binary buffer (numpy repeat, zero
+        # Python objects) — a 2M-row explode otherwise builds 2M bytes
+        # objects per pass
+        key_mat = band_hash.reshape(n, cfg.num_bands)
+        width = cfg.num_bands * 8
+        bands_buf = np.repeat(key_mat, cfg.num_bands, axis=0).tobytes()
+        cols["bands"] = pa.Array.from_buffers(
+            pa.binary(width), n * cfg.num_bands,
+            [None, pa.py_buffer(bands_buf)])
+    return pa.table(cols)
 
 
 def exact_blocking_keys(ds, col: str, out_col: str = "block_key"):

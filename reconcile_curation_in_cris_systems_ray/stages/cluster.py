@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 
 from ..config import ClusterConfig
 from ..functions.similarity import stable_hash_strings
+from . import remote_fn
 from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
 from .shuffle import bucketed_map_groups
 
@@ -184,7 +185,6 @@ def _driver_finish(edges_ds, metrics_out: dict | None = None):
     returning star edges (node -> component min) as a Dataset."""
     import time as _time
 
-    import ray
     import ray.data as rd
 
     t0 = _time.time()
@@ -192,7 +192,7 @@ def _driver_finish(edges_ds, metrics_out: dict | None = None):
     # the star table stays in the object store: from_arrow_refs waits
     # for the task (it reads the block's metadata) but never moves the
     # table through the driver
-    star = rd.from_arrow_refs([ray.remote(_uf_star_task).remote(*refs)])
+    star = rd.from_arrow_refs(union_find_star(refs))
     if metrics_out is not None:
         metrics_out["uf_task_sec"] = round(_time.time() - t0, 3)
     return star
@@ -283,6 +283,48 @@ def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),
     return edges
 
 
+def label_urls(batch: pa.Table, h: np.ndarray,
+               star: pa.Table) -> pa.Table:
+    """``(url, cluster_id)`` of one block's urls against the star
+    lookup ``(h, star)`` (node hashes, row-aligned ``v`` = component
+    min): a url that is no star node is its own singleton cluster."""
+    if not batch.num_rows:
+        return pa.table({"url": pa.array([], pa.string()),
+                         "cluster_id": pa.array([], pa.string())})
+    urls = batch.column("url").combine_chunks().cast(pa.string())
+    i, found = probe(h, urls)
+    cluster = urls  # default: singleton = self
+    if found.any():
+        label = star.column("v").take(pa.array(i[found]))
+        cluster = pc.replace_with_mask(
+            urls, pa.array(found), label.combine_chunks().cast(pa.string()))
+    return pa.table({"url": urls, "cluster_id": cluster})
+
+
+def _label_by_refs(batch: pa.Table, lookup) -> pa.Table:
+    import ray
+
+    h_ref, t_ref, _ = lookup
+    return label_urls(batch, ray.get(h_ref), ray.get(t_ref))
+
+
+def union_find_star(edge_refs) -> list:
+    """Star edges (node -> component min url) of the edge blocks
+    ``edge_refs``: one union-find task, not waited for; returns its
+    one-block ref list."""
+    return [remote_fn(_uf_star_task).remote(*edge_refs)]
+
+
+def assign_blocks(url_refs, star_refs) -> list:
+    """``(url, cluster_id)`` of every url in the blocks ``url_refs``:
+    a star lookup build, then one :func:`label_urls` task per block,
+    the lookup refs passed as top-level arguments so no task blocks on
+    them.  Returns the output block refs, not waited for."""
+    h_ref, t_ref, _ = broadcast_lookup(star_refs, "u", ["v"])
+    task = remote_fn(label_urls)
+    return [task.remote(b, h_ref, t_ref) for b in url_refs]
+
+
 def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256,
                     broadcast_threshold: int = BROADCAST_ROWS):
     """All urls + star edges -> (url, cluster_id) with singleton=self.
@@ -297,27 +339,14 @@ def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256,
     (reference A2 divergence, documented in SURVEY §2.5).  Both paths
     produce identical assignments (pinned by tests).
     """
-    import ray
     from ray.data.aggregate import Min
 
     star_edges_ds = star_edges_ds.materialize()
     if star_edges_ds.count() <= broadcast_threshold:
-        h_ref, t_ref, _ = broadcast_lookup(star_edges_ds.to_arrow_refs(),
-                                           "u", ["v"])
-
-        def apply_map(batch: pa.Table) -> pa.Table:
-            urls = batch.column("url").combine_chunks().cast(pa.string())
-            i, found = probe(ray.get(h_ref), urls)
-            cluster = urls  # default: singleton = self
-            if found.any():
-                label = ray.get(t_ref).column("v").take(pa.array(i[found]))
-                cluster = pc.replace_with_mask(
-                    urls, pa.array(found),
-                    label.combine_chunks().cast(pa.string()))
-            return pa.table({"url": urls, "cluster_id": cluster})
-
+        lookup = broadcast_lookup(star_edges_ds.to_arrow_refs(), "u", ["v"])
         return urls_ds.select_columns(["url"]).map_batches(
-            apply_map, batch_format="pyarrow")
+            _label_by_refs, fn_kwargs={"lookup": lookup},
+            batch_format="pyarrow")
 
     def self_label(batch: pa.Table) -> pa.Table:
         return pa.table({"url": batch.column("url"),

@@ -94,9 +94,9 @@ def broadcast_lookup(block_refs, key: str, cols=()):
     NON-BLOCKING: block refs resolve zero-copy on the worker, so the
     build overlaps whatever the driver launches next, and the consumers
     block on the refs when they first probe."""
-    import ray
+    from . import remote_fn
 
-    return ray.remote(num_returns=3)(build_sorted_lookup).remote(
+    return remote_fn(build_sorted_lookup, num_returns=3).remote(
         key, cols, *block_refs)
 
 

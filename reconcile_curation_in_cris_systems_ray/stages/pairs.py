@@ -5,9 +5,12 @@ blocking key (``repository.py:297-314``); here it is
 ``groupby(block_key) -> within-group pairing`` with explicit skew
 control, per the north rule:
 
-- **hot-key detection**: a narrow per-batch ``value_counts`` pre-pass
-  (locally-unique keys dropped before the driver merge); keys whose
-  group exceeds ``hot_key_cap`` are broadcast via ``ray.put``.
+- **hot-key detection**: per-block partial ``value_counts``
+  (locally-unique keys dropped before the driver merge), returned by
+  the flagship's explode tasks next to their band rows
+  (:func:`feature_pairs`) or computed by a narrow pre-pass
+  (:func:`find_hot_keys`); keys whose group exceeds ``hot_key_cap``
+  reach the exchange's split tasks as one top-level task argument.
 - **salting**: members of a hot key with at most ``MAX_SIDE`` members
   (a larger key reaches the guard below unsplit) get
   ``salt = hash(url) % s`` and are replicated into the s "triangle"
@@ -34,21 +37,56 @@ broadcast feature table.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..config import BlockingConfig, ScoringConfig
-from .blocking import binary_matrix
-from .shuffle import bucketed_map_groups, effective_buckets
+from . import remote_fn
+from .blocking import band_rows, binary_matrix
+from .lookup import probe
+from .shuffle import effective_buckets, exchange, nonempty_dataset
 
 _PAIR_COLS = ["uh_a", "uh_b"]
+_NO_KEYS = np.empty(0, np.uint64)
 MAX_SIDE = 2000          # degenerate-clique guard
 CHAIN_WINDOW = 3
 
 
 DRIVER_MERGE_MAX_ROWS = 20_000_000
+
+
+def band_key_counts(batch: pa.Table) -> pa.Table:
+    """Partial counts ``(band_hash, n)`` of one block's band keys,
+    keeping only keys the block holds more than once: almost every band
+    key is unique, so this shrinks what the driver merges ~100x."""
+    if not batch.num_rows:
+        return pa.table({"band_hash": pa.array([], pa.int64()),
+                         "n": pa.array([], pa.int64())})
+    vc = pc.value_counts(batch.column("band_hash"))
+    n = vc.field("counts")
+    rep = pc.greater(n, 1)
+    return pa.table({"band_hash": vc.field("values").filter(rep),
+                     "n": n.filter(rep).cast(pa.int64())})
+
+
+def merge_hot_counts(parts, cap: int) -> dict[int, int]:
+    """``{band_hash: count}`` of the keys whose summed partial counts
+    (:func:`band_key_counts` tables) exceed ``cap``."""
+    parts = [p for p in parts if p.num_rows]
+    if not parts:
+        return {}
+    tbl = pa.concat_tables(parts)
+    keys, inv = np.unique(tbl.column("band_hash").to_numpy(),
+                          return_inverse=True)
+    totals = np.bincount(inv, weights=tbl.column("n").to_numpy(),
+                         minlength=keys.size).astype(np.int64)
+    hot = totals > cap
+    return dict(zip(keys[hot].tolist(), totals[hot].tolist()))
 
 
 def find_hot_keys(band_ds, cfg: BlockingConfig,
@@ -62,17 +100,16 @@ def find_hot_keys(band_ds, cfg: BlockingConfig,
 
     Two physical plans for the same counts:
 
-    - small inputs (< ``DRIVER_MERGE_MAX_ROWS`` band rows): per-batch
-      partial ``value_counts`` merged on the driver — one narrow map,
-      NO shuffle (the combiner pattern; hot-key detection was the only
-      consumer of the full groupby).  Keys that never repeat within any
-      single batch are dropped BEFORE the driver merge: almost all band
-      keys are unique, so this shrinks the merged frame by ~100x.  A
-      key can only be missed this way if its members are spread one-
-      per-batch, bounding its size by the batch count — far below any
-      cap where salting matters, and the degenerate-clique guard in the
-      pair stage bounds residual skew regardless.  Hot-key detection is
-      a load-balancing heuristic; the emitted pair set is identical
+    - small inputs (< ``DRIVER_MERGE_MAX_ROWS`` band rows): per-block
+      partial counts (:func:`band_key_counts`) merged on the driver
+      (:func:`merge_hot_counts`) — one narrow map, NO shuffle (the
+      combiner pattern).  Keys that never repeat within any single
+      block are dropped BEFORE the driver merge.  A key can only be
+      missed this way if its members are spread one-per-block,
+      bounding its size by the block count — far below any cap where
+      salting matters, and the degenerate-clique guard in the pair
+      stage bounds residual skew regardless.  Hot-key detection is a
+      load-balancing heuristic; the emitted pair set is identical
       either way (pinned by tests).
     - large inputs: distributed ``groupby().count()`` (all-to-all on
       two int columns), since the distinct-key set itself may not fit
@@ -80,18 +117,9 @@ def find_hot_keys(band_ds, cfg: BlockingConfig,
     """
     narrow = band_ds.select_columns(["band_hash"])
     if n_rows_hint is None or n_rows_hint <= DRIVER_MERGE_MAX_ROWS:
-        def partial(df: pd.DataFrame) -> pd.DataFrame:
-            c = df["band_hash"].value_counts(sort=False)
-            c = c[c > 1]
-            return pd.DataFrame({"band_hash": c.index.to_numpy(),
-                                 "n": c.to_numpy()})
-
-        parts = narrow.map_batches(partial, batch_format="pandas").to_pandas()
-        if parts.empty:
-            return {}
-        totals = parts.groupby("band_hash", sort=False)["n"].sum()
-        hot = totals[totals > cfg.hot_key_cap]
-        return {int(k): int(v) for k, v in hot.items()}
+        parts = narrow.map_batches(band_key_counts, batch_format="pyarrow")
+        return merge_hot_counts(ray.get(parts.to_arrow_refs()),
+                                cfg.hot_key_cap)
 
     counts = narrow.groupby("band_hash").count()
 
@@ -102,46 +130,49 @@ def find_hot_keys(band_ds, cfg: BlockingConfig,
     return {int(r["band_hash"]): int(r["count()"]) for r in hot}
 
 
-def expand_salts(band_ds, hot_keys: dict[int, int],
-                 cfg: BlockingConfig):
-    """Assign salts and replicate hot-key members into triangle groups."""
-    hot_ref = ray.put(hot_keys)
-    cap, max_salts = cfg.hot_key_cap, cfg.max_salts
+def salt_band_rows(tbl: pa.Table, hot, cap: int,
+                   max_salts: int) -> pa.Table:
+    """Assign salts and replicate hot-key members into triangle groups.
 
-    def expand(df: pd.DataFrame) -> pd.DataFrame:
-        hot = ray.get(hot_ref)
-        if not hot:
-            out = df.copy()
-            out["salt_i"] = np.int32(0)
-            out["salt_j"] = np.int32(0)
-            out["member_salt"] = np.int32(0)
-            return out
-        counts = (df["band_hash"].map(hot).fillna(0)
-                  .to_numpy(dtype=np.int64))
-        is_hot = counts > 0
-        cold = df[~is_hot].copy()
-        cold["salt_i"] = np.int32(0)
-        cold["salt_j"] = np.int32(0)
-        cold["member_salt"] = np.int32(0)
-        if not is_hot.any():
-            return cold
-        hot_df = df[is_hot]
-        s = np.minimum(np.maximum((counts[is_hot] + cap - 1) // cap, 2),
-                       max_salts)
-        member_salt = (hot_df["uh"].to_numpy().astype(np.uint64)
-                       % s.astype(np.uint64)).astype(np.int64)
-        # replicate each hot row s times; "other" salt enumerates 0..s-1
-        rep = np.repeat(np.arange(len(hot_df)), s)
-        csum = np.cumsum(s) - s
-        other = np.arange(int(s.sum())) - np.repeat(csum, s)
-        mine = member_salt[rep]
-        out_hot = hot_df.iloc[rep].copy()
-        out_hot["salt_i"] = np.minimum(mine, other).astype(np.int32)
-        out_hot["salt_j"] = np.maximum(mine, other).astype(np.int32)
-        out_hot["member_salt"] = mine.astype(np.int32)
-        return pd.concat([cold, out_hot], ignore_index=True)
+    ``hot`` is ``(sorted band_hash int64 array, count array)``.  A row
+    of a hot key with count c gets ``s = clip(ceil(c / cap), 2,
+    max_salts)`` salts, ``member_salt = uh % s``, and is replicated
+    once per "other" salt t into group ``(min(m, t), max(m, t))``; cold
+    rows get salt 0 everywhere.  Adds ``salt_i``, ``salt_j`` and
+    ``member_salt`` (int32)."""
+    keys, counts = hot
+    i, is_hot = probe(keys, tbl.column("band_hash"))
+    zeros = np.zeros(int((~is_hot).sum()), dtype=np.int32)
+    cold = tbl.filter(pa.array(~is_hot)) if is_hot.any() else tbl
+    for name in ("salt_i", "salt_j", "member_salt"):
+        cold = cold.append_column(name, pa.array(zeros))
+    if not is_hot.any():
+        return cold
+    rows = np.flatnonzero(is_hot)
+    s = np.minimum(np.maximum((counts[i[rows]] + cap - 1) // cap, 2),
+                   max_salts).astype(np.int64)
+    uh = tbl.column("uh").to_numpy().astype(np.uint64, copy=False)
+    member_salt = (uh[rows] % s.astype(np.uint64)).astype(np.int64)
+    # replicate each hot row s times; "other" salt enumerates 0..s-1
+    rep = np.repeat(rows, s)
+    csum = np.cumsum(s) - s
+    other = np.arange(int(s.sum())) - np.repeat(csum, s)
+    mine = np.repeat(member_salt, s)
+    out_hot = tbl.take(pa.array(rep))
+    out_hot = out_hot.append_column(
+        "salt_i", pa.array(np.minimum(mine, other).astype(np.int32)))
+    out_hot = out_hot.append_column(
+        "salt_j", pa.array(np.maximum(mine, other).astype(np.int32)))
+    out_hot = out_hot.append_column(
+        "member_salt", pa.array(mine.astype(np.int32)))
+    return pa.concat_tables([cold, out_hot])
 
-    return band_ds.map_batches(expand, batch_format="pandas")
+
+def _hot_arrays(hot: dict[int, int]):
+    keys = np.fromiter(hot.keys(), dtype=np.int64, count=len(hot))
+    counts = np.fromiter(hot.values(), dtype=np.int64, count=len(hot))
+    order = np.argsort(keys)
+    return keys[order], counts[order]
 
 
 def _emit(urls_i: np.ndarray, urls_j: np.ndarray,
@@ -244,7 +275,8 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
     ``dedup_pairs=True``: the pair-key exchange (an extra all-to-all)
     that keeps one row per pair.  ``num_blocks_hint`` is accepted for
     caller compatibility and unused: the exchange reads the block
-    count of its materialized input."""
+    count of its materialized input.  The Dataset form of
+    :func:`pair_exchange`."""
     if n_rows_hint is not None and n_rows_hint <= DRIVER_MERGE_MAX_ROWS:
         # small inputs: materialize the band explode once so the
         # hot-key scan and the pairing exchange don't each recompute
@@ -254,171 +286,212 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
         # At most one block per bucket: the hot-key scan then runs
         # over a few fat blocks (vs one tiny task per upstream block —
         # measured 2.9s -> 0.9s at 6.4M band rows) and the exchange
-        # splits a few fat blocks.  run_reconcile's features are
-        # already coalesced to the bucket count, so their band rows
-        # skip this repartition; other callers' may not be.
+        # splits a few fat blocks.
         nb = effective_buckets(blocking.num_buckets)
         band_ds = band_ds.materialize()
         if band_ds.num_blocks() > nb:
             band_ds = band_ds.repartition(nb).materialize()
     hot = find_hot_keys(band_ds, blocking, n_rows_hint)
-    # a key with more than MAX_SIDE members stays unsalted: salting
-    # would split it into groups whose sides never exceed MAX_SIDE, so
-    # the degenerate-clique guard would not trip and the key would pay
-    # its full O(m^2) clique instead of the O(m) star + chain
+    return nonempty_dataset(
+        pair_exchange(band_ds.materialize().to_arrow_refs(), hot, blocking,
+                      dedup_pairs), _pair_table(_NO_KEYS, _NO_KEYS))
+
+
+def _explode_block(block: pa.Table, cfg: BlockingConfig,
+                   include_bands: bool):
+    """Task body: one features block -> its band rows and their partial
+    key counts."""
+    rows = band_rows(block, cfg, include_bands)
+    return rows, band_key_counts(rows)
+
+
+def feature_pairs(feature_refs, blocking: BlockingConfig,
+                  dedup_pairs: bool, n_rows_hint: int) -> list:
+    """Candidate pairs of the features blocks ``feature_refs``, as bare
+    tasks: one explode task per block returns the block's band rows and
+    partial key counts (:func:`band_key_counts`), the driver merges the
+    counts (:func:`merge_hot_counts`) and :func:`pair_exchange` pairs
+    the band rows.  Above ``DRIVER_MERGE_MAX_ROWS`` band rows the hot
+    keys come from :func:`find_hot_keys`' distributed count instead.
+    Returns one ``(pair table ref, row-count ref)`` per bucket."""
+    import ray.data as rd
+
+    explode = remote_fn(_explode_block, num_returns=2)
+    outs = [explode.remote(f, blocking, not dedup_pairs)
+            for f in feature_refs]
+    band_refs = [r for r, _ in outs]
+    if n_rows_hint <= DRIVER_MERGE_MAX_ROWS:
+        hot = merge_hot_counts(ray.get([c for _, c in outs]),
+                               blocking.hot_key_cap)
+    else:
+        hot = find_hot_keys(rd.from_arrow_refs(band_refs), blocking,
+                            n_rows_hint)
+    return pair_exchange(band_refs, hot, blocking, dedup_pairs)
+
+
+def pair_exchange(band_refs, hot: dict[int, int], blocking: BlockingConfig,
+                  dedup_pairs: bool) -> list:
+    """Candidate pairs of the band-row blocks ``band_refs``, without
+    waiting: one ``(pair table ref, row-count ref)`` per bucket.
+
+    Hot keys (``hot``, from :func:`find_hot_keys` or
+    :func:`merge_hot_counts`) are salted inside the exchange's split
+    tasks (:func:`salt_band_rows`); a key with more than ``MAX_SIDE``
+    members stays unsalted: salting would split it into groups whose
+    sides never exceed MAX_SIDE, so the degenerate-clique guard would
+    not trip and the key would pay its full O(m^2) clique instead of
+    the O(m) star + chain.  ``dedup_pairs`` adds the pair-key dedup
+    exchange that narrow band rows need."""
     hot = {k: c for k, c in hot.items() if c <= MAX_SIDE}
     # grouping key is band_hash ALONE (band_id is mixed into the hash;
     # narrow rows don't even carry a band_id column — 20% fewer bytes
     # through the pipeline's hottest exchange)
+    prep = prep_arg = None
+    group_cols = ["band_hash"]
     if hot:
-        salted = expand_salts(band_ds, hot, blocking)
+        # no hot keys is the common case: no salting at all, and
+        # bucket_pairs treats absent salt columns as all-zero
+        prep = partial(salt_band_rows, cap=blocking.hot_key_cap,
+                       max_salts=blocking.max_salts)
+        prep_arg = ray.put(_hot_arrays(hot))
         group_cols = ["band_hash", "salt_i", "salt_j"]
-    else:
-        # no hot keys (the common case on non-skewed corpora): skip the
-        # salting map entirely — one fewer full pass/copy over the band
-        # rows; bucket_pairs treats absent salt columns as all-zero
-        salted = band_ds
-        group_cols = ["band_hash"]
-
-    def bucket_pairs(data: pa.Table) -> pa.Table:
-        """Vectorized across groups: a bucket holds ~1e5 tiny band
-        groups, so a per-group Python loop is the bottleneck, not the
-        pair math.  Groups are boundary-detected on a lexsort, then all
-        groups of equal size m generate their triangle pairs in ONE
-        batched numpy expression.  Arrow in, Arrow out: numeric
-        columns view zero-copy into numpy."""
-        names = set(data.schema.names)
-        n = data.num_rows
-
-        def npcol(name, dtype=None):
-            v = data.column(name).combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            if dtype is not None and v.dtype != dtype:
-                # int64<->uint64 reinterpret is a view, not a copy
-                v = v.view(dtype) \
-                    if v.dtype.kind in "iu" and v.dtype.itemsize == 8 \
-                    and np.dtype(dtype).itemsize == 8 else v.astype(dtype)
-            return v
-
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-
-        has_bands = "bands" in names
-        has_bid = "band_id" in names
-        has_salt = "salt_i" in names
-        cross_mask = (
-            (npcol("salt_i") != npcol("salt_j"))
-            if has_salt else np.zeros(n, dtype=bool))
-        main_mask = None
-        if cross_mask.any():
-            # hot-key cross-salt groups: rare; pandas group iteration
-            # over just the affected subset
-            sub = data.filter(pa.array(cross_mask))
-            sub_bands = (binary_matrix(sub.column("bands"), np.int64)
-                         if has_bands else None)
-            sub = sub.drop_columns(["bands"] if has_bands else []).to_pandas()
-            for (_, si, _), g in sub.groupby(
-                    ["band_hash", "salt_i", "salt_j"], sort=False):
-                urls = g["uh"].to_numpy().astype(np.uint64)
-                bands = sub_bands[g.index.to_numpy()] if has_bands else None
-                bid = int(g["band_id"].iloc[0]) if has_bid else 0
-                ma = g["member_salt"].to_numpy() == si
-                _pairs_cross(urls[ma],
-                             bands[ma] if has_bands else None,
-                             urls[~ma],
-                             bands[~ma] if has_bands else None,
-                             bid, out_a, out_b)
-            main_mask = ~cross_mask
-
-        def masked(v):
-            return v if main_mask is None else v[main_mask]
-
-        n_main = n if main_mask is None else int(main_mask.sum())
-        if n_main >= 2:
-            bh = masked(npcol("band_hash", np.int64))
-            si = (masked(npcol("salt_i")).astype(np.int64)
-                  if has_salt else np.zeros(n_main, dtype=np.int64))
-            order = np.lexsort((si, bh))
-            h2, s2 = bh[order], si[order]
-            # band_id is constant within a band_hash group (the hash
-            # mixes it in), so it never splits groups — only min-band
-            # emission reads it, positionally
-            b2 = (masked(npcol("band_id")).astype(np.int64)[order]
-                  if has_bid else np.zeros(len(order), dtype=np.int64))
-            new = np.empty(len(order), dtype=bool)
-            new[0] = True
-            new[1:] = (h2[1:] != h2[:-1]) | (s2[1:] != s2[:-1])
-            counts = np.diff(np.append(np.flatnonzero(new), len(order)))
-            starts = np.append(0, np.cumsum(counts))[:-1]
-            urls_s = masked(npcol("uh", np.uint64))[order]
-            bands_s = (masked(binary_matrix(data.column("bands"),
-                                            np.int64))[order]
-                       if has_bands else None)
-            for m in np.unique(counts):
-                if m < 2:
-                    continue
-                g_idx = np.flatnonzero(counts == m)
-                if m > MAX_SIDE:
-                    for g in g_idx:
-                        s = starts[g]
-                        _pairs_within(
-                            urls_s[s:s + m],
-                            bands_s[s:s + m] if has_bands else None,
-                            int(b2[s]), out_a, out_b)
-                    continue
-                pairs_per_group = int(m) * (int(m) - 1) // 2
-                tri_i, tri_j = np.triu_indices(int(m), k=1)
-                step = max(1, 2_000_000 // pairs_per_group)
-                for c0 in range(0, len(g_idx), step):
-                    base = starts[g_idx[c0:c0 + step]]
-                    gi = (base[:, None] + tri_i[None, :]).ravel()
-                    gj = (base[:, None] + tri_j[None, :]).ravel()
-                    if has_bands:
-                        eq = bands_s[gi] == bands_s[gj]
-                        keep = ((eq.argmax(axis=1) == b2[gi])
-                                & (urls_s[gi] != urls_s[gj]))
-                    else:
-                        keep = urls_s[gi] != urls_s[gj]
-                    a, b = urls_s[gi[keep]], urls_s[gj[keep]]
-                    swap = a > b
-                    out_a.append(np.where(swap, b, a))
-                    out_b.append(np.where(swap, a, b))
-
-        if not out_a:
-            return _pair_table(np.empty(0, np.uint64),
-                               np.empty(0, np.uint64))
-        a = np.concatenate(out_a).astype(np.uint64, copy=False)
-        b = np.concatenate(out_b).astype(np.uint64, copy=False)
-        # in-bucket dedup removes same-band/same-bucket repeats cheaply;
-        # cross-band repeats are removed by the pair-key exchange below
-        return _pair_table(*_dedup_pair_arrays(a, b))
-
-    _empty_pairs = pd.DataFrame({c: pd.Series([], dtype="uint64")
-                                 for c in _PAIR_COLS})
-    pairs = bucketed_map_groups(salted, group_cols, bucket_pairs,
-                                num_buckets=blocking.num_buckets,
-                                empty_like=_empty_pairs, arrow_fn=True)
+    outs = exchange(band_refs, group_cols, bucket_pairs,
+                    blocking.num_buckets, arrow_fn=True, prep=prep,
+                    prep_arg=prep_arg)
     if not dedup_pairs:
-        return pairs
-
-    def dedup(tbl: pa.Table) -> pa.Table:
-        def u64(name):
-            v = tbl.column(name).combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            return v.view(np.uint64) \
-                if v.dtype.kind in "iu" and v.dtype.itemsize == 8 \
-                else v.astype(np.uint64)
-
-        return _pair_table(*_dedup_pair_arrays(u64("uh_a"), u64("uh_b")))
-
+        return outs
     # global dedup of cross-band duplicates: a second exchange, but over
     # pair rows (~2 orders of magnitude fewer than band rows).  Full
     # bucket count: a bucket is ONE merge task, and the dedup output's
-    # block count is the downstream hydrate+score stage's parallelism
-    # — shrinking it would cap a 32-CPU score stage at 8 tasks
-    return bucketed_map_groups(pairs, _PAIR_COLS, dedup,
-                               num_buckets=blocking.num_buckets,
-                               empty_like=_empty_pairs, arrow_fn=True)
+    # block count is the downstream scoring stage's parallelism
+    return exchange([t for t, _ in outs], _PAIR_COLS, dedup_pair_table,
+                    blocking.num_buckets, arrow_fn=True)
+
+
+def bucket_pairs(data: pa.Table) -> pa.Table:
+    """Vectorized across groups: a bucket holds ~1e5 tiny band
+    groups, so a per-group Python loop is the bottleneck, not the
+    pair math.  Groups are boundary-detected on a lexsort, then all
+    groups of equal size m generate their triangle pairs in ONE
+    batched numpy expression.  Arrow in, Arrow out: numeric
+    columns view zero-copy into numpy."""
+    names = set(data.schema.names)
+    n = data.num_rows
+
+    def npcol(name, dtype=None):
+        v = data.column(name).combine_chunks() \
+            .to_numpy(zero_copy_only=False)
+        if dtype is not None and v.dtype != dtype:
+            # int64<->uint64 reinterpret is a view, not a copy
+            v = v.view(dtype) \
+                if v.dtype.kind in "iu" and v.dtype.itemsize == 8 \
+                and np.dtype(dtype).itemsize == 8 else v.astype(dtype)
+        return v
+
+    out_a: list[np.ndarray] = []
+    out_b: list[np.ndarray] = []
+
+    has_bands = "bands" in names
+    has_bid = "band_id" in names
+    has_salt = "salt_i" in names
+    cross_mask = (
+        (npcol("salt_i") != npcol("salt_j"))
+        if has_salt else np.zeros(n, dtype=bool))
+    main_mask = None
+    if cross_mask.any():
+        # hot-key cross-salt groups: rare; pandas group iteration
+        # over just the affected subset
+        sub = data.filter(pa.array(cross_mask))
+        sub_bands = (binary_matrix(sub.column("bands"), np.int64)
+                     if has_bands else None)
+        sub = sub.drop_columns(["bands"] if has_bands else []).to_pandas()
+        for (_, si, _), g in sub.groupby(
+                ["band_hash", "salt_i", "salt_j"], sort=False):
+            urls = g["uh"].to_numpy().astype(np.uint64)
+            bands = sub_bands[g.index.to_numpy()] if has_bands else None
+            bid = int(g["band_id"].iloc[0]) if has_bid else 0
+            ma = g["member_salt"].to_numpy() == si
+            _pairs_cross(urls[ma],
+                         bands[ma] if has_bands else None,
+                         urls[~ma],
+                         bands[~ma] if has_bands else None,
+                         bid, out_a, out_b)
+        main_mask = ~cross_mask
+
+    def masked(v):
+        return v if main_mask is None else v[main_mask]
+
+    n_main = n if main_mask is None else int(main_mask.sum())
+    if n_main >= 2:
+        bh = masked(npcol("band_hash", np.int64))
+        si = (masked(npcol("salt_i")).astype(np.int64)
+              if has_salt else np.zeros(n_main, dtype=np.int64))
+        order = np.lexsort((si, bh))
+        h2, s2 = bh[order], si[order]
+        # band_id is constant within a band_hash group (the hash
+        # mixes it in), so it never splits groups — only min-band
+        # emission reads it, positionally
+        b2 = (masked(npcol("band_id")).astype(np.int64)[order]
+              if has_bid else np.zeros(len(order), dtype=np.int64))
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        new[1:] = (h2[1:] != h2[:-1]) | (s2[1:] != s2[:-1])
+        counts = np.diff(np.append(np.flatnonzero(new), len(order)))
+        starts = np.append(0, np.cumsum(counts))[:-1]
+        urls_s = masked(npcol("uh", np.uint64))[order]
+        bands_s = (masked(binary_matrix(data.column("bands"),
+                                        np.int64))[order]
+                   if has_bands else None)
+        for m in np.unique(counts):
+            if m < 2:
+                continue
+            g_idx = np.flatnonzero(counts == m)
+            if m > MAX_SIDE:
+                for g in g_idx:
+                    s = starts[g]
+                    _pairs_within(
+                        urls_s[s:s + m],
+                        bands_s[s:s + m] if has_bands else None,
+                        int(b2[s]), out_a, out_b)
+                continue
+            pairs_per_group = int(m) * (int(m) - 1) // 2
+            tri_i, tri_j = np.triu_indices(int(m), k=1)
+            step = max(1, 2_000_000 // pairs_per_group)
+            for c0 in range(0, len(g_idx), step):
+                base = starts[g_idx[c0:c0 + step]]
+                gi = (base[:, None] + tri_i[None, :]).ravel()
+                gj = (base[:, None] + tri_j[None, :]).ravel()
+                if has_bands:
+                    eq = bands_s[gi] == bands_s[gj]
+                    keep = ((eq.argmax(axis=1) == b2[gi])
+                            & (urls_s[gi] != urls_s[gj]))
+                else:
+                    keep = urls_s[gi] != urls_s[gj]
+                a, b = urls_s[gi[keep]], urls_s[gj[keep]]
+                swap = a > b
+                out_a.append(np.where(swap, b, a))
+                out_b.append(np.where(swap, a, b))
+
+    if not out_a:
+        return _pair_table(np.empty(0, np.uint64),
+                           np.empty(0, np.uint64))
+    a = np.concatenate(out_a).astype(np.uint64, copy=False)
+    b = np.concatenate(out_b).astype(np.uint64, copy=False)
+    # in-bucket dedup removes same-band/same-bucket repeats cheaply;
+    # cross-band repeats are removed by the pair-key dedup exchange
+    return _pair_table(*_dedup_pair_arrays(a, b))
+
+
+def dedup_pair_table(tbl: pa.Table) -> pa.Table:
+    """Distinct ``(uh_a, uh_b)`` rows of one pair-key bucket."""
+    def u64(name):
+        v = tbl.column(name).combine_chunks() \
+            .to_numpy(zero_copy_only=False)
+        return v.view(np.uint64) \
+            if v.dtype.kind in "iu" and v.dtype.itemsize == 8 \
+            else v.astype(np.uint64)
+
+    return _pair_table(*_dedup_pair_arrays(u64("uh_a"), u64("uh_b")))
 
 
 def _pair_table(a: np.ndarray, b: np.ndarray) -> pa.Table:

@@ -31,6 +31,7 @@ from ..config import ScoringConfig
 from ..functions.similarity import (
     jaccard_pairs_by_index, jaccard_pairs_from_binary, packed_u64_column,
 )
+from . import remote_fn
 from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
 
 
@@ -132,32 +133,35 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
     return b.map_batches(add_est, batch_format="pyarrow")
 
 
-def _fused_hydrate_score(batch: pa.Table, lookup=None, scoring=None,
-                         est_prefilter=None) -> pa.Table:
-    """Broadcast hydrate + score of one candidate-pair batch.
+def score_pairs_block(batch: pa.Table, h: np.ndarray, tbl: pa.Table,
+                      scoring=None, est_prefilter=None) -> pa.Table:
+    """Broadcast hydrate + score of one candidate-pair block against
+    the feature lookup ``(h, tbl)`` (sorted url hashes, row-aligned
+    ``url, shingles, sig`` table).
 
-    Resolves both url-hash sides to row indices ``ia``, ``ib`` of the
-    feature lookup, orients each pair ``url_a < url_b``, attaches the
-    MinHash Jaccard estimate and drops pairs under ``est_prefilter``;
-    exact Jaccard then runs by index over the lookup's packed shingle
-    buffer, viewed in place.  Only the two url columns are gathered per
-    pair.
+    Resolves both url-hash sides to row indices ``ia``, ``ib``, orients
+    each pair ``url_a < url_b``, attaches the MinHash Jaccard estimate
+    and drops pairs under ``est_prefilter``; exact Jaccard then runs by
+    index over the lookup's packed shingle buffer, viewed in place.
+    Only the two url columns are gathered per pair.
+
+    Raises ``ValueError`` naming a url hash that the lookup lacks: both
+    sides of every pair come from the features the lookup was built
+    over, so a dangling hash is a defect, not a pair to drop.
     """
-    import ray
-
     from .blocking import binary_matrix
 
     if not batch.num_rows:
         return _empty_scored()
-    h_ref, t_ref, _ = lookup
-    h = ray.get(h_ref)
     ia, found_a = probe(h, batch.column("uh_a"))
     ib, found_b = probe(h, batch.column("uh_b"))
-    ok = found_a & found_b
-    ia, ib = ia[ok], ib[ok]
-    if not len(ia):
-        return _empty_scored()
-    tbl = ray.get(t_ref)
+    if not (found_a.all() and found_b.all()):
+        k = int(np.flatnonzero(~(found_a & found_b))[0])
+        side = "uh_a" if not found_a[k] else "uh_b"
+        raise ValueError(
+            f"candidate pair names url hash "
+            f"{batch.column(side)[k].as_py():#x} ({side}), which is not "
+            f"in the feature lookup")
     urls = tbl.column("url")
     # re-canonicalize lexicographically (the pair stage ordered by
     # hash); Arrow compares UTF-8 bytes, which order as codepoints do
@@ -175,6 +179,40 @@ def _fused_hydrate_score(batch: pa.Table, lookup=None, scoring=None,
     jac = jaccard_pairs_by_index(vals, lens, ia, ib)
     return _scored(urls.take(pa.array(ia)), urls.take(pa.array(ib)), est,
                    jac, scoring or ScoringConfig())
+
+
+def _fused_hydrate_score(batch: pa.Table, lookup=None, scoring=None,
+                         est_prefilter=None) -> pa.Table:
+    """:func:`score_pairs_block` over the lookup's object refs."""
+    import ray
+
+    h_ref, t_ref, _ = lookup
+    return score_pairs_block(batch, ray.get(h_ref), ray.get(t_ref),
+                             scoring, est_prefilter)
+
+
+def match_edges(scored: pa.Table) -> pa.Table:
+    """The match edges ``(u, v)`` of a scored table."""
+    m = scored.filter(scored.column("is_match"))
+    return pa.table({"u": m.column("url_a"), "v": m.column("url_b")})
+
+
+def _score_edges_task(pairs, h, tbl, scoring: ScoringConfig):
+    edges = match_edges(score_pairs_block(pairs, h, tbl, scoring,
+                                          scoring.est_prefilter))
+    return edges, edges.num_rows
+
+
+def score_edges(pair_refs, lookup, scoring: ScoringConfig) -> list:
+    """Score each candidate-pair block against the feature lookup
+    ``(keys ref, table ref, size ref)`` as one bare task, without
+    waiting; returns one ``(edges ref, edge-count ref)`` per block.
+    The lookup refs are top-level task arguments, so Ray resolves them
+    before a task starts and none blocks on them."""
+    h_ref, t_ref, _ = lookup
+    task = remote_fn(_score_edges_task, num_returns=2)
+    return [tuple(task.remote(p, h_ref, t_ref, scoring))
+            for p in pair_refs]
 
 
 def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,

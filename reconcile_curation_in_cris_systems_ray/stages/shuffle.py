@@ -2,8 +2,8 @@
 
 Every keyed co-location — candidate-pair generation, pair dedup, star
 contraction, the bucketed hash join and the grouped queries — runs
-through :func:`bucketed_map_groups`, a two-stage map/reduce over Ray
-tasks:
+through :func:`exchange`, a two-stage map/reduce over Ray tasks on
+block refs (:func:`bucketed_map_groups` is its Dataset wrapper):
 
 1. **split**: one task per input block hashes the key columns into
    ``num_buckets`` buckets, takes the block in bucket order and returns
@@ -11,6 +11,9 @@ tasks:
 2. **merge**: one task per bucket concatenates its shards — every row
    of every key whose hash lands in the bucket — and calls
    ``bucket_fn`` once on the result.
+
+An optional ``prep`` rewrites each input block inside the split task
+(or the single merge task): the pair stage salts hot keys there.
 
 ``bucket_fn`` processes all the bucket's groups vectorized (pandas /
 NumPy groupby), so Python overhead scales with the bucket count, not
@@ -35,6 +38,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.similarity import stable_hash_strings
+from . import remote_fn
 
 
 def effective_buckets(requested: int) -> int:
@@ -96,13 +100,17 @@ def _as_arrow(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
-def _split_block(block, key_cols: list[str], nb: int):
+def _split_block(block, key_cols: list[str], nb: int, prep=None,
+                 prep_arg=None):
     """Split side: one Arrow take per input block, one shard per bucket
     (no pandas round-trip on the exchange path).  A 0-row block may
-    carry no columns at all, so it contributes no shards."""
+    carry no columns at all, so it contributes no shards.  ``prep``,
+    when given, rewrites the block first: ``prep(block, prep_arg)``."""
     block = _as_arrow(block)
     if block.num_rows == 0:
         return (None,) * nb
+    if prep is not None:
+        block = prep(block, prep_arg)
     h = np.zeros(block.num_rows, dtype=np.uint64)
     for c in key_cols:
         col = block.column(c)
@@ -123,15 +131,18 @@ def _split_block(block, key_cols: list[str], nb: int):
                  .combine_chunks() for j in range(nb))
 
 
-def _merge_bucket(bucket_fn, arrow_fn, *shards):
+def _merge_bucket(bucket_fn, arrow_fn, prep, prep_arg, *shards):
     """Merge side: concat one bucket's shards and run ``bucket_fn``;
     returns ``(table, num_rows)`` so the driver can drop empty outputs
     without fetching them.  With one bucket the shards are the input
-    blocks themselves, in any block format."""
+    blocks themselves, in any block format, and ``prep`` rewrites each
+    non-empty one as the split would have."""
     tbls = [t for t in (_as_arrow(s) for s in shards if s is not None)
             if t.num_rows]
     if not tbls:
         return pa.table({}), 0
+    if prep is not None:
+        tbls = [prep(t, prep_arg) for t in tbls]
     # permissive: shards of one column may differ in physical type
     # across input blocks (timestamp[us] vs timestamp[ns], null vs typed)
     big = pa.concat_tables(tbls, promote_options="permissive")
@@ -144,6 +155,49 @@ def _merge_bucket(bucket_fn, arrow_fn, *shards):
         out = out.astype({c: "string" for c in out.columns
                           if out[c].dtype == object})
     return pa.Table.from_pandas(out, preserve_index=False), len(out)
+
+
+def exchange(refs, key_cols: list[str], bucket_fn, num_buckets: int,
+             arrow_fn: bool = False, prep=None, prep_arg=None) -> list:
+    """The exchange over block refs: launches the split and merge
+    tasks and returns, without waiting, one ``(table ref, row-count
+    ref)`` per bucket, empty buckets included.
+
+    ``prep(block, prep_arg)`` rewrites each non-empty input block inside
+    the split task (or inside the single merge task, when there is one
+    bucket), so a per-row expansion such as hot-key salting costs no
+    pass of its own.  ``prep_arg`` travels as a top-level task
+    argument: an object ref there is resolved by Ray before the task
+    starts, so no task blocks on it."""
+    nb = effective_buckets(num_buckets)
+    merge = remote_fn(_merge_bucket, num_returns=2)
+    if nb == 1:
+        # one bucket holds every key: the merge reads the blocks as is
+        return [tuple(merge.remote(bucket_fn, arrow_fn, prep, prep_arg,
+                                   *refs))]
+    split = remote_fn(_split_block, num_returns=nb)
+    shard_refs = [split.remote(r, key_cols, nb, prep, prep_arg)
+                  for r in refs]
+    return [tuple(merge.remote(bucket_fn, arrow_fn, None, None,
+                               *[shards[j] for shards in shard_refs]))
+            for j in range(nb)]
+
+
+def nonempty_dataset(outs, empty: pa.Table | None = None):
+    """A Dataset of the ``(table ref, row-count ref)`` outputs that hold
+    rows.  When none does, ``empty`` (a typed 0-row table) is its one
+    block, so downstream column access still resolves; without it the
+    empty outputs are kept as they are."""
+    import ray
+    import ray.data as rd
+
+    outs = list(outs)
+    counts = ray.get([n for _, n in outs])
+    keep = [t for (t, _), n in zip(outs, counts) if n]
+    if not keep:
+        keep = ([t for t, _ in outs] if empty is None
+                else [ray.put(empty)])
+    return rd.from_arrow_refs(keep)
 
 
 def bucketed_map_groups(ds, key_cols: list[str],
@@ -164,32 +218,15 @@ def bucketed_map_groups(ds, key_cols: list[str],
     with the OUTPUT schema) supplies one typed 0-row block so
     downstream column access still resolves; without it the empty
     outputs are returned as they are, so only callers whose result is
-    provably non-empty should skip it.
+    provably non-empty should skip it.  A thin wrapper over
+    :func:`exchange`.
     """
-    import ray
-    import ray.data as rd
-
-    nb = effective_buckets(num_buckets)
-    refs = ds.materialize().to_arrow_refs()
-    merge = ray.remote(_merge_bucket).options(num_returns=2)
-    if nb == 1:
-        # one bucket holds every key: the merge reads the blocks as is
-        outs = [merge.remote(bucket_fn, arrow_fn, *refs)]
-    else:
-        split = ray.remote(_split_block).options(num_returns=nb)
-        shard_refs = [split.remote(r, key_cols, nb) for r in refs]
-        outs = [merge.remote(bucket_fn, arrow_fn,
-                             *[shards[j] for shards in shard_refs])
-                for j in range(nb)]
-    counts = ray.get([n for _, n in outs])
-    keep = [t for (t, _), n in zip(outs, counts) if n]
-    if not keep:
-        if empty_like is None:
-            keep = [t for t, _ in outs]
-        else:
-            anchor = empty_like.iloc[0:0].astype(
-                {c: "string" for c in empty_like.columns
-                 if empty_like[c].dtype == object})
-            keep = [ray.put(pa.Table.from_pandas(anchor,
-                                                 preserve_index=False))]
-    return rd.from_arrow_refs(keep)
+    empty = None
+    if empty_like is not None:
+        anchor = empty_like.iloc[0:0].astype(
+            {c: "string" for c in empty_like.columns
+             if empty_like[c].dtype == object})
+        empty = pa.Table.from_pandas(anchor, preserve_index=False)
+    return nonempty_dataset(
+        exchange(ds.materialize().to_arrow_refs(), key_cols, bucket_fn,
+                 num_buckets, arrow_fn), empty)

@@ -606,9 +606,9 @@ def test_flagship_crash_after_pairs_resumes_to_identical_assignments(
         ray_session, corpus, tmp_path, monkeypatch):
     """Round-5 (verdict task 6): KILL the flagship right after the
     pairs checkpoint commits (injected failure at the start of the
-    scoring stage), then resume with a fresh run_reconcile on the same
+    edge stage, where the score tasks launch), then resume with a fresh run_reconcile on the same
     root: extracted/features/pairs must come back from their Parquet
-    checkpoints (resumed=True), score+CC+assignments recompute, and
+    checkpoints (resumed=True), edges+CC+assignments recompute, and
     the final assignments equal an uncheckpointed reference run —
     end-to-end kill-resume beyond the CC-round test in
     test_cluster.py (north-rule resumability evidence)."""
@@ -625,28 +625,28 @@ def test_flagship_crash_after_pairs_resumes_to_identical_assignments(
              for r in ref["assignments"].take_all()}
 
     root = str(tmp_path / "ckpt")
-    real = rmod.hydrate_score_pairs
+    real = rmod.score_edges
 
     def boom(*a, **k):
         raise RuntimeError("injected crash after pairs checkpoint")
 
-    monkeypatch.setattr(rmod, "hydrate_score_pairs", boom)
+    monkeypatch.setattr(rmod, "score_edges", boom)
     with pytest.raises(RuntimeError, match="injected crash"):
         run_reconcile(rd.from_arrow(corpus), checkpoint_root=root,
                       input_fingerprint="corpus-v2")
-    monkeypatch.setattr(rmod, "hydrate_score_pairs", real)
+    monkeypatch.setattr(rmod, "score_edges", real)
 
-    # the kill landed after pairs committed, before scored existed
+    # the kill landed after pairs committed, before edges existed
     for st in ("extracted", "features", "pairs"):
         assert os.path.exists(os.path.join(root, st, "manifest.json")), st
-    assert not os.path.exists(os.path.join(root, "scored"))
+    assert not os.path.exists(os.path.join(root, "edges"))
 
     out = run_reconcile(rd.from_arrow(corpus), checkpoint_root=root,
                         input_fingerprint="corpus-v2")
     by_name = {s["stage"]: s for s in out["metrics"]["stages"]}
     for st in ("extracted", "features", "pairs"):
         assert by_name[st].get("resumed") is True, st
-    assert not by_name["scored"].get("resumed")
+    assert not by_name["edges"].get("resumed")
     assert not by_name["assignments"].get("resumed")
     a2 = {r["url"]: r["cluster_id"]
           for r in out["assignments"].take_all()}
@@ -714,3 +714,124 @@ def test_damaged_html_pages_mixed_into_the_gate_corpus(ray_session, corpus):
     f1_mixed = _pairwise_f1([r for r in rows if r["url"] in gate],
                             true_pairs(corpus))
     assert f1_mixed == f1_alone
+
+
+def test_one_ray_data_execution_per_run(ray_session, corpus, monkeypatch):
+    """An uncheckpointed run launches one Ray Data execution, the fused
+    extract -> signature -> repartition map; everything after the
+    features runs as bare tasks, and fetching the assignments launches
+    none."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    out = run_reconcile(rd.from_arrow(corpus))
+    assert len(calls) == 1
+    out["assignments"].materialize().to_arrow_refs()
+    assert len(calls) == 1
+
+
+def _layered_run(features, cfg, narrow):
+    """Pairs and assignments of the layer-by-layer composition that
+    ``run_incremental`` and ``perfbench/layers.py`` call, each layer a
+    Dataset function."""
+    from reconcile_curation_in_cris_systems_ray.stages.blocking import (
+        emit_band_keys,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.cluster import (
+        assign_clusters, connected_components,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.pairs import (
+        generate_candidate_pairs,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+        build_feature_lookup, hydrate_score_pairs, match_edges,
+    )
+
+    bands = emit_band_keys(features, cfg.blocking, include_bands=not narrow)
+    pairs = generate_candidate_pairs(
+        bands, cfg.blocking, cfg.scoring,
+        n_rows_hint=features.count() * cfg.blocking.num_bands,
+        dedup_pairs=narrow, num_blocks_hint=features.num_blocks())
+    scored = hydrate_score_pairs(pairs, features, cfg.scoring,
+                                 est_prefilter=cfg.scoring.est_prefilter,
+                                 prebuilt=build_feature_lookup(features))
+    star = connected_components(
+        scored.map_batches(match_edges, batch_format="pyarrow"), cfg.cluster)
+    return pairs, assign_clusters(features, star,
+                                  num_buckets=cfg.cluster.num_buckets)
+
+
+@pytest.mark.parametrize("case", ["default", "salting", "narrow",
+                                  "cc_rounds", "join"])
+def test_core_equals_layer_composition(ray_session, corpus, monkeypatch,
+                                       case):
+    """The task-graph core's pairs and assignments equal the layer-by-
+    layer composition's, with salting forced (``hot_key_cap=2``), narrow
+    band rows forced (``NARROW_THRESHOLD=0``), the contraction rounds
+    forced (``driver_finish_edges=0``) and the ``Dataset.join`` scoring
+    and groupby assignment forced (``lookup.BROADCAST_ROWS=0``, read by
+    the core per run; the layers keep their bound broadcast default)."""
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.config import ClusterConfig
+    from reconcile_curation_in_cris_systems_ray.pipelines import (
+        reconcile as rmod,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages import (
+        lookup, pairs as pmod, scoring,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.blocking import (
+        emit_band_keys,
+    )
+
+    cfg = {
+        "salting": ReconcileConfig(blocking=BlockingConfig(hot_key_cap=2)),
+        "cc_rounds": ReconcileConfig(
+            cluster=ClusterConfig(driver_finish_edges=0)),
+    }.get(case, ReconcileConfig())
+    if case == "narrow":
+        monkeypatch.setattr(rmod, "NARROW_THRESHOLD", 0)
+    joins = []
+    if case == "join":
+        monkeypatch.setattr(lookup, "BROADCAST_ROWS", 0)
+        real = scoring.hydrate_pairs
+
+        def counted(*args, **kwargs):
+            joins.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "hydrate_pairs", counted)
+    out = rmod.run_reconcile(rd.from_arrow(corpus), cfg)
+    assert bool(joins) == (case == "join")
+    monkeypatch.undo()
+
+    features = out["features"]
+    pairs, assignments = _layered_run(features, cfg, case == "narrow")
+    got = [(r["uh_a"], r["uh_b"]) for r in out["pairs"].take_all()]
+    want = {(r["uh_a"], r["uh_b"]) for r in pairs.take_all()}
+    assert len(got) == len(set(got)) == len(want) > 0
+    assert set(got) == want
+    assert out["metrics"]["candidate_pairs"] == len(want)
+    got = {r["url"]: r["cluster_id"] for r in out["assignments"].take_all()}
+    want = {r["url"]: r["cluster_id"] for r in assignments.take_all()}
+    assert len(got) == corpus.num_rows
+    assert got == want
+
+    # each case reaches the path it forces
+    cc = next(s for s in out["metrics"]["stages"]
+              if s["stage"] == "score+components")
+    assert (cc["rounds"] > 0) == (case == "cc_rounds")
+    if case == "salting":
+        hot = pmod.find_hot_keys(emit_band_keys(features, cfg.blocking),
+                                 cfg.blocking)
+        assert any(c <= pmod.MAX_SIDE for c in hot.values())

@@ -387,3 +387,42 @@ def test_charset_jaccard_duckdb_parity_fuzz():
     ma, mb = charset_masks(df["a"]), charset_masks(df["b"])
     got = popcount_rows(ma & mb) / np.maximum(popcount_rows(ma | mb), 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=0)
+
+
+def test_small_group_jaccard_bit_identical(monkeypatch):
+    """A batch made mostly of side-a sets with 1-3 partners (a crawl of
+    small duplicate families), plus a few larger groups: the indexed
+    kernel equals jaccard_from_sets bit for bit whichever kernel counts
+    each group (the merge kernel for all, for none, or split at the
+    default), across gather slices far smaller than one pair."""
+    import pyarrow as pa
+
+    from reconcile_curation_in_cris_systems_ray.functions import similarity
+
+    rng = np.random.default_rng(77)
+    sets_a, sets_b = _grouped_jaccard_cases(rng, np.uint32)
+    pool = sets_a[:40] + sets_b
+    vals, lens = similarity.packed_u64_column(
+        pa.array([x.tobytes() for x in pool], pa.binary()), np.uint32)
+    ia, ib = [], []
+    for a in range(len(pool)):
+        k = int(rng.choice([1, 2, 3, 9], p=[0.3, 0.3, 0.35, 0.05]))
+        ia.extend([a] * k)
+        ib.extend(rng.integers(0, len(pool), k))
+    ia, ib = np.array(ia), np.array(ib)
+    ib[:25] = ia[:25]                       # a set with itself
+    want = np.array([jaccard_from_sets(pool[i], pool[j])
+                     for i, j in zip(ia, ib)])
+    assert (want > 0).sum() > len(want) // 4 and want.max() == 1.0
+    partners = np.bincount(ia)[ia]
+    assert (partners <= 3).mean() > 0.7
+    perm = rng.permutation(ia.size)
+    for small_group in (similarity._SMALL_GROUP, 0, 10**9):
+        monkeypatch.setattr(similarity, "_SMALL_GROUP", small_group)
+        for tokens in (similarity._GATHER_TOKENS, 1000):
+            monkeypatch.setattr(similarity, "_GATHER_TOKENS", tokens)
+            got = similarity.jaccard_pairs_by_index(vals, lens, ia[perm],
+                                                    ib[perm])
+            assert got.tobytes() == want[perm].tobytes(), (small_group,
+                                                           tokens)
+        monkeypatch.undo()

@@ -465,6 +465,47 @@ def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
                             block(["u/clash"]))
 
 
+def test_dangling_pair_hash_raises(ray_session):
+    """A candidate pair whose side-b url hash is not in the feature
+    lookup raises ``ValueError`` naming the hash, in process and from
+    a score task, instead of being dropped."""
+    import ray
+
+    from reconcile_curation_in_cris_systems_ray.config import ScoringConfig
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        stable_hash_strings,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.lookup import (
+        broadcast_lookup, build_sorted_lookup,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.scoring import (
+        _LOOKUP_COLS, score_edges, score_pairs_block,
+    )
+
+    urls = ["https://a.example/1", "https://a.example/2"]
+    feats = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "shingles": pa.array([np.arange(5, dtype=np.uint32).tobytes()] * 2,
+                             pa.binary()),
+        "sig": pa.array([b"\0\0\0\0"] * 2, pa.binary()),
+    })
+    uh = stable_hash_strings(np.array(urls, dtype=object))
+    unknown = int(uh.max()) + 1
+    pairs = pa.table({"uh_a": pa.array([uh.min(), uh.min()], pa.uint64()),
+                      "uh_b": pa.array([uh.max(), unknown], pa.uint64())})
+    h, tbl, _ = build_sorted_lookup("url", _LOOKUP_COLS, feats)
+    match = f"{unknown:#x}.*uh_b"
+    with pytest.raises(ValueError, match=match):
+        score_pairs_block(pairs, h, tbl, ScoringConfig())
+    # the known pair alone scores
+    ok = score_pairs_block(pairs.slice(0, 1), h, tbl, ScoringConfig())
+    assert ok.column("jaccard").to_pylist() == [1.0]
+    lookup = broadcast_lookup([ray.put(feats)], "url", _LOOKUP_COLS)
+    (edges, _), = score_edges([ray.put(pairs)], lookup, ScoringConfig())
+    with pytest.raises(ValueError, match=match):
+        ray.get(edges)
+
+
 def test_lang_id_stage_vectorized(ray_session):
     """LangIdStage predictions on known samples + parity with the
     scalar definition (stopword-ratio argmax, CJK override)."""
