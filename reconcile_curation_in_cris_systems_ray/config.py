@@ -22,7 +22,8 @@ class BlockingConfig:
     # may be lower than count/cap.  This only affects load balance
     # (the emitted pair set is identical either way, and the
     # degenerate-clique guard still bounds any residual group); the
-    # distributed groupby plan above DRIVER_MERGE_MAX_ROWS is exact.
+    # Dataset path's distributed groupby plan above
+    # DRIVER_MERGE_MAX_ROWS is exact.
     hot_key_cap: int = 64         # block sizes above this get salted
     max_salts: int = 16
     num_buckets: int = 256        # co-location buckets for pair generation

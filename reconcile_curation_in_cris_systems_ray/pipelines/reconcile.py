@@ -60,7 +60,7 @@ from ..stages.cluster import (
 from ..stages.extract import HtmlTextExtractor
 from ..stages.pairs import feature_pairs
 from ..stages.scoring import (
-    build_feature_lookup, hydrate_score_pairs, match_edges, score_edges,
+    build_feature_lookup, hydrate_score_pairs, match_edges, score_blocks,
 )
 from ..stages.shuffle import effective_buckets, nonempty_dataset
 
@@ -179,13 +179,14 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     fp_pr = fingerprint(fp_ft, "pairs")
     pair_refs, pair_counts = _ref_stage(
         ckpt, "pairs", fp_pr, lambda: _unzip(feature_pairs(
-            feature_refs, cfg.blocking, narrow, band_rows_hint)))
+            feature_refs, cfg.blocking, narrow)))
 
     fp_ed = fingerprint(fp_pr, "edges")
     t_cc = time.time()
     edge_refs, edge_counts = _ref_stage(
         ckpt, "edges", fp_ed,
-        lambda: _match_edges(pair_refs, features, feature_lookup, cfg))
+        lambda: _match_edges(pair_refs, pair_counts, features,
+                             feature_lookup, cfg))
     # the union-find finish below needs the edge count: the one wait
     # between the pair stage and the assignments
     n_edges = sum(ray.get(edge_counts))
@@ -218,9 +219,7 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         ckpt, "assignments", fp_as,
         lambda: (_assign(feature_refs, star_refs, features,
                          feature_lookup is not None, cfg), []))
-    pairs = nonempty_dataset(zip(pair_refs, pair_counts),
-                             pa.table({"uh_a": pa.array([], pa.uint64()),
-                                       "uh_b": pa.array([], pa.uint64())}))
+    pairs = _pairs_dataset(pair_refs, pair_counts)
     n_pairs = pairs.count()
     assignments = rd.from_arrow_refs(asg_refs)
 
@@ -266,15 +265,24 @@ def _ref_stage(ckpt: CheckpointManager, name: str, fp: str, build):
             [ray.put(meta.num_rows) for _, meta in blocks])
 
 
-def _match_edges(pair_refs, features, feature_lookup,
+def _pairs_dataset(pair_refs, pair_counts):
+    """The pair blocks that hold rows, as a Dataset (one typed 0-row
+    block when none does)."""
+    return nonempty_dataset(zip(pair_refs, pair_counts),
+                            pa.table({"uh_a": pa.array([], pa.uint64()),
+                                      "uh_b": pa.array([], pa.uint64())}))
+
+
+def _match_edges(pair_refs, pair_counts, features, feature_lookup,
                  cfg: ReconcileConfig) -> tuple[list, list]:
     """Match edges of the candidate pairs: one score task per pair
     block against the broadcast feature lookup, or, without a lookup,
-    the ``Dataset.join`` hydration."""
+    the ``Dataset.join`` hydration of the non-empty pair blocks."""
     if feature_lookup is not None:
-        return _unzip(score_edges(pair_refs, feature_lookup, cfg.scoring))
+        return _unzip(score_blocks(pair_refs, feature_lookup, cfg.scoring,
+                                   cfg.scoring.est_prefilter, edges=True))
     edges = hydrate_score_pairs(
-        rd.from_arrow_refs(pair_refs), features, cfg.scoring,
+        _pairs_dataset(pair_refs, pair_counts), features, cfg.scoring,
         est_prefilter=cfg.scoring.est_prefilter,
         broadcast_threshold=lookup.BROADCAST_ROWS).map_batches(
             match_edges, batch_format="pyarrow").materialize()

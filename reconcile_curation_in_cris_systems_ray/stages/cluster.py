@@ -34,7 +34,7 @@ from ..config import ClusterConfig
 from ..functions.similarity import stable_hash_strings
 from . import remote_fn
 from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
-from .shuffle import bucketed_map_groups
+from .shuffle import as_arrow, bucketed_map_groups
 
 logger = logging.getLogger(__name__)
 
@@ -301,11 +301,8 @@ def label_urls(batch: pa.Table, h: np.ndarray,
     return pa.table({"url": urls, "cluster_id": cluster})
 
 
-def _label_by_refs(batch: pa.Table, lookup) -> pa.Table:
-    import ray
-
-    h_ref, t_ref, _ = lookup
-    return label_urls(batch, ray.get(h_ref), ray.get(t_ref))
+def _label_task(block, h: np.ndarray, star: pa.Table) -> pa.Table:
+    return label_urls(as_arrow(block), h, star)
 
 
 def union_find_star(edge_refs) -> list:
@@ -321,7 +318,7 @@ def assign_blocks(url_refs, star_refs) -> list:
     the lookup refs passed as top-level arguments so no task blocks on
     them.  Returns the output block refs, not waited for."""
     h_ref, t_ref, _ = broadcast_lookup(star_refs, "u", ["v"])
-    task = remote_fn(label_urls)
+    task = remote_fn(_label_task)
     return [task.remote(b, h_ref, t_ref) for b in url_refs]
 
 
@@ -331,22 +328,22 @@ def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256,
 
     Star edges already map each non-root node to its component min, so
     when that map is small it is built once as a broadcast lookup keyed
-    by node url (:func:`.lookup.broadcast_lookup`) and applied in a
-    shuffle-free ``map_batches`` over the url stream.  Past
+    by node url and applied by one task per url block
+    (:func:`assign_blocks`), with no shuffle.  Past
     ``broadcast_threshold`` edges it falls back to
     ``groupby(url).min(label)`` over the union of self-labels and star
     labels; deterministic (min) rather than order-dependent FIRST
     (reference A2 divergence, documented in SURVEY §2.5).  Both paths
     produce identical assignments (pinned by tests).
     """
+    import ray.data as rd
     from ray.data.aggregate import Min
 
     star_edges_ds = star_edges_ds.materialize()
     if star_edges_ds.count() <= broadcast_threshold:
-        lookup = broadcast_lookup(star_edges_ds.to_arrow_refs(), "u", ["v"])
-        return urls_ds.select_columns(["url"]).map_batches(
-            _label_by_refs, fn_kwargs={"lookup": lookup},
-            batch_format="pyarrow")
+        return rd.from_arrow_refs(assign_blocks(
+            urls_ds.select_columns(["url"]).materialize().to_arrow_refs(),
+            star_edges_ds.to_arrow_refs()))
 
     def self_label(batch: pa.Table) -> pa.Table:
         return pa.table({"url": batch.column("url"),

@@ -9,7 +9,8 @@ control, per the north rule:
   (locally-unique keys dropped before the driver merge), returned by
   the flagship's explode tasks next to their band rows
   (:func:`feature_pairs`) or computed by a narrow pre-pass
-  (:func:`find_hot_keys`); keys whose group exceeds ``hot_key_cap``
+  (:func:`find_hot_keys`, which switches to a distributed count above
+  ``DRIVER_MERGE_MAX_ROWS``); keys whose group exceeds ``hot_key_cap``
   reach the exchange's split tasks as one top-level task argument.
 - **salting**: members of a hot key with at most ``MAX_SIDE`` members
   (a larger key reaches the guard below unsplit) get
@@ -306,27 +307,19 @@ def _explode_block(block: pa.Table, cfg: BlockingConfig,
 
 
 def feature_pairs(feature_refs, blocking: BlockingConfig,
-                  dedup_pairs: bool, n_rows_hint: int) -> list:
+                  dedup_pairs: bool) -> list:
     """Candidate pairs of the features blocks ``feature_refs``, as bare
     tasks: one explode task per block returns the block's band rows and
     partial key counts (:func:`band_key_counts`), the driver merges the
     counts (:func:`merge_hot_counts`) and :func:`pair_exchange` pairs
-    the band rows.  Above ``DRIVER_MERGE_MAX_ROWS`` band rows the hot
-    keys come from :func:`find_hot_keys`' distributed count instead.
-    Returns one ``(pair table ref, row-count ref)`` per bucket."""
-    import ray.data as rd
-
+    the band rows.  Returns one ``(pair table ref, row-count ref)`` per
+    bucket."""
     explode = remote_fn(_explode_block, num_returns=2)
     outs = [explode.remote(f, blocking, not dedup_pairs)
             for f in feature_refs]
-    band_refs = [r for r, _ in outs]
-    if n_rows_hint <= DRIVER_MERGE_MAX_ROWS:
-        hot = merge_hot_counts(ray.get([c for _, c in outs]),
-                               blocking.hot_key_cap)
-    else:
-        hot = find_hot_keys(rd.from_arrow_refs(band_refs), blocking,
-                            n_rows_hint)
-    return pair_exchange(band_refs, hot, blocking, dedup_pairs)
+    hot = merge_hot_counts(ray.get([c for _, c in outs]),
+                           blocking.hot_key_cap)
+    return pair_exchange([r for r, _ in outs], hot, blocking, dedup_pairs)
 
 
 def pair_exchange(band_refs, hot: dict[int, int], blocking: BlockingConfig,

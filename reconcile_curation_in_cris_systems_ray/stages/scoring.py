@@ -21,8 +21,6 @@ instead, and scored with ``jaccard_pairs_from_binary``.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -33,6 +31,7 @@ from ..functions.similarity import (
 )
 from . import remote_fn
 from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
+from .shuffle import as_arrow, drop_empty_blocks, nonempty_dataset
 
 
 _LOOKUP_COLS = ["url", "shingles", "sig"]
@@ -66,6 +65,7 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
     deadlocks a small cluster.
     """
     import ray
+    import ray.data as rd
 
     from ..functions.similarity import stable_hash_strings
 
@@ -78,13 +78,26 @@ def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
             t.column("url").to_pandas().to_numpy(dtype=object))
         return t.append_column("uh", pa.array(uh, pa.uint64()))
 
-    feats = features_ds.materialize().select_columns(_LOOKUP_COLS).map_batches(
-        add_uh, batch_format="pyarrow")
-    a = pairs_ds.join(feats, join_type="inner",
-                      num_partitions=num_partitions,
-                      on=("uh_a",), right_on=("uh",))
-    a = a.rename_columns({"shingles": "shingles_a", "sig": "sig_a",
-                          "url": "url_a"})
+    # a join side's 0-row blocks (and an all-empty left side) fail the
+    # join's key resolution: empty blocks are dropped first, and no
+    # pairs on the left hydrate to no rows without a join
+    empty = rd.from_arrow(pa.table({
+        "url_a": pa.array([], pa.string()),
+        "url_b": pa.array([], pa.string()),
+        "shingles_a": pa.array([], pa.binary()),
+        "shingles_b": pa.array([], pa.binary()),
+        "est_jaccard": pa.array([], pa.float64())}))
+    feats = drop_empty_blocks(features_ds.materialize().select_columns(
+        _LOOKUP_COLS).map_batches(add_uh, batch_format="pyarrow"))
+    a = drop_empty_blocks(pairs_ds)
+    if not a.count():
+        return empty
+    a = a.join(feats, join_type="inner", num_partitions=num_partitions,
+               on=("uh_a",), right_on=("uh",))
+    a = drop_empty_blocks(a.rename_columns(
+        {"shingles": "shingles_a", "sig": "sig_a", "url": "url_a"}))
+    if not a.count():
+        return empty
     b = a.join(feats, join_type="inner", num_partitions=num_partitions,
                on=("uh_b",), right_on=("uh",))
     b = b.rename_columns({"shingles": "shingles_b", "sig": "sig_b",
@@ -181,51 +194,46 @@ def score_pairs_block(batch: pa.Table, h: np.ndarray, tbl: pa.Table,
                    jac, scoring or ScoringConfig())
 
 
-def _fused_hydrate_score(batch: pa.Table, lookup=None, scoring=None,
-                         est_prefilter=None) -> pa.Table:
-    """:func:`score_pairs_block` over the lookup's object refs."""
-    import ray
-
-    h_ref, t_ref, _ = lookup
-    return score_pairs_block(batch, ray.get(h_ref), ray.get(t_ref),
-                             scoring, est_prefilter)
-
-
 def match_edges(scored: pa.Table) -> pa.Table:
     """The match edges ``(u, v)`` of a scored table."""
     m = scored.filter(scored.column("is_match"))
     return pa.table({"u": m.column("url_a"), "v": m.column("url_b")})
 
 
-def _score_edges_task(pairs, h, tbl, scoring: ScoringConfig):
-    edges = match_edges(score_pairs_block(pairs, h, tbl, scoring,
-                                          scoring.est_prefilter))
-    return edges, edges.num_rows
+def _score_task(pairs, h, tbl, scoring, est_prefilter, edges: bool):
+    out = score_pairs_block(as_arrow(pairs), h, tbl, scoring, est_prefilter)
+    if edges:
+        out = match_edges(out)
+    return out, out.num_rows
 
 
-def score_edges(pair_refs, lookup, scoring: ScoringConfig) -> list:
+def score_blocks(pair_refs, lookup, scoring=None,
+                 est_prefilter: float | None = None,
+                 edges: bool = False) -> list:
     """Score each candidate-pair block against the feature lookup
     ``(keys ref, table ref, size ref)`` as one bare task, without
-    waiting; returns one ``(edges ref, edge-count ref)`` per block.
-    The lookup refs are top-level task arguments, so Ray resolves them
-    before a task starts and none blocks on them."""
+    waiting; returns one ``(table ref, row-count ref)`` per block: the
+    scored rows, or with ``edges`` only the match edges.  The lookup
+    refs are top-level task arguments, so Ray resolves them before a
+    task starts and none blocks on them."""
     h_ref, t_ref, _ = lookup
-    task = remote_fn(_score_edges_task, num_returns=2)
-    return [tuple(task.remote(p, h_ref, t_ref, scoring))
+    task = remote_fn(_score_task, num_returns=2)
+    return [tuple(task.remote(p, h_ref, t_ref, scoring, est_prefilter,
+                              edges))
             for p in pair_refs]
 
 
 def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
                         est_prefilter: float | None = None, prebuilt=None,
                         broadcast_threshold: int = BROADCAST_ROWS):
-    """Hydrate candidate pairs and score them in ONE fused map_batches.
+    """Hydrate candidate pairs and score them.
 
-    Broadcast path: resolves both pair sides against the shared
-    feature lookup (``prebuilt``, or built here) and emits the scored
-    schema directly (:func:`_fused_hydrate_score`).  When the feature table
-    exceeds the broadcast threshold, falls back to the distributed
-    ``hydrate_pairs`` joins followed by a ``PairScorer`` task stage
-    (the scorer fuses onto the join output).
+    Broadcast path: one :func:`score_blocks` task per pair block
+    resolves both pair sides against the shared feature lookup
+    (``prebuilt``, or built here) and emits the scored schema directly.
+    When the feature table exceeds the broadcast threshold, falls back
+    to the distributed ``hydrate_pairs`` joins followed by a
+    ``PairScorer`` task stage (the scorer fuses onto the join output).
     """
     lookup = prebuilt
     if lookup is None:
@@ -235,9 +243,9 @@ def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
                             est_prefilter=est_prefilter)
         return hyd.map_batches(PairScorer(scoring or ScoringConfig()),
                                batch_format="pyarrow")
-    fn = partial(_fused_hydrate_score, lookup=lookup, scoring=scoring,
-                 est_prefilter=est_prefilter)
-    return pairs_ds.map_batches(fn, batch_format="pyarrow")
+    return nonempty_dataset(
+        score_blocks(pairs_ds.materialize().to_arrow_refs(), lookup,
+                     scoring, est_prefilter), _empty_scored())
 
 
 class PairScorer:

@@ -90,7 +90,7 @@ def drop_empty_blocks(ds):
     return rd.from_arrow_refs(keep).materialize()
 
 
-def _as_arrow(block) -> pa.Table:
+def as_arrow(block) -> pa.Table:
     """An input block as Arrow: ``to_arrow_refs`` hands pandas-format
     blocks over unconverted."""
     if isinstance(block, pa.Table):
@@ -106,7 +106,7 @@ def _split_block(block, key_cols: list[str], nb: int, prep=None,
     (no pandas round-trip on the exchange path).  A 0-row block may
     carry no columns at all, so it contributes no shards.  ``prep``,
     when given, rewrites the block first: ``prep(block, prep_arg)``."""
-    block = _as_arrow(block)
+    block = as_arrow(block)
     if block.num_rows == 0:
         return (None,) * nb
     if prep is not None:
@@ -137,7 +137,7 @@ def _merge_bucket(bucket_fn, arrow_fn, prep, prep_arg, *shards):
     without fetching them.  With one bucket the shards are the input
     blocks themselves, in any block format, and ``prep`` rewrites each
     non-empty one as the split would have."""
-    tbls = [t for t in (_as_arrow(s) for s in shards if s is not None)
+    tbls = [t for t in (as_arrow(s) for s in shards if s is not None)
             if t.num_rows]
     if not tbls:
         return pa.table({}), 0

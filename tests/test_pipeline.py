@@ -625,16 +625,16 @@ def test_flagship_crash_after_pairs_resumes_to_identical_assignments(
              for r in ref["assignments"].take_all()}
 
     root = str(tmp_path / "ckpt")
-    real = rmod.score_edges
+    real = rmod.score_blocks
 
     def boom(*a, **k):
         raise RuntimeError("injected crash after pairs checkpoint")
 
-    monkeypatch.setattr(rmod, "score_edges", boom)
+    monkeypatch.setattr(rmod, "score_blocks", boom)
     with pytest.raises(RuntimeError, match="injected crash"):
         run_reconcile(rd.from_arrow(corpus), checkpoint_root=root,
                       input_fingerprint="corpus-v2")
-    monkeypatch.setattr(rmod, "score_edges", real)
+    monkeypatch.setattr(rmod, "score_blocks", real)
 
     # the kill landed after pairs committed, before edges existed
     for st in ("extracted", "features", "pairs"):
@@ -677,6 +677,50 @@ def test_identical_pages_above_max_side_take_the_clique_guard(ray_session):
     assert len(rows) == n
     assert {r["cluster_id"] for r in rows} == {
         min(pages.column("url").to_pylist())}
+
+
+@pytest.mark.parametrize("twins", [True, False])
+@pytest.mark.parametrize("mode", ["streamed", "checkpoint", "join"])
+def test_exchange_buckets_left_empty(ray_session, tmp_path, monkeypatch,
+                                     mode, twins):
+    """Three pages with one band have at most three band keys, so at
+    least one of the pair exchange's four buckets receives no rows.  Their outputs must not break the
+    checkpointed ``pairs`` stage or the ``Dataset.join`` scoring
+    (``lookup.BROADCAST_ROWS=0``), with pairs (``twins``: one cluster
+    named by the minimum url) or with none (three singletons)."""
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.stages import lookup
+    from reconcile_curation_in_cris_systems_ray.stages.shuffle import (
+        effective_buckets,
+    )
+
+    cfg = ReconcileConfig(blocking=BlockingConfig(num_bands=1))
+    assert effective_buckets(cfg.blocking.num_buckets) > 3
+    urls = [f"https://same.example/p/{i}" for i in (2, 0, 1)]
+    htmls = []
+    for k in range(3):
+        words = " ".join(f"word{(i * (1 if twins else k + 2)) % 97} "
+                         f"token{i % 89}" for i in range(120))
+        htmls.append(
+            f"<html><body><main><p>{words}</p></main></body></html>".encode())
+    pages = _pages(urls, htmls)
+    kwargs = {}
+    if mode == "checkpoint":
+        kwargs = {"checkpoint_root": str(tmp_path / "ckpt"),
+                  "input_fingerprint": "three-pages"}
+    if mode == "join":
+        monkeypatch.setattr(lookup, "BROADCAST_ROWS", 0)
+    want = {u: min(urls) if twins else u for u in urls}
+    for _ in range(2 if mode == "checkpoint" else 1):
+        out = run_reconcile(rd.from_arrow(pages), cfg, **kwargs)
+        assert out["metrics"]["candidate_pairs"] == (3 if twins else 0)
+        got = {r["url"]: r["cluster_id"]
+               for r in out["assignments"].take_all()}
+        assert got == want
+    if mode == "checkpoint":
+        by_name = {s["stage"]: s for s in out["metrics"]["stages"]}
+        assert by_name["pairs"].get("resumed") is True
 
 
 def test_damaged_html_pages_mixed_into_the_gate_corpus(ray_session, corpus):

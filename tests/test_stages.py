@@ -470,6 +470,7 @@ def test_dangling_pair_hash_raises(ray_session):
     lookup raises ``ValueError`` naming the hash, in process and from
     a score task, instead of being dropped."""
     import ray
+    import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.config import ScoringConfig
     from reconcile_curation_in_cris_systems_ray.functions.similarity import (
@@ -479,7 +480,7 @@ def test_dangling_pair_hash_raises(ray_session):
         broadcast_lookup, build_sorted_lookup,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        _LOOKUP_COLS, score_edges, score_pairs_block,
+        _LOOKUP_COLS, hydrate_score_pairs, score_blocks, score_pairs_block,
     )
 
     urls = ["https://a.example/1", "https://a.example/2"]
@@ -501,9 +502,13 @@ def test_dangling_pair_hash_raises(ray_session):
     ok = score_pairs_block(pairs.slice(0, 1), h, tbl, ScoringConfig())
     assert ok.column("jaccard").to_pylist() == [1.0]
     lookup = broadcast_lookup([ray.put(feats)], "url", _LOOKUP_COLS)
-    (edges, _), = score_edges([ray.put(pairs)], lookup, ScoringConfig())
+    (edges, _), = score_blocks([ray.put(pairs)], lookup, ScoringConfig(),
+                               edges=True)
     with pytest.raises(ValueError, match=match):
         ray.get(edges)
+    # the Dataset-level scorer runs the same tasks
+    with pytest.raises(ValueError, match=match):
+        hydrate_score_pairs(rd.from_arrow(pairs), rd.from_arrow(feats))
 
 
 def test_lang_id_stage_vectorized(ray_session):
