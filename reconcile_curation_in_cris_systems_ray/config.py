@@ -16,14 +16,12 @@ class BlockingConfig:
     rows_per_band: int = 4        # 64 perms; LSH threshold ~0.5 Jaccard
     minhash_seed: int = 2024
     # candidate-generation skew control.  hot_key_cap is APPROXIMATE
-    # under the small-input driver-merge plan: the hot-key scan drops
+    # under the driver merge of partial counts: the hot-key scan drops
     # per-batch-unique keys before merging, so counts for keys spread
     # thinly across batches are underestimates and their salt factor
     # may be lower than count/cap.  This only affects load balance
     # (the emitted pair set is identical either way, and the
-    # degenerate-clique guard still bounds any residual group); the
-    # Dataset path's distributed groupby plan above
-    # DRIVER_MERGE_MAX_ROWS is exact.
+    # degenerate-clique guard still bounds any residual group).
     hot_key_cap: int = 64         # block sizes above this get salted
     max_salts: int = 16
     num_buckets: int = 256        # co-location buckets for pair generation

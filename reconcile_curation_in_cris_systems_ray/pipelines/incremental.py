@@ -119,9 +119,8 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
         .map_batches(touched_only, batch_format="pyarrow")
     touched = base_touched.union(delta_bands)
 
-    pairs = generate_candidate_pairs(
-        touched, cfg.blocking, cfg.scoring,
-        n_rows_hint=touched_hint, dedup_pairs=narrow)
+    pairs = generate_candidate_pairs(touched, cfg.blocking, cfg.scoring,
+                                     dedup_pairs=narrow)
 
     # --- keep only pairs with >= 1 NEW endpoint --------------------------
     new_ref, _, n_new_ref = broadcast_lookup(delta_feat.to_arrow_refs(),
@@ -143,7 +142,7 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
         .materialize()
     metrics["delta_edges"] = edges.count()
     # new_ref's build ran alongside the edges' execution
-    check_unique_urls(n_delta, n_new_ref, delta_feat, "the delta")
+    check_unique_urls(n_delta, [n_new_ref], delta_feat, "the delta")
 
     # --- contract old endpoints to their cluster ids ----------------------
     def _relabel(h_ref, t_ref, urls: np.ndarray) -> np.ndarray:

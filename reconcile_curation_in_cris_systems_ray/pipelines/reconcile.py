@@ -16,23 +16,26 @@ Composition (each stage checkpointable via
                         split (or single merge) tasks and pairs each
                         bucket; narrow band rows add a pair-key dedup
                         exchange
-      -> edges          one score task per pair block: exact Jaccard by
-                        index into the broadcast feature lookup, match
-                        edges and their count out
+      -> edges          one score task per pair block (per shard pair
+                        when the feature lookup has several shards):
+                        exact Jaccard by index into the feature lookup,
+                        match edges and their count out
       -> cc_star        one union-find task over the edge blocks (above
                         ``driver_finish_edges``: the contraction rounds
                         of ``connected_components``)
       -> assignments    a star-lookup build, then one task per features
-                        block: (url, cluster_id = min url of component)
+                        block (per block and shard when sharded):
+                        (url, cluster_id = min url of component)
 
 Lookups pass into tasks as top-level arguments, so Ray orders the
 dependency and no task blocks on a ``ray.get``.  Only the pairs and
 the assignments are wrapped as Datasets (``rd.from_arrow_refs``), at
 the end.  With a checkpoint root each stage boundary writes its blocks
 through the manager and continues from the read-back blocks; without
-one the refs pass straight through.  Above ``lookup.BROADCAST_ROWS``
-feature rows, scoring and assignment take the Dataset plans instead
-(``hydrate_pairs`` joins, ``assign_clusters``' groupby).
+one the refs pass straight through.  The feature and star lookups
+are split into ``lookup.lookup_shards`` of the features' bytes (one
+shard up to ``lookup.LOOKUP_BYTES``): the same plan at every size, and
+the run's lineage and metrics report the shard count.
 
 Reference lifecycle analogue: §3.3 of SURVEY.md (prescan -> linkage ->
 discovery -> combine), re-expressed Ray-Data-first.
@@ -52,16 +55,14 @@ import ray.data as rd
 
 from ..config import ReconcileConfig
 from ..state.manifest import CheckpointManager, fingerprint
-from ..stages import lookup, worker_cached
+from ..stages import worker_cached
 from ..stages.blocking import SignatureStage
 from ..stages.cluster import (
-    assign_blocks, assign_clusters, connected_components, union_find_star,
+    assign_blocks, connected_components, union_find_star,
 )
 from ..stages.extract import HtmlTextExtractor
 from ..stages.pairs import feature_pairs
-from ..stages.scoring import (
-    build_feature_lookup, hydrate_score_pairs, match_edges, score_blocks,
-)
+from ..stages.scoring import build_feature_lookup, score_blocks
 from ..stages.shuffle import effective_buckets, nonempty_dataset
 
 # band-row width crossover: below this, band rows carry the full band
@@ -93,14 +94,15 @@ def _library_versions() -> dict[str, str]:
             "duckdb": importlib.metadata.version("duckdb")}
 
 
-def check_unique_urls(n_rows: int, n_urls_ref, ds, where: str) -> None:
+def check_unique_urls(n_rows: int, n_urls_refs, ds, where: str) -> None:
     """Raise ``ValueError`` naming a url that ``ds`` lists twice, when the
-    url lookup built over its ``n_rows`` rows (size ref ``n_urls_ref``)
-    holds fewer urls.  The lookup keeps a repeated url's first row, so
-    the url's other pages would be scored as that one and the url
-    assigned twice.  The size ref resolves once the build has run, and
-    the scan for the url's name runs only on failure."""
-    if ray.get(n_urls_ref) == n_rows:
+    url lookup built over its ``n_rows`` rows (the size refs
+    ``n_urls_refs`` of its shards) holds fewer urls.  The lookup keeps a
+    repeated url's first row (a url's copies hash to one shard), so the
+    url's other pages would be scored as that one and the url assigned
+    twice.  The size refs resolve once the builds have run, and the
+    scan for the url's name runs only on failure."""
+    if sum(ray.get(list(n_urls_refs))) == n_rows:
         return
     urls = pa.chunked_array([b.column("url")
                              for b in ray.get(ds.to_arrow_refs())
@@ -120,10 +122,9 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     with ``input_fingerprint``: stages resume by fingerprint, so a
     shared default would resume one input's stages for another.
 
-    Raises ``ValueError`` naming a url that the corpus lists twice.  The
-    check compares the broadcast feature lookup's url count with the
-    feature row count, so it does not run above
-    ``lookup.BROADCAST_ROWS`` feature rows, where no lookup is built.
+    Raises ``ValueError`` naming a url that the corpus lists twice: the
+    check compares the feature lookup's url count with the feature row
+    count.
     """
     if checkpoint_root is not None and input_fingerprint is None:
         raise ValueError(
@@ -170,11 +171,12 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     # less than shipping a 128B band vector through the big shuffle)
     band_rows_hint = n_features * cfg.blocking.num_bands
     narrow = band_rows_hint >= NARROW_THRESHOLD
-    # the broadcast lookups serve up to lookup.BROADCAST_ROWS feature
-    # rows (read per run); past it scoring and assignment take the
-    # Dataset.join / groupby plans.  The lookup build is launched first
-    # so it overlaps the pair stage
-    feature_lookup = build_feature_lookup(features, lookup.BROADCAST_ROWS)
+    # the lookup build is launched first so it overlaps the pair stage.
+    # Its shard count (from the features' bytes) also serves the star
+    # lookup: the star has at most one row per feature row, and smaller
+    # rows
+    feature_lookup = build_feature_lookup(features)
+    n_shards = len(feature_lookup)
 
     fp_pr = fingerprint(fp_ft, "pairs")
     pair_refs, pair_counts = _ref_stage(
@@ -185,8 +187,8 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     t_cc = time.time()
     edge_refs, edge_counts = _ref_stage(
         ckpt, "edges", fp_ed,
-        lambda: _match_edges(pair_refs, pair_counts, features,
-                             feature_lookup, cfg))
+        lambda: _unzip(score_blocks(pair_refs, feature_lookup, cfg.scoring,
+                                    cfg.scoring.est_prefilter, edges=True)))
     # the union-find finish below needs the edge count: the one wait
     # between the pair stage and the assignments
     n_edges = sum(ray.get(edge_counts))
@@ -203,22 +205,20 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
             metrics_out=cc_metrics,
             ckpt=ckpt if checkpoint_root else None,
             fp_base=fp_cc).to_arrow_refs()
-    # the scorer has read the lookup by now, so its size is ready
-    if feature_lookup is not None:
-        check_unique_urls(n_features, feature_lookup[2], features,
-                          "the corpus")
+    # the scorer has read the lookup by now, so its sizes are ready
+    check_unique_urls(n_features, [n for _, _, n in feature_lookup],
+                      features, "the corpus")
 
     ckpt.lineage.append({
         "stage": "score+components", "fingerprint": fp_cc, "rows": None,
         "wall_sec": round(time.time() - t_cc, 3), "resumed": False,
-        **cc_metrics,
+        "lookup_shards": n_shards, **cc_metrics,
     })
 
     fp_as = fingerprint(fp_cc, "assignments")
     asg_refs, _ = _ref_stage(
         ckpt, "assignments", fp_as,
-        lambda: (_assign(feature_refs, star_refs, features,
-                         feature_lookup is not None, cfg), []))
+        lambda: (assign_blocks(feature_refs, star_refs, n_shards), []))
     pairs = _pairs_dataset(pair_refs, pair_counts)
     n_pairs = pairs.count()
     assignments = rd.from_arrow_refs(asg_refs)
@@ -231,6 +231,7 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         # every candidate pair is scored; est_prefilter only skips the
         # exact Jaccard of some
         "scored_pairs": n_pairs,
+        "lookup_shards": n_shards,
     }
     return {"extracted": extracted, "features": features, "pairs": pairs,
             "assignments": assignments, "metrics": metrics}
@@ -271,33 +272,3 @@ def _pairs_dataset(pair_refs, pair_counts):
     return nonempty_dataset(zip(pair_refs, pair_counts),
                             pa.table({"uh_a": pa.array([], pa.uint64()),
                                       "uh_b": pa.array([], pa.uint64())}))
-
-
-def _match_edges(pair_refs, pair_counts, features, feature_lookup,
-                 cfg: ReconcileConfig) -> tuple[list, list]:
-    """Match edges of the candidate pairs: one score task per pair
-    block against the broadcast feature lookup, or, without a lookup,
-    the ``Dataset.join`` hydration of the non-empty pair blocks."""
-    if feature_lookup is not None:
-        return _unzip(score_blocks(pair_refs, feature_lookup, cfg.scoring,
-                                   cfg.scoring.est_prefilter, edges=True))
-    edges = hydrate_score_pairs(
-        _pairs_dataset(pair_refs, pair_counts), features, cfg.scoring,
-        est_prefilter=cfg.scoring.est_prefilter,
-        broadcast_threshold=lookup.BROADCAST_ROWS).map_batches(
-            match_edges, batch_format="pyarrow").materialize()
-    return edges.to_arrow_refs(), [ray.put(edges.count())]
-
-
-def _assign(feature_refs, star_refs, features, broadcast: bool,
-            cfg: ReconcileConfig) -> list:
-    """Assignment blocks: one task per features block against the star
-    lookup, or, past the broadcast size, ``assign_clusters``' groupby."""
-    if broadcast:
-        # the star has at most one row per feature row, so it fits too
-        return assign_blocks(feature_refs, star_refs)
-    return assign_clusters(
-        features, rd.from_arrow_refs(star_refs),
-        num_buckets=cfg.cluster.num_buckets,
-        broadcast_threshold=lookup.BROADCAST_ROWS).materialize() \
-        .to_arrow_refs()

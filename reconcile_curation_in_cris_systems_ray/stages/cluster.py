@@ -33,7 +33,9 @@ import pyarrow.compute as pc
 from ..config import ClusterConfig
 from ..functions.similarity import stable_hash_strings
 from . import remote_fn
-from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
+from .lookup import (
+    lookup_shards, probe, sharded_lookup, split_by_shard,
+)
 from .shuffle import as_arrow, bucketed_map_groups
 
 logger = logging.getLogger(__name__)
@@ -302,6 +304,8 @@ def label_urls(batch: pa.Table, h: np.ndarray,
 
 
 def _label_task(block, h: np.ndarray, star: pa.Table) -> pa.Table:
+    if block is None:  # a split's part of an empty block
+        block = pa.table({"url": pa.array([], pa.string())})
     return label_urls(as_arrow(block), h, star)
 
 
@@ -312,54 +316,40 @@ def union_find_star(edge_refs) -> list:
     return [remote_fn(_uf_star_task).remote(*edge_refs)]
 
 
-def assign_blocks(url_refs, star_refs) -> list:
+def assign_blocks(url_refs, star_refs, n_shards: int) -> list:
     """``(url, cluster_id)`` of every url in the blocks ``url_refs``:
-    a star lookup build, then one :func:`label_urls` task per block,
-    the lookup refs passed as top-level arguments so no task blocks on
-    them.  Returns the output block refs, not waited for."""
-    h_ref, t_ref, _ = broadcast_lookup(star_refs, "u", ["v"])
+    the star lookup in ``n_shards`` shards
+    (:func:`.lookup.sharded_lookup`), then one :func:`label_urls` task
+    per url block, or, with more shards, per part of a url block split
+    by shard, labelled against its shard.  The lookup refs are
+    top-level task arguments, so no task blocks on them.  Returns the
+    output block refs, not waited for."""
+    shards = sharded_lookup(star_refs, "u", ["v"], n_shards)
     task = remote_fn(_label_task)
-    return [task.remote(b, h_ref, t_ref) for b in url_refs]
+    if n_shards == 1:
+        h_ref, t_ref, _ = shards[0]
+        return [task.remote(b, h_ref, t_ref) for b in url_refs]
+    return [task.remote(p[s], *shards[s][:2])
+            for p in split_by_shard(url_refs, "url", n_shards)
+            for s in range(n_shards)]
 
 
-def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256,
-                    broadcast_threshold: int = BROADCAST_ROWS):
+def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256):
     """All urls + star edges -> (url, cluster_id) with singleton=self.
 
     Star edges already map each non-root node to its component min, so
-    when that map is small it is built once as a broadcast lookup keyed
-    by node url and applied by one task per url block
-    (:func:`assign_blocks`), with no shuffle.  Past
-    ``broadcast_threshold`` edges it falls back to
-    ``groupby(url).min(label)`` over the union of self-labels and star
-    labels; deterministic (min) rather than order-dependent FIRST
-    (reference A2 divergence, documented in SURVEY §2.5).  Both paths
-    produce identical assignments (pinned by tests).
+    they are built once as a lookup keyed by node url, in
+    ``lookup_shards`` of the star's bytes, and applied by
+    :func:`assign_blocks`, with no shuffle.  ``num_buckets`` is accepted
+    for callers that still pass it and is unused: the shard count
+    follows the star's size.
     """
     import ray.data as rd
-    from ray.data.aggregate import Min
 
-    star_edges_ds = star_edges_ds.materialize()
-    if star_edges_ds.count() <= broadcast_threshold:
-        return rd.from_arrow_refs(assign_blocks(
-            urls_ds.select_columns(["url"]).materialize().to_arrow_refs(),
-            star_edges_ds.to_arrow_refs()))
-
-    def self_label(batch: pa.Table) -> pa.Table:
-        return pa.table({"url": batch.column("url"),
-                         "label": batch.column("url")})
-
-    selfs = urls_ds.select_columns(["url"]).map_batches(
-        self_label, batch_format="pyarrow")
-
-    def edge_label(batch: pa.Table) -> pa.Table:
-        return pa.table({"url": batch.column("u"),
-                         "label": batch.column("v")})
-
-    labels = selfs.union(
-        star_edges_ds.map_batches(edge_label, batch_format="pyarrow"))
-    out = labels.groupby("url").aggregate(Min("label", alias_name="cluster_id"))
-    return out
+    star = star_edges_ds.materialize()
+    return rd.from_arrow_refs(assign_blocks(
+        urls_ds.select_columns(["url"]).materialize().to_arrow_refs(),
+        star.to_arrow_refs(), lookup_shards(star.size_bytes())))
 
 
 def union_find_oracle(edges: list[tuple[str, str]],

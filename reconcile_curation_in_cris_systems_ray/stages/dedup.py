@@ -30,8 +30,11 @@ from ..functions.similarity import (
 )
 from ..functions.textnorm import normalize_text_series
 from .blocking import feature_columns
-from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
-from .shuffle import bucketed_map_groups
+from .lookup import (
+    concat_pairs, lookup_shards, probe_pairs, sharded_lookup,
+    sharded_pair_tasks,
+)
+from .shuffle import bucketed_map_groups, nonempty_dataset
 
 
 def exact_dedup(ds, text_col: str, id_col: str, num_buckets: int = 64):
@@ -83,12 +86,8 @@ def near_dup_pairs(ds, id_col: str, text_col: str,
     features = _doc_features(ds, id_col, text_col, blocking,
                              normalize).materialize()
     bands = emit_band_keys(features, blocking, include_bands=False)
-    # row hint (free: features is materialized) lets the pair stage
-    # pick the materialize-once plan below the cap
-    pairs = generate_candidate_pairs(
-        bands, blocking, scoring,
-        n_rows_hint=features.count() * blocking.num_bands,
-        dedup_pairs=True)
+    pairs = generate_candidate_pairs(bands, blocking, scoring,
+                                     dedup_pairs=True)
 
     scored = hydrate_score_pairs(pairs, features, scoring,
                                  est_prefilter=scoring.est_prefilter)
@@ -264,10 +263,40 @@ def embedding_dup_pairs(ds, id_col: str, vec_col: str,
                                empty_like=_empty)
 
 
+_NGRAM_EMPTY = pa.table({"id_a": pa.array([], pa.int64()),
+                         "id_b": pa.array([], pa.int64()),
+                         "jac": pa.array([], pa.float64())})
+
+
+def _ngram_verify(h, tbl, h_b, tbl_b, threshold, *parts):
+    """Task body: the pairs of ``parts`` whose token-set Jaccard
+    reaches ``threshold``, side a probed in the ``(id, toks)`` lookup
+    shard ``(h, tbl)`` and side b in ``(h_b, tbl_b)`` (None: the same
+    shard); returns ``(table, num_rows)``."""
+    batch = concat_pairs(parts)
+    if not batch.num_rows:
+        return _NGRAM_EMPTY, 0
+    if h_b is None:
+        h_b, tbl_b = h, tbl
+    ia, ib = probe_pairs(batch, h, h_b, "id")
+    ia, ib = pa.array(ia), pa.array(ib)
+    toks_a, toks_b = tbl.column("toks").take(ia), tbl_b.column("toks").take(ib)
+    jac = jaccard_pairs_from_binary(toks_a, toks_b)
+    keep = jac >= threshold
+    a = tbl.column("id").take(ia).to_numpy(zero_copy_only=False)[keep]
+    b = tbl_b.column("id").take(ib).to_numpy(zero_copy_only=False)[keep]
+    swap = a > b
+    out = pa.table({
+        "id_a": pa.array(np.where(swap, b, a)),
+        "id_b": pa.array(np.where(swap, a, b)),
+        "jac": pa.array(np.round(jac[keep], 6), pa.float64()),
+    })
+    return out, out.num_rows
+
+
 def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
                         n: int = 1, threshold: float = 0.5,
-                        num_buckets: int = 64, rows_hint: int | None = None,
-                        broadcast_threshold: int = BROADCAST_ROWS):
+                        num_buckets: int = 64):
     """Token n-gram Jaccard near-dup pairs within an exact blocking key.
 
     Routed through the SALTED candidate-pair generator
@@ -277,21 +306,19 @@ def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
     ``MAX_SIDE`` fall back to star+chain pairing (bounded, documented
     recall cap).
 
-    Verification hydrates the (id, token-set) features adaptively —
-    up to ``broadcast_threshold`` docs from a broadcast lookup keyed by
-    the id's string hash (:func:`.lookup.broadcast_lookup`), above it
-    via two hash-partitioned ``Dataset.join``s (the same crossover the
-    flagship's ``scoring.hydrate_score_pairs`` makes) — and computes
-    exact Jaccard with the vectorized packed-pair kernel.  Both
-    strategies produce identical pairs (pinned by tests).
+    Verification hydrates the (id, token-set) features from the lookup
+    keyed by the id's string hash, sharded by byte budget
+    (:func:`.lookup.sharded_lookup`), in bare tasks that take the shard
+    refs as arguments (:func:`.lookup.sharded_pair_tasks`, the plan of
+    the flagship's scorer), and computes exact Jaccard with the
+    vectorized packed-pair kernel.  A pair naming an id hash that the
+    lookup lacks raises ``ValueError``.
 
     Returns (id_a, id_b, jac) for within-block pairs with token
     n-gram-set Jaccard >= ``threshold``; pair order = ascending id.
     Reference analogue: equi-key candidate join
     ``query_db/repository.py:297-314`` + fuzzy post-filter.
     """
-    import ray
-
     from ..functions.similarity import _rolling_combine
     from .pairs import generate_candidate_pairs
 
@@ -320,69 +347,13 @@ def ngram_jaccard_pairs(ds, id_col: str, text_col: str, block_col: str,
 
     prepped = ds.select_columns([id_col, text_col, block_col]).map_batches(
         feats, batch_format="pyarrow").materialize()
+    shards = sharded_lookup(prepped.to_arrow_refs(), "key", ["id", "toks"],
+                            lookup_shards(prepped.size_bytes()))
 
     blocking = BlockingConfig(num_buckets=num_buckets)
-    bands = prepped.select_columns(["band_hash", "uh"])
     pairs = generate_candidate_pairs(
-        bands, blocking,
-        n_rows_hint=rows_hint if rows_hint is not None else prepped.count(),
+        prepped.select_columns(["band_hash", "uh"]), blocking,
         dedup_pairs=False)
-
-    def _finish(ids_a: np.ndarray, ids_b: np.ndarray,
-                toks_a, toks_b) -> pa.Table:
-        jac = jaccard_pairs_from_binary(toks_a, toks_b)
-        keep = jac >= threshold
-        a, b, j = ids_a[keep], ids_b[keep], jac[keep]
-        swap = a > b
-        return pa.table({
-            "id_a": pa.array(np.where(swap, b, a)),
-            "id_b": pa.array(np.where(swap, a, b)),
-            "jac": pa.array(np.round(j, 6), pa.float64()),
-        })
-
-    _EMPTY = pa.table({"id_a": pa.array([], pa.int64()),
-                       "id_b": pa.array([], pa.int64()),
-                       "jac": pa.array([], pa.float64())})
-
-    if prepped.count() <= broadcast_threshold:
-        h_ref, t_ref, _ = broadcast_lookup(prepped.to_arrow_refs(), "key",
-                                           ["id", "toks"])
-
-        def verify(batch: pa.Table) -> pa.Table:
-            if not batch.num_rows:
-                return _EMPTY
-            h = ray.get(h_ref)
-            ia, found_a = probe(h, batch.column("uh_a"))
-            ib, found_b = probe(h, batch.column("uh_b"))
-            ok = found_a & found_b
-            ia, ib = pa.array(ia[ok]), pa.array(ib[ok])
-            look = ray.get(t_ref)
-            ids = look.column("id")
-            return _finish(ids.take(ia).to_numpy(zero_copy_only=False),
-                           ids.take(ib).to_numpy(zero_copy_only=False),
-                           look.column("toks").take(ia),
-                           look.column("toks").take(ib))
-
-        return pairs.map_batches(verify, batch_format="pyarrow")
-
-    # distributed crossover: two hash-partitioned joins hydrate the
-    # (id, toks) features per side — no whole-table driver collect
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    nparts = max(2, cpus // 2)
-    feats = prepped.select_columns(["id", "uh", "toks"])
-    a = pairs.join(feats, join_type="inner", num_partitions=nparts,
-                   on=("uh_a",), right_on=("uh",))
-    a = a.rename_columns({"id": "id_a", "toks": "toks_a"})
-    b = a.join(feats, join_type="inner", num_partitions=nparts,
-               on=("uh_b",), right_on=("uh",))
-    b = b.rename_columns({"id": "id_b", "toks": "toks_b"})
-
-    def verify_joined(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _EMPTY
-        return _finish(
-            batch.column("id_a").to_numpy(zero_copy_only=False),
-            batch.column("id_b").to_numpy(zero_copy_only=False),
-            batch.column("toks_a"), batch.column("toks_b"))
-
-    return b.map_batches(verify_joined, batch_format="pyarrow")
+    return nonempty_dataset(
+        sharded_pair_tasks(_ngram_verify, pairs.materialize().to_arrow_refs(),
+                           shards, threshold), _NGRAM_EMPTY)

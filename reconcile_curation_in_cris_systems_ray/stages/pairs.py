@@ -9,8 +9,8 @@ control, per the north rule:
   (locally-unique keys dropped before the driver merge), returned by
   the flagship's explode tasks next to their band rows
   (:func:`feature_pairs`) or computed by a narrow pre-pass
-  (:func:`find_hot_keys`, which switches to a distributed count above
-  ``DRIVER_MERGE_MAX_ROWS``); keys whose group exceeds ``hot_key_cap``
+  (:func:`find_hot_keys`), and merged on the driver; keys whose group
+  exceeds ``hot_key_cap``
   reach the exchange's split tasks as one top-level task argument.
 - **salting**: members of a hot key with at most ``MAX_SIDE`` members
   (a larger key reaches the guard below unsplit) get
@@ -33,7 +33,7 @@ signature, and sufficient for shuffle-free global pair dedup: each
 pair is emitted only by the first band where the two vectors agree
 (min-band emission), so no pair-key exchange is needed.  The MinHash
 Jaccard estimate is attached later, during pair hydration, from the
-broadcast feature table.
+feature lookup.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ _PAIR_COLS = ["uh_a", "uh_b"]
 _NO_KEYS = np.empty(0, np.uint64)
 MAX_SIDE = 2000          # degenerate-clique guard
 CHAIN_WINDOW = 3
-
-
-DRIVER_MERGE_MAX_ROWS = 20_000_000
 
 
 def band_key_counts(batch: pa.Table) -> pa.Table:
@@ -90,45 +87,27 @@ def merge_hot_counts(parts, cap: int) -> dict[int, int]:
     return dict(zip(keys[hot].tolist(), totals[hot].tolist()))
 
 
-def find_hot_keys(band_ds, cfg: BlockingConfig,
-                  n_rows_hint: int | None = None) -> dict[int, int]:
+def find_hot_keys(band_ds, cfg: BlockingConfig) -> dict[int, int]:
     """Narrow count pre-pass; returns {band_hash: count}.
 
     Keys on ``band_hash`` ALONE: the band index is already mixed into
     the hash (``MinHasher.band_keys``), so one int64 identifies the
-    (band, content) group — halving the count rows' width and the
-    broadcast dict's size vs the former (band_id, band_hash) tuples.
+    (band, content) group.
 
-    Two physical plans for the same counts:
-
-    - small inputs (< ``DRIVER_MERGE_MAX_ROWS`` band rows): per-block
-      partial counts (:func:`band_key_counts`) merged on the driver
-      (:func:`merge_hot_counts`) — one narrow map, NO shuffle (the
-      combiner pattern).  Keys that never repeat within any single
-      block are dropped BEFORE the driver merge.  A key can only be
-      missed this way if its members are spread one-per-block,
-      bounding its size by the block count — far below any cap where
-      salting matters, and the degenerate-clique guard in the pair
-      stage bounds residual skew regardless.  Hot-key detection is a
-      load-balancing heuristic; the emitted pair set is identical
-      either way (pinned by tests).
-    - large inputs: distributed ``groupby().count()`` (all-to-all on
-      two int columns), since the distinct-key set itself may not fit
-      the driver at web scale.
+    Per-block partial counts (:func:`band_key_counts`) merged on the
+    driver (:func:`merge_hot_counts`): one narrow map, NO shuffle (the
+    combiner pattern).  Keys that never repeat within any single block
+    are dropped BEFORE the driver merge.  A key can only be missed
+    this way if its members are spread one-per-block, bounding its
+    size by the block count — far below any cap where salting
+    matters, and the degenerate-clique guard in the pair stage bounds
+    residual skew regardless.  Hot-key detection is a load-balancing
+    heuristic; the emitted pair set is identical either way (pinned by
+    tests).
     """
-    narrow = band_ds.select_columns(["band_hash"])
-    if n_rows_hint is None or n_rows_hint <= DRIVER_MERGE_MAX_ROWS:
-        parts = narrow.map_batches(band_key_counts, batch_format="pyarrow")
-        return merge_hot_counts(ray.get(parts.to_arrow_refs()),
-                                cfg.hot_key_cap)
-
-    counts = narrow.groupby("band_hash").count()
-
-    def only_hot(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["count()"] > cfg.hot_key_cap]
-
-    hot = counts.map_batches(only_hot, batch_format="pandas").take_all()
-    return {int(r["band_hash"]): int(r["count()"]) for r in hot}
+    parts = band_ds.select_columns(["band_hash"]).map_batches(
+        band_key_counts, batch_format="pyarrow")
+    return merge_hot_counts(ray.get(parts.to_arrow_refs()), cfg.hot_key_cap)
 
 
 def salt_band_rows(tbl: pa.Table, hot, cap: int,
@@ -274,28 +253,24 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
     ``bands`` column) emit a pair once per band key the two docs share,
     so with more than one band per doc they REQUIRE
     ``dedup_pairs=True``: the pair-key exchange (an extra all-to-all)
-    that keeps one row per pair.  ``num_blocks_hint`` is accepted for
-    caller compatibility and unused: the exchange reads the block
-    count of its materialized input.  The Dataset form of
-    :func:`pair_exchange`."""
-    if n_rows_hint is not None and n_rows_hint <= DRIVER_MERGE_MAX_ROWS:
-        # small inputs: materialize the band explode once so the
-        # hot-key scan and the pairing exchange don't each recompute
-        # it; above the cap the hot-key scan streams over its own
-        # recomputed explode rather than hold a second exploded copy
-        # next to the one the exchange materializes.
-        # At most one block per bucket: the hot-key scan then runs
-        # over a few fat blocks (vs one tiny task per upstream block —
-        # measured 2.9s -> 0.9s at 6.4M band rows) and the exchange
-        # splits a few fat blocks.
-        nb = effective_buckets(blocking.num_buckets)
-        band_ds = band_ds.materialize()
-        if band_ds.num_blocks() > nb:
-            band_ds = band_ds.repartition(nb).materialize()
-    hot = find_hot_keys(band_ds, blocking, n_rows_hint)
+    that keeps one row per pair.  ``n_rows_hint`` and
+    ``num_blocks_hint`` are accepted for callers that still pass them
+    and are unused: the band rows are materialized once, at most one
+    block per bucket, for both the hot-key scan and the exchange.  The
+    Dataset form of :func:`pair_exchange`."""
+    # one materialized explode serves the hot-key scan and the pairing
+    # exchange.  At most one block per bucket: the hot-key scan then
+    # runs over a few fat blocks (vs one tiny task per upstream block —
+    # measured 2.9s -> 0.9s at 6.4M band rows) and the exchange splits
+    # a few fat blocks.
+    nb = effective_buckets(blocking.num_buckets)
+    band_ds = band_ds.materialize()
+    if band_ds.num_blocks() > nb:
+        band_ds = band_ds.repartition(nb).materialize()
+    hot = find_hot_keys(band_ds, blocking)
     return nonempty_dataset(
-        pair_exchange(band_ds.materialize().to_arrow_refs(), hot, blocking,
-                      dedup_pairs), _pair_table(_NO_KEYS, _NO_KEYS))
+        pair_exchange(band_ds.to_arrow_refs(), hot, blocking, dedup_pairs),
+        _pair_table(_NO_KEYS, _NO_KEYS))
 
 
 def _explode_block(block: pa.Table, cfg: BlockingConfig,

@@ -10,13 +10,14 @@ other score is computed.
 
 Feature hydration: candidate pairs carry only url hashes, so the wide
 band-explode shuffle never carries text.  Each scoring task resolves
-both pair sides to row indices of one broadcast feature table sorted by
-url hash, attaches the MinHash estimate, and computes exact Jaccard by
-index over the table's packed shingle buffer
-(``jaccard_pairs_by_index``): no pair copies its shingle sets.  Only
-above ``lookup.BROADCAST_ROWS`` feature rows are the features joined
-back per side with ``Dataset.join`` (hash-partitioned equi-join)
-instead, and scored with ``jaccard_pairs_from_binary``.
+both pair sides to row indices of the feature lookup sorted by url hash
+(:func:`.lookup.sharded_lookup`: one shard up to ``LOOKUP_BYTES`` of
+features, one task per pair block; more shards above it, one task per
+shard pair), attaches the MinHash estimate, and computes exact Jaccard
+by index over the shard's packed shingle buffer
+(``jaccard_pairs_by_index``): a pair within one shard copies no
+shingle set, and a pair across two shards copies only its task's
+referenced sets.
 """
 
 from __future__ import annotations
@@ -26,155 +27,63 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import ScoringConfig
-from ..functions.similarity import (
-    jaccard_pairs_by_index, jaccard_pairs_from_binary, packed_u64_column,
+from ..functions.similarity import jaccard_pairs_by_index, packed_u64_column
+from .lookup import (
+    concat_pairs, lookup_shards, probe_pairs, sharded_lookup,
+    sharded_pair_tasks,
 )
-from . import remote_fn
-from .lookup import BROADCAST_ROWS, broadcast_lookup, probe
-from .shuffle import as_arrow, drop_empty_blocks, nonempty_dataset
+from .shuffle import nonempty_dataset
 
 
 _LOOKUP_COLS = ["url", "shingles", "sig"]
 
 
-def build_feature_lookup(features_ds,
-                         broadcast_threshold: int = BROADCAST_ROWS):
-    """Start building the broadcast feature lookup for pair scoring
-    (:func:`.lookup.broadcast_lookup` keyed by url hash, carrying
-    ``url, shingles, sig``); returns its object refs, or None when the
-    feature table is too large to broadcast.
+def build_feature_lookup(features_ds) -> list:
+    """Start building the feature lookup for pair scoring
+    (:func:`.lookup.sharded_lookup` keyed by url hash, carrying ``url,
+    shingles, sig``, in ``lookup_shards`` of the features' bytes);
+    returns its shards' object refs.
 
     NON-BLOCKING: the driver can launch it before the candidate-pair
     stage, so the build overlaps that stage's execution.
     """
     feats = features_ds.materialize()
-    if feats.count() > broadcast_threshold:
-        return None
-    return broadcast_lookup(feats.to_arrow_refs(), "url", _LOOKUP_COLS)
-
-
-def hydrate_pairs(pairs_ds, features_ds, num_partitions: int | None = None,
-                  est_prefilter: float | None = None):
-    """Join (uh_a, uh_b) candidate pairs with both sides' features by
-    two hash-partitioned ``Dataset.join``s: the scoring path for
-    feature tables above ``lookup.BROADCAST_ROWS``.  Emits ``url_a``,
-    ``url_b`` (``url_a < url_b``, the broadcast path's orientation),
-    ``shingles_a``, ``shingles_b`` and ``est_jaccard``.
-    ``num_partitions`` defaults to half the cluster CPUs: each join
-    partition is an aggregator actor, and oversubscribing CPUs
-    deadlocks a small cluster.
-    """
-    import ray
-    import ray.data as rd
-
-    from ..functions.similarity import stable_hash_strings
-
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(2, cpus // 2)
-
-    def add_uh(t: pa.Table) -> pa.Table:
-        uh = stable_hash_strings(
-            t.column("url").to_pandas().to_numpy(dtype=object))
-        return t.append_column("uh", pa.array(uh, pa.uint64()))
-
-    # a join side's 0-row blocks (and an all-empty left side) fail the
-    # join's key resolution: empty blocks are dropped first, and no
-    # pairs on the left hydrate to no rows without a join
-    empty = rd.from_arrow(pa.table({
-        "url_a": pa.array([], pa.string()),
-        "url_b": pa.array([], pa.string()),
-        "shingles_a": pa.array([], pa.binary()),
-        "shingles_b": pa.array([], pa.binary()),
-        "est_jaccard": pa.array([], pa.float64())}))
-    feats = drop_empty_blocks(features_ds.materialize().select_columns(
-        _LOOKUP_COLS).map_batches(add_uh, batch_format="pyarrow"))
-    a = drop_empty_blocks(pairs_ds)
-    if not a.count():
-        return empty
-    a = a.join(feats, join_type="inner", num_partitions=num_partitions,
-               on=("uh_a",), right_on=("uh",))
-    a = drop_empty_blocks(a.rename_columns(
-        {"shingles": "shingles_a", "sig": "sig_a", "url": "url_a"}))
-    if not a.count():
-        return empty
-    b = a.join(feats, join_type="inner", num_partitions=num_partitions,
-               on=("uh_b",), right_on=("uh",))
-    b = b.rename_columns({"shingles": "shingles_b", "sig": "sig_b",
-                          "url": "url_b"})
-
-    def add_est(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if n:
-            # re-canonicalize lexicographically by url: the pair stage
-            # ordered by uh hash value, and the broadcast path swaps to
-            # url_a < url_b — both join strategies must produce the
-            # identical pair orientation (determinism across the
-            # broadcast/distributed crossover)
-            swap = pc.greater(batch.column("url_a"), batch.column("url_b"))
-            if pc.any(swap).as_py():
-                cols = {}
-                for name in batch.schema.names:
-                    if name.endswith("_a"):
-                        other = name[:-2] + "_b"
-                        cols[name] = pc.if_else(swap, batch.column(other),
-                                                batch.column(name))
-                    elif name.endswith("_b"):
-                        other = name[:-2] + "_a"
-                        cols[name] = pc.if_else(swap, batch.column(other),
-                                                batch.column(name))
-                    else:
-                        cols[name] = batch.column(name)
-                batch = pa.table(cols)
-        if n == 0:
-            est = np.empty(0, dtype=np.float64)
-        else:
-            from .blocking import binary_matrix
-
-            sa = binary_matrix(batch.column("sig_a"))
-            sb = binary_matrix(batch.column("sig_b"))
-            est = (sa == sb).mean(axis=1)
-        drop = [c for c in ("sig_a", "sig_b", "uh_a", "uh_b")
-                if c in batch.schema.names]
-        out = batch.drop_columns(drop).append_column(
-            "est_jaccard", pa.array(est, pa.float64()))
-        if est_prefilter is not None and len(out):
-            out = out.filter(pc.greater_equal(
-                out.column("est_jaccard"), pa.scalar(est_prefilter)))
-        return out
-
-    return b.map_batches(add_est, batch_format="pyarrow")
+    return sharded_lookup(feats.to_arrow_refs(), "url", _LOOKUP_COLS,
+                          lookup_shards(feats.size_bytes()))
 
 
 def score_pairs_block(batch: pa.Table, h: np.ndarray, tbl: pa.Table,
-                      scoring=None, est_prefilter=None) -> pa.Table:
-    """Broadcast hydrate + score of one candidate-pair block against
-    the feature lookup ``(h, tbl)`` (sorted url hashes, row-aligned
-    ``url, shingles, sig`` table).
+                      scoring=None, est_prefilter=None,
+                      side_b=None) -> pa.Table:
+    """Hydrate + score one candidate-pair block against the feature
+    lookup ``(h, tbl)`` (sorted url hashes, row-aligned ``url, shingles,
+    sig`` table), or, with ``side_b = (h_b, tbl_b)``, side a against
+    ``(h, tbl)`` and side b against that second shard.
 
-    Resolves both url-hash sides to row indices ``ia``, ``ib``, orients
-    each pair ``url_a < url_b``, attaches the MinHash Jaccard estimate
-    and drops pairs under ``est_prefilter``; exact Jaccard then runs by
-    index over the lookup's packed shingle buffer, viewed in place.
-    Only the two url columns are gathered per pair.
+    Resolves both url-hash sides to row indices ``ia``, ``ib`` (two
+    shards: into one table of the pairs' rows of both, gathered once),
+    orients each pair ``url_a < url_b``, attaches the MinHash Jaccard
+    estimate and drops pairs under ``est_prefilter``; exact Jaccard then
+    runs by index over the table's packed shingle buffer, viewed in
+    place.  Only the two url columns are gathered per pair.
 
-    Raises ``ValueError`` naming a url hash that the lookup lacks: both
-    sides of every pair come from the features the lookup was built
-    over, so a dangling hash is a defect, not a pair to drop.
+    Raises ``ValueError`` naming a url hash that the lookup lacks
+    (:func:`.lookup.probe_pairs`).
     """
     from .blocking import binary_matrix
 
     if not batch.num_rows:
         return _empty_scored()
-    ia, found_a = probe(h, batch.column("uh_a"))
-    ib, found_b = probe(h, batch.column("uh_b"))
-    if not (found_a.all() and found_b.all()):
-        k = int(np.flatnonzero(~(found_a & found_b))[0])
-        side = "uh_a" if not found_a[k] else "uh_b"
-        raise ValueError(
-            f"candidate pair names url hash "
-            f"{batch.column(side)[k].as_py():#x} ({side}), which is not "
-            f"in the feature lookup")
+    h_b = h if side_b is None else side_b[0]
+    ia, ib = probe_pairs(batch, h, h_b, "url")
+    if side_b is not None:
+        # side a's distinct rows, then side b's, as one table
+        ra, ia = np.unique(ia, return_inverse=True)
+        rb, ib = np.unique(ib, return_inverse=True)
+        tbl = pa.concat_tables([tbl.take(pa.array(ra)),
+                                side_b[1].take(pa.array(rb))]
+                               ).combine_chunks()
+        ib = ib + ra.size
     urls = tbl.column("url")
     # re-canonicalize lexicographically (the pair stage ordered by
     # hash); Arrow compares UTF-8 bytes, which order as codepoints do
@@ -200,8 +109,11 @@ def match_edges(scored: pa.Table) -> pa.Table:
     return pa.table({"u": m.column("url_a"), "v": m.column("url_b")})
 
 
-def _score_task(pairs, h, tbl, scoring, est_prefilter, edges: bool):
-    out = score_pairs_block(as_arrow(pairs), h, tbl, scoring, est_prefilter)
+def _score_task(h, tbl, h_b, tbl_b, args, *parts):
+    scoring, est_prefilter, edges = args
+    out = score_pairs_block(
+        concat_pairs(parts), h, tbl, scoring, est_prefilter,
+        None if h_b is None else (h_b, tbl_b))
     if edges:
         out = match_edges(out)
     return out, out.num_rows
@@ -210,60 +122,26 @@ def _score_task(pairs, h, tbl, scoring, est_prefilter, edges: bool):
 def score_blocks(pair_refs, lookup, scoring=None,
                  est_prefilter: float | None = None,
                  edges: bool = False) -> list:
-    """Score each candidate-pair block against the feature lookup
-    ``(keys ref, table ref, size ref)`` as one bare task, without
-    waiting; returns one ``(table ref, row-count ref)`` per block: the
-    scored rows, or with ``edges`` only the match edges.  The lookup
-    refs are top-level task arguments, so Ray resolves them before a
-    task starts and none blocks on them."""
-    h_ref, t_ref, _ = lookup
-    task = remote_fn(_score_task, num_returns=2)
-    return [tuple(task.remote(p, h_ref, t_ref, scoring, est_prefilter,
-                              edges))
-            for p in pair_refs]
+    """Score the candidate-pair blocks ``pair_refs`` against the
+    feature lookup shards ``lookup`` (:func:`build_feature_lookup`) as
+    bare tasks (:func:`.lookup.sharded_pair_tasks`: one per pair block,
+    or one per shard pair), without waiting; returns one ``(table ref,
+    row-count ref)`` per task: the scored rows, or with ``edges`` only
+    the match edges."""
+    return sharded_pair_tasks(_score_task, pair_refs, lookup,
+                              (scoring, est_prefilter, edges))
 
 
 def hydrate_score_pairs(pairs_ds, features_ds, scoring=None,
-                        est_prefilter: float | None = None, prebuilt=None,
-                        broadcast_threshold: int = BROADCAST_ROWS):
-    """Hydrate candidate pairs and score them.
-
-    Broadcast path: one :func:`score_blocks` task per pair block
-    resolves both pair sides against the shared feature lookup
-    (``prebuilt``, or built here) and emits the scored schema directly.
-    When the feature table exceeds the broadcast threshold, falls back
-    to the distributed ``hydrate_pairs`` joins followed by a
-    ``PairScorer`` task stage (the scorer fuses onto the join output).
-    """
-    lookup = prebuilt
-    if lookup is None:
-        lookup = build_feature_lookup(features_ds, broadcast_threshold)
-    if lookup is None:
-        hyd = hydrate_pairs(pairs_ds, features_ds,
-                            est_prefilter=est_prefilter)
-        return hyd.map_batches(PairScorer(scoring or ScoringConfig()),
-                               batch_format="pyarrow")
+                        est_prefilter: float | None = None, prebuilt=None):
+    """Hydrate candidate pairs and score them: :func:`score_blocks`
+    over the pair blocks, against the feature lookup ``prebuilt`` (the
+    shards :func:`build_feature_lookup` returns), or built here."""
+    lookup = prebuilt if prebuilt is not None \
+        else build_feature_lookup(features_ds)
     return nonempty_dataset(
         score_blocks(pairs_ds.materialize().to_arrow_refs(), lookup,
                      scoring, est_prefilter), _empty_scored())
-
-
-class PairScorer:
-    """Batch callable over joined pairs (``url_a``, ``url_b``,
-    ``shingles_a``, ``shingles_b``, ``est_jaccard``): exact Jaccard and
-    the match flag, the scored schema of the broadcast path."""
-
-    def __init__(self, cfg: ScoringConfig = ScoringConfig()):
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _empty_scored()
-        jac = jaccard_pairs_from_binary(batch.column("shingles_a"),
-                                        batch.column("shingles_b"),
-                                        dtype=np.uint32)
-        return _scored(batch.column("url_a"), batch.column("url_b"),
-                       batch.column("est_jaccard"), jac, self.cfg)
 
 
 def _scored(url_a, url_b, est, jac: np.ndarray,

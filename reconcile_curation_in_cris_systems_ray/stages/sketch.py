@@ -880,9 +880,10 @@ def signature_agreement_pairs(sigs_ds, id_col: str = "doc_id",
     it must share a band.  Partitioning assumption:
     group sizes are bounded by how many docs share one (k, sample)
     value — a corpus-wide identical boilerplate token can make a hot
-    band, in which case the quadratic output IS the answer; above the
-    2M-row broadcast ceiling swap the verify lookup for the two-sided
-    hash-join hydration (``scoring.hydrate_pairs`` pattern).
+    band, in which case the quadratic output IS the answer.  The
+    lookup is one unsharded build: a signature table past
+    ``lookup.LOOKUP_BYTES`` would take the sharded plan of the pair
+    scorer (``lookup.sharded_pair_tasks``).
     """
     import pyarrow as pa
     import ray

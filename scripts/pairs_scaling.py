@@ -52,10 +52,13 @@ def child(ncpu: int) -> None:
         ReconcileConfig, tune_data_context,
     )
     from reconcile_curation_in_cris_systems_ray.pipelines.reconcile import (
-        generate_candidate_pairs,
+        NARROW_THRESHOLD,
     )
     from reconcile_curation_in_cris_systems_ray.stages.blocking import (
         emit_band_keys,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.pairs import (
+        generate_candidate_pairs,
     )
 
     tune_data_context()
@@ -63,7 +66,7 @@ def child(ncpu: int) -> None:
     features = rd.read_parquet(FEAT_DIR).materialize()
     n_feat = features.count()
     band_rows = n_feat * cfg.blocking.num_bands
-    narrow = band_rows >= 500_000
+    narrow = band_rows >= NARROW_THRESHOLD
     walls = []
     pairs = 0
     runs = int(os.environ.get("GRAFT_PAIRS_RUNS", "3"))
@@ -72,8 +75,7 @@ def child(ncpu: int) -> None:
         out = generate_candidate_pairs(
             emit_band_keys(features, cfg.blocking,
                            include_bands=not narrow),
-            cfg.blocking, cfg.scoring, n_rows_hint=band_rows,
-            dedup_pairs=narrow)
+            cfg.blocking, cfg.scoring, dedup_pairs=narrow)
         pairs = out.count()
         walls.append(round(time.time() - t0, 2))
         del out

@@ -38,6 +38,11 @@ def corpus(ray_session):
     return corpus_table(CORPUS_CFG)
 
 
+# a lookup byte budget that splits the gate corpus's ~158 KB of
+# features into at least four shards
+SHARDED_BYTES = 40_000
+
+
 def test_pipeline_f1_gate(ray_session, corpus):
     import ray.data as rd
 
@@ -106,6 +111,40 @@ def test_checkpoint_resume_equals_single_run(ray_session, corpus, tmp_path):
     assert a1 == a2
     resumed = [s for s in out2["metrics"]["stages"] if s.get("resumed")]
     assert len(resumed) >= 4
+
+
+def test_sharded_checkpointed_run_resumes(ray_session, corpus, tmp_path,
+                                          monkeypatch):
+    """With the lookups forced into several shards, a run's pairs and
+    assignments equal the one-shard run's, its lineage reports the
+    shard count, and a checkpointed run resumes every stage to the
+    same assignments."""
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.stages import lookup
+
+    one = run_reconcile(rd.from_arrow(corpus))
+    assert one["metrics"]["lookup_shards"] == 1
+    want = {r["url"]: r["cluster_id"] for r in one["assignments"].take_all()}
+    want_pairs = {(r["uh_a"], r["uh_b"]) for r in one["pairs"].take_all()}
+
+    monkeypatch.setattr(lookup, "LOOKUP_BYTES", SHARDED_BYTES)
+    root = str(tmp_path / "ckpt")
+    for resumed in (False, True):
+        out = run_reconcile(rd.from_arrow(corpus), checkpoint_root=root,
+                            input_fingerprint="corpus-sharded")
+        assert out["metrics"]["lookup_shards"] >= 4
+        cc = next(s for s in out["metrics"]["stages"]
+                  if s["stage"] == "score+components")
+        assert cc["lookup_shards"] == out["metrics"]["lookup_shards"]
+        by_name = {s["stage"]: s for s in out["metrics"]["stages"]}
+        for st in ("features", "pairs", "edges", "assignments"):
+            assert bool(by_name[st].get("resumed")) == resumed, st
+        got = {r["url"]: r["cluster_id"]
+               for r in out["assignments"].take_all()}
+        assert got == want
+        assert {(r["uh_a"], r["uh_b"])
+                for r in out["pairs"].take_all()} == want_pairs
 
 
 def test_checkpointed_run_requires_input_fingerprint(ray_session, corpus,
@@ -334,17 +373,25 @@ def _with_url(tbl, urls):
                           pa.array(urls, tbl.schema.field(i).type))
 
 
-def test_flagship_rejects_url_listed_twice(ray_session, corpus):
-    """A url given a second page must fail loudly, naming it: the
-    feature lookup keeps one row per url, so the second page would be
-    scored as the first and the url assigned twice."""
+def test_flagship_rejects_url_listed_twice(ray_session, corpus, monkeypatch):
+    """A url given a second page must fail loudly, naming it, on one
+    lookup shard and on several: the feature lookup keeps one row per
+    url, so the second page would be scored as the first and the url
+    assigned twice."""
     import re
 
     import pyarrow as pa
     import ray.data as rd
 
+    from reconcile_curation_in_cris_systems_ray.stages import lookup
+
     url = corpus.column("url")[0].as_py()
     twice = pa.concat_tables([corpus, _with_url(corpus.slice(1, 1), [url])])
+    with pytest.raises(ValueError, match=re.escape(url)):
+        run_reconcile(rd.from_arrow(twice))
+    # sharded: the url's two pages hash to one shard, whose size counts
+    # the url once
+    monkeypatch.setattr(lookup, "LOOKUP_BYTES", SHARDED_BYTES)
     with pytest.raises(ValueError, match=re.escape(url)):
         run_reconcile(rd.from_arrow(twice))
 
@@ -680,14 +727,15 @@ def test_identical_pages_above_max_side_take_the_clique_guard(ray_session):
 
 
 @pytest.mark.parametrize("twins", [True, False])
-@pytest.mark.parametrize("mode", ["streamed", "checkpoint", "join"])
+@pytest.mark.parametrize("mode", ["streamed", "checkpoint", "sharded"])
 def test_exchange_buckets_left_empty(ray_session, tmp_path, monkeypatch,
                                      mode, twins):
     """Three pages with one band have at most three band keys, so at
     least one of the pair exchange's four buckets receives no rows.  Their outputs must not break the
-    checkpointed ``pairs`` stage or the ``Dataset.join`` scoring
-    (``lookup.BROADCAST_ROWS=0``), with pairs (``twins``: one cluster
-    named by the minimum url) or with none (three singletons)."""
+    checkpointed ``pairs`` stage or the sharded lookups (a budget of a
+    quarter of the features' bytes: shard-pair groups and shards that
+    get no rows), with pairs (``twins``: one cluster named by the
+    minimum url) or with none (three singletons)."""
     import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.stages import lookup
@@ -709,12 +757,15 @@ def test_exchange_buckets_left_empty(ray_session, tmp_path, monkeypatch,
     if mode == "checkpoint":
         kwargs = {"checkpoint_root": str(tmp_path / "ckpt"),
                   "input_fingerprint": "three-pages"}
-    if mode == "join":
-        monkeypatch.setattr(lookup, "BROADCAST_ROWS", 0)
     want = {u: min(urls) if twins else u for u in urls}
-    for _ in range(2 if mode == "checkpoint" else 1):
+    for run in range(2 if mode != "streamed" else 1):
+        if mode == "sharded" and run:
+            monkeypatch.setattr(lookup, "LOOKUP_BYTES",
+                                -(-out["features"].size_bytes() // 4))
         out = run_reconcile(rd.from_arrow(pages), cfg, **kwargs)
         assert out["metrics"]["candidate_pairs"] == (3 if twins else 0)
+        assert (out["metrics"]["lookup_shards"] >= 4) == (
+            mode == "sharded" and run == 1)
         got = {r["url"]: r["cluster_id"]
                for r in out["assignments"].take_all()}
         assert got == want
@@ -802,10 +853,8 @@ def _layered_run(features, cfg, narrow):
     )
 
     bands = emit_band_keys(features, cfg.blocking, include_bands=not narrow)
-    pairs = generate_candidate_pairs(
-        bands, cfg.blocking, cfg.scoring,
-        n_rows_hint=features.count() * cfg.blocking.num_bands,
-        dedup_pairs=narrow, num_blocks_hint=features.num_blocks())
+    pairs = generate_candidate_pairs(bands, cfg.blocking, cfg.scoring,
+                                     dedup_pairs=narrow)
     scored = hydrate_score_pairs(pairs, features, cfg.scoring,
                                  est_prefilter=cfg.scoring.est_prefilter,
                                  prebuilt=build_feature_lookup(features))
@@ -816,15 +865,15 @@ def _layered_run(features, cfg, narrow):
 
 
 @pytest.mark.parametrize("case", ["default", "salting", "narrow",
-                                  "cc_rounds", "join"])
+                                  "cc_rounds", "sharded"])
 def test_core_equals_layer_composition(ray_session, corpus, monkeypatch,
                                        case):
     """The task-graph core's pairs and assignments equal the layer-by-
     layer composition's, with salting forced (``hot_key_cap=2``), narrow
     band rows forced (``NARROW_THRESHOLD=0``), the contraction rounds
-    forced (``driver_finish_edges=0``) and the ``Dataset.join`` scoring
-    and groupby assignment forced (``lookup.BROADCAST_ROWS=0``, read by
-    the core per run; the layers keep their bound broadcast default)."""
+    forced (``driver_finish_edges=0``) and the core's feature and star
+    lookups forced into several shards (``lookup.LOOKUP_BYTES``, read
+    per run; the layers then run on one shard)."""
     import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.config import ClusterConfig
@@ -832,7 +881,7 @@ def test_core_equals_layer_composition(ray_session, corpus, monkeypatch,
         reconcile as rmod,
     )
     from reconcile_curation_in_cris_systems_ray.stages import (
-        lookup, pairs as pmod, scoring,
+        lookup, pairs as pmod,
     )
     from reconcile_curation_in_cris_systems_ray.stages.blocking import (
         emit_band_keys,
@@ -845,18 +894,10 @@ def test_core_equals_layer_composition(ray_session, corpus, monkeypatch,
     }.get(case, ReconcileConfig())
     if case == "narrow":
         monkeypatch.setattr(rmod, "NARROW_THRESHOLD", 0)
-    joins = []
-    if case == "join":
-        monkeypatch.setattr(lookup, "BROADCAST_ROWS", 0)
-        real = scoring.hydrate_pairs
-
-        def counted(*args, **kwargs):
-            joins.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scoring, "hydrate_pairs", counted)
+    if case == "sharded":
+        monkeypatch.setattr(lookup, "LOOKUP_BYTES", SHARDED_BYTES)
     out = rmod.run_reconcile(rd.from_arrow(corpus), cfg)
-    assert bool(joins) == (case == "join")
+    assert (out["metrics"]["lookup_shards"] >= 4) == (case == "sharded")
     monkeypatch.undo()
 
     features = out["features"]

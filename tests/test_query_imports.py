@@ -13,14 +13,21 @@ that the core reaches, at any depth, never load ``pipelines/queries/``
 or the library-only stage modules (``LIBRARY_ONLY_STAGES``), and no
 engine module outside that package imports it.
 
-The lookup gate keeps each url- or id-keyed join on the one broadcast
+The lookup gate keeps each url- or id-keyed join on the one sorted-hash
 lookup (``stages/lookup.py``): the modules below may not probe a sorted
 key array with a ``searchsorted`` of their own.
+
+The caller gate keeps the scripts, ``bench.py`` and the benchmark
+harness (``perfbench/``, read and never edited here) in step with the
+engine: every engine name they import, lazy imports inside functions
+included, must still resolve, so a rename fails here rather than when
+the script or the benchmark next runs.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -163,3 +170,61 @@ def _searchsorted_calls(path: pathlib.Path, function: str | None) -> list:
 @pytest.mark.parametrize("module,function", LOOKUP_PROBERS)
 def test_url_keyed_joins_probe_through_the_lookup_module(module, function):
     assert _searchsorted_calls(ENGINE_DIR / module, function) == []
+
+
+def test_linkage_path_runs_no_dataset_join():
+    """The url-keyed joins of the linkage path go through the sharded
+    lookup at every size: no Ray ``Dataset.join`` (a ``join`` call with
+    a ``join_type``) is left in them."""
+    modules = [ENGINE_DIR / "stages" / m
+               for m in ("scoring.py", "cluster.py", "dedup.py")]
+    modules += sorted((ENGINE_DIR / "pipelines").rglob("*.py"))
+    joins = [f"{p.relative_to(ENGINE_DIR)}:{n.lineno}"
+             for p in modules for n in ast.walk(ast.parse(p.read_text()))
+             if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", None) == "join"
+             and any(k.arg == "join_type" for k in n.keywords)]
+    assert joins == [], joins
+
+
+REPO_DIR = ENGINE_DIR.parent
+# programs outside the package that import the engine
+ENGINE_CALLERS = sorted([*REPO_DIR.glob("scripts/*.py"), REPO_DIR / "bench.py",
+                         *REPO_DIR.glob("perfbench/*.py")])
+
+
+def _engine_names(path: pathlib.Path) -> list[tuple[int, str, str | None]]:
+    """``(line, module, name)`` of each engine import in ``path``, at any
+    depth; ``name`` is None for a plain ``import module``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out += [(node.lineno, node.module, a.name) for a in node.names]
+    return [(line, mod, name) for line, mod, name in out
+            if mod.split(".")[0] == ENGINE_DIR.name]
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or hasattr(mod, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_engine_callers_import_names_that_exist():
+    imports = {p: _engine_names(p) for p in ENGINE_CALLERS}
+    # non-vacuous: the benchmark's lazy imports inside functions count
+    assert imports[REPO_DIR / "perfbench" / "layers.py"]
+    broken = [f"{p.relative_to(REPO_DIR)}:{line} {mod} {name or ''}"
+              for p, found in imports.items()
+              for line, mod, name in found if not _resolves(mod, name)]
+    assert broken == [], broken

@@ -221,18 +221,31 @@ def test_multiprobe_topk_recall_vs_bruteforce(ray_session):
     assert r_many >= r_few - 1e-9, (r_few, r_many)
 
 
-def test_hydrate_pairs_broadcast_and_distributed_agree(ray_session):
-    """The broadcast and distributed-join hydration strategies must
-    produce identical pair orientation (url_a < url_b) and scored
-    columns — the crossover at the broadcast threshold cannot change
-    results."""
+def _force_shards(monkeypatch, nbytes: int, shards: int = 4) -> int:
+    """Patch ``lookup.LOOKUP_BYTES`` so that a lookup over ``nbytes``
+    takes at least ``shards`` shards (and not many more); returns the
+    shard count."""
+    from reconcile_curation_in_cris_systems_ray.stages import lookup
+
+    monkeypatch.setattr(lookup, "LOOKUP_BYTES", -(-int(nbytes) // shards))
+    n = lookup.lookup_shards(nbytes)
+    assert shards <= n <= shards + 1, n
+    return n
+
+
+def test_hydrate_pairs_broadcast_and_distributed_agree(ray_session,
+                                                       monkeypatch):
+    """The one-shard lookup broadcast to every score task and the lookup
+    distributed over four shards (one task per shard pair) must produce
+    identical pair orientation (url_a < url_b) and scored columns: the
+    shard count cannot change results."""
     import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.functions.similarity import (
         stable_hash_strings,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        hydrate_score_pairs,
+        build_feature_lookup, hydrate_score_pairs,
     )
 
     rng = np.random.default_rng(7)
@@ -255,21 +268,25 @@ def test_hydrate_pairs_broadcast_and_distributed_agree(ray_session):
         "uh_b": pa.array(np.maximum(uh[ii], uh[jj]), pa.uint64()),
     })
 
-    def run(threshold):
-        out = hydrate_score_pairs(rd.from_arrow(pairs), rd.from_arrow(feats),
-                                  broadcast_threshold=threshold).to_pandas()
+    def run(shards):
+        lookup = build_feature_lookup(rd.from_arrow(feats))
+        assert len(lookup) == shards
+        out = hydrate_score_pairs(rd.from_arrow(pairs), None,
+                                  prebuilt=lookup).to_pandas()
         cols = ["url_a", "url_b", "est_jaccard", "jaccard", "is_match"]
         return (out[cols].sort_values(["url_a", "url_b"])
                 .drop_duplicates().reset_index(drop=True))
 
-    bcast = run(10**6)
-    dist = run(0)
+    bcast = run(1)
+    dist = run(_force_shards(monkeypatch, rd.from_arrow(feats).size_bytes()))
     assert len(bcast) > 0
     # the hash order of uh_a/uh_b disagrees with the url order on some
-    # pairs, so both paths must actually re-orient
+    # pairs, so both plans must actually re-orient; and some pairs span
+    # two shards
     url_of = dict(zip(uh.tolist(), urls))
     assert any(url_of[a] > url_of[b] for a, b in zip(
         pairs.column("uh_a").to_pylist(), pairs.column("uh_b").to_pylist()))
+    assert ((uh[ii] % np.uint64(4)) != (uh[jj] % np.uint64(4))).any()
     assert (bcast["url_a"] < bcast["url_b"]).all()
     assert (dist["url_a"] < dist["url_b"]).all()
     pd.testing.assert_frame_equal(bcast, dist)
@@ -305,18 +322,52 @@ def _features_and_pairs(corpus_cfg, cfg):
     narrow = band_rows >= NARROW_THRESHOLD
     pairs = generate_candidate_pairs(
         emit_band_keys(features, cfg.blocking, include_bands=not narrow),
-        cfg.blocking, cfg.scoring, n_rows_hint=band_rows,
-        dedup_pairs=narrow).materialize()
+        cfg.blocking, cfg.scoring, dedup_pairs=narrow).materialize()
     return features, pairs
 
 
-def test_fused_hydrate_score_matches_two_step(ray_session):
-    """The fused broadcast path (row indices into the broadcast feature
-    table, Jaccard by index over its packed shingles) equals the
-    distributed fallback (two ``Dataset.join``s, then ``PairScorer``)
-    bit for bit on a real small corpus, with every pair oriented
-    ``url_a < url_b`` on both sides of the crossover, for fixed- and
-    variable-width signature columns."""
+def _reference_scores(features, pairs, scoring) -> pd.DataFrame:
+    """The scored pairs computed one pair at a time, without the
+    lookup or the index kernel: each side's shingle set hydrated by url
+    hash, exact Jaccard by ``jaccard_from_sets``, the estimate as the
+    mean of equal signature words, and ``url_a < url_b``."""
+    import ray
+
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        jaccard_from_sets, stable_hash_strings,
+    )
+
+    feats = pa.concat_tables(
+        [t for t in ray.get(features.to_arrow_refs()) if t.num_rows])
+    urls = feats.column("url").to_pylist()
+    row = dict(zip(stable_hash_strings(np.array(urls, dtype=object)).tolist(),
+                   range(len(urls))))
+    sets = [np.frombuffer(b, np.uint32)
+            for b in feats.column("shingles").to_pylist()]
+    sigs = [np.frombuffer(b, np.uint32)
+            for b in feats.column("sig").to_pylist()]
+    rows = []
+    for t in ray.get(pairs.to_arrow_refs()):
+        for a, b in zip(t.column("uh_a").to_pylist(),
+                        t.column("uh_b").to_pylist()):
+            i, j = sorted((row[a], row[b]), key=urls.__getitem__)
+            est = float((sigs[i] == sigs[j]).mean())
+            if est < scoring.est_prefilter:
+                continue
+            jac = jaccard_from_sets(sets[i], sets[j])
+            rows.append((urls[i], urls[j], est, jac,
+                         jac >= scoring.jaccard_threshold))
+    return pd.DataFrame(rows, columns=["url_a", "url_b", "est_jaccard",
+                                       "jaccard", "is_match"])
+
+
+def test_fused_hydrate_score_matches_two_step(ray_session, monkeypatch):
+    """The scorer (row indices into the feature lookup, Jaccard by
+    index over its packed shingles) equals a two-step per-pair reference
+    (hydrate both shingle sets, then ``jaccard_from_sets``) bit for bit
+    on a real small corpus, with every pair oriented ``url_a < url_b``,
+    on one lookup shard and on four (pairs within a shard and across
+    two), for fixed- and variable-width signature columns."""
     from reconcile_curation_in_cris_systems_ray.config import (
         ReconcileConfig,
     )
@@ -324,7 +375,7 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
         CorpusConfig,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        PairScorer, hydrate_pairs, hydrate_score_pairs,
+        build_feature_lookup, hydrate_score_pairs,
     )
 
     cfg = ReconcileConfig()
@@ -338,25 +389,25 @@ def test_fused_hydrate_score_matches_two_step(ray_session):
         return t.set_column(t.schema.get_field_index("sig"), "sig",
                             t.column("sig").cast(pa.binary()))
 
+    want = canon(_reference_scores(features, pairs, cfg.scoring))
+    assert len(want) > 0
+    assert want["is_match"].any() and not want["is_match"].all()
+    assert (want["url_a"] < want["url_b"]).all()
     # fixed-width signatures (the writer's format) and variable-width
     # ones (older checkpoints) score the same
-    runs = []
-    for feats in (features,
-                  features.map_batches(variable_sig, batch_format="pyarrow")):
-        fused = canon(hydrate_score_pairs(
-            pairs, feats, cfg.scoring,
-            est_prefilter=cfg.scoring.est_prefilter,
-            broadcast_threshold=10**6).to_pandas())
-        two_step = canon(hydrate_pairs(
-            pairs, feats, est_prefilter=cfg.scoring.est_prefilter).map_batches(
-            PairScorer(cfg.scoring), batch_format="pyarrow").to_pandas())
-        assert len(fused) > 0
-        assert fused["is_match"].any() and not fused["is_match"].all()
-        assert (fused["url_a"] < fused["url_b"]).all()
-        assert (two_step["url_a"] < two_step["url_b"]).all()
-        pd.testing.assert_frame_equal(fused, two_step)
-        runs.append(fused)
-    pd.testing.assert_frame_equal(runs[0], runs[1])
+    for feats in (features, features.map_batches(
+            variable_sig, batch_format="pyarrow").materialize()):
+        for shards in (1, 4):
+            if shards > 1:
+                _force_shards(monkeypatch, feats.size_bytes(), shards)
+            lookup = build_feature_lookup(feats)
+            assert len(lookup) >= shards
+            got = canon(hydrate_score_pairs(
+                pairs, feats, cfg.scoring,
+                est_prefilter=cfg.scoring.est_prefilter,
+                prebuilt=lookup).to_pandas())
+            pd.testing.assert_frame_equal(got, want, check_exact=True)
+            monkeypatch.undo()
 
 
 _SCORED_SCHEMA = pa.schema([
@@ -374,8 +425,8 @@ def _block_schemas(ds) -> set:
 
 def test_scored_schema_is_exactly_five_columns(ray_session, monkeypatch):
     """The scorer emits url_a, url_b, est_jaccard, jaccard and is_match
-    and nothing else: on the broadcast path, on the distributed path
-    (``broadcast_threshold=0``) and inside ``run_incremental``."""
+    and nothing else: on one lookup shard, on four (where the pair
+    parts carry a ``group`` column) and inside ``run_incremental``."""
     import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.config import (
@@ -392,17 +443,22 @@ def test_scored_schema_is_exactly_five_columns(ray_session, monkeypatch):
         CorpusConfig, corpus_table,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
-        hydrate_score_pairs,
+        build_feature_lookup, hydrate_score_pairs,
     )
 
     cfg = ReconcileConfig()
     corpus_cfg = CorpusConfig(n_families=30)
     features, pairs = _features_and_pairs(corpus_cfg, cfg)
-    for threshold in (10**6, 0):
+    for shards in (1, 4):
+        if shards > 1:
+            _force_shards(monkeypatch, features.size_bytes(), shards)
+        lookup = build_feature_lookup(features)
+        assert len(lookup) >= shards
         scored = hydrate_score_pairs(pairs, features, cfg.scoring,
                                      est_prefilter=cfg.scoring.est_prefilter,
-                                     broadcast_threshold=threshold)
-        assert _block_schemas(scored) == {_SCORED_SCHEMA}, threshold
+                                     prebuilt=lookup)
+        assert _block_schemas(scored) == {_SCORED_SCHEMA}, shards
+    monkeypatch.undo()
 
     seen = []
     real = incremental.hydrate_score_pairs
@@ -465,10 +521,11 @@ def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
                             block(["u/clash"]))
 
 
-def test_dangling_pair_hash_raises(ray_session):
+def test_dangling_pair_hash_raises(ray_session, monkeypatch):
     """A candidate pair whose side-b url hash is not in the feature
     lookup raises ``ValueError`` naming the hash, in process and from
-    a score task, instead of being dropped."""
+    a score task, on one lookup shard and on four, instead of being
+    dropped."""
     import ray
     import ray.data as rd
 
@@ -502,13 +559,56 @@ def test_dangling_pair_hash_raises(ray_session):
     ok = score_pairs_block(pairs.slice(0, 1), h, tbl, ScoringConfig())
     assert ok.column("jaccard").to_pylist() == [1.0]
     lookup = broadcast_lookup([ray.put(feats)], "url", _LOOKUP_COLS)
-    (edges, _), = score_blocks([ray.put(pairs)], lookup, ScoringConfig(),
+    (edges, _), = score_blocks([ray.put(pairs)], [lookup], ScoringConfig(),
                                edges=True)
     with pytest.raises(ValueError, match=match):
         ray.get(edges)
     # the Dataset-level scorer runs the same tasks
     with pytest.raises(ValueError, match=match):
         hydrate_score_pairs(rd.from_arrow(pairs), rd.from_arrow(feats))
+    # four shards: the hash's shard may orient it to either side
+    _force_shards(monkeypatch, rd.from_arrow(feats).size_bytes())
+    with pytest.raises(ValueError, match=f"{unknown:#x}"):
+        hydrate_score_pairs(rd.from_arrow(pairs), rd.from_arrow(feats))
+
+
+def test_ngram_verify_raises_on_dangling_id_hash(ray_session):
+    """The n-gram verify raises ``ValueError`` naming a pair's id hash
+    that its lookup lacks, in process and from its tasks on one lookup
+    shard and on four, instead of dropping the pair."""
+    import ray
+
+    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
+        stable_hash_strings,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.dedup import (
+        _ngram_verify,
+    )
+    from reconcile_curation_in_cris_systems_ray.stages.lookup import (
+        build_sorted_lookup, sharded_lookup, sharded_pair_tasks,
+    )
+
+    keys = [str(i) for i in range(8)]
+    toks = np.arange(4, dtype=np.uint64).tobytes()
+    feats = pa.table({"id": pa.array(range(8), pa.int64()),
+                      "key": pa.array(keys, pa.string()),
+                      "toks": pa.array([toks] * 8, pa.binary())})
+    uh = stable_hash_strings(np.array(keys, dtype=object))
+    unknown = int(uh.max()) + 1
+    pairs = pa.table({"uh_a": pa.array([uh[0], uh[1]], pa.uint64()),
+                      "uh_b": pa.array([uh[2], unknown], pa.uint64())})
+    h, tbl, _ = build_sorted_lookup("key", ["id", "toks"], feats)
+    out, n = _ngram_verify(h, tbl, None, None, 0.5, pairs.slice(0, 1))
+    assert n == 1 and out.column("jac").to_pylist() == [1.0]
+    with pytest.raises(ValueError, match=f"id hash {unknown:#x}"):
+        _ngram_verify(h, tbl, None, None, 0.5, pairs)
+    for shards in (1, 4):
+        lookup = sharded_lookup([ray.put(feats)], "key", ["id", "toks"],
+                                shards)
+        outs = sharded_pair_tasks(_ngram_verify, [ray.put(pairs)], lookup,
+                                  0.5)
+        with pytest.raises(ValueError, match=f"{unknown:#x}"):
+            ray.get([t for t, _ in outs])
 
 
 def test_lang_id_stage_vectorized(ray_session):
@@ -579,14 +679,13 @@ def test_embedding_dups_query_recovers_planted_pairs(ray_session):
     assert (out["cosine"] > 0.999).all()
 
 
-def test_ngram_pairs_broadcast_and_distributed_agree(ray_session):
-    """ngram_jaccard_pairs must produce the identical pair set through
-    its broadcast and distributed-join hydration strategies."""
+def test_ngram_pairs_broadcast_and_distributed_agree(ray_session,
+                                                     monkeypatch):
+    """ngram_jaccard_pairs must produce the identical pair set with its
+    lookup broadcast as one shard and distributed over four."""
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.stages.dedup import (
-        ngram_jaccard_pairs,
-    )
+    from reconcile_curation_in_cris_systems_ray.stages import dedup
 
     rng = np.random.default_rng(3)
     vocab = [f"w{i}" for i in range(30)]
@@ -604,16 +703,28 @@ def test_ngram_pairs_broadcast_and_distributed_agree(ray_session):
         "source": pa.array([r[2] for r in rows]),
     })
 
-    def run(threshold):
-        out = ngram_jaccard_pairs(
+    shards = []
+    real = dedup.sharded_lookup
+
+    def spy(block_refs, key, cols, n_shards):
+        shards.append(n_shards)
+        return real(block_refs, key, cols, n_shards)
+
+    monkeypatch.setattr(dedup, "sharded_lookup", spy)
+
+    def run():
+        out = dedup.ngram_jaccard_pairs(
             rd.from_arrow(tbl), "doc_id", "text", "source",
-            n=1, threshold=0.5,
-            broadcast_threshold=threshold).to_pandas()
+            n=1, threshold=0.5).to_pandas()
         return (out.sort_values(["id_a", "id_b"])
                 .reset_index(drop=True))
 
-    bcast = run(10**6)
-    dist = run(0)
+    bcast = run()
+    # the shard count follows the verify's own feature bytes, which
+    # differ from the input's: the spy reports the count reached
+    _force_shards(monkeypatch, tbl.nbytes)
+    dist = run()
+    assert shards[0] == 1 and shards[1] >= 4, shards
     assert len(bcast) >= 40  # all planted dups found
     assert ((bcast["id_b"] - bcast["id_a"]) % 1000 == 0).any()
     pd.testing.assert_frame_equal(bcast, dist)
