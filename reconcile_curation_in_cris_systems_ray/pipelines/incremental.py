@@ -8,7 +8,7 @@ plan (reference analogue: the incremental run stats / re-entrant DB
 workflow, `workflows.py:56-100` + `repository.py:516-525`, which
 re-processes only new input files against the standing database):
 
-1. extract + signature the delta (same fused task stages as
+1. extract + signature the delta (the same grouped feature tasks as
    :func:`..pipelines.reconcile.run_reconcile`, so features are
    byte-identical with a full run);
 2. emit the delta's band keys; the distinct delta band_hash set
@@ -48,12 +48,12 @@ semantics.
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
+import ray.data as rd
 
 from ..config import ReconcileConfig
 from ..stages.blocking import emit_band_keys
@@ -61,17 +61,13 @@ from ..stages.cluster import connected_components
 from ..stages.lookup import broadcast_lookup, key_hash, probe
 from ..stages.pairs import generate_candidate_pairs
 from ..stages.scoring import hydrate_score_pairs, match_edges
-from .reconcile import (NARROW_THRESHOLD, _extract_task, _signature_task,
-                        check_unique_urls)
+from .reconcile import (NARROW_THRESHOLD, check_unique_urls, corpus_blocks,
+                        feature_blocks)
 
 
 def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
-    base_cols = [c for c in ("url", "warc_ts", "html", "lang")
-                 if c in delta_corpus_ds.schema().names]
-    return (delta_corpus_ds.select_columns(base_cols)
-            .map_batches(_extract_task, batch_format="pyarrow")
-            .map_batches(partial(_signature_task, blocking=cfg.blocking),
-                         batch_format="pyarrow"))
+    outs = feature_blocks(*corpus_blocks(delta_corpus_ds), cfg.blocking)
+    return rd.from_arrow_refs([t for t, _, _ in outs]).materialize()
 
 
 def run_incremental(base_features, base_assignments, delta_corpus_ds,
@@ -89,7 +85,7 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     t0 = time.time()
     metrics: dict = {}
 
-    delta_feat = _delta_features(delta_corpus_ds, cfg).materialize()
+    delta_feat = _delta_features(delta_corpus_ds, cfg)
     n_delta = delta_feat.count()
     metrics["delta_rows"] = n_delta
 

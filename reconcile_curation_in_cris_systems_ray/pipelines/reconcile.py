@@ -4,11 +4,11 @@ Composition (each stage checkpointable via
 :class:`..state.manifest.CheckpointManager`):
 
     corpus (url, warc_ts, html, text, lang)
-      -> extract        Ray Data map_batches, html -> extracted_text
-      -> features       fused into the same map: normalize + MinHash
-                        sigs, coalesced to one block per exchange bucket
-    --- one Ray Data execution above; bare Ray tasks over the features'
-        block refs below ---
+      -> extract        html -> extracted_text
+      -> features       normalize + MinHash sigs; extract and features
+                        run in one task per group of contiguous corpus
+                        blocks, at most one group per exchange bucket,
+                        balanced by the blocks' row counts
       -> pairs          one explode task per features block returns its
                         band rows (band_hash, uh[, band_id, bands]) and
                         partial key counts; the driver merges the counts
@@ -27,10 +27,13 @@ Composition (each stage checkpointable via
                         block (per block and shard when sharded):
                         (url, cluster_id = min url of component)
 
-Lookups pass into tasks as top-level arguments, so Ray orders the
-dependency and no task blocks on a ``ray.get``.  Only the pairs and
-the assignments are wrapped as Datasets (``rd.from_arrow_refs``), at
-the end.  With a checkpoint root each stage boundary writes its blocks
+Every stage runs as bare Ray tasks over block refs: an uncheckpointed
+run over a materialized corpus launches no Ray Data execution, and a
+lazy corpus (``read_parquet``) launches one, its read.  Lookups pass
+into tasks as top-level arguments, so Ray orders the dependency and no
+task blocks on a ``ray.get``.  Only the features, the pairs and the
+assignments are wrapped as Datasets (``rd.from_arrow_refs``), at the
+end.  With a checkpoint root each stage boundary writes its blocks
 through the manager and continues from the read-back blocks; without
 one the refs pass straight through.  The feature and star lookups
 are split into ``lookup.lookup_shards`` of the features' bytes (one
@@ -45,17 +48,18 @@ from __future__ import annotations
 
 import importlib.metadata
 import time
-from functools import partial
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from ..config import ReconcileConfig
+from ..sources.corpus import CORPUS_SCHEMA
 from ..state.manifest import CheckpointManager, fingerprint
-from ..stages import worker_cached
+from ..stages import remote_fn, worker_cached
 from ..stages.blocking import SignatureStage
 from ..stages.cluster import (
     assign_blocks, connected_components, union_find_star,
@@ -78,6 +82,77 @@ def _extract_task(batch: pa.Table) -> pa.Table:
 def _signature_task(batch: pa.Table, blocking=None) -> pa.Table:
     return worker_cached(("signature", blocking),
                          lambda: SignatureStage(blocking))(batch)
+
+
+def _feature_group(cols: list[str] | None, blocking, sign: bool,
+                   *blocks: pa.Table) -> tuple[pa.Table, int, int]:
+    """Task body: a group of blocks, block by block: the ``cols`` of raw
+    corpus blocks through ``_extract_task`` (``cols`` None: the blocks
+    are extracted already), then, with ``sign``, ``_signature_task``.
+    Returns the group's table, its row count and how many of its rows
+    carry an ``extract_error`` (counted by the signature step, which
+    drops the column).  Empty blocks are skipped; a group with no rows
+    yields the typed 0-row table of an empty page table."""
+    todo = [b for b in blocks if b.num_rows]
+    if not todo:
+        todo, cols = [CORPUS_SCHEMA.empty_table()], ["url", "html"]
+    outs, errors = [], 0
+    for b in todo:
+        if cols is not None:
+            b = _extract_task(b.select(cols))
+        if sign:
+            errors += b.num_rows - b.column("extract_error").null_count
+            b = _signature_task(b, blocking)
+        outs.append(b)
+    out = pa.concat_tables(outs)
+    return out, out.num_rows, errors
+
+
+def _contiguous_groups(rows: list[int], n: int) -> list[list[int]]:
+    """The indices of the non-empty blocks of row counts ``rows``, cut
+    into at most ``n`` contiguous groups balanced by row count: a block
+    joins the group its middle row falls in.  At least one group (empty
+    when no block holds rows)."""
+    total, seen = sum(rows), 0
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(rows):
+        if r:
+            groups.setdefault((2 * seen + r) * n // (2 * total),
+                              []).append(i)
+        seen += r
+    return list(groups.values()) or [[]]
+
+
+def corpus_blocks(corpus_ds) -> tuple[list, list[int], list[str]]:
+    """``(block refs, row counts, engine columns)`` of a corpus Dataset.
+
+    A materialized corpus gives its blocks as they are, with no Ray Data
+    execution: a ``select_columns`` on it would launch one, so the
+    feature tasks select the columns.  A lazy corpus (``read_parquet``)
+    is read with its engine columns selected, that read being its one
+    execution."""
+    cols = [c for c in ("url", "warc_ts", "html", "lang")
+            if c in corpus_ds.schema().names]
+    if not isinstance(corpus_ds, MaterializedDataset):
+        corpus_ds = corpus_ds.select_columns(cols)
+    return (*_blocks(corpus_ds.materialize()), cols)
+
+
+def feature_blocks(refs, rows: list[int], cols: list[str] | None,
+                   blocking, sign: bool = True) -> list:
+    """Launch the feature tasks over the blocks ``refs`` (row counts
+    ``rows``, from block metadata: no block is fetched; ``cols`` and
+    ``sign`` as in :func:`_feature_group`): one
+    :func:`_feature_group` task per group of contiguous blocks, at most
+    ``effective_buckets(blocking.num_buckets)`` groups balanced by row
+    count, so the stages downstream run at most one task per exchange
+    bucket.  Returns one ``(table ref, row-count ref, error-count ref)``
+    per group, not waited for."""
+    task = remote_fn(_feature_group, num_returns=3)
+    groups = _contiguous_groups(
+        rows, effective_buckets(blocking.num_buckets))
+    return [task.remote(cols, blocking, sign, *[refs[i] for i in g])
+            for g in groups]
 
 
 def _library_versions() -> dict[str, str]:
@@ -136,31 +211,38 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     versions = _library_versions()
     cfg_fp = fingerprint(cfg, versions)
 
-    base_cols = [c for c in ("url", "warc_ts", "html", "lang")
-                 if c in corpus_ds.schema().names]
-    corpus = corpus_ds.select_columns(base_cols)
+    errors: list = []
 
+    def features_of(blocks, sign):
+        outs = feature_blocks(*blocks, cfg.blocking, sign)
+        if sign:
+            errors[:] = [e for _, _, e in outs]
+        return [t for t, _, _ in outs], [n for _, n, _ in outs]
+
+    # the corpus is read only when a stage that needs it is built, so a
+    # run that resumes its features reads none of it
     fp_ex = fingerprint(input_fingerprint, cfg_fp, "extract")
-    # without a checkpoint root, extraction streams straight into the
-    # signature stage with no barrier and the two task stages FUSE
-    # into a single map task per block
-    extracted = ckpt.run_stage(
-        "extracted", fp_ex,
-        lambda: corpus.map_batches(_extract_task, batch_format="pyarrow"),
-        materialize=checkpoint_root is not None)
+    if checkpoint_root is not None:
+        # the checkpoint holds the extracted text; it is read back only
+        # when the features stage is built
+        extracted = ckpt.run_stage("extracted", fp_ex, lambda: (
+            rd.from_arrow_refs(features_of(corpus_blocks(corpus_ds),
+                                           False)[0])))
+
+        def source():
+            return (*_blocks(extracted.materialize()), None)
+    else:
+        # extraction runs inside the feature tasks
+        _streamed(ckpt, "extracted", fp_ex)
+
+        def source():
+            return corpus_blocks(corpus_ds)
 
     fp_ft = fingerprint(fp_ex, "features")
-    # coalesce the features once, to the exchange's bucket count: the
-    # explode, the lookup build and the assignment then each run one
-    # task per bucket instead of one per (often tiny) input block.  The
-    # repartition fuses into the signature execution.
-    features = ckpt.run_stage("features", fp_ft, lambda: extracted.map_batches(
-        partial(_signature_task, blocking=cfg.blocking),
-        batch_format="pyarrow").repartition(
-            effective_buckets(cfg.blocking.num_buckets)))
-
-    features = features.materialize()
-    feature_refs = features.to_arrow_refs()
+    feature_refs, _ = _ref_stage(
+        ckpt, "features", fp_ft, lambda: features_of(source(), True),
+        stats=lambda: {"extract_errors": sum(ray.get(errors))})
+    features = rd.from_arrow_refs(feature_refs).materialize()
     n_features = features.count()
     # scale-adaptive dedup mode (measured crossover, re-measured on a
     # clean box round 2): below ~500k band rows ship the per-row band
@@ -221,7 +303,12 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         lambda: (assign_blocks(feature_refs, star_refs, n_shards), []))
     pairs = _pairs_dataset(pair_refs, pair_counts)
     n_pairs = pairs.count()
-    assignments = rd.from_arrow_refs(asg_refs)
+    assignments = rd.from_arrow_refs(asg_refs).materialize()
+    # the features stage's error count: counted by this run's feature
+    # tasks, or read from the checkpoint it resumed
+    feat_stage = next(s for s in ckpt.lineage if s["stage"] == "features")
+    if errors:
+        feat_stage["extract_errors"] = sum(ray.get(errors))
 
     ckpt.write_lineage(versions)
     metrics = {
@@ -232,8 +319,9 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         # exact Jaccard of some
         "scored_pairs": n_pairs,
         "lookup_shards": n_shards,
+        "extract_errors": feat_stage.get("extract_errors"),
     }
-    return {"extracted": extracted, "features": features, "pairs": pairs,
+    return {"features": features, "pairs": pairs,
             "assignments": assignments, "metrics": metrics}
 
 
@@ -243,7 +331,8 @@ def _unzip(outs) -> tuple[list, list]:
     return [t for t, _ in outs], [n for _, n in outs]
 
 
-def _ref_stage(ckpt: CheckpointManager, name: str, fp: str, build):
+def _ref_stage(ckpt: CheckpointManager, name: str, fp: str, build,
+               stats=None):
     """Stage ``name`` over block refs.
 
     ``build()`` launches the stage's tasks and returns ``(table refs,
@@ -251,19 +340,32 @@ def _ref_stage(ckpt: CheckpointManager, name: str, fp: str, build):
     pass straight through.  With one, ``rd.from_arrow_refs`` of them is
     written through ``ckpt`` (or a checkpoint with fingerprint ``fp`` is
     read back instead of building) and the stage continues from the
-    read-back blocks, so a checkpointed run takes the same code path."""
+    read-back blocks, so a checkpointed run takes the same code path.
+    ``stats()``, called once the stage is written, adds its counters to
+    the stage's manifest."""
     if not ckpt.root:
         refs, counts = build()
-        ckpt.lineage.append({"stage": name, "fingerprint": fp, "rows": None,
-                             "wall_sec": None, "resumed": False,
-                             "streamed": True})
+        _streamed(ckpt, name, fp)
         return refs, counts
-    ds = ckpt.run_stage(
-        name, fp, lambda: rd.from_arrow_refs(build()[0])).materialize()
+    ds = ckpt.run_stage(name, fp, lambda: rd.from_arrow_refs(build()[0]),
+                        stats=stats).materialize()
+    refs, rows = _blocks(ds)
+    return refs, [ray.put(n) for n in rows]
+
+
+def _streamed(ckpt: CheckpointManager, name: str, fp: str) -> None:
+    """Record stage ``name`` as passed through without a checkpoint."""
+    ckpt.lineage.append({"stage": name, "fingerprint": fp, "rows": None,
+                         "wall_sec": None, "resumed": False,
+                         "streamed": True})
+
+
+def _blocks(ds) -> tuple[list, list[int]]:
+    """The block refs and row counts of a materialized Dataset, from its
+    block metadata."""
     blocks = [b for bundle in ds.iter_internal_ref_bundles()
               for b in bundle.blocks]
-    return ([ref for ref, _ in blocks],
-            [ray.put(meta.num_rows) for _, meta in blocks])
+    return [ref for ref, _ in blocks], [meta.num_rows for _, meta in blocks]
 
 
 def _pairs_dataset(pair_refs, pair_counts):
@@ -271,4 +373,5 @@ def _pairs_dataset(pair_refs, pair_counts):
     block when none does)."""
     return nonempty_dataset(zip(pair_refs, pair_counts),
                             pa.table({"uh_a": pa.array([], pa.uint64()),
-                                      "uh_b": pa.array([], pa.uint64())}))
+                                      "uh_b": pa.array([], pa.uint64())})
+                            ).materialize()

@@ -13,6 +13,9 @@ mid-pipeline.  Semantics:
   fingerprint (hash of upstream fingerprints + config), row count and
   wall time; a resume run with a matching fingerprint skips the stage
   and re-reads the Parquet; a mismatched fingerprint recomputes;
+- a stage that wrote no rows reads back as one typed 0-row block (a
+  0-row Parquet file written next to the parts holds its schema), not
+  through ``read_parquet``;
 - ``<root>/lineage.json`` lists every stage of the run, with the
   library versions that its fingerprints include.
 """
@@ -27,9 +30,30 @@ import shutil
 import time
 from typing import Callable
 
+import pyarrow.parquet as pq
+
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
+# the 0-row part file that holds the schema of a stage with no rows
+EMPTY_PART = "empty.parquet"
+
+
+def _parts(data_dir: str) -> list[str]:
+    return sorted(f for f in os.listdir(data_dir) if f.endswith(".parquet"))
+
+
+def _read_back(data_dir: str, rows: int):
+    """A checkpointed stage's part files as a Dataset.  A stage with no
+    rows is the typed 0-row block of its first part file:
+    ``read_parquet`` over no rows warns (numpy's ``Mean of empty
+    slice``, from its encoding estimate)."""
+    import ray.data as rd
+
+    parts = _parts(data_dir)
+    if rows or not parts:
+        return rd.read_parquet(data_dir)
+    return rd.from_arrow(pq.read_table(os.path.join(data_dir, parts[0])))
 
 
 def fingerprint(*parts) -> str:
@@ -44,8 +68,8 @@ def fingerprint(*parts) -> str:
 class CheckpointManager:
     """Orchestrates resumable stages under one root directory.
 
-    With ``root=None`` every stage just materializes in the object
-    store (no disk checkpoints) — used by tests and small runs.
+    With ``root=None`` there are no checkpoints: callers pass their
+    stages through and only record them in ``lineage``.
     """
 
     def __init__(self, root: str | None, resume: bool = True):
@@ -56,80 +80,65 @@ class CheckpointManager:
             os.makedirs(root, exist_ok=True)
 
     def run_stage(self, name: str, fp: str, build: Callable[[], "object"],
-                  materialize: bool = True):
-        """Return a Dataset for stage ``name``.
+                  stats: Callable[[], dict] | None = None):
+        """Return stage ``name`` as a Dataset read back from its
+        checkpoint under the root.
 
-        ``build`` is only invoked when no valid checkpoint exists.
-        ``materialize=False`` (only honored without a checkpoint root)
-        returns the lazy Dataset so consecutive stages stream through
-        each other with no barrier — used for stages whose output is
-        consumed exactly once downstream.
+        ``build`` (returning the stage's Dataset) is only invoked when no
+        valid checkpoint exists.  ``stats()``, called once a checkpoint
+        is written, adds its counters to the stage's manifest, so a
+        resumed run reads them back.
         """
-        import ray.data as rd
-
         t0 = time.time()
-        if self.root:
-            stage_dir = os.path.join(self.root, name)
-            man_path = os.path.join(stage_dir, MANIFEST_NAME)
-            if self.resume and os.path.exists(man_path):
-                with open(man_path) as f:
-                    man = json.load(f)
-                if man.get("fingerprint") == fp:
-                    logger.info("stage %s: resume from checkpoint", name)
-                    man["resumed"] = True
-                    self.lineage.append(man)
-                    return rd.read_parquet(os.path.join(stage_dir, "data"))
-                logger.info("stage %s: fingerprint changed, recomputing", name)
+        stage_dir = os.path.join(self.root, name)
+        man_path = os.path.join(stage_dir, MANIFEST_NAME)
+        if self.resume and os.path.exists(man_path):
+            with open(man_path) as f:
+                man = json.load(f)
+            if man.get("fingerprint") == fp:
+                logger.info("stage %s: resume from checkpoint", name)
+                man["resumed"] = True
+                self.lineage.append(man)
+                return _read_back(os.path.join(stage_dir, "data"),
+                                  man["rows"])
+            logger.info("stage %s: fingerprint changed, recomputing", name)
 
-            ds = build()
-            tmp_dir = stage_dir + ".tmp"
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            data_dir = os.path.join(tmp_dir, "data")
-            os.makedirs(data_dir, exist_ok=True)
-            ds.write_parquet(data_dir)
-            out = rd.read_parquet(data_dir)
-            # per-partition lineage: one entry per written part file
-            # (rows + bytes), so an auditor can attribute output to
-            # partitions and a resumed run can verify integrity
-            import pyarrow.parquet as pq
-            partitions = []
-            for f in sorted(os.listdir(data_dir)):
-                fpath = os.path.join(data_dir, f)
-                if not f.endswith(".parquet"):
-                    continue
-                partitions.append({
-                    "file": f,
-                    "rows": pq.read_metadata(fpath).num_rows,
-                    "bytes": os.path.getsize(fpath),
-                })
-            man = {
-                "stage": name, "fingerprint": fp,
-                "rows": sum(p["rows"] for p in partitions),
-                "bytes": sum(p["bytes"] for p in partitions),
-                "num_partitions": len(partitions),
-                "partitions": partitions,
-                "wall_sec": round(time.time() - t0, 3), "resumed": False,
-            }
-            with open(os.path.join(tmp_dir, MANIFEST_NAME), "w") as f:
-                json.dump(man, f, indent=2)
-            shutil.rmtree(stage_dir, ignore_errors=True)
-            os.rename(tmp_dir, stage_dir)
-            self.lineage.append(man)
-            return rd.read_parquet(os.path.join(stage_dir, "data"))
-
-        if not materialize:
-            ds = build()
-            self.lineage.append({
-                "stage": name, "fingerprint": fp, "rows": None,
-                "wall_sec": None, "resumed": False, "streamed": True,
+        ds = build()
+        tmp_dir = stage_dir + ".tmp"
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        data_dir = os.path.join(tmp_dir, "data")
+        os.makedirs(data_dir, exist_ok=True)
+        ds.write_parquet(data_dir)
+        if not _parts(data_dir) and ds.schema() is not None:
+            # no rows written: keep the stage's schema for the read-back
+            pq.write_table(ds.schema().base_schema.empty_table(),
+                           os.path.join(data_dir, EMPTY_PART))
+        # per-partition lineage: one entry per written part file
+        # (rows + bytes), so an auditor can attribute output to
+        # partitions and a resumed run can verify integrity
+        partitions = []
+        for f in _parts(data_dir):
+            fpath = os.path.join(data_dir, f)
+            partitions.append({
+                "file": f,
+                "rows": pq.read_metadata(fpath).num_rows,
+                "bytes": os.path.getsize(fpath),
             })
-            return ds
-        ds = build().materialize()
-        self.lineage.append({
-            "stage": name, "fingerprint": fp, "rows": ds.count(),
+        man = {
+            "stage": name, "fingerprint": fp,
+            "rows": sum(p["rows"] for p in partitions),
+            "bytes": sum(p["bytes"] for p in partitions),
+            "num_partitions": len(partitions),
+            "partitions": partitions,
             "wall_sec": round(time.time() - t0, 3), "resumed": False,
-        })
-        return ds
+            **(stats() if stats else {}),
+        }
+        with open(os.path.join(tmp_dir, MANIFEST_NAME), "w") as f:
+            json.dump(man, f, indent=2)
+        shutil.rmtree(stage_dir, ignore_errors=True)
+        os.rename(tmp_dir, stage_dir)
+        self.lineage.append(man)
+        return _read_back(os.path.join(stage_dir, "data"), man["rows"])
 
     def write_lineage(self, library_versions: dict[str, str]):
         """Write ``lineage.json``: the library versions the run's

@@ -1,10 +1,11 @@
 """Per-run floor of the flagship: wall and CPU time against corpus size.
 
-    python scripts/run_floor.py [--seed 1] [--runs 7]
+    python scripts/run_floor.py [--workload web_mix] [--seed 1] [--runs 7]
 
-Run from the repository root.  Reconciles ``web_mix``-shaped corpora of
-~85 to ~4.7k pages (perfbench's ``web_mix`` workload at scales 1/28 to
-2) on a local Ray instance with as many CPUs as ``nproc`` reports,
+Run from the repository root.  Reconciles corpora shaped like one of
+perfbench's workloads (``--workload``, ``web_mix`` or ``hot_cluster``)
+at scales 1/28 to 2 of its family count (``web_mix``: ~85 to ~4.7k
+pages) on a local Ray instance with as many CPUs as ``nproc`` reports,
 started as the benchmark starts it (``perfbench.run.start_engine``).
 Each size runs ``--runs`` times, the first dropped as a warm-up; a run
 is ``run_reconcile`` plus fetching the assignment blocks.  Per size it
@@ -27,7 +28,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# perfbench's web_mix has 800 families (~2.4k pages)
+# of the workload's family count (web_mix: 800 families, ~2.4k pages)
 SCALES = (1 / 28, 1 / 7, 1 / 2, 1, 2)
 
 
@@ -42,6 +43,8 @@ def _fit(xs, ys) -> tuple[float, float]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--workload", choices=("web_mix", "hot_cluster"),
+                   default="web_mix")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--runs", type=int, default=7)
     args = p.parse_args(argv)
@@ -84,8 +87,8 @@ def main(argv=None) -> int:
         rows = []
         with procs.CpuMeter() as meter:
             for scale in SCALES:
-                corpus = build_inputs(WORKLOADS["web_mix"], args.seed, scale,
-                                      with_delta=False).base
+                corpus = build_inputs(WORKLOADS[args.workload], args.seed,
+                                      scale, with_delta=False).base
                 pages = corpus.count()
                 walls, cpus, execs = [], [], []
                 for _ in range(args.runs):
@@ -115,8 +118,9 @@ def main(argv=None) -> int:
                      "slope_ms_per_page": round(m * 1000, 5)}
         print(f"{name}: {b:.3f} s + {m * 1000:.4f} ms/page")
     host["first_touch_mbs_end"] = round(procs.first_touch_mbs(), 1)
-    print(json.dumps({"seed": args.seed, "runs": args.runs, "host": host,
-                      "sizes": rows, "fit": fit}))
+    print(json.dumps({"workload": args.workload, "seed": args.seed,
+                      "runs": args.runs, "host": host, "sizes": rows,
+                      "fit": fit}))
     return 0
 
 

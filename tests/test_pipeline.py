@@ -811,12 +811,8 @@ def test_damaged_html_pages_mixed_into_the_gate_corpus(ray_session, corpus):
     assert f1_mixed == f1_alone
 
 
-def test_one_ray_data_execution_per_run(ray_session, corpus, monkeypatch):
-    """An uncheckpointed run launches one Ray Data execution, the fused
-    extract -> signature -> repartition map; everything after the
-    features runs as bare tasks, and fetching the assignments launches
-    none."""
-    import ray.data as rd
+def _count_executions(monkeypatch) -> list:
+    """A list that grows by one per Ray Data execution from here on."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -829,10 +825,158 @@ def test_one_ray_data_execution_per_run(ray_session, corpus, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return calls
+
+
+def test_no_ray_data_execution_per_run(ray_session, corpus, monkeypatch):
+    """An uncheckpointed run over an in-memory corpus launches no Ray Data
+    execution: the features run as grouped bare tasks over the corpus
+    blocks, everything after them as bare tasks too, and reading the
+    returned pairs and assignments launches none."""
+    import ray.data as rd
+
+    calls = _count_executions(monkeypatch)
     out = run_reconcile(rd.from_arrow(corpus))
-    assert len(calls) == 1
+    assert out["assignments"].take_all()
+    assert out["pairs"].take_all()
     out["assignments"].materialize().to_arrow_refs()
+    assert len(calls) == 0
+
+
+def test_lazy_corpus_launches_one_execution(ray_session, corpus, tmp_path,
+                                           monkeypatch):
+    """A lazy ``read_parquet`` corpus costs one Ray Data execution, its
+    read, and reconciles to the in-memory run's assignments."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    half = corpus.num_rows // 2
+    for i, part in enumerate((corpus.slice(0, half), corpus.slice(half))):
+        pq.write_table(part, tmp_path / f"part-{i}.parquet")
+    want = {r["url"]: r["cluster_id"] for r in
+            run_reconcile(rd.from_arrow(corpus))["assignments"].take_all()}
+    calls = _count_executions(monkeypatch)
+    out = run_reconcile(rd.read_parquet(str(tmp_path)))
+    got = {r["url"]: r["cluster_id"] for r in out["assignments"].take_all()}
     assert len(calls) == 1
+    assert got == want
+
+
+def test_resumed_features_read_none_of_the_corpus(ray_session, corpus,
+                                                  tmp_path):
+    """A checkpointed run that resumes its features reads none of the
+    corpus: a lazy input whose Parquet file is gone by then still
+    resumes to the first run's assignments."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    src = tmp_path / "corpus"
+    src.mkdir()
+    pq.write_table(corpus, src / "part-0.parquet")
+    kwargs = {"checkpoint_root": str(tmp_path / "ckpt"),
+              "input_fingerprint": "lazy-corpus"}
+    first = run_reconcile(rd.read_parquet(str(src)), **kwargs)
+    want = {r["url"]: r["cluster_id"] for r in first["assignments"].take_all()}
+    lazy = rd.read_parquet(str(src))
+    (src / "part-0.parquet").unlink()
+    again = run_reconcile(lazy, **kwargs)
+    got = {r["url"]: r["cluster_id"] for r in again["assignments"].take_all()}
+    assert got == want
+    stages = {s["stage"]: s for s in again["metrics"]["stages"]}
+    assert stages["features"]["resumed"] is True
+
+
+@pytest.mark.parametrize("n_blocks", [1, 24])
+def test_features_equal_the_dataset_composition(ray_session, corpus,
+                                                n_blocks):
+    """The grouped feature tasks give byte-identical features to the
+    ``_extract_task`` -> ``_signature_task`` Dataset composition, over a
+    1-block corpus and over ``test_block_counts_follow_bucket_count``'s
+    24 blocks."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.pipelines.reconcile import (
+        _extract_task, _signature_task,
+    )
+
+    n = corpus.num_rows
+    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
+    ds = rd.from_arrow([corpus.slice(lo, hi - lo)
+                        for lo, hi in zip(bounds, bounds[1:])])
+    cfg = ReconcileConfig()
+
+    def table(d):
+        t = pa.concat_tables(ray.get(d.to_arrow_refs()))
+        return t.take(pc.sort_indices(t, [("url", "ascending")])) \
+            .combine_chunks()
+
+    got = table(run_reconcile(ds, cfg)["features"])
+    want = table(ds.select_columns(["url", "warc_ts", "html", "lang"])
+                 .map_batches(_extract_task, batch_format="pyarrow")
+                 .map_batches(_signature_task, batch_format="pyarrow",
+                              fn_kwargs={"blocking": cfg.blocking})
+                 .materialize())
+    assert got.num_rows == n
+    assert got.equals(want)
+
+
+def test_extraction_errors_are_counted(ray_session, corpus, tmp_path):
+    """A page with no html fails extraction: the run counts it in its
+    metrics and in the ``features`` lineage entry (also when a
+    checkpointed run resumes the stage), and the page still gets its
+    singleton assignment."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    bad = _pages(["https://broken.example/none"], [b""])
+    bad = bad.set_column(bad.schema.get_field_index("html"), "html",
+                         pa.array([None], pa.binary()))
+    pages = pa.concat_tables([corpus, bad])
+    kwargs = {"checkpoint_root": str(tmp_path / "ckpt"),
+              "input_fingerprint": "one-broken-page"}
+    for run_kwargs in ({}, kwargs, kwargs):
+        out = run_reconcile(rd.from_arrow(pages), **run_kwargs)
+        stages = {s["stage"]: s for s in out["metrics"]["stages"]}
+        assert out["metrics"]["extract_errors"] == 1
+        assert stages["features"]["extract_errors"] == 1
+        got = {r["url"]: r["cluster_id"]
+               for r in out["assignments"].take_all()}
+        assert len(got) == pages.num_rows
+        assert got["https://broken.example/none"] == \
+            "https://broken.example/none"
+    assert stages["features"]["resumed"] is True
+
+
+def test_checkpointed_run_without_pairs_resumes_without_warnings(
+        ray_session, tmp_path):
+    """A checkpointed run whose pairs stage holds no rows writes and
+    reads that stage back as a typed empty block, with no RuntimeWarning
+    (``read_parquet`` over no rows emits numpy's ``Mean of empty
+    slice``), and its resume gives the same singletons."""
+    import warnings
+
+    import ray.data as rd
+
+    urls = [f"https://apart.example/p/{i}" for i in range(3)]
+    htmls = [f"<html><body><p>{' '.join(f'w{k}x{i}' for i in range(60))}"
+             "</p></body></html>".encode() for k in range(3)]
+    pages = _pages(urls, htmls)
+    kwargs = {"checkpoint_root": str(tmp_path / "ckpt"),
+              "input_fingerprint": "no-pairs"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(2):
+            out = run_reconcile(rd.from_arrow(pages), **kwargs)
+            assert out["metrics"]["candidate_pairs"] == 0
+            got = {r["url"]: r["cluster_id"]
+                   for r in out["assignments"].take_all()}
+            assert got == {u: u for u in urls}
+    stages = {s["stage"]: s for s in out["metrics"]["stages"]}
+    assert stages["pairs"]["resumed"] is True
+    assert stages["pairs"]["rows"] == 0
 
 
 def _layered_run(features, cfg, narrow):
