@@ -67,7 +67,7 @@ from .reconcile import (NARROW_THRESHOLD, check_unique_urls, corpus_blocks,
 
 def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
     outs = feature_blocks(*corpus_blocks(delta_corpus_ds), cfg.blocking)
-    return rd.from_arrow_refs([t for t, _, _ in outs]).materialize()
+    return rd.from_arrow_refs([o[0] for o in outs]).materialize()
 
 
 def run_incremental(base_features, base_assignments, delta_corpus_ds,

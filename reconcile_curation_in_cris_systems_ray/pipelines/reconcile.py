@@ -85,27 +85,31 @@ def _signature_task(batch: pa.Table, blocking=None) -> pa.Table:
 
 
 def _feature_group(cols: list[str] | None, blocking, sign: bool,
-                   *blocks: pa.Table) -> tuple[pa.Table, int, int]:
+                   *blocks: pa.Table) -> tuple[pa.Table, int, int, int]:
     """Task body: a group of blocks, block by block: the ``cols`` of raw
-    corpus blocks through ``_extract_task`` (``cols`` None: the blocks
-    are extracted already), then, with ``sign``, ``_signature_task``.
-    Returns the group's table, its row count and how many of its rows
-    carry an ``extract_error`` (counted by the signature step, which
-    drops the column).  Empty blocks are skipped; a group with no rows
-    yields the typed 0-row table of an empty page table."""
+    corpus blocks through the worker's ``HtmlTextExtractor`` (``cols``
+    None: the blocks are extracted already), then, with ``sign``,
+    ``_signature_task``.  Returns the group's table, its row count, how
+    many of its rows carry an ``extract_error`` (counted by the
+    signature step, which drops the column) and how many pages the
+    extractor's block path deferred to the per-page scanner.  Empty
+    blocks are skipped; a group with no rows yields the typed 0-row
+    table of an empty page table."""
     todo = [b for b in blocks if b.num_rows]
     if not todo:
         todo, cols = [CORPUS_SCHEMA.empty_table()], ["url", "html"]
-    outs, errors = [], 0
+    outs, errors, deferred = [], 0, 0
     for b in todo:
         if cols is not None:
-            b = _extract_task(b.select(cols))
+            b, n = worker_cached("extractor", HtmlTextExtractor).extract(
+                b.select(cols))
+            deferred += n
         if sign:
             errors += b.num_rows - b.column("extract_error").null_count
             b = _signature_task(b, blocking)
         outs.append(b)
     out = pa.concat_tables(outs)
-    return out, out.num_rows, errors
+    return out, out.num_rows, errors, deferred
 
 
 def _contiguous_groups(rows: list[int], n: int) -> list[list[int]]:
@@ -146,9 +150,9 @@ def feature_blocks(refs, rows: list[int], cols: list[str] | None,
     :func:`_feature_group` task per group of contiguous blocks, at most
     ``effective_buckets(blocking.num_buckets)`` groups balanced by row
     count, so the stages downstream run at most one task per exchange
-    bucket.  Returns one ``(table ref, row-count ref, error-count ref)``
-    per group, not waited for."""
-    task = remote_fn(_feature_group, num_returns=3)
+    bucket.  Returns one ``(table ref, row-count ref, error-count ref,
+    deferred-count ref)`` per group, not waited for."""
+    task = remote_fn(_feature_group, num_returns=4)
     groups = _contiguous_groups(
         rows, effective_buckets(blocking.num_buckets))
     return [task.remote(cols, blocking, sign, *[refs[i] for i in g])
@@ -212,12 +216,23 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     cfg_fp = fingerprint(cfg, versions)
 
     errors: list = []
+    deferred: list = []
 
     def features_of(blocks, sign):
         outs = feature_blocks(*blocks, cfg.blocking, sign)
         if sign:
-            errors[:] = [e for _, _, e in outs]
-        return [t for t, _, _ in outs], [n for _, n, _ in outs]
+            errors[:] = [o[2] for o in outs]
+        if blocks[2] is not None:  # these tasks extract
+            deferred[:] = [o[3] for o in outs]
+        return [o[0] for o in outs], [o[1] for o in outs]
+
+    def n_deferred():
+        """Pages the block extractor deferred: counted by this run's
+        extracting tasks, or read from the extracted stage it resumed."""
+        if deferred:
+            return sum(ray.get(deferred))
+        return next(s for s in ckpt.lineage
+                    if s["stage"] == "extracted").get("extract_deferred")
 
     # the corpus is read only when a stage that needs it is built, so a
     # run that resumes its features reads none of it
@@ -227,7 +242,8 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         # when the features stage is built
         extracted = ckpt.run_stage("extracted", fp_ex, lambda: (
             rd.from_arrow_refs(features_of(corpus_blocks(corpus_ds),
-                                           False)[0])))
+                                           False)[0])),
+            stats=lambda: {"extract_deferred": n_deferred()})
 
         def source():
             return (*_blocks(extracted.materialize()), None)
@@ -241,7 +257,8 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     fp_ft = fingerprint(fp_ex, "features")
     feature_refs, _ = _ref_stage(
         ckpt, "features", fp_ft, lambda: features_of(source(), True),
-        stats=lambda: {"extract_errors": sum(ray.get(errors))})
+        stats=lambda: {"extract_errors": sum(ray.get(errors)),
+                       "extract_deferred": n_deferred()})
     features = rd.from_arrow_refs(feature_refs).materialize()
     n_features = features.count()
     # scale-adaptive dedup mode (measured crossover, re-measured on a
@@ -304,11 +321,12 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     pairs = _pairs_dataset(pair_refs, pair_counts)
     n_pairs = pairs.count()
     assignments = rd.from_arrow_refs(asg_refs).materialize()
-    # the features stage's error count: counted by this run's feature
-    # tasks, or read from the checkpoint it resumed
+    # the features stage's error and deferred counts: counted by this
+    # run's tasks, or read from the checkpoints it resumed
     feat_stage = next(s for s in ckpt.lineage if s["stage"] == "features")
     if errors:
         feat_stage["extract_errors"] = sum(ray.get(errors))
+        feat_stage["extract_deferred"] = n_deferred()
 
     ckpt.write_lineage(versions)
     metrics = {
@@ -320,6 +338,7 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
         "scored_pairs": n_pairs,
         "lookup_shards": n_shards,
         "extract_errors": feat_stage.get("extract_errors"),
+        "extract_deferred": feat_stage.get("extract_deferred"),
     }
     return {"features": features, "pairs": pairs,
             "assignments": assignments, "metrics": metrics}

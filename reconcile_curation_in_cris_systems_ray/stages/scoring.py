@@ -45,9 +45,14 @@ def build_feature_lookup(features_ds) -> list:
     returns its shards' object refs.
 
     NON-BLOCKING: the driver can launch it before the candidate-pair
-    stage, so the build overlaps that stage's execution.
+    stage, so the build overlaps that stage's execution.  A materialized
+    Dataset is used as it is: materializing it again costs a Dataset
+    init and a stats-actor round trip in the calling process.
     """
-    feats = features_ds.materialize()
+    from ray.data.dataset import MaterializedDataset
+
+    feats = features_ds if isinstance(features_ds, MaterializedDataset) \
+        else features_ds.materialize()
     return sharded_lookup(feats.to_arrow_refs(), "url", _LOOKUP_COLS,
                           lookup_shards(feats.size_bytes()))
 

@@ -51,6 +51,8 @@ def test_pipeline_f1_gate(ray_session, corpus):
     assert len(assigns) == corpus.num_rows
     f1, prec, rec = _pairwise_f1(assigns, true_pairs(corpus))
     assert f1 >= 0.99, (f1, prec, rec)
+    # the block extractor vouches for every generated page
+    assert out["metrics"]["extract_deferred"] == 0
 
 
 def test_permutation_invariance(ray_session, corpus):
@@ -942,12 +944,100 @@ def test_extraction_errors_are_counted(ray_session, corpus, tmp_path):
         stages = {s["stage"]: s for s in out["metrics"]["stages"]}
         assert out["metrics"]["extract_errors"] == 1
         assert stages["features"]["extract_errors"] == 1
+        assert out["metrics"]["extract_deferred"] == 1  # the null page
         got = {r["url"]: r["cluster_id"]
                for r in out["assignments"].take_all()}
         assert len(got) == pages.num_rows
         assert got["https://broken.example/none"] == \
             "https://broken.example/none"
     assert stages["features"]["resumed"] is True
+
+
+def test_extract_deferred_is_counted(ray_session, corpus, tmp_path):
+    """Pages the block extractor cannot vouch for (a ``<![CDATA[``
+    section, invalid UTF-8) are counted in the metrics and the
+    ``features`` lineage entry, uncheckpointed, checkpointed (the
+    manifest keeps the count) and resumed, and still extract as the
+    oracle does."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.stages.extract import (
+        extract_html_text,
+    )
+
+    odd = {"https://odd.example/cdata":
+           b"<p>kept <![CDATA[x]]> text of the first odd page</p>",
+           "https://odd.example/latin1":
+           b"<p>caf\xe9 au lait, the second odd page</p>"}
+    pages = pa.concat_tables([corpus, _pages(list(odd), list(odd.values()))])
+    kwargs = {"checkpoint_root": str(tmp_path / "ckpt"),
+              "input_fingerprint": "two-odd-pages"}
+    for run_kwargs in ({}, kwargs, kwargs):
+        out = run_reconcile(rd.from_arrow(pages), **run_kwargs)
+        stages = {s["stage"]: s for s in out["metrics"]["stages"]}
+        assert out["metrics"]["extract_deferred"] == 2
+        assert stages["features"]["extract_deferred"] == 2
+        assert out["metrics"]["extract_errors"] == 0
+    assert stages["features"]["resumed"] is True
+    extracted = pq.read_table(tmp_path / "ckpt" / "extracted" / "data")
+    got = dict(zip(extracted.column("url").to_pylist(),
+                   extracted.column("extracted_text").to_pylist()))
+    for url, html in odd.items():
+        assert got[url] == extract_html_text(html)
+
+
+def test_feature_lookup_reuses_a_materialized_dataset(ray_session, corpus,
+                                                      monkeypatch):
+    """``build_feature_lookup`` uses a materialized Dataset as it is: a
+    run makes one ``materialize`` call fewer than when the lookup
+    re-materializes the features, and the lookup shards are equal."""
+    import ray
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    from reconcile_curation_in_cris_systems_ray.stages import scoring
+
+    calls = []
+    real = MaterializedDataset.materialize
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MaterializedDataset, "materialize", counting)
+    build = scoring.build_feature_lookup
+    built = []
+
+    def recording(features_ds):
+        built.append(build(features_ds))
+        return built[-1]
+
+    monkeypatch.setattr(
+        "reconcile_curation_in_cris_systems_ray.pipelines.reconcile."
+        "build_feature_lookup", recording)
+    out = run_reconcile(rd.from_arrow(corpus))
+    n_calls = len(calls)
+    calls.clear()
+    build(out["features"])
+    assert not calls
+    # the lookup as it was built before: on a re-materialized Dataset
+    monkeypatch.setattr(
+        "reconcile_curation_in_cris_systems_ray.pipelines.reconcile."
+        "build_feature_lookup", lambda f: recording(f.materialize()))
+    calls.clear()
+    run_reconcile(rd.from_arrow(corpus))
+    assert n_calls == len(calls) - 1
+
+    def tables(lookup):
+        return [ray.get(list(shard)) for shard in lookup]
+
+    first, second = tables(built[0]), tables(built[1])
+    assert len(first) == len(second)
+    for (k1, t1, n1), (k2, t2, n2) in zip(first, second):
+        assert (k1 == k2).all() and t1.equals(t2) and n1 == n2
+    assert out["metrics"]["lookup_shards"] == len(first)
 
 
 def test_checkpointed_run_without_pairs_resumes_without_warnings(
