@@ -1,48 +1,37 @@
 """Incremental (delta) reconciliation: link NEW pages against an
 existing run's state without re-scoring the whole corpus.
 
-The production shape of the flagship at 10^12 docs is not "re-run
-everything nightly" — it is "a crawl delta arrives; score only pairs
-that touch it".  This module composes the flagship's stages into that
-plan (reference analogue: the incremental run stats / re-entrant DB
-workflow, `workflows.py:56-100` + `repository.py:516-525`, which
-re-processes only new input files against the standing database):
+A crawl delta arrives; only the pairs that touch it are scored
+(reference analogue: the re-entrant DB workflow, `workflows.py:56-100`
++ `repository.py:516-525`, which re-processes only new input files
+against the standing database).  The link runs the flagship's task
+graph (:mod:`.reconcile`) over block refs:
 
-1. extract + signature the delta (the same grouped feature tasks as
-   :func:`..pipelines.reconcile.run_reconcile`, so features are
-   byte-identical with a full run);
-2. emit the delta's band keys; the distinct delta band_hash set
-   key set is small (O(delta x num_bands)) and is broadcast once;
-3. re-emit the BASE corpus's band keys (a narrow streaming recompute
-   over the checkpointed features — cheaper at scale than persisting
-   the exploded band table) and keep only rows in TOUCHED bands;
-4. run the normal salted pair generator over touched bands only, then
-   drop old-old pairs (already discovered by the base run: band keys
-   are deterministic per row, so any old-old pair sharing a band now
-   also shared it then);
-5. hydrate + score surviving pairs (>= 1 new endpoint each);
-6. contract old endpoints to their existing cluster_id and run
-   connected components over the contracted delta graph — old
-   clusters act as single nodes, so cluster merges caused by a new
-   bridge page are found without touching old edges;
-7. relabel: merged old clusters get the new component min (cluster
-   ids ARE min-urls, so the merged label equals what a full run would
-   assign), new urls get their component label, untouched base
-   assignments stream through unchanged.
+1. the delta's features, from the flagship's grouped feature tasks;
+2. band rows: the delta's explode tasks, then one per BASE features
+   block, which gets the delta's sorted band keys as a top-level
+   argument and keeps only its rows in those touched bands;
+3. the flagship's hot-key merge and exchange, then one task per pair
+   block that drops the old-old pairs (the base run found them: band
+   keys are deterministic per row);
+4. the flagship's score tasks against one feature lookup over base +
+   delta, whose size also catches a url listed twice across them;
+5. the flagship's union-find or contraction rounds
+   (:func:`.reconcile.components`) over the match edges plus one
+   membership edge ``(url, base cluster id)`` per old endpoint, found
+   by one task per base assignments block: a component's min url is
+   what a full run assigns, since cluster ids ARE min urls and an old
+   url is never below its cluster id;
+6. one star lookup relabels the base assignments by cluster id and
+   labels the delta's urls, one task per block.
 
-Equivalence with a from-scratch run over base+delta is pinned by
-tests/test_pipeline.py (same clustering, pairwise-identical).
-
-Scale notes: the only full passes over base data are streaming
-map_batches (band re-emission, assignment relabel) — no base-sized
-shuffle, no driver materialization of base data.  Every membership set
-and label map is a broadcast lookup (:mod:`..stages.lookup`) built in
-one remote task from the owning dataset's blocks; the driver holds only
-object refs.  Broadcast object sizes stay bounded by the DELTA (its
-url hashes, touched band keys, touched-component labels); for deltas
-too large to broadcast, swap the membership lookups for the Bloom
-prefilter (stages/bloom.py) or a distributed semi-join — same
-semantics.
+Over materialized inputs a link launches no Ray Data execution, and no
+task blocks on a ``ray.get``: every lookup is a top-level task
+argument.  Base data is read by one explode task per features block
+(its band keys are re-exploded on every link) and two tasks per
+assignments block; the feature and star lookups shard by the features'
+bytes as in a full run.  Equivalence with a from-scratch run over
+base + delta is pinned by tests/test_pipeline.py.
 """
 
 from __future__ import annotations
@@ -50,24 +39,58 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from ..config import ReconcileConfig
-from ..stages.blocking import emit_band_keys
-from ..stages.cluster import connected_components
-from ..stages.lookup import broadcast_lookup, key_hash, probe
-from ..stages.pairs import generate_candidate_pairs
-from ..stages.scoring import hydrate_score_pairs, match_edges
-from .reconcile import (NARROW_THRESHOLD, check_unique_urls, corpus_blocks,
-                        feature_blocks)
+from ..stages import remote_fn
+from ..stages.cluster import label_blocks
+from ..stages.lookup import (
+    broadcast_lookup, concat_pairs, key_hash, probe, sharded_lookup,
+)
+from ..stages.pairs import explode_blocks, exploded_pairs
+from ..stages.scoring import build_feature_lookup, score_blocks
+from ..state.manifest import CheckpointManager
+from .reconcile import (NARROW_THRESHOLD, _blocks, check_unique_urls,
+                        components, corpus_blocks, feature_blocks)
 
 
-def _delta_features(delta_corpus_ds, cfg: ReconcileConfig):
-    outs = feature_blocks(*corpus_blocks(delta_corpus_ds), cfg.blocking)
-    return rd.from_arrow_refs([o[0] for o in outs]).materialize()
+def _new_pairs(block, new: np.ndarray) -> pa.Table:
+    """The pairs of one pair block with at least one endpoint among the
+    sorted url hashes ``new``."""
+    pairs = concat_pairs([block])
+    return pairs.filter(pa.array(probe(new, pairs.column("uh_a"))[1]
+                                 | probe(new, pairs.column("uh_b"))[1]))
+
+
+def _endpoint_keys(*edges: pa.Table) -> np.ndarray:
+    """The sorted distinct url hashes of the edge blocks' endpoints."""
+    keys = [key_hash(b.column(c)) for b in edges if b.num_rows
+            for c in ("u", "v")]
+    return np.unique(np.concatenate(keys)) if keys \
+        else np.empty(0, np.uint64)
+
+
+def _members(block: pa.Table, ends: np.ndarray) -> tuple[pa.Table, int]:
+    """Membership edges ``(u = url, v = cluster_id)`` of the rows of one
+    base assignments block whose url hash is in ``ends``, roots (url ==
+    cluster id) left out, and their count."""
+    if not block.num_rows:
+        block = pa.table({"url": pa.array([], pa.string()),
+                          "cluster_id": pa.array([], pa.string())})
+    urls = block.column("url").combine_chunks().cast(pa.string())
+    cids = block.column("cluster_id").combine_chunks().cast(pa.string())
+    root = pc.equal(urls, cids).to_numpy(zero_copy_only=False)
+    mask = pa.array(probe(ends, urls)[1] & ~root)
+    out = pa.table({"u": urls.filter(mask), "v": cids.filter(mask)})
+    return out, out.num_rows
+
+
+def _materialized(ds) -> MaterializedDataset:
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
 
 
 def run_incremental(base_features, base_assignments, delta_corpus_ds,
@@ -80,147 +103,70 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     ``{"assignments": Dataset, "delta_features": Dataset, "metrics": dict}``
     where assignments covers base + delta urls with full-run-equivalent
     cluster ids.  Raises ``ValueError`` naming a delta url that is
-    already in ``base_assignments`` or listed twice in the delta.
+    already in the base or listed twice in the delta.
     """
     t0 = time.time()
-    metrics: dict = {}
-
-    delta_feat = _delta_features(delta_corpus_ds, cfg)
+    base_features = _materialized(base_features)
+    base_refs, base_rows = _blocks(base_features)
+    asg_refs, _ = _blocks(_materialized(base_assignments))
+    delta_refs = [o[0] for o in feature_blocks(
+        *corpus_blocks(delta_corpus_ds), cfg.blocking)]
+    delta_feat = rd.from_arrow_refs(delta_refs).materialize()
     n_delta = delta_feat.count()
-    metrics["delta_rows"] = n_delta
+    metrics: dict = {"delta_rows": n_delta}
+    # launched first, so the build overlaps the pair stage; its shard
+    # count also serves the star lookup, as in a full run
+    lookup = build_feature_lookup(base_features, delta_feat)
+    metrics["lookup_shards"] = len(lookup)
 
     # --- touched-band candidate generation -------------------------------
     # sizing is delta-driven: touched rows ~= delta bands plus the base
     # rows sharing those keys (a small multiple of the delta for
     # non-pathological corpora — hot boilerplate keys are capped by the
     # pair stage's salting/clique guard regardless)
-    touched_hint = n_delta * cfg.blocking.num_bands * 4
-    narrow = touched_hint >= NARROW_THRESHOLD
-    delta_bands = emit_band_keys(delta_feat, cfg.blocking,
-                                 include_bands=not narrow).materialize()
-    # the distinct delta band keys (band_hash alone identifies a band
-    # group: the band index is mixed in)
-    keys_ref, _, n_keys_ref = broadcast_lookup(delta_bands.to_arrow_refs(),
-                                               "band_hash")
-    metrics["touched_bands"] = ray.get(n_keys_ref)
+    narrow = n_delta * cfg.blocking.num_bands * 4 >= NARROW_THRESHOLD
+    bands = explode_blocks(delta_refs, cfg.blocking, not narrow)
+    # band_hash alone identifies a band group: the band index is mixed in
+    touched, _, n_touched = broadcast_lookup([r for r, _ in bands],
+                                             "band_hash")
+    bands += explode_blocks(base_refs, cfg.blocking, not narrow, touched)
+    new = broadcast_lookup(delta_refs, "url")[0]
+    new_pairs = [remote_fn(_new_pairs).remote(p, new)
+                 for p, _ in exploded_pairs(bands, cfg.blocking, narrow)]
+    metrics["touched_bands"] = ray.get(n_touched)
 
-    def touched_only(batch: pa.Table) -> pa.Table:
-        if not batch.num_rows:
-            return batch
-        _, found = probe(ray.get(keys_ref), batch.column("band_hash"))
-        return batch.filter(pa.array(found))
+    # --- score pairs with >= 1 new endpoint --------------------------------
+    edges = score_blocks(new_pairs, lookup, cfg.scoring,
+                         cfg.scoring.est_prefilter, edges=True)
+    edge_refs = [e for e, _ in edges]
+    metrics["delta_edges"] = sum(ray.get([n for _, n in edges]))
+    check_unique_urls(sum(base_rows) + n_delta,
+                      [n for _, _, n in lookup], base_refs + delta_refs,
+                      "the base and the delta")
 
-    base_touched = emit_band_keys(base_features, cfg.blocking,
-                                  include_bands=not narrow) \
-        .map_batches(touched_only, batch_format="pyarrow")
-    touched = base_touched.union(delta_bands)
-
-    pairs = generate_candidate_pairs(touched, cfg.blocking, cfg.scoring,
-                                     dedup_pairs=narrow)
-
-    # --- keep only pairs with >= 1 NEW endpoint --------------------------
-    new_ref, _, n_new_ref = broadcast_lookup(delta_feat.to_arrow_refs(),
-                                             "url")
-
-    def has_new(batch: pa.Table) -> pa.Table:
-        s = ray.get(new_ref)
-        return batch.filter(pa.array(probe(s, batch.column("uh_a"))[1]
-                                     | probe(s, batch.column("uh_b"))[1]))
-
-    pairs_new = pairs.map_batches(has_new, batch_format="pyarrow")
-
-    # --- hydrate + score ---------------------------------------------------
-    features_all = base_features.union(delta_feat)
-    scored = hydrate_score_pairs(pairs_new, features_all, cfg.scoring,
-                                 est_prefilter=cfg.scoring.est_prefilter)
-
-    edges = scored.map_batches(match_edges, batch_format="pyarrow") \
-        .materialize()
-    metrics["delta_edges"] = edges.count()
-    # new_ref's build ran alongside the edges' execution
-    check_unique_urls(n_delta, [n_new_ref], delta_feat, "the delta")
-
-    # --- contract old endpoints to their cluster ids ----------------------
-    def _relabel(h_ref, t_ref, urls: np.ndarray) -> np.ndarray:
-        """urls -> their label in the lookup where present, else
-        identity."""
-        i, found = probe(ray.get(h_ref), urls)
-        out = urls.copy()
-        out[found] = ray.get(t_ref).column(0).take(
-            pa.array(i[found])).to_numpy(zero_copy_only=False)
-        return out
-
-    # old endpoints of delta edges (endpoint not in the delta url set),
-    # distinct — stays a Dataset end-to-end
-    def old_eps(df: pd.DataFrame) -> pd.DataFrame:
-        urls = pd.concat([df["u"], df["v"]], ignore_index=True) \
-            .to_numpy(dtype=object)
-        old = urls[~probe(ray.get(new_ref), urls)[1]]
-        return pd.DataFrame({"url": pd.unique(old)})
-
-    old_nodes = edges.map_batches(old_eps, batch_format="pandas")
-    inv_ref = broadcast_lookup(old_nodes.materialize().to_arrow_refs(),
-                               "url")[0]
-
-    def involved_only(df: pd.DataFrame) -> pd.DataFrame:
-        uh = key_hash(df["url"].to_numpy(dtype=object))
-        # this pass sees every base url, so it also flags delta urls
-        # already in the base (each would get two assignment rows)
-        again = probe(ray.get(new_ref), uh)[1]
-        keep = probe(ray.get(inv_ref), uh)[1] | again
-        return df[keep].assign(again=again[keep])
-
-    def _first_again(*blocks):
-        for b in blocks:
-            if b.num_rows:
-                hit = b.filter(b.column("again"))
-                if hit.num_rows:
-                    return hit.column("url")[0].as_py()
-        return None
-
-    touched_refs = base_assignments.map_batches(
-        involved_only, batch_format="pandas").materialize().to_arrow_refs()
-    # one bare task over the small touched set, not a Ray Data execution
-    again_url = ray.get(ray.remote(_first_again).remote(*touched_refs))
-    if again_url is not None:
-        raise ValueError(f"delta url already in the base: {again_url!r}")
-    old_h, old_t, _ = broadcast_lookup(touched_refs, "url", ["cluster_id"])
-
-    def contract(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "u": _relabel(old_h, old_t, df["u"].to_numpy(dtype=object)),
-            "v": _relabel(old_h, old_t, df["v"].to_numpy(dtype=object))})
-
-    contracted_edges = edges.map_batches(contract, batch_format="pandas")
-    star = connected_components(contracted_edges, cfg.cluster) \
-        .materialize()
-    metrics["merged_labels"] = star.count()
+    # --- components over the delta edges + old endpoints' memberships ------
+    ends = remote_fn(_endpoint_keys).remote(*edge_refs)
+    members = [remote_fn(_members, num_returns=2).remote(b, ends)
+               for b in asg_refs]
+    n_members = sum(ray.get([n for _, n in members]))
+    star_refs, cc = components(
+        edge_refs + [m for m, _ in members],
+        metrics["delta_edges"] + n_members, cfg.cluster,
+        CheckpointManager(None), "incremental")
+    metrics["cc_rounds"] = cc["rounds"]
 
     # --- relabel old clusters + label new urls -----------------------------
-    # star nodes are exactly {old cluster ids, new urls}; base cluster
-    # ids never equal new urls (urls are unique across base and delta),
-    # so one label lookup over every star node serves both
-    lab_h, lab_t, _ = broadcast_lookup(star.to_arrow_refs(), "u", ["v"])
-
-    def relabel(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["cluster_id"] = _relabel(
-            lab_h, lab_t, df["cluster_id"].to_numpy(dtype=object))
-        return out
-
-    old_updated = base_assignments.map_batches(relabel,
-                                               batch_format="pandas")
-
-    def label_new(df: pd.DataFrame) -> pd.DataFrame:
-        urls = df["url"].to_numpy(dtype=object)
-        return pd.DataFrame({
-            "url": urls,
-            "cluster_id": _relabel(lab_h, lab_t, urls),
-        })
-
-    new_assign = delta_feat.select_columns(["url"]).map_batches(
-        label_new, batch_format="pandas")
-
+    # star nodes are new urls, old endpoints and their cluster ids; a
+    # base cluster id is never a new url (urls are unique across base
+    # and delta), so one star lookup relabels both
+    star = sharded_lookup(star_refs, "u", ["v"], len(lookup))
+    labelled = (label_blocks(asg_refs, star, "cluster_id")
+                + label_blocks(delta_refs, star))
+    # the star's rows whose node is a new url or an old cluster id (an
+    # old endpoint below its root is a star row too, one per membership)
+    metrics["merged_labels"] = sum(ray.get([n for _, _, n in star])) \
+        - n_members
+    assignments = rd.from_arrow_refs(labelled).materialize()
     metrics["total_wall_sec"] = round(time.time() - t0, 3)
-    return {"assignments": old_updated.union(new_assign),
-            "delta_features": delta_feat, "metrics": metrics}
+    return {"assignments": assignments, "delta_features": delta_feat,
+            "metrics": metrics}

@@ -284,8 +284,9 @@ def q_reconcile_flagship(sf_dir: str):
 def q_incremental_link(sf_dir: str):
     """Delta reconciliation: an 80/20 url-hash split of the flagship
     corpus; base run on 80%, the 20% delta linked incrementally against
-    the base state (touched-bands-only pair generation, cluster-
-    contracted CC).  Rows-only check; full-run cluster equivalence is
+    the base state (touched-bands-only pair generation, then a
+    union-find over the delta's edges and its old endpoints' cluster
+    memberships).  Rows-only check; full-run cluster equivalence is
     pinned by tests/test_pipeline.py::test_incremental_equals_full_run."""
     import ray.data as rd
 

@@ -65,7 +65,7 @@ from ..stages.cluster import (
     assign_blocks, connected_components, union_find_star,
 )
 from ..stages.extract import HtmlTextExtractor
-from ..stages.pairs import feature_pairs
+from ..stages.pairs import explode_blocks, exploded_pairs
 from ..stages.scoring import build_feature_lookup, score_blocks
 from ..stages.shuffle import effective_buckets, nonempty_dataset
 
@@ -173,23 +173,45 @@ def _library_versions() -> dict[str, str]:
             "duckdb": importlib.metadata.version("duckdb")}
 
 
-def check_unique_urls(n_rows: int, n_urls_refs, ds, where: str) -> None:
-    """Raise ``ValueError`` naming a url that ``ds`` lists twice, when the
-    url lookup built over its ``n_rows`` rows (the size refs
-    ``n_urls_refs`` of its shards) holds fewer urls.  The lookup keeps a
-    repeated url's first row (a url's copies hash to one shard), so the
-    url's other pages would be scored as that one and the url assigned
-    twice.  The size refs resolve once the builds have run, and the
-    scan for the url's name runs only on failure."""
+def check_unique_urls(n_rows: int, n_urls_refs, refs, where: str) -> None:
+    """Raise ``ValueError`` naming a url that the features blocks
+    ``refs`` list twice, when the url lookup built over their
+    ``n_rows`` rows (the size refs ``n_urls_refs`` of its shards) holds
+    fewer urls.  The lookup keeps a repeated url's first row (a url's
+    copies hash to one shard), so the url's other pages would be scored
+    as that one and the url assigned twice.  The size refs resolve once
+    the builds have run, and the scan for the url's name runs only on
+    failure."""
     if sum(ray.get(list(n_urls_refs))) == n_rows:
         return
-    urls = pa.chunked_array([b.column("url")
-                             for b in ray.get(ds.to_arrow_refs())
+    urls = pa.chunked_array([b.column("url") for b in ray.get(list(refs))
                              if b.num_rows])
     counts = pc.value_counts(urls)
     repeated = counts.filter(pc.greater(counts.field("counts"), 1))
     raise ValueError(f"url listed twice in {where}: "
                      f"{repeated[0]['values'].as_py()!r}")
+
+
+def components(edge_refs, n_edges: int, cfg, ckpt: CheckpointManager,
+               fp_cc: str) -> tuple[list, dict]:
+    """Star edges (node -> component min url) of the edge blocks
+    ``edge_refs`` (``n_edges`` rows) under ``cfg`` (a
+    ``ClusterConfig``), and the crossover's metrics: up to
+    ``driver_finish_edges`` one union-find task (stage ``cc_star``),
+    above it the contraction rounds of ``connected_components``, each a
+    resumable stage when ``ckpt`` has a root.  Returns the star's block
+    refs and ``{"input_edges", "rounds", ...}``."""
+    cc_metrics: dict = {"input_edges": n_edges}
+    if n_edges <= cfg.driver_finish_edges:
+        star_refs, _ = _ref_stage(ckpt, "cc_star", fingerprint(fp_cc, "star"),
+                                  lambda: (union_find_star(edge_refs), []))
+        cc_metrics["rounds"] = 0
+    else:
+        star_refs = connected_components(
+            rd.from_arrow_refs(edge_refs), cfg, metrics_out=cc_metrics,
+            ckpt=ckpt if ckpt.root else None,
+            fp_base=fp_cc).to_arrow_refs()
+    return star_refs, cc_metrics
 
 
 def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
@@ -279,8 +301,9 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
 
     fp_pr = fingerprint(fp_ft, "pairs")
     pair_refs, pair_counts = _ref_stage(
-        ckpt, "pairs", fp_pr, lambda: _unzip(feature_pairs(
-            feature_refs, cfg.blocking, narrow)))
+        ckpt, "pairs", fp_pr, lambda: _unzip(exploded_pairs(
+            explode_blocks(feature_refs, cfg.blocking, not narrow),
+            cfg.blocking, narrow)))
 
     fp_ed = fingerprint(fp_pr, "edges")
     t_cc = time.time()
@@ -292,21 +315,11 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     # between the pair stage and the assignments
     n_edges = sum(ray.get(edge_counts))
     fp_cc = fingerprint(fp_ed, "cc")
-    cc_metrics: dict = {"input_edges": n_edges}
-    if n_edges <= cfg.cluster.driver_finish_edges:
-        star_refs, _ = _ref_stage(ckpt, "cc_star", fingerprint(fp_cc, "star"),
-                                  lambda: (union_find_star(edge_refs), []))
-        cc_metrics["rounds"] = 0
-    else:
-        # contraction rounds, each a resumable stage with a root
-        star_refs = connected_components(
-            rd.from_arrow_refs(edge_refs), cfg.cluster,
-            metrics_out=cc_metrics,
-            ckpt=ckpt if checkpoint_root else None,
-            fp_base=fp_cc).to_arrow_refs()
+    star_refs, cc_metrics = components(edge_refs, n_edges, cfg.cluster,
+                                       ckpt, fp_cc)
     # the scorer has read the lookup by now, so its sizes are ready
     check_unique_urls(n_features, [n for _, _, n in feature_lookup],
-                      features, "the corpus")
+                      feature_refs, "the corpus")
 
     ckpt.lineage.append({
         "stage": "score+components", "fingerprint": fp_cc, "rows": None,

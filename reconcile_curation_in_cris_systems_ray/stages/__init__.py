@@ -1,4 +1,6 @@
-"""Dataset-stage building blocks (each a map_batches / groupby composition)."""
+"""Stage building blocks: the task bodies and ref-level task launchers
+of the linkage core, plus the Dataset-level stage functions the traced
+benchmark and the query library compose."""
 
 # Per-worker-process stage cache: Ray reuses worker processes across
 # tasks and stages, so state built here (parser tables, MinHash

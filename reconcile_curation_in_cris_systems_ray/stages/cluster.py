@@ -285,28 +285,34 @@ def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),
     return edges
 
 
-def label_urls(batch: pa.Table, h: np.ndarray,
-               star: pa.Table) -> pa.Table:
+def label_urls(batch: pa.Table, h: np.ndarray, star: pa.Table,
+               key: str = "url") -> pa.Table:
     """``(url, cluster_id)`` of one block's urls against the star
     lookup ``(h, star)`` (node hashes, row-aligned ``v`` = component
-    min): a url that is no star node is its own singleton cluster."""
+    min): the label of the row's ``key`` column (its url, or the
+    cluster id of a prior run's assignment); a key that is no star
+    node keeps itself, so an unlinked url is its own singleton
+    cluster."""
     if not batch.num_rows:
         return pa.table({"url": pa.array([], pa.string()),
                          "cluster_id": pa.array([], pa.string())})
     urls = batch.column("url").combine_chunks().cast(pa.string())
-    i, found = probe(h, urls)
-    cluster = urls  # default: singleton = self
+    keys = urls if key == "url" else \
+        batch.column(key).combine_chunks().cast(pa.string())
+    i, found = probe(h, keys)
+    cluster = keys  # default: not a star node
     if found.any():
         label = star.column("v").take(pa.array(i[found]))
         cluster = pc.replace_with_mask(
-            urls, pa.array(found), label.combine_chunks().cast(pa.string()))
+            keys, pa.array(found), label.combine_chunks().cast(pa.string()))
     return pa.table({"url": urls, "cluster_id": cluster})
 
 
-def _label_task(block, h: np.ndarray, star: pa.Table) -> pa.Table:
+def _label_task(block, h: np.ndarray, star: pa.Table,
+                key: str) -> pa.Table:
     if block is None:  # a split's part of an empty block
         block = pa.table({"url": pa.array([], pa.string())})
-    return label_urls(as_arrow(block), h, star)
+    return label_urls(as_arrow(block), h, star, key)
 
 
 def union_find_star(edge_refs) -> list:
@@ -316,22 +322,28 @@ def union_find_star(edge_refs) -> list:
     return [remote_fn(_uf_star_task).remote(*edge_refs)]
 
 
+def label_blocks(refs, shards, key: str = "url") -> list:
+    """:func:`label_urls` of every block of ``refs`` against the star
+    lookup ``shards`` (:func:`.lookup.sharded_lookup` over star edges,
+    keyed by node): one task per block, or, with more shards, per part
+    of a block split by the shard of its ``key``, labelled against that
+    shard.  The lookup refs are top-level task arguments, so no task
+    blocks on them.  Returns the output block refs, not waited for."""
+    task = remote_fn(_label_task)
+    if len(shards) == 1:
+        h_ref, t_ref, _ = shards[0]
+        return [task.remote(b, h_ref, t_ref, key) for b in refs]
+    n = len(shards)
+    return [task.remote(p[s], *shards[s][:2], key)
+            for p in split_by_shard(refs, key, n) for s in range(n)]
+
+
 def assign_blocks(url_refs, star_refs, n_shards: int) -> list:
     """``(url, cluster_id)`` of every url in the blocks ``url_refs``:
-    the star lookup in ``n_shards`` shards
-    (:func:`.lookup.sharded_lookup`), then one :func:`label_urls` task
-    per url block, or, with more shards, per part of a url block split
-    by shard, labelled against its shard.  The lookup refs are
-    top-level task arguments, so no task blocks on them.  Returns the
-    output block refs, not waited for."""
-    shards = sharded_lookup(star_refs, "u", ["v"], n_shards)
-    task = remote_fn(_label_task)
-    if n_shards == 1:
-        h_ref, t_ref, _ = shards[0]
-        return [task.remote(b, h_ref, t_ref) for b in url_refs]
-    return [task.remote(p[s], *shards[s][:2])
-            for p in split_by_shard(url_refs, "url", n_shards)
-            for s in range(n_shards)]
+    the star lookup in ``n_shards`` shards, then :func:`label_blocks`.
+    Returns the output block refs, not waited for."""
+    return label_blocks(url_refs,
+                        sharded_lookup(star_refs, "u", ["v"], n_shards))
 
 
 def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256):

@@ -2,7 +2,7 @@
 
 Every url-keyed join of the linkage path (features for pair scoring,
 star edges for assignment, the n-gram verify features) and the
-incremental link's membership sets and label maps run the same plan:
+incremental link's touched-band and new-url key sets run the same plan:
 key each row by 64 bits, sort once in a remote task, hand the sorted
 key array and the row-aligned table to the consumers as object refs,
 and probe with a vectorized ``searchsorted``.  Both objects

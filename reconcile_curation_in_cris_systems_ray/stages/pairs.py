@@ -8,7 +8,7 @@ control, per the north rule:
 - **hot-key detection**: per-block partial ``value_counts``
   (locally-unique keys dropped before the driver merge), returned by
   the flagship's explode tasks next to their band rows
-  (:func:`feature_pairs`) or computed by a narrow pre-pass
+  (:func:`explode_blocks`) or computed by a narrow pre-pass
   (:func:`find_hot_keys`), and merged on the driver; keys whose group
   exceeds ``hot_key_cap``
   reach the exchange's split tasks as one top-level task argument.
@@ -274,24 +274,35 @@ def generate_candidate_pairs(band_ds, blocking: BlockingConfig,
 
 
 def _explode_block(block: pa.Table, cfg: BlockingConfig,
-                   include_bands: bool):
+                   include_bands: bool, touched=None):
     """Task body: one features block -> its band rows and their partial
-    key counts."""
+    key counts; with ``touched`` (a sorted band-key array), only the
+    rows in those bands."""
     rows = band_rows(block, cfg, include_bands)
+    if touched is not None:
+        rows = rows.filter(pa.array(probe(touched,
+                                          rows.column("band_hash"))[1]))
     return rows, band_key_counts(rows)
 
 
-def feature_pairs(feature_refs, blocking: BlockingConfig,
-                  dedup_pairs: bool) -> list:
-    """Candidate pairs of the features blocks ``feature_refs``, as bare
-    tasks: one explode task per block returns the block's band rows and
-    partial key counts (:func:`band_key_counts`), the driver merges the
-    counts (:func:`merge_hot_counts`) and :func:`pair_exchange` pairs
-    the band rows.  Returns one ``(pair table ref, row-count ref)`` per
-    bucket."""
+def explode_blocks(feature_refs, blocking: BlockingConfig,
+                   include_bands: bool, touched=None) -> list:
+    """Launch one explode task per features block (``touched`` as in
+    :func:`_explode_block`, a top-level task argument), without
+    waiting; returns one ``(band rows ref, partial counts ref)`` per
+    block."""
     explode = remote_fn(_explode_block, num_returns=2)
-    outs = [explode.remote(f, blocking, not dedup_pairs)
+    return [tuple(explode.remote(f, blocking, include_bands, touched))
             for f in feature_refs]
+
+
+def exploded_pairs(outs, blocking: BlockingConfig,
+                   dedup_pairs: bool) -> list:
+    """Candidate pairs of the explode outputs ``outs``
+    (:func:`explode_blocks`): the driver merges their partial counts
+    (:func:`merge_hot_counts`) and :func:`pair_exchange` pairs their
+    band rows.  Returns one ``(pair table ref, row-count ref)`` per
+    bucket."""
     hot = merge_hot_counts(ray.get([c for _, c in outs]),
                            blocking.hot_key_cap)
     return pair_exchange([r for r, _ in outs], hot, blocking, dedup_pairs)

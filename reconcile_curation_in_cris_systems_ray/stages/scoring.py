@@ -38,11 +38,11 @@ from .shuffle import nonempty_dataset
 _LOOKUP_COLS = ["url", "shingles", "sig"]
 
 
-def build_feature_lookup(features_ds) -> list:
-    """Start building the feature lookup for pair scoring
-    (:func:`.lookup.sharded_lookup` keyed by url hash, carrying ``url,
-    shingles, sig``, in ``lookup_shards`` of the features' bytes);
-    returns its shards' object refs.
+def build_feature_lookup(*features) -> list:
+    """Start building the feature lookup for pair scoring over the
+    features Datasets ``features`` (:func:`.lookup.sharded_lookup`
+    keyed by url hash, carrying ``url, shingles, sig``, in
+    ``lookup_shards`` of their bytes); returns its shards' object refs.
 
     NON-BLOCKING: the driver can launch it before the candidate-pair
     stage, so the build overlaps that stage's execution.  A materialized
@@ -51,10 +51,11 @@ def build_feature_lookup(features_ds) -> list:
     """
     from ray.data.dataset import MaterializedDataset
 
-    feats = features_ds if isinstance(features_ds, MaterializedDataset) \
-        else features_ds.materialize()
-    return sharded_lookup(feats.to_arrow_refs(), "url", _LOOKUP_COLS,
-                          lookup_shards(feats.size_bytes()))
+    feats = [f if isinstance(f, MaterializedDataset) else f.materialize()
+             for f in features]
+    return sharded_lookup([r for f in feats for r in f.to_arrow_refs()],
+                          "url", _LOOKUP_COLS,
+                          lookup_shards(sum(f.size_bytes() for f in feats)))
 
 
 def score_pairs_block(batch: pa.Table, h: np.ndarray, tbl: pa.Table,

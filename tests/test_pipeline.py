@@ -312,40 +312,86 @@ def test_cli_reconcile_from_parquet(ray_session, corpus, tmp_path, capsys):
     assert a_cli == a_mem
 
 
-def test_incremental_equals_full_run(ray_session, corpus):
-    """Delta linkage against a base run must produce the SAME clustering
-    as a from-scratch run over base+delta (url->cluster identical)."""
+def _delta_split(corpus):
+    """A deterministic ~20% delta, split orthogonal to families so many
+    delta pages must join existing base clusters: ``(base, delta)``."""
     import numpy as np
-    import ray.data as rd
 
     from reconcile_curation_in_cris_systems_ray.functions.similarity import (
         stable_hash_strings,
     )
+
+    urls = np.asarray(corpus.column("url").to_pylist(), dtype=object)
+    is_delta = stable_hash_strings(urls) % np.uint64(5) == 0
+    return corpus.filter(~is_delta), corpus.filter(is_delta)
+
+
+@pytest.mark.parametrize("case", ["default", "sharded", "cc_rounds",
+                                  "salting"])
+def test_incremental_equals_full_run(ray_session, corpus, monkeypatch, case):
+    """Delta linkage against a base run must produce the SAME clustering
+    as a from-scratch run over base+delta (url->cluster identical): by
+    default, with the lookups forced into at least four shards
+    (``lookup.LOOKUP_BYTES``), with the contraction rounds forced
+    (``driver_finish_edges=0``) and with delta pages joining the giant
+    family, whose band keys are then salted inside the link
+    (``hot_key_cap=8``)."""
+    import numpy as np
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.config import ClusterConfig
     from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
         run_incremental,
     )
+    from reconcile_curation_in_cris_systems_ray.stages import (
+        lookup, pairs as pmod,
+    )
 
-    urls = np.asarray(corpus.column("url").to_pylist(), dtype=object)
-    # deterministic ~20% delta, split orthogonal to families so many
-    # delta pages must join existing base clusters
-    is_delta = stable_hash_strings(urls) % np.uint64(5) == 0
-    base_tbl = corpus.filter(~is_delta)
-    delta_tbl = corpus.filter(is_delta)
+    cfg = {
+        "salting": ReconcileConfig(blocking=BlockingConfig(hot_key_cap=8)),
+        "cc_rounds": ReconcileConfig(
+            cluster=ClusterConfig(driver_finish_edges=0)),
+    }.get(case, ReconcileConfig())
+    base_tbl, delta_tbl = _delta_split(corpus)
     assert 0 < delta_tbl.num_rows < corpus.num_rows
+    if case == "salting":
+        # the giant family (CORPUS_CFG.giant_family_variants) has pages
+        # on both sides of the split
+        fam = corpus.column("cluster_id").to_numpy()
+        giant = int(np.bincount(fam).argmax())
+        assert giant in delta_tbl.column("cluster_id").to_pylist()
+        assert giant in base_tbl.column("cluster_id").to_pylist()
+    if case == "sharded":
+        monkeypatch.setattr(lookup, "LOOKUP_BYTES", SHARDED_BYTES)
 
-    base = run_reconcile(rd.from_arrow(base_tbl))
+    base = run_reconcile(rd.from_arrow(base_tbl), cfg)
+    hot = []
+    exchange = pmod.pair_exchange
+
+    def hot_spy(band_refs, hot_keys, *args):
+        hot.append(hot_keys)
+        return exchange(band_refs, hot_keys, *args)
+
+    monkeypatch.setattr(pmod, "pair_exchange", hot_spy)
     inc = run_incremental(base["features"], base["assignments"],
-                          rd.from_arrow(delta_tbl))
+                          rd.from_arrow(delta_tbl), cfg)
     got = {r["url"]: r["cluster_id"]
            for r in inc["assignments"].take_all()}
+    monkeypatch.setattr(pmod, "pair_exchange", exchange)
 
-    full = run_reconcile(rd.from_arrow(corpus))
+    full = run_reconcile(rd.from_arrow(corpus), cfg)
     want = {r["url"]: r["cluster_id"]
             for r in full["assignments"].take_all()}
     assert len(got) == corpus.num_rows
     assert got == want
     # the delta actually linked into base clusters (non-vacuous)
     assert inc["metrics"]["delta_edges"] > 0
+    # each case reaches the path it forces
+    assert (inc["metrics"]["lookup_shards"] >= 4) == (case == "sharded")
+    assert (inc["metrics"]["cc_rounds"] > 0) == (case == "cc_rounds")
+    assert len(hot) == 1
+    salted = [c for c in hot[0].values() if c <= pmod.MAX_SIDE]
+    assert bool(salted) == (case == "salting")
 
 
 def test_incremental_rejects_delta_url_already_in_base(ray_session, corpus):
@@ -433,19 +479,13 @@ def test_empty_blocks_through_full_and_incremental_run(ray_session, corpus):
     """A base and a delta that each carry a 0-row, column-less block
     must reconcile to the same assignments as the same inputs without
     it (the lookup builders skip empty blocks)."""
-    import numpy as np
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
-        stable_hash_strings,
-    )
     from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
         run_incremental,
     )
 
-    urls = np.asarray(corpus.column("url").to_pylist(), dtype=object)
-    is_delta = stable_hash_strings(urls) % np.uint64(5) == 0
-    base_tbl, delta_tbl = corpus.filter(~is_delta), corpus.filter(is_delta)
+    base_tbl, delta_tbl = _delta_split(corpus)
 
     def run(base_ds, delta_ds):
         base = run_reconcile(base_ds)
@@ -579,30 +619,56 @@ def test_single_page_corpus_and_delta(ray_session, corpus):
 def test_incremental_narrow_mode_equals_full_run(ray_session, corpus,
                                                  monkeypatch):
     """Force the NARROW incremental path (16B band_hash-only rows +
-    band_hash semi-join + pair-key dedup): clustering must still equal
+    touched-band filter + pair-key dedup): every band row block of the
+    link carries no ``bands`` column, and the clustering still equals
     a from-scratch run over base+delta."""
-    import numpy as np
+    import ray
     import ray.data as rd
 
-    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
-        stable_hash_strings,
-    )
     from reconcile_curation_in_cris_systems_ray.pipelines import incremental
 
     monkeypatch.setattr(incremental, "NARROW_THRESHOLD", 0)
+    columns = []
+    exploded = incremental.exploded_pairs
 
-    urls = np.asarray(corpus.column("url").to_pylist(), dtype=object)
-    is_delta = stable_hash_strings(urls) % np.uint64(5) == 0
-    base = run_reconcile(rd.from_arrow(corpus.filter(~is_delta)))
+    def spy(outs, *args):
+        columns.extend(b.schema.names for b in ray.get([r for r, _ in outs]))
+        return exploded(outs, *args)
+
+    monkeypatch.setattr(incremental, "exploded_pairs", spy)
+
+    base_tbl, delta_tbl = _delta_split(corpus)
+    base = run_reconcile(rd.from_arrow(base_tbl))
     inc = incremental.run_incremental(
-        base["features"], base["assignments"],
-        rd.from_arrow(corpus.filter(is_delta)))
+        base["features"], base["assignments"], rd.from_arrow(delta_tbl))
     got = {r["url"]: r["cluster_id"]
            for r in inc["assignments"].take_all()}
+    assert columns and all(c == ["band_hash", "uh"] for c in columns)
     full = run_reconcile(rd.from_arrow(corpus))
     want = {r["url"]: r["cluster_id"]
             for r in full["assignments"].take_all()}
     assert got == want
+
+
+def test_incremental_launches_no_ray_data_execution(ray_session, corpus,
+                                                    monkeypatch):
+    """A link over a materialized base run and delta launches no Ray
+    Data execution: it runs the flagship's bare tasks over block refs,
+    and reading its assignments launches none."""
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
+        run_incremental,
+    )
+
+    base_tbl, delta_tbl = _delta_split(corpus)
+    base = run_reconcile(rd.from_arrow(base_tbl))
+    delta = rd.from_arrow(delta_tbl)
+    calls = _count_executions(monkeypatch)
+    inc = run_incremental(base["features"], base["assignments"], delta)
+    assert len(inc["assignments"].take_all()) == corpus.num_rows
+    assert inc["delta_features"].count() == delta_tbl.num_rows
+    assert len(calls) == 0
 
 
 def test_flagship_narrow_mode_f1(ray_session, corpus, monkeypatch):
@@ -1071,8 +1137,7 @@ def test_checkpointed_run_without_pairs_resumes_without_warnings(
 
 def _layered_run(features, cfg, narrow):
     """Pairs and assignments of the layer-by-layer composition that
-    ``run_incremental`` and ``perfbench/layers.py`` call, each layer a
-    Dataset function."""
+    ``perfbench/layers.py`` calls, each layer a Dataset function."""
     from reconcile_curation_in_cris_systems_ray.stages.blocking import (
         emit_band_keys,
     )

@@ -425,30 +425,20 @@ def _block_schemas(ds) -> set:
 
 def test_scored_schema_is_exactly_five_columns(ray_session, monkeypatch):
     """The scorer emits url_a, url_b, est_jaccard, jaccard and is_match
-    and nothing else: on one lookup shard, on four (where the pair
-    parts carry a ``group`` column) and inside ``run_incremental``."""
-    import ray.data as rd
-
+    and nothing else: on one lookup shard and on four (where the pair
+    parts carry a ``group`` column)."""
     from reconcile_curation_in_cris_systems_ray.config import (
         ReconcileConfig,
     )
-    from reconcile_curation_in_cris_systems_ray.functions.similarity import (
-        stable_hash_strings,
-    )
-    from reconcile_curation_in_cris_systems_ray.pipelines import incremental
-    from reconcile_curation_in_cris_systems_ray.pipelines.reconcile import (
-        run_reconcile,
-    )
     from reconcile_curation_in_cris_systems_ray.sources.corpus import (
-        CorpusConfig, corpus_table,
+        CorpusConfig,
     )
     from reconcile_curation_in_cris_systems_ray.stages.scoring import (
         build_feature_lookup, hydrate_score_pairs,
     )
 
     cfg = ReconcileConfig()
-    corpus_cfg = CorpusConfig(n_families=30)
-    features, pairs = _features_and_pairs(corpus_cfg, cfg)
+    features, pairs = _features_and_pairs(CorpusConfig(n_families=30), cfg)
     for shards in (1, 4):
         if shards > 1:
             _force_shards(monkeypatch, features.size_bytes(), shards)
@@ -458,24 +448,6 @@ def test_scored_schema_is_exactly_five_columns(ray_session, monkeypatch):
                                      est_prefilter=cfg.scoring.est_prefilter,
                                      prebuilt=lookup)
         assert _block_schemas(scored) == {_SCORED_SCHEMA}, shards
-    monkeypatch.undo()
-
-    seen = []
-    real = incremental.hydrate_score_pairs
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs).materialize()
-        seen.append(_block_schemas(out))
-        return out
-
-    monkeypatch.setattr(incremental, "hydrate_score_pairs", spy)
-    tbl = corpus_table(corpus_cfg)
-    urls = np.asarray(tbl.column("url").to_pylist(), dtype=object)
-    is_delta = stable_hash_strings(urls) % np.uint64(5) == 0
-    base = run_reconcile(rd.from_arrow(tbl.filter(~is_delta)))
-    incremental.run_incremental(base["features"], base["assignments"],
-                                rd.from_arrow(tbl.filter(is_delta)))
-    assert seen == [{_SCORED_SCHEMA}]
 
 
 def test_feature_lookup_raises_on_url_hash_collision(monkeypatch):
