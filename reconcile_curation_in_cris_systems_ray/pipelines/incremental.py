@@ -16,12 +16,14 @@ graph (:mod:`.reconcile`) over block refs:
    keys are deterministic per row);
 4. the flagship's score tasks against one feature lookup over base +
    delta, whose size also catches a url listed twice across them;
-5. the flagship's union-find or contraction rounds
-   (:func:`.reconcile.components`) over the match edges plus one
-   membership edge ``(url, base cluster id)`` per old endpoint, found
-   by one task per base assignments block: a component's min url is
-   what a full run assigns, since cluster ids ARE min urls and an old
-   url is never below its cluster id;
+5. the flagship's connected components
+   (:func:`..stages.cluster.components`: one union-find task, or
+   contraction rounds over block refs above ``driver_finish_edges``)
+   over the match edges plus one membership edge ``(url, base cluster
+   id)`` per old endpoint, found by one task per base assignments
+   block: a component's min url is what a full run assigns, since
+   cluster ids ARE min urls and an old url is never below its cluster
+   id;
 6. one star lookup relabels the base assignments by cluster id and
    labels the delta's urls, one task per block.
 
@@ -47,15 +49,15 @@ from ray.data.dataset import MaterializedDataset
 
 from ..config import ReconcileConfig
 from ..stages import remote_fn
-from ..stages.cluster import label_blocks
+from ..stages.cluster import components, label_blocks
 from ..stages.lookup import (
     broadcast_lookup, concat_pairs, key_hash, probe, sharded_lookup,
 )
 from ..stages.pairs import explode_blocks, exploded_pairs
 from ..stages.scoring import build_feature_lookup, score_blocks
-from ..state.manifest import CheckpointManager
-from .reconcile import (NARROW_THRESHOLD, _blocks, check_unique_urls,
-                        components, corpus_blocks, feature_blocks)
+from ..state.manifest import CheckpointManager, dataset_blocks
+from .reconcile import (NARROW_THRESHOLD, check_unique_urls, corpus_blocks,
+                        feature_blocks)
 
 
 def _new_pairs(block, new: np.ndarray) -> pa.Table:
@@ -107,8 +109,8 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     """
     t0 = time.time()
     base_features = _materialized(base_features)
-    base_refs, base_rows = _blocks(base_features)
-    asg_refs, _ = _blocks(_materialized(base_assignments))
+    base_refs, base_rows = dataset_blocks(base_features)
+    asg_refs, _ = dataset_blocks(_materialized(base_assignments))
     delta_refs = [o[0] for o in feature_blocks(
         *corpus_blocks(delta_corpus_ds), cfg.blocking)]
     delta_feat = rd.from_arrow_refs(delta_refs).materialize()

@@ -20,9 +20,10 @@ Composition (each stage checkpointable via
                         when the feature lookup has several shards):
                         exact Jaccard by index into the feature lookup,
                         match edges and their count out
-      -> cc_star        one union-find task over the edge blocks (above
-                        ``driver_finish_edges``: the contraction rounds
-                        of ``connected_components``)
+      -> cc_star        ``cluster.components``: one union-find task over
+                        the edge blocks; above ``driver_finish_edges``,
+                        contraction rounds first (``cc_round_<i>``), each
+                        two exchanges over the edge blocks
       -> assignments    a star-lookup build, then one task per features
                         block (per block and shard when sharded):
                         (url, cluster_id = min url of component)
@@ -58,12 +59,10 @@ from ray.data.dataset import MaterializedDataset
 
 from ..config import ReconcileConfig
 from ..sources.corpus import CORPUS_SCHEMA
-from ..state.manifest import CheckpointManager, fingerprint
+from ..state.manifest import CheckpointManager, dataset_blocks, fingerprint
 from ..stages import remote_fn, worker_cached
 from ..stages.blocking import SignatureStage
-from ..stages.cluster import (
-    assign_blocks, connected_components, union_find_star,
-)
+from ..stages.cluster import assign_blocks, components
 from ..stages.extract import HtmlTextExtractor
 from ..stages.pairs import explode_blocks, exploded_pairs
 from ..stages.scoring import build_feature_lookup, score_blocks
@@ -139,7 +138,7 @@ def corpus_blocks(corpus_ds) -> tuple[list, list[int], list[str]]:
             if c in corpus_ds.schema().names]
     if not isinstance(corpus_ds, MaterializedDataset):
         corpus_ds = corpus_ds.select_columns(cols)
-    return (*_blocks(corpus_ds.materialize()), cols)
+    return (*dataset_blocks(corpus_ds.materialize()), cols)
 
 
 def feature_blocks(refs, rows: list[int], cols: list[str] | None,
@@ -190,28 +189,6 @@ def check_unique_urls(n_rows: int, n_urls_refs, refs, where: str) -> None:
     repeated = counts.filter(pc.greater(counts.field("counts"), 1))
     raise ValueError(f"url listed twice in {where}: "
                      f"{repeated[0]['values'].as_py()!r}")
-
-
-def components(edge_refs, n_edges: int, cfg, ckpt: CheckpointManager,
-               fp_cc: str) -> tuple[list, dict]:
-    """Star edges (node -> component min url) of the edge blocks
-    ``edge_refs`` (``n_edges`` rows) under ``cfg`` (a
-    ``ClusterConfig``), and the crossover's metrics: up to
-    ``driver_finish_edges`` one union-find task (stage ``cc_star``),
-    above it the contraction rounds of ``connected_components``, each a
-    resumable stage when ``ckpt`` has a root.  Returns the star's block
-    refs and ``{"input_edges", "rounds", ...}``."""
-    cc_metrics: dict = {"input_edges": n_edges}
-    if n_edges <= cfg.driver_finish_edges:
-        star_refs, _ = _ref_stage(ckpt, "cc_star", fingerprint(fp_cc, "star"),
-                                  lambda: (union_find_star(edge_refs), []))
-        cc_metrics["rounds"] = 0
-    else:
-        star_refs = connected_components(
-            rd.from_arrow_refs(edge_refs), cfg, metrics_out=cc_metrics,
-            ckpt=ckpt if ckpt.root else None,
-            fp_base=fp_cc).to_arrow_refs()
-    return star_refs, cc_metrics
 
 
 def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
@@ -268,17 +245,17 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
             stats=lambda: {"extract_deferred": n_deferred()})
 
         def source():
-            return (*_blocks(extracted.materialize()), None)
+            return (*dataset_blocks(extracted.materialize()), None)
     else:
         # extraction runs inside the feature tasks
-        _streamed(ckpt, "extracted", fp_ex)
+        ckpt.streamed("extracted", fp_ex)
 
         def source():
             return corpus_blocks(corpus_ds)
 
     fp_ft = fingerprint(fp_ex, "features")
-    feature_refs, _ = _ref_stage(
-        ckpt, "features", fp_ft, lambda: features_of(source(), True),
+    feature_refs, _ = ckpt.ref_stage(
+        "features", fp_ft, lambda: features_of(source(), True),
         stats=lambda: {"extract_errors": sum(ray.get(errors)),
                        "extract_deferred": n_deferred()})
     features = rd.from_arrow_refs(feature_refs).materialize()
@@ -300,15 +277,15 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     n_shards = len(feature_lookup)
 
     fp_pr = fingerprint(fp_ft, "pairs")
-    pair_refs, pair_counts = _ref_stage(
-        ckpt, "pairs", fp_pr, lambda: _unzip(exploded_pairs(
+    pair_refs, pair_counts = ckpt.ref_stage(
+        "pairs", fp_pr, lambda: _unzip(exploded_pairs(
             explode_blocks(feature_refs, cfg.blocking, not narrow),
             cfg.blocking, narrow)))
 
     fp_ed = fingerprint(fp_pr, "edges")
     t_cc = time.time()
-    edge_refs, edge_counts = _ref_stage(
-        ckpt, "edges", fp_ed,
+    edge_refs, edge_counts = ckpt.ref_stage(
+        "edges", fp_ed,
         lambda: _unzip(score_blocks(pair_refs, feature_lookup, cfg.scoring,
                                     cfg.scoring.est_prefilter, edges=True)))
     # the union-find finish below needs the edge count: the one wait
@@ -328,8 +305,8 @@ def run_reconcile(corpus_ds, cfg: ReconcileConfig = ReconcileConfig(),
     })
 
     fp_as = fingerprint(fp_cc, "assignments")
-    asg_refs, _ = _ref_stage(
-        ckpt, "assignments", fp_as,
+    asg_refs, _ = ckpt.ref_stage(
+        "assignments", fp_as,
         lambda: (assign_blocks(feature_refs, star_refs, n_shards), []))
     pairs = _pairs_dataset(pair_refs, pair_counts)
     n_pairs = pairs.count()
@@ -361,43 +338,6 @@ def _unzip(outs) -> tuple[list, list]:
     """``[(table ref, count ref), ...]`` -> ``(table refs, count refs)``."""
     outs = list(outs)
     return [t for t, _ in outs], [n for _, n in outs]
-
-
-def _ref_stage(ckpt: CheckpointManager, name: str, fp: str, build,
-               stats=None):
-    """Stage ``name`` over block refs.
-
-    ``build()`` launches the stage's tasks and returns ``(table refs,
-    row-count refs)`` without waiting.  Without a checkpoint root they
-    pass straight through.  With one, ``rd.from_arrow_refs`` of them is
-    written through ``ckpt`` (or a checkpoint with fingerprint ``fp`` is
-    read back instead of building) and the stage continues from the
-    read-back blocks, so a checkpointed run takes the same code path.
-    ``stats()``, called once the stage is written, adds its counters to
-    the stage's manifest."""
-    if not ckpt.root:
-        refs, counts = build()
-        _streamed(ckpt, name, fp)
-        return refs, counts
-    ds = ckpt.run_stage(name, fp, lambda: rd.from_arrow_refs(build()[0]),
-                        stats=stats).materialize()
-    refs, rows = _blocks(ds)
-    return refs, [ray.put(n) for n in rows]
-
-
-def _streamed(ckpt: CheckpointManager, name: str, fp: str) -> None:
-    """Record stage ``name`` as passed through without a checkpoint."""
-    ckpt.lineage.append({"stage": name, "fingerprint": fp, "rows": None,
-                         "wall_sec": None, "resumed": False,
-                         "streamed": True})
-
-
-def _blocks(ds) -> tuple[list, list[int]]:
-    """The block refs and row counts of a materialized Dataset, from its
-    block metadata."""
-    blocks = [b for bundle in ds.iter_internal_ref_bundles()
-              for b in bundle.blocks]
-    return [ref for ref, _ in blocks], [meta.num_rows for _, meta in blocks]
 
 
 def _pairs_dataset(pair_refs, pair_counts):

@@ -1,118 +1,173 @@
-"""Transitive clustering: connected components as iterative
-groupby-aggregate rounds to fixpoint.
+"""Transitive clustering: connected components over edge block refs.
 
 Replaces the reference's single-hop window dedup (``repository.py:
-456-509``) with true transitive closure per the north rule.  The
-algorithm is alternating **large-star / small-star** contraction
-(public algorithm; Kiveris et al., "Connected Components in MapReduce
-and Beyond"), which converges in O(log n) rounds and is expressed here
-entirely as bucketed hash-shuffle rounds:
+456-509``) with true transitive closure per the north rule.
+:func:`components` is the one plan, with a crossover on the edge count:
 
-- large-star: for each node u, m = min(N(u) ∪ {u}); emit (v, m) for
-  v in N(u), v > u.
-- small-star: orient edges (h -> l), h > l; for each h,
-  m = min(N(h)); emit (l, m) for l != m plus (h, m).
+- up to ``driver_finish_edges`` edges, one union-find task returns the
+  star edges (node -> component min);
+- above it, alternating **large-star / small-star** contraction rounds
+  (public algorithm; Kiveris et al., "Connected Components in MapReduce
+  and Beyond"), which converge in O(log n) rounds, run first until the
+  edge set is a fixpoint or small enough for the union-find task:
 
-Each round is a ``bucketed_map_groups`` (vectorized pandas inside
-buckets — no per-group Python calls), followed by canonical dedup.
-Convergence = (edge count, order-independent checksum) unchanged.
-Rounds are materialized so lineage does not grow unboundedly; node ids
-are urls (strings) and the cluster label is the lexicographic min url
-of the component — deterministic under any parallelism.
+  - large-star: for each node u, m = min(N(u) ∪ {u}); emit (v, m) for
+    v in N(u), v > u.
+  - small-star: orient edges (h -> l), h > l; for each h,
+    m = min(N(h)); emit (l, m) for l != m plus (h, m).
+
+Each half-round is one :func:`.shuffle.exchange` keyed on ``u`` over
+block refs: its ``prep`` bidirects (large-star) or orients (small-star)
+each input block, and its bucket function is a handful of Arrow kernels
+(a grouped min, a join, ``if_else`` and a grouped distinct).  No Ray
+Data execution runs.  Convergence = (edge count, order-independent
+checksum) unchanged, the checksum summed from one small task per bucket
+output.  A round is a ``cc_round_<i>`` stage of the run's
+:class:`..state.manifest.CheckpointManager`, so with a checkpoint root
+each round is written and resumable.  Node ids are urls (strings) and
+the cluster label is the lexicographic min url of the component —
+deterministic under any parallelism.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..config import ClusterConfig
-from ..functions.similarity import stable_hash_strings
+from ..state.manifest import CheckpointManager, fingerprint
 from . import remote_fn
 from .lookup import (
-    lookup_shards, probe, sharded_lookup, split_by_shard,
+    key_hash, lookup_shards, probe, sharded_lookup, split_by_shard,
 )
-from .shuffle import as_arrow, bucketed_map_groups
+from .shuffle import as_arrow, exchange
 
-logger = logging.getLogger(__name__)
-
-_EMPTY = pd.DataFrame({"u": pd.Series([], dtype=object),
-                       "v": pd.Series([], dtype=object)})
+EMPTY_EDGES = pa.table({"u": pa.array([], pa.string()),
+                        "v": pa.array([], pa.string())})
 
 
-def _large_star(edges_ds, num_buckets: int):
-    def bidirect(batch: pa.Table) -> pa.Table:
-        u, v = batch.column("u"), batch.column("v")
-        return pa.table({"u": pa.concat_arrays([u.combine_chunks(), v.combine_chunks()]),
-                         "v": pa.concat_arrays([v.combine_chunks(), u.combine_chunks()])})
-
-    bi = edges_ds.map_batches(bidirect, batch_format="pyarrow")
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return _EMPTY
-        mins = df.groupby("u", sort=False)["v"].transform("min")
-        m = np.minimum(mins.to_numpy(dtype=object),
-                       df["u"].to_numpy(dtype=object))
-        keep = df["v"].to_numpy(dtype=object) > df["u"].to_numpy(dtype=object)
-        out = pd.DataFrame({"u": df["v"].to_numpy(dtype=object)[keep],
-                            "v": m[keep]})
-        out = out[out["u"] != out["v"]]
-        return out.drop_duplicates()
-
-    return bucketed_map_groups(bi, ["u"], fn, num_buckets)
+def _uv(block: pa.Table) -> tuple[pa.Array, pa.Array]:
+    return tuple(block.column(c).combine_chunks().cast(pa.string())
+                 for c in ("u", "v"))
 
 
-def _small_star(edges_ds, num_buckets: int):
-    def orient(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_pandas().to_numpy(dtype=object)
-        v = batch.column("v").to_pandas().to_numpy(dtype=object)
-        h = np.maximum(u, v)
-        l = np.minimum(u, v)
-        keep = h != l
-        return pa.table({"u": pa.array(h[keep], pa.string()),
-                         "v": pa.array(l[keep], pa.string())})
-
-    oriented = edges_ds.map_batches(orient, batch_format="pyarrow")
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return _EMPTY
-        m = df.groupby("u", sort=False)["v"].transform("min")
-        l_arr = df["v"].to_numpy(dtype=object)
-        m_arr = m.to_numpy(dtype=object)
-        keep = l_arr != m_arr
-        part1 = pd.DataFrame({"u": l_arr[keep], "v": m_arr[keep]})
-        part2 = pd.DataFrame({"u": df["u"].to_numpy(dtype=object),
-                              "v": m_arr}).drop_duplicates()
-        out = pd.concat([part1, part2], ignore_index=True)
-        out = out[out["u"] != out["v"]]
-        return out.drop_duplicates()
-
-    return bucketed_map_groups(oriented, ["u"], fn, num_buckets)
+def _bidirect(block: pa.Table, _) -> pa.Table:
+    """Large-star prep: every edge in both directions."""
+    u, v = _uv(block)
+    return pa.table({"u": pa.concat_arrays([u, v]),
+                     "v": pa.concat_arrays([v, u])})
 
 
-def _edge_stats(edges_ds) -> tuple[int, int]:
-    """(count, order-independent checksum) in one pass."""
+def _orient(block: pa.Table, _) -> pa.Table:
+    """Small-star prep: every edge as (high, low), self-loops dropped."""
+    u, v = _uv(block)
+    lt = pc.less(u, v)
+    return pa.table({"u": pc.if_else(lt, v, u), "v": pc.if_else(lt, u, v)}
+                    ).filter(pc.not_equal(u, v))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_pandas().to_numpy(dtype=object)
-        v = batch.column("v").to_pandas().to_numpy(dtype=object)
-        if len(u) == 0:
-            return pa.table({"n": pa.array([0], pa.int64()),
-                             "c": pa.array([0], pa.int64())})
-        h = (stable_hash_strings(np.char.add(
-            np.char.add(u.astype(str), "\x00"), v.astype(str)).astype(object))
-            % np.uint64(1 << 32))
-        return pa.table({"n": pa.array([len(u)], pa.int64()),
-                         "c": pa.array([int(h.sum())], pa.int64())})
 
-    parts = edges_ds.map_batches(partial, batch_format="pyarrow").take_all()
-    return (sum(p["n"] for p in parts), sum(p["c"] for p in parts))
+def _with_min(edges: pa.Table) -> tuple:
+    """``(u, v, min v of u)`` of every edge."""
+    t = edges.join(edges.group_by("u").aggregate([("v", "min")]), "u")
+    return t.column("u"), t.column("v"), t.column("v_min")
+
+
+def _distinct(u: list, v: list) -> pa.Table:
+    """The distinct edges of the concatenated column parts."""
+    return pa.table({"u": pa.chunked_array(u, pa.string()),
+                     "v": pa.chunked_array(v, pa.string())}
+                    ).group_by(["u", "v"]).aggregate([])
+
+
+def _large_star(edges: pa.Table) -> pa.Table:
+    u, v, m = _with_min(edges)
+    m = pc.if_else(pc.less(m, u), m, u)
+    # m <= u < v: no self-loop is emitted
+    keep = pc.greater(v, u)
+    return _distinct(v.filter(keep).chunks, m.filter(keep).chunks)
+
+
+def _small_star(edges: pa.Table) -> pa.Table:
+    u, v, m = _with_min(edges)
+    # m < u, and l = m is left out: no self-loop is emitted
+    keep = pc.not_equal(v, m)
+    return _distinct(v.filter(keep).chunks + u.chunks,
+                     m.filter(keep).chunks + m.chunks)
+
+
+def edge_checksum(block: pa.Table) -> int:
+    """Order-independent checksum of one edge block: the sum, mod 2^64,
+    of a 64-bit mix of each edge's two url hashes.  ``u`` and ``v`` are
+    hashed apart, so no concatenation of the two makes edges alike."""
+    if not block.num_rows:
+        return 0
+    x = key_hash(block.column("u")) * np.uint64(0x9E3779B97F4A7C15) \
+        + key_hash(block.column("v"))
+    # splitmix64 finalizer: the sum is then no linear function of the
+    # u and v hashes alone
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return int(x.sum(dtype=np.uint64))
+
+
+def _round(refs, num_buckets: int) -> tuple[list, list]:
+    """One contraction round over the edge blocks ``refs``: large-star
+    then small-star, each one exchange keyed on ``u``.  Returns the
+    non-empty outputs' ``(table refs, row-count refs)``, or one typed
+    0-row block when every output is empty."""
+    large = exchange(refs, ["u"], _large_star, num_buckets, arrow_fn=True,
+                     prep=_bidirect)
+    small = exchange([t for t, _ in large], ["u"], _small_star, num_buckets,
+                     arrow_fn=True, prep=_orient)
+    counts = ray.get([n for _, n in small])
+    keep = [(t, n) for (t, n), c in zip(small, counts) if c]
+    if not keep:
+        return [ray.put(EMPTY_EDGES)], [ray.put(0)]
+    return [t for t, _ in keep], [n for _, n in keep]
+
+
+def components(edge_refs, n_edges: int, cfg: ClusterConfig,
+               ckpt: CheckpointManager, fp: str) -> tuple[list, dict]:
+    """Star edges (node -> component min url) of the edge blocks
+    ``edge_refs`` (``n_edges`` rows, any orientation; self-loops and
+    0-row blocks, with or without columns, are allowed), and
+    ``{"input_edges", "rounds"}``.
+
+    While the edge set exceeds ``cfg.driver_finish_edges``, contraction
+    rounds run, each a ``cc_round_<i>`` stage of ``ckpt`` (fingerprint
+    chained off ``fp``) whose convergence stats are computed from the
+    stage's blocks, so a resumed round takes the same decisions as a
+    fresh one.  A round whose (edge count, checksum) equals the previous
+    round's is the fixpoint: its edges are the star.  Otherwise the
+    union-find task finishes (stage ``cc_star``).  Returns the star's
+    block refs, not waited for on the union-find side.  Raises
+    ``RuntimeError`` when ``cfg.max_rounds`` rounds reach no fixpoint:
+    the edges left are then no star."""
+    checksum = remote_fn(edge_checksum)
+    n, prev = n_edges, None
+    for round_no in range(cfg.max_rounds):
+        if n <= cfg.driver_finish_edges:
+            star, _ = ckpt.ref_stage(
+                "cc_star", fingerprint(fp, "star"),
+                lambda: (union_find_star(edge_refs), []))
+            return star, {"input_edges": n_edges, "rounds": round_no}
+        fp = fingerprint(fp, "round", round_no)
+        edge_refs, counts = ckpt.ref_stage(
+            f"cc_round_{round_no}", fp,
+            lambda: _round(edge_refs, cfg.num_buckets))
+        sums = ray.get([checksum.remote(r) for r in edge_refs])
+        stats = (sum(ray.get(counts)), sum(sums) % (1 << 64))
+        if stats == prev:
+            return edge_refs, {"input_edges": n_edges, "rounds": round_no + 1}
+        n, prev = stats[0], stats
+    raise RuntimeError(
+        f"connected components: no fixpoint after {cfg.max_rounds} "
+        f"rounds, {n} edges left")
 
 
 def _uf_star_task(*blocks) -> pa.Table:
@@ -126,14 +181,10 @@ def _uf_star_task(*blocks) -> pa.Table:
     block refs resolve zero-copy on the same node.
     """
     blocks = [b.select(["u", "v"]) for b in blocks if b.num_rows]
-    empty = pa.table({"u": pa.array([], pa.string()),
-                      "v": pa.array([], pa.string())})
     if not blocks:
-        return empty
+        return EMPTY_EDGES
     tbl = pa.concat_tables(blocks, promote_options="default").combine_chunks()
     n_edges = tbl.num_rows
-    if n_edges == 0:
-        return empty
     # integer-coded union-find: dictionary-encode urls once in Arrow
     # (C++ hash factorize, ~2x pandas factorize on object strings and
     # no object-array materialization), run UF on int arrays
@@ -182,107 +233,24 @@ def _uf_star_task(*blocks) -> pa.Table:
     })
 
 
-def _driver_finish(edges_ds, metrics_out: dict | None = None):
-    """Finish a small edge set with union-find in ONE remote task,
-    returning star edges (node -> component min) as a Dataset."""
-    import time as _time
-
-    import ray.data as rd
-
-    t0 = _time.time()
-    refs = list(edges_ds.materialize().to_arrow_refs())
-    # the star table stays in the object store: from_arrow_refs waits
-    # for the task (it reads the block's metadata) but never moves the
-    # table through the driver
-    star = rd.from_arrow_refs(union_find_star(refs))
-    if metrics_out is not None:
-        metrics_out["uf_task_sec"] = round(_time.time() - t0, 3)
-    return star
-
-
 def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),
                          metrics_out: dict | None = None,
                          ckpt=None, fp_base: str | None = None):
-    """Edges (u, v: string) -> star edges (u=node, v=component min url).
+    """Edges (u, v: string) -> star edges (u=node, v=component min url),
+    as a materialized Dataset: :func:`components` over the blocks of
+    ``edges_ds``.  A ``ckpt`` with a root and ``fp_base`` make every
+    round a resumable stage.  ``metrics_out`` (optional dict) receives
+    the input edge count and the round count."""
+    import ray.data as rd
 
-    Input may be in any orientation; self-loops are dropped.  Returns a
-    materialized Dataset of final star edges.
-
-    Hybrid execution (the standard distributed-CC design): star
-    contraction rounds run only while the edge set exceeds
-    ``cfg.driver_finish_edges``; once it fits comfortably on the
-    driver the remaining closure is a single union-find pass there.
-    Both paths produce identical star edges (pinned by tests), and
-    each contraction round shrinks edges toward (#nodes - #components)
-    so multi-billion-edge inputs still converge distributed.
-
-    Checkpointed resume: pass a
-    :class:`..state.manifest.CheckpointManager` (with a root) plus
-    ``fp_base`` and EVERY contraction round becomes a resumable stage
-    (``cc_round_<i>`` Parquet + manifest, fingerprint chained off the
-    previous round) and the union-find finish a final ``cc_star``
-    stage — a crash mid-closure resumes at the first incomplete round
-    instead of restarting the whole fixpoint.  Convergence stats are
-    recomputed from the resumed Parquet (one narrow pass), so resumed
-    and fresh runs take identical branch decisions.
-
-    ``metrics_out`` (optional dict) receives sub-stage walls: the
-    edge-materialize wall (which, when the upstream scored dataset
-    streams, includes the whole hydrate+score execution), round count,
-    and the driver-finish wall.
-    """
-    import time as _time
-
-    t0 = _time.time()
-    checkpointing = ckpt is not None and getattr(ckpt, "root", None)
     edges = edges_ds.select_columns(["u", "v"]).materialize()
+    star, metrics = components(
+        edges.to_arrow_refs(), edges.count(), cfg,
+        ckpt or CheckpointManager(None),
+        fingerprint(fp_base or "cc", fingerprint(cfg)))
     if metrics_out is not None:
-        metrics_out["edges_materialize_sec"] = round(_time.time() - t0, 3)
-        metrics_out["input_edges"] = edges.count()
-    from ..state.manifest import fingerprint as _fp
-
-    fp_prev = _fp(fp_base or "cc", _fp(cfg))
-    prev = (-1, -1)
-    for round_no in range(cfg.max_rounds):
-        if edges.count() <= cfg.driver_finish_edges:
-            t1 = _time.time()
-            if checkpointing:
-                out = ckpt.run_stage(
-                    "cc_star", _fp(fp_prev, "star"),
-                    lambda: _driver_finish(edges,
-                                           metrics_out=metrics_out))
-            else:
-                out = _driver_finish(edges,
-                                     metrics_out=metrics_out).materialize()
-            if metrics_out is not None:
-                metrics_out["rounds"] = round_no
-                metrics_out["driver_finish_sec"] = round(_time.time() - t1, 3)
-            return out
-        fp_round = _fp(fp_prev, "round", round_no)
-        if checkpointing:
-            # one resumable stage per round: large-star + small-star
-            # fused into the stage body; a matching manifest skips both
-            edges = ckpt.run_stage(
-                f"cc_round_{round_no}", fp_round,
-                lambda e=edges: _small_star(
-                    _large_star(e, cfg.num_buckets), cfg.num_buckets))
-        else:
-            edges = _large_star(edges, cfg.num_buckets).materialize()
-            edges = _small_star(edges, cfg.num_buckets).materialize()
-        fp_prev = fp_round
-        stats = _edge_stats(edges)
-        logger.info("cc round %d: %d edges (checksum %d)",
-                    round_no, stats[0], stats[1])
-        if stats == prev:
-            if metrics_out is not None:
-                metrics_out["rounds"] = round_no + 1
-            return edges
-        prev = stats
-    logger.warning("connected_components: no fixpoint after %d rounds",
-                   cfg.max_rounds)
-    if metrics_out is not None:
-        metrics_out["rounds"] = cfg.max_rounds
-    return edges
+        metrics_out.update(metrics)
+    return rd.from_arrow_refs(star)
 
 
 def label_urls(batch: pa.Table, h: np.ndarray, star: pa.Table,

@@ -18,6 +18,10 @@ mid-pipeline.  Semantics:
   through ``read_parquet``;
 - ``<root>/lineage.json`` lists every stage of the run, with the
   library versions that its fingerprints include.
+
+Stages over block refs (:meth:`CheckpointManager.ref_stage`) take one
+code path with and without a root: their refs pass straight through,
+or are written and continue as the read-back blocks.
 """
 
 from __future__ import annotations
@@ -140,6 +144,35 @@ class CheckpointManager:
         self.lineage.append(man)
         return _read_back(os.path.join(stage_dir, "data"), man["rows"])
 
+    def ref_stage(self, name: str, fp: str, build, stats=None):
+        """Stage ``name`` over block refs.
+
+        ``build()`` launches the stage's tasks and returns ``(table
+        refs, row-count refs)`` without waiting.  Without a root they
+        pass straight through.  With one, ``rd.from_arrow_refs`` of them
+        is written through :meth:`run_stage` (or a checkpoint with
+        fingerprint ``fp`` is read back instead of building) and the
+        stage continues from the read-back blocks, so a checkpointed run
+        takes the same code path.  ``stats()``, called once the stage is
+        written, adds its counters to the stage's manifest."""
+        if not self.root:
+            refs, counts = build()
+            self.streamed(name, fp)
+            return refs, counts
+        import ray
+        import ray.data as rd
+
+        ds = self.run_stage(name, fp, lambda: rd.from_arrow_refs(build()[0]),
+                            stats=stats).materialize()
+        refs, rows = dataset_blocks(ds)
+        return refs, [ray.put(n) for n in rows]
+
+    def streamed(self, name: str, fp: str) -> None:
+        """Record stage ``name`` as passed through without a checkpoint."""
+        self.lineage.append({"stage": name, "fingerprint": fp, "rows": None,
+                             "wall_sec": None, "resumed": False,
+                             "streamed": True})
+
     def write_lineage(self, library_versions: dict[str, str]):
         """Write ``lineage.json``: the library versions the run's
         fingerprints include, then one entry per stage."""
@@ -147,3 +180,11 @@ class CheckpointManager:
             with open(os.path.join(self.root, "lineage.json"), "w") as f:
                 json.dump({"library_versions": library_versions,
                            "stages": self.lineage}, f, indent=2)
+
+
+def dataset_blocks(ds) -> tuple[list, list[int]]:
+    """The block refs and row counts of a materialized Dataset, from its
+    block metadata."""
+    blocks = [b for bundle in ds.iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    return [ref for ref, _ in blocks], [meta.num_rows for _, meta in blocks]

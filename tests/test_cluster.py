@@ -102,3 +102,99 @@ def test_cc_round_checkpoint_resume(ray_session, tmp_path):
     for st in rounds_done[:-1]:
         assert by_stage[st]["resumed"] is True, st
     assert by_stage[rounds_done[-1]]["resumed"] is False
+
+
+def test_edge_checksum_hashes_u_and_v_apart():
+    """The round checksum hashes each endpoint apart: the edges
+    ("ab", "c") and ("a", "bc") concatenate alike, yet differ."""
+    import pyarrow as pa
+
+    from reconcile_curation_in_cris_systems_ray.stages.cluster import (
+        edge_checksum,
+    )
+
+    def one(u, v):
+        return edge_checksum(pa.table({"u": [u], "v": [v]}))
+
+    assert one("ab", "c") != one("a", "bc")
+    assert one("a", "b") != one("b", "a")
+
+
+def test_rounds_without_fixpoint_raise(ray_session):
+    """A 64-node chain needs more than two rounds: with ``max_rounds=2``
+    the rounds raise rather than return a non-star edge set."""
+    import ray.data as rd
+
+    nodes = [f"c{i:03d}" for i in range(64)]
+    edges_ds = rd.from_items([{"u": a, "v": b}
+                              for a, b in zip(nodes[:-1], nodes[1:])])
+    cfg = ClusterConfig(driver_finish_edges=0, max_rounds=2)
+    with pytest.raises(RuntimeError, match=r"after 2 rounds, \d+ edges"):
+        connected_components(edges_ds, cfg)
+
+
+def _degenerate_blocks(case: str):
+    """``(edge blocks, nodes, driver_finish_edges)`` of one degenerate
+    input of the contraction rounds."""
+    import pyarrow as pa
+
+    def edges(pairs):
+        return pa.table({"u": pa.array([u for u, _ in pairs], pa.string()),
+                         "v": pa.array([v for _, v in pairs], pa.string())})
+
+    columnless = pa.table({})
+    if case == "columnless":
+        # 0-row blocks without columns among the edge blocks
+        nodes, pairs = _random_edges(5, 30, 25)
+        return ([columnless, edges(pairs[:10]), columnless,
+                 edges(pairs[10:]), columnless], nodes, 0)
+    if case == "emptied":
+        # every bucket output of every round is empty: self-loops and
+        # typed 0-row blocks, with the rounds forced even at 0 edges
+        nodes = ["e0", "e1", "e2"]
+        return ([edges([]), edges([(n, n) for n in nodes]), columnless],
+                nodes, -1)
+    if case == "self_loops":
+        nodes = [f"s{i}" for i in range(6)]
+        return [edges([(n, n) for n in nodes] * 2)], nodes, 0
+    # many small blocks of a random graph, in reversed orientation
+    nodes, pairs = _random_edges(6, 120, 110)
+    pairs = [(v, u) for u, v in pairs]
+    return ([edges(pairs[i:i + 3]) for i in range(0, len(pairs), 3)],
+            nodes, 0)
+
+
+@pytest.mark.parametrize("buckets", [1, 4])
+@pytest.mark.parametrize("case", ["columnless", "emptied", "self_loops",
+                                  "many_blocks"])
+def test_forced_rounds_on_degenerate_edges(ray_session, case, buckets):
+    """The contraction rounds over degenerate edge blocks (0-row blocks
+    without columns, edges that empty every bucket, self-loops only,
+    many input blocks) at 1 and 4 buckets give the union-find oracle's
+    components."""
+    import ray
+
+    from reconcile_curation_in_cris_systems_ray.stages.cluster import (
+        components,
+    )
+    from reconcile_curation_in_cris_systems_ray.state.manifest import (
+        CheckpointManager,
+    )
+
+    blocks, nodes, finish = _degenerate_blocks(case)
+    pairs = [(u, v) for b in blocks if b.num_rows
+             for u, v in zip(b.column("u").to_pylist(),
+                             b.column("v").to_pylist())]
+    cfg = ClusterConfig(num_buckets=buckets, driver_finish_edges=finish)
+    star_refs, metrics = components([ray.put(b) for b in blocks],
+                                    len(pairs), cfg, CheckpointManager(None),
+                                    "degenerate")
+    assert metrics["rounds"] > 0
+    star = {}
+    for b in ray.get(star_refs):
+        if b.num_rows:
+            star.update(zip(b.column("u").to_pylist(),
+                            b.column("v").to_pylist()))
+    assert set(star) <= set(nodes)
+    assert {n: star.get(n, n) for n in nodes} == \
+        union_find_oracle(pairs, nodes)

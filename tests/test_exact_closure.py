@@ -67,6 +67,37 @@ def test_clusters_refine_the_exact_closure(ray_session, monkeypatch,
         monkeypatch.setattr(lookup, "LOOKUP_BYTES", 40_000)
     out = run_reconcile(rd.from_arrow(corpus), cfg)
     assert (out["metrics"]["lookup_shards"] >= 4) == sharded
+    _assert_refines(out, corpus, cfg)
+
+
+def test_forced_rounds_refine_the_exact_closure(ray_session):
+    """With the contraction rounds forced (``driver_finish_edges=0``)
+    the clusters refine the exact closure too, and equal the union-find
+    run's."""
+    import ray.data as rd
+
+    from reconcile_curation_in_cris_systems_ray.config import ClusterConfig
+    from reconcile_curation_in_cris_systems_ray.pipelines.reconcile import (
+        run_reconcile,
+    )
+
+    corpus = corpus_table(GATE_CFG)
+    cfg = ReconcileConfig(cluster=ClusterConfig(driver_finish_edges=0))
+    rounds = run_reconcile(rd.from_arrow(corpus), cfg)
+    cc = next(s for s in rounds["metrics"]["stages"]
+              if s["stage"] == "score+components")
+    assert cc["rounds"] > 0
+    _assert_refines(rounds, corpus, cfg)
+    union_find = run_reconcile(rd.from_arrow(corpus))
+    assert ({r["url"]: r["cluster_id"]
+             for r in rounds["assignments"].take_all()}
+            == {r["url"]: r["cluster_id"]
+                for r in union_find["assignments"].take_all()})
+
+
+def _assert_refines(out, corpus, cfg) -> None:
+    """Every cluster of the run ``out`` over ``corpus`` lies inside one
+    component of the exact closure, non-vacuously."""
     closure = _exact_closure(out["features"],
                              cfg.scoring.jaccard_threshold)
     n = corpus.num_rows

@@ -650,25 +650,31 @@ def test_incremental_narrow_mode_equals_full_run(ray_session, corpus,
     assert got == want
 
 
+@pytest.mark.parametrize("case", ["default", "cc_rounds"])
 def test_incremental_launches_no_ray_data_execution(ray_session, corpus,
-                                                    monkeypatch):
+                                                    monkeypatch, case):
     """A link over a materialized base run and delta launches no Ray
     Data execution: it runs the flagship's bare tasks over block refs,
-    and reading its assignments launches none."""
+    and reading its assignments launches none.  So do the contraction
+    rounds, forced with ``driver_finish_edges=0``."""
     import ray.data as rd
 
+    from reconcile_curation_in_cris_systems_ray.config import ClusterConfig
     from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
         run_incremental,
     )
 
+    cfg = ReconcileConfig(cluster=ClusterConfig(driver_finish_edges=0)) \
+        if case == "cc_rounds" else ReconcileConfig()
     base_tbl, delta_tbl = _delta_split(corpus)
-    base = run_reconcile(rd.from_arrow(base_tbl))
+    base = run_reconcile(rd.from_arrow(base_tbl), cfg)
     delta = rd.from_arrow(delta_tbl)
     calls = _count_executions(monkeypatch)
-    inc = run_incremental(base["features"], base["assignments"], delta)
+    inc = run_incremental(base["features"], base["assignments"], delta, cfg)
     assert len(inc["assignments"].take_all()) == corpus.num_rows
     assert inc["delta_features"].count() == delta_tbl.num_rows
     assert len(calls) == 0
+    assert (inc["metrics"]["cc_rounds"] > 0) == (case == "cc_rounds")
 
 
 def test_flagship_narrow_mode_f1(ray_session, corpus, monkeypatch):
@@ -896,19 +902,29 @@ def _count_executions(monkeypatch) -> list:
     return calls
 
 
-def test_no_ray_data_execution_per_run(ray_session, corpus, monkeypatch):
+@pytest.mark.parametrize("case", ["default", "cc_rounds"])
+def test_no_ray_data_execution_per_run(ray_session, corpus, monkeypatch,
+                                       case):
     """An uncheckpointed run over an in-memory corpus launches no Ray Data
     execution: the features run as grouped bare tasks over the corpus
     blocks, everything after them as bare tasks too, and reading the
-    returned pairs and assignments launches none."""
+    returned pairs and assignments launches none.  So do the
+    contraction rounds, forced with ``driver_finish_edges=0``."""
     import ray.data as rd
 
+    from reconcile_curation_in_cris_systems_ray.config import ClusterConfig
+
+    cfg = ReconcileConfig(cluster=ClusterConfig(driver_finish_edges=0)) \
+        if case == "cc_rounds" else ReconcileConfig()
     calls = _count_executions(monkeypatch)
-    out = run_reconcile(rd.from_arrow(corpus))
+    out = run_reconcile(rd.from_arrow(corpus), cfg)
     assert out["assignments"].take_all()
     assert out["pairs"].take_all()
     out["assignments"].materialize().to_arrow_refs()
     assert len(calls) == 0
+    cc = next(s for s in out["metrics"]["stages"]
+              if s["stage"] == "score+components")
+    assert (cc["rounds"] > 0) == (case == "cc_rounds")
 
 
 def test_lazy_corpus_launches_one_execution(ray_session, corpus, tmp_path,
