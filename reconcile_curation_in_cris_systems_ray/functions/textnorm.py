@@ -155,15 +155,16 @@ def normalize_text_array(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
             replacement=""))
     if n_ascii == n:
         return fast
-    # stitch slow-path rows (non-ASCII or null) back in original order
+    # stitch slow-path rows (non-ASCII or null) back in original order:
+    # one take over [fast rows, slow rows], no Python object per row
     mask_np = ascii_mask.to_numpy(zero_copy_only=False)
     slow_in = arr.filter(pc.invert(ascii_mask))
     slow = pa.Array.from_pandas(
         _normalize_series_slow(slow_in.to_pandas()), type=pa.string())
-    out = np.empty(n, dtype=object)
-    out[mask_np] = fast.to_pandas().to_numpy(dtype=object)
-    out[~mask_np] = slow.to_pandas().to_numpy(dtype=object)
-    return pa.array(out, pa.string())
+    idx = np.empty(n, dtype=np.int64)
+    idx[mask_np] = np.arange(n_ascii)
+    idx[~mask_np] = np.arange(n_ascii, n)
+    return pa.concat_arrays([fast.cast(pa.string()), slow]).take(idx)
 
 
 def blocking_key_series(s: pd.Series) -> pd.Series:

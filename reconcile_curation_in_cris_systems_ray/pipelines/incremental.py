@@ -7,7 +7,9 @@ A crawl delta arrives; only the pairs that touch it are scored
 against the standing database).  The link runs the flagship's task
 graph (:mod:`.reconcile`) over block refs:
 
-1. the delta's features, from the flagship's grouped feature tasks;
+1. the delta's features, from the flagship's grouped feature tasks
+   (extract + signature once per run of at most ``RUN_BYTES`` of html,
+   however many blocks the delta arrives in);
 2. band rows: the delta's explode tasks, then one per BASE features
    block, which gets the delta's sorted band keys as a top-level
    argument and keeps only its rows in those touched bands;
@@ -29,10 +31,13 @@ graph (:mod:`.reconcile`) over block refs:
 
 Over materialized inputs a link launches no Ray Data execution, and no
 task blocks on a ``ray.get``: every lookup is a top-level task
-argument.  Base data is read by one explode task per features block
-(its band keys are re-exploded on every link) and two tasks per
-assignments block; the feature and star lookups shard by the features'
-bytes as in a full run.  Equivalence with a from-scratch run over
+argument.  The delta's features and the assignments are wrapped as
+Datasets from the block metadata their tasks return
+(``stages.blocks_dataset``), with no ``rd.from_arrow_refs``.  Base data
+is read by one explode task per features block (its band keys are
+re-exploded on every link) and two tasks per assignments block; the
+feature and star lookups shard by the features' bytes as in a full
+run.  Equivalence with a from-scratch run over
 base + delta is pinned by tests/test_pipeline.py.
 """
 
@@ -44,18 +49,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
 from ..config import ReconcileConfig
-from ..stages import remote_fn
+from ..stages import blocks_dataset, dataset_blocks, remote_fn
 from ..stages.cluster import components, label_blocks
 from ..stages.lookup import (
     broadcast_lookup, concat_pairs, key_hash, probe, sharded_lookup,
 )
 from ..stages.pairs import explode_blocks, exploded_pairs
 from ..stages.scoring import build_feature_lookup, score_blocks
-from ..state.manifest import CheckpointManager, dataset_blocks
+from ..state.manifest import CheckpointManager
 from .reconcile import (NARROW_THRESHOLD, check_unique_urls, corpus_blocks,
                         feature_blocks)
 
@@ -109,11 +113,11 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     """
     t0 = time.time()
     base_features = _materialized(base_features)
-    base_refs, base_rows = dataset_blocks(base_features)
+    base_refs, base_metas = dataset_blocks(base_features)
     asg_refs, _ = dataset_blocks(_materialized(base_assignments))
-    delta_refs = [o[0] for o in feature_blocks(
-        *corpus_blocks(delta_corpus_ds), cfg.blocking)]
-    delta_feat = rd.from_arrow_refs(delta_refs).materialize()
+    delta = feature_blocks(*corpus_blocks(delta_corpus_ds), cfg.blocking)
+    delta_refs = [o[0] for o in delta]
+    delta_feat = blocks_dataset(delta_refs, ray.get([o[1] for o in delta]))
     n_delta = delta_feat.count()
     metrics: dict = {"delta_rows": n_delta}
     # launched first, so the build overlaps the pair stage; its shard
@@ -141,8 +145,9 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     edges = score_blocks(new_pairs, lookup, cfg.scoring,
                          cfg.scoring.est_prefilter, edges=True)
     edge_refs = [e for e, _ in edges]
-    metrics["delta_edges"] = sum(ray.get([n for _, n in edges]))
-    check_unique_urls(sum(base_rows) + n_delta,
+    metrics["delta_edges"] = sum(m.num_rows
+                                 for m in ray.get([m for _, m in edges]))
+    check_unique_urls(sum(m.num_rows for m in base_metas) + n_delta,
                       [n for _, _, n in lookup], base_refs + delta_refs,
                       "the base and the delta")
 
@@ -168,7 +173,8 @@ def run_incremental(base_features, base_assignments, delta_corpus_ds,
     # old endpoint below its root is a star row too, one per membership)
     metrics["merged_labels"] = sum(ray.get([n for _, _, n in star])) \
         - n_members
-    assignments = rd.from_arrow_refs(labelled).materialize()
+    assignments = blocks_dataset([t for t, _ in labelled],
+                                 ray.get([m for _, m in labelled]))
     metrics["total_wall_sec"] = round(time.time() - t0, 3)
     return {"assignments": assignments, "delta_features": delta_feat,
             "metrics": metrics}

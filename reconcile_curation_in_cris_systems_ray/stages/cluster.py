@@ -38,7 +38,7 @@ import ray
 
 from ..config import ClusterConfig
 from ..state.manifest import CheckpointManager, fingerprint
-from . import remote_fn
+from . import block_meta, blocks_dataset, remote_fn
 from .lookup import (
     key_hash, lookup_shards, probe, sharded_lookup, split_by_shard,
 )
@@ -118,24 +118,34 @@ def edge_checksum(block: pa.Table) -> int:
 def _round(refs, num_buckets: int) -> tuple[list, list]:
     """One contraction round over the edge blocks ``refs``: large-star
     then small-star, each one exchange keyed on ``u``.  Returns the
-    non-empty outputs' ``(table refs, row-count refs)``, or one typed
+    non-empty outputs' ``(table refs, metadata refs)``, or one typed
     0-row block when every output is empty."""
     large = exchange(refs, ["u"], _large_star, num_buckets, arrow_fn=True,
                      prep=_bidirect)
     small = exchange([t for t, _ in large], ["u"], _small_star, num_buckets,
                      arrow_fn=True, prep=_orient)
-    counts = ray.get([n for _, n in small])
-    keep = [(t, n) for (t, n), c in zip(small, counts) if c]
+    metas = ray.get([m for _, m in small])
+    keep = [out for out, m in zip(small, metas) if m.num_rows]
     if not keep:
-        return [ray.put(EMPTY_EDGES)], [ray.put(0)]
-    return [t for t, _ in keep], [n for _, n in keep]
+        return [ray.put(EMPTY_EDGES)], [ray.put(block_meta(EMPTY_EDGES))]
+    return [t for t, _ in keep], [m for _, m in keep]
 
 
 def components(edge_refs, n_edges: int, cfg: ClusterConfig,
                ckpt: CheckpointManager, fp: str) -> tuple[list, dict]:
     """Star edges (node -> component min url) of the edge blocks
+    ``edge_refs``: the star's block refs and ``{"input_edges",
+    "rounds"}`` of :func:`star_blocks`."""
+    star, _, metrics = star_blocks(edge_refs, n_edges, cfg, ckpt, fp)
+    return star, metrics
+
+
+def star_blocks(edge_refs, n_edges: int, cfg: ClusterConfig,
+                ckpt: CheckpointManager, fp: str) -> tuple[list, list, dict]:
+    """Star edges (node -> component min url) of the edge blocks
     ``edge_refs`` (``n_edges`` rows, any orientation; self-loops and
-    0-row blocks, with or without columns, are allowed), and
+    0-row blocks, with or without columns, are allowed): the star's
+    block refs, their metadata refs (:func:`.block_meta`) and
     ``{"input_edges", "rounds"}``.
 
     While the edge set exceeds ``cfg.driver_finish_edges``, contraction
@@ -144,34 +154,37 @@ def components(edge_refs, n_edges: int, cfg: ClusterConfig,
     stage's blocks, so a resumed round takes the same decisions as a
     fresh one.  A round whose (edge count, checksum) equals the previous
     round's is the fixpoint: its edges are the star.  Otherwise the
-    union-find task finishes (stage ``cc_star``).  Returns the star's
-    block refs, not waited for on the union-find side.  Raises
-    ``RuntimeError`` when ``cfg.max_rounds`` rounds reach no fixpoint:
-    the edges left are then no star."""
+    union-find task finishes (stage ``cc_star``).  The star is not
+    waited for on the union-find side.  Raises ``RuntimeError`` when
+    ``cfg.max_rounds`` rounds reach no fixpoint: the edges left are
+    then no star."""
     checksum = remote_fn(edge_checksum)
     n, prev = n_edges, None
     for round_no in range(cfg.max_rounds):
         if n <= cfg.driver_finish_edges:
-            star, _ = ckpt.ref_stage(
+            star, metas = ckpt.ref_stage(
                 "cc_star", fingerprint(fp, "star"),
-                lambda: (union_find_star(edge_refs), []))
-            return star, {"input_edges": n_edges, "rounds": round_no}
+                lambda: union_find_star(edge_refs))
+            return star, metas, {"input_edges": n_edges, "rounds": round_no}
         fp = fingerprint(fp, "round", round_no)
-        edge_refs, counts = ckpt.ref_stage(
+        edge_refs, metas = ckpt.ref_stage(
             f"cc_round_{round_no}", fp,
             lambda: _round(edge_refs, cfg.num_buckets))
         sums = ray.get([checksum.remote(r) for r in edge_refs])
-        stats = (sum(ray.get(counts)), sum(sums) % (1 << 64))
+        stats = (sum(m.num_rows for m in ray.get(metas)),
+                 sum(sums) % (1 << 64))
         if stats == prev:
-            return edge_refs, {"input_edges": n_edges, "rounds": round_no + 1}
+            return edge_refs, metas, {"input_edges": n_edges,
+                                      "rounds": round_no + 1}
         n, prev = stats[0], stats
     raise RuntimeError(
         f"connected components: no fixpoint after {cfg.max_rounds} "
         f"rounds, {n} edges left")
 
 
-def _uf_star_task(*blocks) -> pa.Table:
-    """Remote body: union-find over a small edge set -> star edges.
+def _uf_star_task(*blocks) -> tuple[pa.Table, object]:
+    """Remote body: union-find over a small edge set -> star edges and
+    their block metadata.
 
     Runs as ONE Ray task rather than on the driver: the loop is
     inherently sequential either way, but the driver process shares
@@ -182,7 +195,7 @@ def _uf_star_task(*blocks) -> pa.Table:
     """
     blocks = [b.select(["u", "v"]) for b in blocks if b.num_rows]
     if not blocks:
-        return EMPTY_EDGES
+        return EMPTY_EDGES, block_meta(EMPTY_EDGES)
     tbl = pa.concat_tables(blocks, promote_options="default").combine_chunks()
     n_edges = tbl.num_rows
     # integer-coded union-find: dictionary-encode urls once in Arrow
@@ -227,30 +240,29 @@ def _uf_star_task(*blocks) -> pa.Table:
     label_idx = order[min_rank[roots]]
     # uniques are distinct, so label_idx != i  <=>  label url != node url
     nonself = np.flatnonzero(label_idx != np.arange(n))
-    return pa.table({
+    star = pa.table({
         "u": uniq_arr.take(pa.array(nonself)),
         "v": uniq_arr.take(pa.array(label_idx[nonself])),
     })
+    return star, block_meta(star)
 
 
 def connected_components(edges_ds, cfg: ClusterConfig = ClusterConfig(),
                          metrics_out: dict | None = None,
                          ckpt=None, fp_base: str | None = None):
     """Edges (u, v: string) -> star edges (u=node, v=component min url),
-    as a materialized Dataset: :func:`components` over the blocks of
+    as a materialized Dataset: :func:`star_blocks` over the blocks of
     ``edges_ds``.  A ``ckpt`` with a root and ``fp_base`` make every
     round a resumable stage.  ``metrics_out`` (optional dict) receives
     the input edge count and the round count."""
-    import ray.data as rd
-
     edges = edges_ds.select_columns(["u", "v"]).materialize()
-    star, metrics = components(
+    star, metas, metrics = star_blocks(
         edges.to_arrow_refs(), edges.count(), cfg,
         ckpt or CheckpointManager(None),
         fingerprint(fp_base or "cc", fingerprint(cfg)))
     if metrics_out is not None:
         metrics_out.update(metrics)
-    return rd.from_arrow_refs(star)
+    return blocks_dataset(star, ray.get(metas))
 
 
 def label_urls(batch: pa.Table, h: np.ndarray, star: pa.Table,
@@ -277,17 +289,19 @@ def label_urls(batch: pa.Table, h: np.ndarray, star: pa.Table,
 
 
 def _label_task(block, h: np.ndarray, star: pa.Table,
-                key: str) -> pa.Table:
+                key: str) -> tuple[pa.Table, object]:
     if block is None:  # a split's part of an empty block
         block = pa.table({"url": pa.array([], pa.string())})
-    return label_urls(as_arrow(block), h, star, key)
+    out = label_urls(as_arrow(block), h, star, key)
+    return out, block_meta(out)
 
 
-def union_find_star(edge_refs) -> list:
+def union_find_star(edge_refs) -> tuple[list, list]:
     """Star edges (node -> component min url) of the edge blocks
     ``edge_refs``: one union-find task, not waited for; returns its
-    one-block ref list."""
-    return [remote_fn(_uf_star_task).remote(*edge_refs)]
+    one-block ``(table refs, metadata refs)``."""
+    star, meta = remote_fn(_uf_star_task, num_returns=2).remote(*edge_refs)
+    return [star], [meta]
 
 
 def label_blocks(refs, shards, key: str = "url") -> list:
@@ -296,20 +310,22 @@ def label_blocks(refs, shards, key: str = "url") -> list:
     keyed by node): one task per block, or, with more shards, per part
     of a block split by the shard of its ``key``, labelled against that
     shard.  The lookup refs are top-level task arguments, so no task
-    blocks on them.  Returns the output block refs, not waited for."""
-    task = remote_fn(_label_task)
+    blocks on them.  Returns one ``(table ref, metadata ref)`` per task
+    (:func:`.block_meta`), not waited for."""
+    task = remote_fn(_label_task, num_returns=2)
     if len(shards) == 1:
         h_ref, t_ref, _ = shards[0]
-        return [task.remote(b, h_ref, t_ref, key) for b in refs]
+        return [tuple(task.remote(b, h_ref, t_ref, key)) for b in refs]
     n = len(shards)
-    return [task.remote(p[s], *shards[s][:2], key)
+    return [tuple(task.remote(p[s], *shards[s][:2], key))
             for p in split_by_shard(refs, key, n) for s in range(n)]
 
 
 def assign_blocks(url_refs, star_refs, n_shards: int) -> list:
     """``(url, cluster_id)`` of every url in the blocks ``url_refs``:
     the star lookup in ``n_shards`` shards, then :func:`label_blocks`.
-    Returns the output block refs, not waited for."""
+    Returns one ``(table ref, metadata ref)`` per task, not waited
+    for."""
     return label_blocks(url_refs,
                         sharded_lookup(star_refs, "u", ["v"], n_shards))
 
@@ -324,12 +340,12 @@ def assign_clusters(urls_ds, star_edges_ds, num_buckets: int = 256):
     for callers that still pass it and is unused: the shard count
     follows the star's size.
     """
-    import ray.data as rd
-
     star = star_edges_ds.materialize()
-    return rd.from_arrow_refs(assign_blocks(
+    outs = assign_blocks(
         urls_ds.select_columns(["url"]).materialize().to_arrow_refs(),
-        star.to_arrow_refs(), lookup_shards(star.size_bytes())))
+        star.to_arrow_refs(), lookup_shards(star.size_bytes()))
+    return blocks_dataset([t for t, _ in outs],
+                          ray.get([m for _, m in outs]))
 
 
 def union_find_oracle(edges: list[tuple[str, str]],

@@ -209,11 +209,20 @@ def _orient_pairs(block: pa.Table, n_shards: int) -> pa.Table:
     return block.append_column("group", pa.array(group))
 
 
+def _pair_task(body, *args):
+    """Task body of :func:`sharded_pair_tasks`: ``body(*args)``'s table
+    and its block metadata."""
+    from . import block_meta
+
+    out, _ = body(*args)
+    return out, block_meta(out)
+
+
 def sharded_pair_tasks(body, pair_refs, shards, args) -> list:
     """Launch ``body`` over the ``(uh_a, uh_b)`` pair blocks
     ``pair_refs`` against the lookup ``shards``
     (:func:`sharded_lookup`), without waiting; returns one ``(table
-    ref, row-count ref)`` per task.
+    ref, metadata ref)`` per task (:func:`.block_meta`).
 
     ``body(h_a, t_a, h_b, t_b, args, *parts)`` gets the side-a shard's
     keys and table, the side-b shard's (None when it is the side-a
@@ -227,10 +236,10 @@ def sharded_pair_tasks(body, pair_refs, shards, args) -> list:
     from . import remote_fn
     from .shuffle import _split_block
 
-    task = remote_fn(body, num_returns=2)
+    task = remote_fn(_pair_task, num_returns=2)
     if len(shards) == 1:
         h, t, _ = shards[0]
-        return [tuple(task.remote(h, t, None, None, args, p))
+        return [tuple(task.remote(body, h, t, None, None, args, p))
                 for p in pair_refs]
     n = len(shards)
     groups = [(lo, hi) for lo in range(n) for hi in range(lo, n)]
@@ -240,8 +249,8 @@ def sharded_pair_tasks(body, pair_refs, shards, args) -> list:
     out = []
     for g, (lo, hi) in enumerate(groups):
         h_b, t_b = (None, None) if lo == hi else shards[hi][:2]
-        out.append(tuple(task.remote(shards[lo][0], shards[lo][1], h_b, t_b,
-                                     args, *[p[g] for p in parts])))
+        out.append(tuple(task.remote(body, shards[lo][0], shards[lo][1],
+                                     h_b, t_b, args, *[p[g] for p in parts])))
     return out
 
 

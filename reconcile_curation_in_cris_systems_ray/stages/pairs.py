@@ -301,7 +301,7 @@ def exploded_pairs(outs, blocking: BlockingConfig,
     """Candidate pairs of the explode outputs ``outs``
     (:func:`explode_blocks`): the driver merges their partial counts
     (:func:`merge_hot_counts`) and :func:`pair_exchange` pairs their
-    band rows.  Returns one ``(pair table ref, row-count ref)`` per
+    band rows.  Returns one ``(pair table ref, metadata ref)`` per
     bucket."""
     hot = merge_hot_counts(ray.get([c for _, c in outs]),
                            blocking.hot_key_cap)
@@ -311,7 +311,7 @@ def exploded_pairs(outs, blocking: BlockingConfig,
 def pair_exchange(band_refs, hot: dict[int, int], blocking: BlockingConfig,
                   dedup_pairs: bool) -> list:
     """Candidate pairs of the band-row blocks ``band_refs``, without
-    waiting: one ``(pair table ref, row-count ref)`` per bucket.
+    waiting: one ``(pair table ref, metadata ref)`` per bucket.
 
     Hot keys (``hot``, from :func:`find_hot_keys` or
     :func:`merge_hot_counts`) are salted inside the exchange's split

@@ -37,13 +37,14 @@ def global_scan(ds, order_cols: list[str], value_col: str, out_col: str,
     O(blocks) driver pass as the sums); the global last row gets null.
     """
     import ray
-    import ray.data as rd
+
+    from . import block_meta, blocks_dataset
 
     mat = ds.sort(order_cols).materialize()
     refs = mat.to_arrow_refs()
 
     @ray.remote
-    def block_meta(tbl: pa.Table):
+    def block_stats(tbl: pa.Table):
         import pyarrow.compute as pc
 
         s = pc.sum(tbl[value_col]).as_py()
@@ -52,7 +53,7 @@ def global_scan(ds, order_cols: list[str], value_col: str, out_col: str,
             head = tbl[lead_of][0]
         return (0 if s is None else s, tbl.num_rows, head)
 
-    metas = ray.get([block_meta.remote(r) for r in refs])
+    metas = ray.get([block_stats.remote(r) for r in refs])
     sums = np.array([m[0] for m in metas])
     offsets = np.concatenate([[sums.dtype.type(0)], np.cumsum(sums)[:-1]])
     # head of the NEXT non-empty block, per block (None past the end)
@@ -64,7 +65,7 @@ def global_scan(ds, order_cols: list[str], value_col: str, out_col: str,
             if metas[i][1]:
                 upcoming = metas[i][2]
 
-    @ray.remote
+    @ray.remote(num_returns=2)
     def with_prefix(tbl: pa.Table, off, nxt):
         v = tbl[value_col].to_numpy(zero_copy_only=False)
         tbl = tbl.append_column(out_col, pa.array(off + np.cumsum(v)))
@@ -80,8 +81,9 @@ def global_scan(ds, order_cols: list[str], value_col: str, out_col: str,
                 tbl = tbl.append_column(
                     name,
                     pa.concat_arrays([shifted.combine_chunks(), tail]))
-        return tbl
+        return tbl, block_meta(tbl)
 
-    out_refs = [with_prefix.remote(r, o, h)
-                for r, o, h in zip(refs, offsets, next_heads)]
-    return rd.from_arrow_refs(out_refs)
+    outs = [with_prefix.remote(r, o, h)
+            for r, o, h in zip(refs, offsets, next_heads)]
+    return blocks_dataset([t for t, _ in outs],
+                          ray.get([m for _, m in outs]))

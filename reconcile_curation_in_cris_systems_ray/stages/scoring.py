@@ -132,7 +132,7 @@ def score_blocks(pair_refs, lookup, scoring=None,
     feature lookup shards ``lookup`` (:func:`build_feature_lookup`) as
     bare tasks (:func:`.lookup.sharded_pair_tasks`: one per pair block,
     or one per shard pair), without waiting; returns one ``(table ref,
-    row-count ref)`` per task: the scored rows, or with ``edges`` only
+    metadata ref)`` per task: the scored rows, or with ``edges`` only
     the match edges."""
     return sharded_pair_tasks(_score_task, pair_refs, lookup,
                               (scoring, est_prefilter, edges))

@@ -38,7 +38,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.similarity import stable_hash_strings
-from . import remote_fn
+from . import block_meta, blocks_dataset, dataset_blocks, remote_fn
 
 
 def effective_buckets(requested: int) -> int:
@@ -68,26 +68,19 @@ def drop_empty_blocks(ds):
     ``map_batches``).  Ray's native hash join then fails FieldRef
     resolution when such blocks reach it (``ArrowInvalid: No match ...
     on left side of the join``).  This helper filters them out by
-    BLOCK METADATA ONLY (``iter_internal_ref_bundles`` exposes
-    per-block ``num_rows``): no block is fetched to the driver, the
-    surviving object refs are reused zero-copy via
-    ``from_arrow_refs``.  If every block is empty the input is
+    BLOCK METADATA ONLY (:func:`.dataset_blocks`): no block is fetched
+    to the driver, and the surviving refs are rewrapped zero-copy
+    (:func:`.blocks_dataset`).  If every block is empty the input is
     returned unchanged (callers handle the fully-empty case).
     Returns a materialized dataset.
     """
-    import ray.data as rd
-
     mat = ds.materialize()
-    keep = []
-    n_blocks = 0
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            n_blocks += 1
-            if meta.num_rows is None or meta.num_rows > 0:
-                keep.append(ref)
-    if not keep or len(keep) == n_blocks:
+    refs, metas = dataset_blocks(mat)
+    keep = [(r, m) for r, m in zip(refs, metas)
+            if m.num_rows is None or m.num_rows > 0]
+    if not keep or len(keep) == len(refs):
         return mat
-    return rd.from_arrow_refs(keep).materialize()
+    return blocks_dataset(*zip(*keep))
 
 
 def as_arrow(block) -> pa.Table:
@@ -133,14 +126,16 @@ def _split_block(block, key_cols: list[str], nb: int, prep=None,
 
 def _merge_bucket(bucket_fn, arrow_fn, prep, prep_arg, *shards):
     """Merge side: concat one bucket's shards and run ``bucket_fn``;
-    returns ``(table, num_rows)`` so the driver can drop empty outputs
+    returns ``(table, its block metadata)`` (:func:`.block_meta`), so
+    the driver can drop empty outputs and wrap the rest as a Dataset
     without fetching them.  With one bucket the shards are the input
     blocks themselves, in any block format, and ``prep`` rewrites each
     non-empty one as the split would have."""
     tbls = [t for t in (as_arrow(s) for s in shards if s is not None)
             if t.num_rows]
     if not tbls:
-        return pa.table({}), 0
+        out = pa.table({})
+        return out, block_meta(out)
     if prep is not None:
         tbls = [prep(t, prep_arg) for t in tbls]
     # permissive: shards of one column may differ in physical type
@@ -148,20 +143,21 @@ def _merge_bucket(bucket_fn, arrow_fn, prep, prep_arg, *shards):
     big = pa.concat_tables(tbls, promote_options="permissive")
     if arrow_fn:
         out = bucket_fn(big.combine_chunks())
-        return out, out.num_rows
+        return out, block_meta(out)
     out = bucket_fn(big.to_pandas())
     if len(out) == 0:
         # empty object columns would become Arrow null-typed columns
         out = out.astype({c: "string" for c in out.columns
                           if out[c].dtype == object})
-    return pa.Table.from_pandas(out, preserve_index=False), len(out)
+    out = pa.Table.from_pandas(out, preserve_index=False)
+    return out, block_meta(out)
 
 
 def exchange(refs, key_cols: list[str], bucket_fn, num_buckets: int,
              arrow_fn: bool = False, prep=None, prep_arg=None) -> list:
     """The exchange over block refs: launches the split and merge
-    tasks and returns, without waiting, one ``(table ref, row-count
-    ref)`` per bucket, empty buckets included.
+    tasks and returns, without waiting, one ``(table ref, metadata
+    ref)`` per bucket (:func:`_merge_bucket`), empty buckets included.
 
     ``prep(block, prep_arg)`` rewrites each non-empty input block inside
     the split task (or inside the single merge task, when there is one
@@ -184,20 +180,20 @@ def exchange(refs, key_cols: list[str], bucket_fn, num_buckets: int,
 
 
 def nonempty_dataset(outs, empty: pa.Table | None = None):
-    """A Dataset of the ``(table ref, row-count ref)`` outputs that hold
-    rows.  When none does, ``empty`` (a typed 0-row table) is its one
-    block, so downstream column access still resolves; without it the
-    empty outputs are kept as they are."""
+    """A Dataset of the ``(table ref, metadata ref)`` outputs
+    (:func:`.block_meta`) that hold rows, wrapped from their metadata
+    (:func:`.blocks_dataset`).  When none does, ``empty`` (a typed
+    0-row table) is its one block, so downstream column access still
+    resolves; without it the empty outputs are kept as they are."""
     import ray
-    import ray.data as rd
 
     outs = list(outs)
-    counts = ray.get([n for _, n in outs])
-    keep = [t for (t, _), n in zip(outs, counts) if n]
+    metas = ray.get([m for _, m in outs])
+    keep = [(t, m) for (t, _), m in zip(outs, metas) if m.num_rows]
     if not keep:
-        keep = ([t for t, _ in outs] if empty is None
-                else [ray.put(empty)])
-    return rd.from_arrow_refs(keep)
+        keep = (list(zip([t for t, _ in outs], metas)) if empty is None
+                else [(ray.put(empty), block_meta(empty))])
+    return blocks_dataset([t for t, _ in keep], [m for _, m in keep])
 
 
 def bucketed_map_groups(ds, key_cols: list[str],

@@ -148,24 +148,29 @@ class CheckpointManager:
         """Stage ``name`` over block refs.
 
         ``build()`` launches the stage's tasks and returns ``(table
-        refs, row-count refs)`` without waiting.  Without a root they
-        pass straight through.  With one, ``rd.from_arrow_refs`` of them
-        is written through :meth:`run_stage` (or a checkpoint with
-        fingerprint ``fp`` is read back instead of building) and the
-        stage continues from the read-back blocks, so a checkpointed run
-        takes the same code path.  ``stats()``, called once the stage is
-        written, adds its counters to the stage's manifest."""
+        refs, metadata refs)`` (:func:`..stages.block_meta`) without
+        waiting.  Without a root they pass straight through.  With one,
+        the Dataset of them (:func:`..stages.blocks_dataset`) is written
+        through :meth:`run_stage` (or a checkpoint with fingerprint
+        ``fp`` is read back instead of building) and the stage continues
+        from the read-back blocks, so a checkpointed run takes the same
+        code path.  ``stats()``, called once the stage is written, adds
+        its counters to the stage's manifest."""
         if not self.root:
-            refs, counts = build()
+            refs, metas = build()
             self.streamed(name, fp)
-            return refs, counts
+            return refs, metas
         import ray
-        import ray.data as rd
 
-        ds = self.run_stage(name, fp, lambda: rd.from_arrow_refs(build()[0]),
-                            stats=stats).materialize()
-        refs, rows = dataset_blocks(ds)
-        return refs, [ray.put(n) for n in rows]
+        from ..stages import blocks_dataset, dataset_blocks
+
+        def written():
+            refs, metas = build()
+            return blocks_dataset(refs, ray.get(list(metas)))
+
+        ds = self.run_stage(name, fp, written, stats=stats).materialize()
+        refs, metas = dataset_blocks(ds)
+        return refs, [ray.put(m) for m in metas]
 
     def streamed(self, name: str, fp: str) -> None:
         """Record stage ``name`` as passed through without a checkpoint."""
@@ -180,11 +185,3 @@ class CheckpointManager:
             with open(os.path.join(self.root, "lineage.json"), "w") as f:
                 json.dump({"library_versions": library_versions,
                            "stages": self.lineage}, f, indent=2)
-
-
-def dataset_blocks(ds) -> tuple[list, list[int]]:
-    """The block refs and row counts of a materialized Dataset, from its
-    block metadata."""
-    blocks = [b for bundle in ds.iter_internal_ref_bundles()
-              for b in bundle.blocks]
-    return [ref for ref, _ in blocks], [meta.num_rows for _, meta in blocks]

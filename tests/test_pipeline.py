@@ -1007,6 +1007,195 @@ def test_features_equal_the_dataset_composition(ray_session, corpus,
     assert got.equals(want)
 
 
+def _odd_pages():
+    """Pages that take the extractor's slow paths: a null html (an
+    extraction error), a ``<![CDATA[`` section and invalid UTF-8 (both
+    deferred to the per-page scanner)."""
+    import pyarrow as pa
+
+    odd = _pages(["https://odd.example/cdata", "https://odd.example/latin1",
+                  "https://odd.example/none"],
+                 [b"<p>kept <![CDATA[x]]> text of the first odd page</p>",
+                  b"<p>caf\xe9 au lait, the second odd page</p>", b""])
+    i = odd.schema.get_field_index("html")
+    return odd.set_column(i, "html", pa.array(
+        odd.column("html").to_pylist()[:2] + [None], pa.binary()))
+
+
+def _feature_layouts(pages, engine_blocks):
+    """``{name: blocks}``: the layouts a feature task must treat alike."""
+    import pyarrow as pa
+
+    n = pages.num_rows
+    one_page = [pages.slice(i, 1) for i in range(n)]
+    interleaved = [b for blk in engine_blocks for b in (pa.table({}), blk)]
+    interleaved.append(pa.table({}))
+    html = pages.schema.get_field_index("html")
+
+    def retyped(block, t):
+        try:
+            col = block.column("html").cast(t)
+        except pa.ArrowInvalid:  # not UTF-8: stays binary
+            return block
+        return block.set_column(html, "html", col)
+
+    types = [pa.string(), pa.large_string(), pa.binary()]
+    bounds = [i * n // 9 for i in range(10)]
+    mixed = [retyped(pages.slice(lo, hi - lo), types[i % 3])
+             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    return {"one_block": [pages], "engine_blocks": engine_blocks,
+            "one_page_blocks": one_page, "interleaved_empty": interleaved,
+            "mixed_html_types": mixed}
+
+
+@pytest.mark.parametrize("run_bytes", [None, 20_000])
+def test_feature_runs_are_layout_independent(ray_session, corpus,
+                                             monkeypatch, run_bytes):
+    """A feature task cuts its blocks into runs (concatenating small
+    blocks, slicing one above ``RUN_BYTES``) and gives the one-block
+    features byte for byte, with the same error and deferred counts and
+    matching block metadata, for every layout: the engine's own blocks,
+    1-page blocks, blocks between column-less 0-row blocks, blocks whose
+    html is string, large_string or binary, and the checkpointed path's
+    extracted blocks (``cols`` None).  A group of empty blocks only
+    gives the typed 0-row features table."""
+    import pyarrow as pa
+    import ray
+
+    from reconcile_curation_in_cris_systems_ray.pipelines import (
+        reconcile as rmod,
+    )
+    from reconcile_curation_in_cris_systems_ray.sources.corpus import (
+        CORPUS_SCHEMA, corpus_dataset,
+    )
+
+    cols = ["url", "warc_ts", "html", "lang"]
+    blocking = ReconcileConfig().blocking
+    pages = pa.concat_tables([corpus, _odd_pages()]).select(cols)
+    want, _, errors, deferred = rmod._feature_group(cols, blocking, True,
+                                                    pages)
+    want = _by_url(want)
+    assert (errors, deferred) == (1, 3)
+    engine = ray.get(corpus_dataset(CORPUS_CFG).materialize()
+                     .to_arrow_refs())
+    engine = [b.select(cols) for b in engine] + [_odd_pages().select(cols)]
+    if run_bytes is not None:
+        # several runs per task: blocks are sliced and concatenated
+        monkeypatch.setattr(rmod, "RUN_BYTES", run_bytes)
+        assert len(rmod._runs([pages], "html")) > 2
+
+    def check(out, want_deferred):
+        got, meta, n_err, n_def = out
+        assert _by_url(got).equals(want)
+        assert (meta.num_rows, meta.schema) == (got.num_rows, got.schema)
+        assert (n_err, n_def) == (errors, want_deferred)
+
+    for blocks in _feature_layouts(pages, engine).values():
+        check(rmod._feature_group(cols, blocking, True, *blocks), deferred)
+        # the checkpointed path: the same layout, extracted block by block
+        extracted = [rmod._feature_group(cols, blocking, False, b)[0]
+                     if b.num_rows else b for b in blocks]
+        check(rmod._feature_group(None, blocking, True, *extracted), 0)
+    for empties in ([pa.table({})],
+                    [pa.table({}), CORPUS_SCHEMA.empty_table()]):
+        for group_cols in (cols, None):
+            got, meta, n_err, n_def = rmod._feature_group(
+                group_cols, blocking, True, *empties)
+            assert got.num_rows == meta.num_rows == n_err == n_def == 0
+            assert got.schema.equals(want.schema)
+
+
+def _by_url(table):
+    """``table`` sorted by url, in one chunk per column."""
+    import pyarrow.compute as pc
+
+    return table.take(pc.sort_indices(table, [("url", "ascending")])) \
+        .combine_chunks()
+
+
+def test_feature_layouts_through_the_run(ray_session, corpus, tmp_path):
+    """``run_reconcile`` over 1-page blocks, blocks between column-less
+    0-row blocks and blocks of string, large_string and binary html
+    gives the features and counts of a 1-block corpus, uncheckpointed and
+    checkpointed (the features then built from the extracted stage)."""
+    import pyarrow as pa
+    import ray
+
+    from reconcile_curation_in_cris_systems_ray.stages import (
+        block_meta, blocks_dataset,
+    )
+
+    pages = pa.concat_tables([corpus, _odd_pages()])
+
+    def dataset(blocks):
+        return blocks_dataset([ray.put(b) for b in blocks],
+                              [block_meta(b) for b in blocks])
+
+    def run(blocks, **kwargs):
+        out = run_reconcile(dataset(blocks), **kwargs)
+        m = out["metrics"]
+        return (_by_url(pa.concat_tables(
+                    ray.get(out["features"].to_arrow_refs()))),
+                m["extract_errors"], m["extract_deferred"])
+
+    want = run([pages])
+    assert want[1:] == (1, 3)
+    layouts = _feature_layouts(pages, [pages])
+    # the mixed-type blocks, each behind a column-less 0-row block
+    mixed = [b for blk in layouts["mixed_html_types"]
+             for b in (pa.table({}), blk)]
+    for i, layout in enumerate((mixed, layouts["one_page_blocks"])):
+        got = run(layout)
+        assert got[0].equals(want[0]) and got[1:] == want[1:]
+        got = run(layout, checkpoint_root=str(tmp_path / f"ckpt{i}"),
+                  input_fingerprint=f"layout-{i}")
+        assert got[0].equals(want[0]) and got[1:] == want[1:]
+
+
+def test_blocks_dataset_equals_from_arrow_refs(ray_session, corpus,
+                                               monkeypatch):
+    """The features, pairs (also the typed 0-row pairs block of a
+    corpus with no pairs) and assignments that ``run_reconcile`` and
+    ``run_incremental`` return, wrapped from task-side block metadata
+    with no ``rd.from_arrow_refs`` call, equal
+    ``rd.from_arrow_refs(refs).materialize()`` in every field a
+    consumer reads.  ``blocks_dataset`` builds on Ray internals, so a
+    Ray upgrade that changes them fails here."""
+    import ray.data as rd
+    from ray.data import read_api
+
+    from reconcile_curation_in_cris_systems_ray.pipelines.incremental import (
+        run_incremental,
+    )
+
+    real = rd.from_arrow_refs
+    # the inputs are made first: rd.from_arrow calls from_arrow_refs
+    base_ds, delta_ds, single_ds = (rd.from_arrow(t) for t in (
+        *_delta_split(corpus), corpus.slice(0, 1)))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("rd.from_arrow_refs called")
+
+    monkeypatch.setattr(rd, "from_arrow_refs", boom)
+    monkeypatch.setattr(read_api, "from_arrow_refs", boom)
+    base = run_reconcile(base_ds)
+    link = run_incremental(base["features"], base["assignments"], delta_ds)
+    single = run_reconcile(single_ds)
+    monkeypatch.undo()
+    assert single["pairs"].count() == 0
+    datasets = [base["features"], base["pairs"], base["assignments"],
+                link["delta_features"], link["assignments"],
+                single["pairs"], single["assignments"]]
+    for ds in datasets:
+        want = real(ds.to_arrow_refs()).materialize()
+        assert ds.count() == want.count()
+        assert ds.num_blocks() == want.num_blocks()
+        assert ds.schema() == want.schema()
+        assert ds.size_bytes() == want.size_bytes()
+        assert ds.to_arrow_refs() == want.to_arrow_refs()
+        assert ds.take_all() == want.take_all()
+
+
 def test_extraction_errors_are_counted(ray_session, corpus, tmp_path):
     """A page with no html fails extraction: the run counts it in its
     metrics and in the ``features`` lineage entry (also when a
